@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, FitInconclusiveError, ResourceLimitError
 from .graphs import GridSpec, column_series, witten_transfer
 from .patterns import (
     Pattern,
@@ -129,7 +129,7 @@ def fitted_cylinder_gf(n: int, max_terms: int = 320) -> RationalGF:
     while True:
         try:
             return fit_recurrence(column_series(n, terms))
-        except Exception:
+        except FitInconclusiveError:  # anything else propagates at once
             if terms >= max_terms:
                 raise
             terms = min(2 * terms, max_terms)

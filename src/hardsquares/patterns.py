@@ -37,7 +37,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError, RuleInapplicableError
-from .graphs import Graph, GridSpec, _ring_states, build_grid, grid_vertex
+from .graphs import Graph, GridSpec, _orbits, _row_step, build_grid, grid_vertex
 
 
 Bits = Tuple[int, ...]
@@ -142,46 +142,34 @@ def masked_graph(p: Pattern, m: int) -> Graph:
 
 @lru_cache(maxsize=None)
 def _tail_vector(n: int, r: int) -> Tuple[int, ...]:
-    """h_r[s] = signed count of r further rows stacked above ring state s."""
-    states, compat, weights = _ring_states(n, True)
+    """Orbit vector of r + 1 free ring rows stacked on each representative."""
+    orb = _orbits(n)
     if r == 0:
-        return (1,) * len(states)
-    prev = _tail_vector(n, r - 1)
-    return tuple(
-        sum(weights[j] * prev[j] for j in compat[i]) for i in range(len(states))
-    )
+        return orb.weights
+    return orb.step(_tail_vector(n, r - 1))
 
 
 def _row_mask(row: Bits) -> int:
-    mask = 0
-    for i, b in enumerate(row):
-        if b:
-            mask |= 1 << i
-    return mask
+    return sum(b << i for i, b in enumerate(row))
 
 
 def z_pattern_series(p: Pattern, m_max: int) -> List[int]:
     """[z(P;m) for m = 0..m_max] with the m < 2 entries set to 0.
 
-    Transfer evaluation: row-1 and row-2 states are restricted to the masks,
-    rows 3..m are free ring states folded in via cached tail vectors.
+    Transfer evaluation: rows 1 and 2 are cell-by-cell steps restricted to
+    the masks; the row-2 counts are folded into dihedral orbits, where rows
+    3..m are the cached orbit vectors of the free ring.
     """
-    states, compat, weights = _ring_states(p.n, True)
-    mask1 = _row_mask(p.row1)
-    mask2 = _row_mask(p.row2)
-    in1 = [i for i, s in enumerate(states) if not (s & ~mask1)]
-    in1_set = set(in1)
-    base: Dict[int, int] = {}
-    for i2, s2 in enumerate(states):
-        if s2 & ~mask2:
-            continue
-        c = sum(weights[j] for j in compat[i2] if j in in1_set)
-        if c:
-            base[i2] = weights[i2] * c
-    out = [0] * (m_max + 1) if m_max >= 0 else []
+    orb = _orbits(p.n)
+    row1 = _row_step({0: 1}, p.n, _row_mask(p.row1), cyclic=True)
+    base = _row_step(row1, p.n, _row_mask(p.row2), cyclic=True)
+    fold = [0] * len(orb.reps)
+    for s2, v in base.items():
+        a = orb.orbit_of[s2]
+        fold[a] += orb.weights[a] * v  # the tail vectors count s2's sign again
+    out = [0] * (m_max + 1)
     for m in range(2, m_max + 1):
-        tail = _tail_vector(p.n, m - 2)
-        out[m] = sum(v * tail[i2] for i2, v in base.items())
+        out[m] = sum(f * x for f, x in zip(fold, _tail_vector(p.n, m - 2)))
     return out
 
 

@@ -2,22 +2,29 @@
 
 naive_witten is the ground-truth oracle: it enumerates every vertex subset,
 keeps the independent ones and adds (-1)^size.  It is exponential, so callers
-keep graphs at or below ~16 vertices.  random_graph produces seeded
-Erdos-Renyi-style graphs, optionally with loops, for property sweeps.
-load_reduced_forms and load_golden_cycles parse the reference data files
-shared by the feature tests and the acceptance module.
+keep graphs at or below ~16 vertices.  random_graph (re-exported from
+hardsquares.graphs) produces seeded Erdos-Renyi-style graphs, optionally
+with loops, for property sweeps.  transfer_oracle and torus_oracle are the
+plain row transfer over every ring state with a quadratic compatibility
+table, kept as a differential oracle for the orbit and cell-by-cell
+kernels.  load_reduced_forms and load_golden_cycles parse the reference
+data files shared by the feature tests and the acceptance module.  EXTENDED
+(HARDSQUARES_EXTENDED=1) turns on the slow sweeps.
 """
 
 from __future__ import annotations
 
+import os
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from random import Random
 
-from hardsquares.graphs import Graph
+from hardsquares.graphs import Graph, random_graph  # noqa: F401  (re-exported)
 from hardsquares.polynomials import IntPoly
 
 DATA = Path(__file__).parent / "data"
+
+EXTENDED = os.environ.get("HARDSQUARES_EXTENDED") == "1"
 
 
 def naive_witten(g: Graph) -> int:
@@ -31,17 +38,43 @@ def naive_witten(g: Graph) -> int:
     return total
 
 
-def random_graph(rng: Random, max_vertices: int, edge_prob: float = 0.3,
-                 loop_prob: float = 0.05) -> Graph:
-    n = rng.randint(1, max_vertices)
-    edges = []
-    for u in range(n):
-        if rng.random() < loop_prob:
-            edges.append((u, u))
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((u, v))
-    return Graph(range(n), edges)
+@lru_cache(maxsize=None)
+def ring_table(n, cyclic):
+    """Independent row masks, their signs and the quadratic compat table."""
+    states = [s for s in range(1 << n)
+              if not s & ((s << 1) | (s >> (n - 1) if cyclic and n else 0))]
+    sign = {s: (-1) ** bin(s).count("1") for s in states}
+    return states, sign, {s: [t for t in states if not s & t] for s in states}
+
+
+def _stack(table, vec, mask=-1):
+    """One more row, restricted to mask, on {top row: signed count}."""
+    states, sign, compat = table
+    return {s: sign[s] * sum(vec.get(t, 0) for t in compat[s])
+            for s in states if not s & ~mask}
+
+
+def transfer_oracle(n, masks, cyclic=True):
+    """[Z of the first k rows for k = 0..len(masks)]: rings (paths unless
+    cyclic) of width n stacked in a path, row i restricted to masks[i]."""
+    table, vec, out = ring_table(n, cyclic), {0: 1}, [1]
+    for mask in masks:
+        vec = _stack(table, vec, mask)
+        out.append(sum(vec.values()))
+    return out
+
+
+def torus_oracle(n, mmax):
+    """[trace of the m-th transfer power for m = 0..mmax] on the ring C_n;
+    entry m is Z(C_m x C_n) once m, n >= 2."""
+    table = ring_table(n, True)
+    out = [len(table[0])] + [0] * mmax
+    for start in table[0]:
+        vec = {start: 1}
+        for m in range(1, mmax + 1):
+            vec = _stack(table, vec)
+            out[m] += vec[start]
+    return out
 
 
 def load_reduced_forms():

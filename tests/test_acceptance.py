@@ -30,7 +30,7 @@ Criteria at a glance:
  5. conjectured denominator product clears all poles for n = 2, 6, 8, 10,
     12, and at n = 4 lacks exactly one Phi_2 of the stored f_4 denominator.
  6. reduced series periods are 4, 12, 56 at circumferences 2, 6, 10
-    (and 880 at 14 with HARDSQUARES_EXTENDED=1).
+    and 880 at 14.
  7. cycle structures of the arrangement step match the stored table for
     n <= 20, all pair counts, < 5 min.
  8. every cycle length divides n - 3k for even n <= 24 (36 extended).
@@ -44,7 +44,6 @@ Criteria at a glance:
     soundness on 500 random graphs (<= 16 vertices).
 """
 
-import os
 from random import Random
 from time import perf_counter
 
@@ -82,9 +81,7 @@ from hardsquares.patterns import (
 )
 from hardsquares.polynomials import RationalGF, cyclotomic, series_expand
 from hardsquares.reduction import replay_trace, simplify
-from helpers import load_golden_cycles, load_reduced_forms, random_graph
-
-EXTENDED = os.environ.get("HARDSQUARES_EXTENDED") == "1"
+from helpers import EXTENDED, load_golden_cycles, load_reduced_forms, random_graph
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -219,12 +216,10 @@ def test_denominator_product_status_by_circumference():
 def test_criterion_06_reduced_series_periods():
     expected = {2: 4, 6: 12, 10: 56}
     periods = {n: periodicity_report(n).period for n in expected}
-    ok = periods == expected
+    p14 = periodicity_report(14, gf=cylinder_gf(14, bound=14)).period
+    ok = periods == expected and p14 == 880
     detail = ", ".join(f"n={n}: {p}" for n, p in sorted(periods.items()))
-    if EXTENDED:
-        p14 = periodicity_report(14, gf=cylinder_gf(14, bound=14)).period
-        ok = ok and p14 == 880
-        detail += f", n=14: {p14}"
+    detail += f", n=14: {p14}"
     _criterion(6, "reduced series periods", ok, detail)
 
 

@@ -8,12 +8,14 @@ Claims covered:
   -t^2/(1+t^2); the one-block class 101110/111111 gives
   t^2(1 - t - t^3)/((t^2+1)(t^3-1)) with a 12-periodic tail.
 - cylinder_gf matches the golden reduced forms (numerator coefficients and
-  cyclotomic denominators) for n = 2..12, and its series prefix equals the
-  raw column series; n = 14 is covered when HARDSQUARES_EXTENDED=1.
+  cyclotomic denominators) for n = 2..14, and its series prefix equals the
+  raw column series.
 - the built-in cross-check against a fitted recurrence runs by default;
   invalid circumferences are rejected with the documented errors.
 - fitted_cylinder_gf recovers the frozen odd-circumference forms: n=3 and
-  n=9 share (1-2t+t^2)/(1-t^3), n=5 and n=7 are the constant series.
+  n=9 share (1-2t+t^2)/(1-t^3), n=5 and n=7 are the constant series; it
+  retries only an inconclusive fit and lets a ConsistencyError through on
+  the first call.
 - check_roots_of_unity accepts every even cylinder denominator through 12
   and rejects a denominator with a root off the unit circle.
 - conjectured_denominator builds the frozen products, clears all poles for
@@ -25,11 +27,14 @@ Claims covered:
   lengths covers every proper class of length up to 10.
 """
 
-import os
-
 import pytest
 
-from hardsquares.errors import ConsistencyError, ResourceLimitError
+from hardsquares import genfun
+from hardsquares.errors import (
+    ConsistencyError,
+    FitInconclusiveError,
+    ResourceLimitError,
+)
 from hardsquares.genfun import (
     check_block_count_denominator,
     check_denominator_form,
@@ -59,8 +64,6 @@ from hardsquares.polynomials import (
 )
 
 from helpers import load_reduced_forms
-
-EXTENDED = os.environ.get("HARDSQUARES_EXTENDED") == "1"
 
 
 def test_pattern_gf_matches_transfer_series():
@@ -92,8 +95,7 @@ def test_blockless_denominators():
 
 def test_cylinder_gf_matches_golden_reduced_forms():
     table = load_reduced_forms()
-    sizes = (2, 4, 6, 8, 10, 12) + ((14,) if EXTENDED else ())
-    for n in sizes:
+    for n in (2, 4, 6, 8, 10, 12, 14):
         gf = cylinder_gf(n, bound=14)
         num, factors = table[n]
         assert gf.num == num, n
@@ -124,6 +126,33 @@ def test_fitted_route_odd_circumference():
     assert fitted_cylinder_gf(7) == constant
     # the fitted and exact routes agree where both apply
     assert fitted_cylinder_gf(6) == cylinder_gf(6)
+
+
+def test_fitted_route_retries_only_inconclusive_fits(monkeypatch):
+    # a disagreement between two routes is never retried or swallowed
+    calls = []
+
+    def disagreeing(n, mmax):
+        calls.append(mmax)
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(genfun, "column_series", disagreeing)
+    with pytest.raises(ConsistencyError):
+        fitted_cylinder_gf(9)
+    assert calls == [48]
+
+    # an inconclusive fit doubles its window up to max_terms, then gives up
+    windows = []
+
+    def inconclusive(seq):
+        windows.append(len(seq))
+        raise FitInconclusiveError("too few terms")
+
+    monkeypatch.setattr(genfun, "column_series", lambda n, mmax: [1] * (mmax + 1))
+    monkeypatch.setattr(genfun, "fit_recurrence", inconclusive)
+    with pytest.raises(FitInconclusiveError):
+        fitted_cylinder_gf(9)
+    assert windows == [49, 97, 193, 321]
 
 
 def test_roots_of_unity_checker():
@@ -164,8 +193,7 @@ def test_periodicity_reports():
         report = periodicity_report(n)
         assert report.period is None
         assert report.max_multiplicity == 2
-    if EXTENDED:
-        assert periodicity_report(14, gf=cylinder_gf(14, bound=14)).period == 880
+    assert periodicity_report(14, gf=cylinder_gf(14, bound=14)).period == 880
 
 
 def test_periodic_tail_values():

@@ -5,7 +5,11 @@ C_0 = empty), agreement of witten_brute and witten_transfer with the naive
 subset-enumeration oracle, frozen small values, the constant and period-3
 column series, multiplicativity and the two deletion relations on random
 graphs, the ten suspension identities on a development-sized sweep, and the
-short-side mask routing that keeps thin grids cheap at large sizes.
+short-side mask routing that keeps thin grids cheap at large sizes.  The
+orbit and cell-by-cell kernels are compared with the compatibility-table
+oracle of tests/helpers on cylinders (n <= 12, m <= 24), free grids up to
+10 x 10 and tori up to 9 x 9; the dihedral orbit counts 49 / 99 / 209 at
+n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.
 """
 
 from random import Random
@@ -22,8 +26,15 @@ from hardsquares.graphs import (
     verify_index_identities,
     witten_brute,
     witten_transfer,
+    _orbits,
 )
-from helpers import naive_witten, random_graph
+from helpers import (
+    naive_witten,
+    random_graph,
+    ring_table,
+    torus_oracle,
+    transfer_oracle,
+)
 
 import pytest
 
@@ -195,6 +206,43 @@ def test_column_series_constant_or_period_three():
         assert series[:3] == [1, -2, 1]
         for m in range(len(series) - 3):
             assert series[m + 3] == series[m]
+
+
+def test_cylinder_transfer_matches_compat_oracle():
+    for n in range(0, 13):
+        expected = transfer_oracle(n, [(1 << n) - 1] * 24)
+        assert column_series(n, 24) == expected, n
+        for m in range(0, 25):
+            assert witten_transfer(GridSpec("cylinder", m, n)) == expected[m], (m, n)
+
+
+def test_free_transfer_matches_compat_oracle():
+    for n in range(0, 11):
+        expected = transfer_oracle(n, [(1 << n) - 1] * 10, cyclic=False)
+        for m in range(0, 11):
+            assert witten_transfer(GridSpec("free", m, n)) == expected[m], (m, n)
+
+
+def test_torus_transfer_matches_compat_oracle():
+    for n in range(2, 10):
+        expected = torus_oracle(n, 9)
+        for m in range(2, 10):
+            assert witten_transfer(GridSpec("torus", m, n)) == expected[m], (m, n)
+    assert witten_transfer(GridSpec("torus", 12, 12)) == 166
+
+
+def test_ring_orbits_partition_the_ring_states():
+    # orbit counts of the dihedral action; the states are Lucas-many
+    for n, orbits, states in ((14, 49, 843), (16, 99, 2207), (18, 209, 5778)):
+        orb = _orbits(n)
+        assert len(orb.reps) == orbits
+        assert sum(orb.sizes) == len(orb.orbit_of) == states
+    for n in range(0, 13):
+        orb = _orbits(n)
+        assert sorted(orb.orbit_of) == ring_table(n, True)[0]
+        for a, rep in enumerate(orb.reps):
+            assert orb.orbit_of[rep] == a
+            assert sum(1 for b in orb.orbit_of.values() if b == a) == orb.sizes[a]
 
 
 # -- suspension identities -------------------------------------------------------

@@ -20,8 +20,6 @@ Claims covered:
 - JSON and DOT exports are deterministic and well formed.
 """
 
-import os
-
 import pytest
 
 from hardsquares.errors import ResourceLimitError
@@ -47,9 +45,7 @@ from hardsquares.necklaces import (
     verify_cycle_divisibility,
 )
 from hardsquares.patterns import block_count, is_proper, is_reducible, parse_pattern
-from helpers import load_golden_cycles
-
-EXTENDED = os.environ.get("HARDSQUARES_EXTENDED") == "1"
+from helpers import EXTENDED, load_golden_cycles
 
 
 def test_constructor_normalization_and_validation():

@@ -7,7 +7,9 @@ Claims covered:
   six-column example with four rows has 19 vertices.
 - z_pattern equals the brute-force Witten index of masked_graph for every
   pattern of length 4 and 6 with m in {2,3,4}, and the all-ones pattern
-  reproduces the cylinder index.
+  reproduces the cylinder index; z_pattern_series equals the
+  compatibility-table oracle on random masked patterns (proper or not)
+  of length up to 12.
 - canonicalize identifies all 2n rotations/reflections and nothing else;
   z_pattern is constant on a class.
 - the four frozen length-10 patterns are proper with two blocks; frozen
@@ -28,6 +30,7 @@ Claims covered:
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardsquares.errors import ResourceLimitError, RuleInapplicableError
 from hardsquares.graphs import GridSpec, witten_brute, witten_transfer
@@ -51,6 +54,7 @@ from hardsquares.patterns import (
     z_pattern,
     z_pattern_series,
 )
+from helpers import transfer_oracle
 
 
 def all_patterns(n):
@@ -98,6 +102,23 @@ def test_pattern_index_matches_brute_force():
             series = z_pattern_series(p, 4)
             for m in (2, 3, 4):
                 assert series[m] == witten_brute(masked_graph(p, m)), (p, m)
+
+
+@st.composite
+def masked_patterns(draw):
+    n = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    row2 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    row1 = [b & draw(st.integers(0, 1)) for b in row2]
+    return Pattern(tuple(row1), tuple(row2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(masked_patterns(), st.integers(0, 12))
+def test_z_pattern_series_matches_compat_oracle(p, m_max):
+    masks = [sum(b << i for i, b in enumerate(row)) for row in (p.row1, p.row2)]
+    rows = masks + [(1 << p.n) - 1] * (m_max - 2)
+    expected = transfer_oracle(p.n, rows)[: m_max + 1]
+    assert z_pattern_series(p, m_max) == [0, 0][: m_max + 1] + expected[2:]
 
 
 def test_pattern_index_requires_two_rows():
