@@ -216,9 +216,11 @@ def cmd_genfun(args: argparse.Namespace,
 
 def cmd_necklace(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
+    bound = args.bound_n if args.bound_n is not None else DEFAULT_BOUND
     if args.action == "verify":
         nmax = args.nmax if args.nmax is not None else 24
-        bound = args.bound_n if args.bound_n is not None else max(DEFAULT_BOUND, nmax)
+        if nmax > bound:
+            raise ResourceLimitError(f"--nmax {nmax} exceeds the bound {bound}")
         results = []
         for n in _even_range(4, nmax):
             for k in range(1, n // 4 + 1):
@@ -229,7 +231,6 @@ def cmd_necklace(args: argparse.Namespace,
 
     if args.k is None or args.n is None:
         parser.error(f"necklace {args.action} requires both -k and -n")
-    bound = args.bound_n if args.bound_n is not None else DEFAULT_BOUND
     if args.action == "dot" or args.format == "dot":
         sys.stdout.write(dot_transition_graph(args.k, args.n, bound) + "\n")
         return 0
@@ -315,7 +316,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
             for k in range(1, n // 4 + 1):
                 results.append(CheckResult(
                     "cycle_divisibility", {"k": k, "n": n},
-                    verify_cycle_divisibility(k, n, bound=max(DEFAULT_BOUND, n_max))))
+                    verify_cycle_divisibility(k, n)))
         for cls in enumerate_proper(n):
             results.append(CheckResult(
                 "block_count_denominator",
@@ -327,7 +328,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
 def _suite_correspondence(n_max: int) -> List[CheckResult]:
     results = []
     for n in _even_range(4, n_max):
-        ok = check_correspondence(n, bound=max(DEFAULT_BOUND, n_max))
+        ok = check_correspondence(n)
         results.append(CheckResult("pattern_correspondence", {"n": n}, ok))
     return results
 
@@ -336,6 +337,8 @@ def cmd_verify(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     results: List[CheckResult] = []
     infos: List[str] = []
+    if args.suite != "identities" and (args.nmax or 0) > DEFAULT_BOUND:
+        raise ResourceLimitError(f"--nmax {args.nmax} exceeds the bound {DEFAULT_BOUND}")
     if args.suite in ("identities", "all"):
         results.extend(_suite_identities(
             args.m if args.m is not None else 20,

@@ -15,10 +15,19 @@ so its functional graph is a disjoint union of cycles; cycle_structure
 computes them and cycle_length_lcm feeds the denominator bounds of the
 generating-function module.
 
+The kernel works on the sequence form, the clockwise (vector, gap to the
+next stone) pairs; T steps it in place, as jumps never reorder stones.  The
+canonical sequence of a class, its least rotation or reflection, starts
+with an away element (negative vector).  Classes are generated directly in
+that form (orderly generation, after Sawada, SIAM J. Comput. 31 (2001)): a
+branch whose away element is below the first is pruned, and a complete
+sequence is kept when it is canonical.  Necklace objects are built only
+for callers that get arrangements back.
+
 Arrangements encode the reducible proper patterns with a given block count:
-pattern_of_arrangement writes a block of 1s across each facing gap (with the
+pattern_of_necklace writes a block of 1s across each facing gap (with the
 alternating first row pulled in by the vector lengths) and 0101...0 across
-each away gap; arrangement_of_pattern inverts it.  One T step corresponds to
+each away gap; necklace_of_pattern inverts it.  One T step corresponds to
 peeling the pattern and collapsing the new first-row blocks.
 """
 
@@ -26,13 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .errors import ResourceLimitError
+from .errors import ConsistencyError, ResourceLimitError
 from .patterns import (
     Pattern,
-    PatternClass,
     _cyclic_groups,
     block_count,
     canonicalize as canonicalize_pattern,
@@ -86,49 +95,69 @@ def format_necklace(neck: Necklace) -> str:
 def _pairs(neck: Necklace) -> List[Tuple[Stone, Stone, int]]:
     """Consecutive stone pairs with their clockwise gaps."""
     stones = neck.stones
-    out = []
-    for i, (p, v) in enumerate(stones):
-        q, w = stones[(i + 1) % len(stones)]
-        out.append(((p, v), (q, w), (q - p) % neck.n))
-    return out
+    return [(s, t, (t[0] - s[0]) % neck.n)
+            for s, t in zip(stones, stones[1:] + stones[:1])]
 
 
 def is_valid(neck: Necklace) -> bool:
     """The alternating-direction and gap-parity conditions."""
     for (_, v), (_, w), gap in _pairs(neck):
-        if v * w > 0:
+        if v < 0:  # facing away (next stone's vector points onward): odd gap
+            ok = w > 0 and gap % 2 == 1
+        else:  # facing towards: gap plus lengths odd, >= 3, unit lengths at 3
+            ok = (w < 0 and (gap + v - w) % 2 == 1
+                  and (gap > 3 or gap == 3 and v == -w == 1))
+        if not ok:
             return False
-        if v < 0:  # facing away (next stone's vector points onward)
-            if gap % 2 == 0:
-                return False
-        else:  # facing towards
-            if (gap + abs(v) + abs(w)) % 2 == 0:
-                return False
-            if gap < 3:
-                return False
-            if gap == 3 and (abs(v) != 1 or abs(w) != 1):
-                return False
     return True
 
 
-# -- the step transformation --------------------------------------------------------
+# -- the sequence form ----------------------------------------------------------------
 
 
-def _fix_close_pairs(n: int, stones: Iterable[Stone]) -> Tuple[Stone, ...]:
-    """Shrink length-2 vectors of pairs facing each other at distance 3."""
-    stones = sorted(stones)
-    vecs = {p: v for p, v in stones}
-    for (p, v), (q, w), gap in _pairs(Necklace(n, tuple(stones))):
-        if v > 0 and w < 0 and gap == 3:
-            vecs[p] = 1
-            vecs[q] = -1
-    return tuple(sorted(vecs.items()))
+Seq = Tuple[Tuple[int, int], ...]  # (vector, clockwise gap to the next stone)
+
+
+def _sequence(neck: Necklace) -> Seq:
+    """The sequence form, starting from the lowest stone."""
+    return tuple((v, gap) for (_, v), _, gap in _pairs(neck))
+
+
+def _place(n: int, seq: Seq, start: int = 0) -> Necklace:
+    """The arrangement whose first stone sits at start."""
+    starts = accumulate((gap for _, gap in seq), initial=start)
+    return Necklace(n, tuple((p % n, v) for p, (v, _) in zip(starts, seq)))
+
+
+def _step(seq: Seq) -> Seq:
+    """T; element i of the result is stone i's image, gap_i - v_i + v_{i+1}."""
+    vecs = [_TURN[v] for v, _ in seq]
+    gaps = [gap - v + w for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1])]
+    for i, gap in enumerate(gaps):
+        if vecs[i] > 0 and gap == 3:  # facing at distance 3: unit vectors
+            vecs[i], vecs[(i + 1) % len(vecs)] = 1, -1
+    return tuple(zip(vecs, gaps))
+
+
+def _canonical(seq: Seq) -> Seq:
+    """Least rotation or reflection, over the offsets of the away elements.
+
+    The reflection reverses the stones, negates their vectors and gives each
+    stone the gap before it.
+    """
+    if seq[0][0] > 0:
+        seq = seq[1:] + seq[:1]
+    rev = seq[::-1]
+    mirror = tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
+    length = len(seq)
+    return min([d[i:i + length] for d in (seq + seq, mirror + mirror)
+                for i in range(0, length, 2)])
 
 
 def transform(neck: Necklace) -> Necklace:
     """Jump every stone, switch every vector, then fix distance-3 pairs."""
-    jumped = [((p + v) % neck.n, _TURN[v]) for p, v in neck.stones]
-    return Necklace(neck.n, _fix_close_pairs(neck.n, jumped))
+    p0, v0 = neck.stones[0]
+    return _place(neck.n, _step(_sequence(neck)), p0 + v0)
 
 
 def transform_inverse(neck: Necklace) -> Necklace:
@@ -136,8 +165,7 @@ def transform_inverse(neck: Necklace) -> Necklace:
     exempt = set()
     for (p, v), (q, w), gap in _pairs(neck):
         if v > 0 and w < 0 and gap == 3:
-            exempt.add(p)
-            exempt.add(q)
+            exempt.update((p, q))
     adjusted = [(p, v if p in exempt else _TOGGLE[v]) for p, v in neck.stones]
     flipped = tuple(((p + v) % neck.n, -v) for p, v in adjusted)
     return Necklace(neck.n, flipped)
@@ -157,103 +185,95 @@ class NecklaceClass:
         return self.canonical.n
 
 
-def _sequence(neck: Necklace) -> Tuple[Tuple[int, int], ...]:
-    """(vector, gap to next stone) pairs starting from the lowest stone."""
-    return tuple((v, gap) for (_, v), _, gap in _pairs(neck))
-
-
-def _reflect_sequence(seq: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    length = len(seq)
-    return tuple(
-        (-seq[(length - j) % length][0], seq[length - 1 - j][1])
-        for j in range(length)
-    )
-
-
-def _min_rotation(seq: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
-    doubled = seq + seq
-    length = len(seq)
-    return min(doubled[s:s + length] for s in range(length))
-
-
-def _canonical_sequence(neck: Necklace) -> Tuple[Tuple[int, int], ...]:
-    seq = _sequence(neck)
-    return min(_min_rotation(seq), _min_rotation(_reflect_sequence(seq)))
-
-
-def _from_sequence(n: int, seq: Sequence[Tuple[int, int]]) -> Necklace:
-    stones = []
-    pos = 0
-    for v, gap in seq:
-        stones.append((pos, v))
-        pos += gap
-    return Necklace(n, tuple(stones))
-
-
 def canonicalize(neck: Necklace) -> NecklaceClass:
     """Lexicographic minimum over rotations and reflections of the circle."""
-    return NecklaceClass(_from_sequence(neck.n, _canonical_sequence(neck)))
+    return NecklaceClass(_place(neck.n, _canonical(_sequence(neck))))
 
 
 # -- enumeration and cycle structure ----------------------------------------------
 
 
-def enumerate_necklaces(k: int, n: int, bound: int = DEFAULT_BOUND) -> List[NecklaceClass]:
-    """All (k, n) arrangement classes, sorted by canonical representative."""
+def _check_size(k: int, n: int, bound: int) -> None:
     if k < 1:
         raise ValueError("at least one stone pair is required")
     if n > bound:
         raise ResourceLimitError(f"circle length {n} exceeds the bound {bound}")
-    if 4 * k > n:
-        return []
-    found = set()
 
-    def extend(pairs_left: int, used: int, seq: List[Tuple[int, int]]):
-        if pairs_left == 0:
-            if used == n:
-                found.add(min(_min_rotation(tuple(seq)),
-                              _min_rotation(_reflect_sequence(seq))))
-            return
+
+def _canonical_sequences(k: int, n: int) -> List[Seq]:
+    """The (k, n) classes by orderly generation; see the module docstring.
+
+    Pairs (facing element, away element) are appended in turn; a candidate
+    is rotated to start at its first away element.
+    """
+    out: List[Seq] = []
+    seq: List[Tuple[int, int]] = []
+
+    def extend(pairs_left: int, used: int) -> None:
         floor_rest = 4 * (pairs_left - 1)
         for inward in (1, 2):
             for outward in (1, 2):
-                t_lo = 3 if (3 + inward + outward) % 2 else 4
-                if t_lo == 3 and (inward != 1 or outward != 1):
-                    t_lo = 5
+                t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
                 for t_gap in range(t_lo, n - used - floor_rest, 2):
-                    for a_gap in range(1, n - used - t_gap - floor_rest + 1, 2):
-                        seq.append((inward, t_gap))
-                        seq.append((-outward, a_gap))
-                        extend(pairs_left - 1, used + t_gap + a_gap, seq)
-                        seq.pop()
-                        seq.pop()
+                    room = n - used - t_gap - floor_rest
+                    if pairs_left > 1:
+                        a_gaps = range(1, room + 1, 2)
+                    else:  # the last pair closes the circle
+                        a_gaps = (room,) if room % 2 else ()
+                    for a_gap in a_gaps:
+                        if seq and (-outward, a_gap) < seq[1]:
+                            continue
+                        seq.extend(((inward, t_gap), (-outward, a_gap)))
+                        if pairs_left > 1:
+                            extend(pairs_left - 1, used + t_gap + a_gap)
+                        else:
+                            cand = tuple(seq[1:] + seq[:1])
+                            if cand == _canonical(cand):
+                                out.append(cand)
+                        del seq[-2:]
 
-    extend(k, 0, [])
-    return sorted(NecklaceClass(_from_sequence(n, seq)) for seq in found)
+    if 4 * k <= n:
+        extend(k, 0)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _cycles_cached(k: int, n: int, bound: int) -> Tuple[Tuple[int, int], ...]:
-    classes = enumerate_necklaces(k, n, bound)
-    succ = {cls: canonicalize(transform(cls.canonical)) for cls in classes}
-    if sorted(succ.values()) != sorted(succ):
-        raise RuntimeError("the step transformation failed to permute classes")
+def _successors(seqs: List[Seq]) -> List[int]:
+    """Index of each class's step image; T must permute the classes."""
+    index = {seq: i for i, seq in enumerate(seqs)}
+    succ = [index.get(_canonical(_step(seq))) for seq in seqs]
+    if None in succ or len(set(succ)) != len(succ):
+        raise ConsistencyError("the step transformation failed to permute classes")
+    return succ
+
+
+def enumerate_necklaces(k: int, n: int, bound: int = DEFAULT_BOUND) -> List[NecklaceClass]:
+    """All (k, n) arrangement classes, sorted by canonical representative."""
+    _check_size(k, n, bound)
+    necks = sorted((_place(n, seq) for seq in _canonical_sequences(k, n)),
+                   key=lambda neck: neck.stones)
+    return [NecklaceClass(neck) for neck in necks]
+
+
+@lru_cache(maxsize=32)
+def _cycles(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    succ = _successors(_canonical_sequences(k, n))
     lengths: Dict[int, int] = {}
-    remaining = set(succ)
-    while remaining:
-        start = remaining.pop()
-        cur, size = succ[start], 1
-        while cur != start:
-            remaining.remove(cur)
+    seen = [False] * len(succ)
+    for start in range(len(succ)):
+        size, cur = 0, start
+        while not seen[cur]:
+            seen[cur] = True
             cur = succ[cur]
             size += 1
-        lengths[size] = lengths.get(size, 0) + 1
+        if size:
+            lengths[size] = lengths.get(size, 0) + 1
     return tuple(sorted(lengths.items()))
 
 
 def cycle_structure(k: int, n: int, bound: int = DEFAULT_BOUND) -> Dict[int, int]:
     """Multiset of cycle lengths of the step transformation, as length -> count."""
-    return dict(_cycles_cached(k, n, bound))
+    _check_size(k, n, bound)
+    return dict(_cycles(k, n))
 
 
 def format_cycle_structure(lengths: Dict[int, int]) -> str:
@@ -262,7 +282,8 @@ def format_cycle_structure(lengths: Dict[int, int]) -> str:
 
 def cycle_length_lcm(k: int, n: int, bound: int = DEFAULT_BOUND) -> int:
     """Least common multiple of all cycle lengths (1 for an empty graph)."""
-    return lcm(*(size for size, _ in _cycles_cached(k, n, bound)), 1)
+    _check_size(k, n, bound)
+    return lcm(*(size for size, _ in _cycles(k, n)), 1)
 
 
 def verify_cycle_divisibility(k: int, n: int, bound: int = DEFAULT_BOUND) -> bool:
@@ -272,7 +293,8 @@ def verify_cycle_divisibility(k: int, n: int, bound: int = DEFAULT_BOUND) -> boo
 
 def transitions(k: int, n: int, bound: int = DEFAULT_BOUND) -> List[Tuple[NecklaceClass, NecklaceClass]]:
     classes = enumerate_necklaces(k, n, bound)
-    return [(cls, canonicalize(transform(cls.canonical))) for cls in classes]
+    succ = _successors([_sequence(cls.canonical) for cls in classes])
+    return [(cls, classes[j]) for cls, j in zip(classes, succ)]
 
 
 # -- correspondence with patterns ---------------------------------------------------
@@ -337,16 +359,14 @@ def check_correspondence(n: int, bound: int = DEFAULT_BOUND) -> bool:
     the new first-row blocks, as classes.
     """
     for k in range(1, n // 4 + 1):
-        for cls in enumerate_necklaces(k, n, bound):
-            neck = cls.canonical
-            pat = pattern_of_necklace(neck)
-            if not (is_proper(pat) and is_reducible(pat)):
+        _check_size(k, n, bound)
+        for seq in _canonical_sequences(k, n):
+            pat = pattern_of_necklace(_place(n, seq))
+            if not (is_proper(pat) and is_reducible(pat)) or block_count(pat) != k:
                 return False
-            if block_count(pat) != k:
+            if _canonical(_sequence(necklace_of_pattern(pat))) != seq:
                 return False
-            if canonicalize(necklace_of_pattern(pat)) != cls:
-                return False
-            stepped = pattern_of_necklace(transform(neck))
+            stepped = pattern_of_necklace(_place(n, _step(seq)))
             peeled, _ = peel(pat)
             if (canonicalize_pattern(stepped)
                     != canonicalize_pattern(collapse_top_blocks(peeled))):

@@ -54,9 +54,8 @@ class Pattern:
             raise ValueError("rows differ in length")
         if n < 2 or n % 2:
             raise ValueError("pattern length must be even and at least 2")
-        for row in (self.row1, self.row2):
-            if any(b not in (0, 1) for b in row):
-                raise ValueError("pattern entries must be 0 or 1")
+        if not {*self.row1, *self.row2} <= {0, 1}:
+            raise ValueError("pattern entries must be 0 or 1")
         for i in range(n):
             if self.row1[i] == 1 and self.row2[i] == 0:
                 raise ValueError(f"column {i} has a 1 above a 0")
@@ -108,23 +107,15 @@ class PatternClass:
         return self.canonical.n
 
 
-def _rotate(row: Bits, k: int) -> Bits:
-    return row[k:] + row[:k]
-
-
-def _reflect(row: Bits) -> Bits:
-    return tuple(reversed(row))
-
-
 def canonicalize(p: Pattern) -> PatternClass:
     """Lexicographic minimum of (row1 + row2) over the 2n cycle symmetries."""
-    best: Optional[Tuple[Bits, Bits]] = None
-    for r1, r2 in ((p.row1, p.row2), (_reflect(p.row1), _reflect(p.row2))):
-        for k in range(p.n):
-            cand = (_rotate(r1, k), _rotate(r2, k))
-            if best is None or cand < best:
-                best = cand
-    return PatternClass(Pattern(*best))
+    n = p.n
+    best = min(  # a symmetry is a slice of the doubled rows, read either way
+        d1[k:k + n] + d2[k:k + n]
+        for d1, d2 in ((p.row1 * 2, p.row2 * 2),
+                       (p.row1[::-1] * 2, p.row2[::-1] * 2))
+        for k in range(n))
+    return PatternClass(Pattern(best[:n], best[n:]))
 
 
 # -- masked graphs and indices ----------------------------------------------------------
@@ -208,10 +199,7 @@ def delete_top_neighborhood(p: Pattern, i: int) -> Pattern:
 
 def is_reducible(p: Pattern) -> bool:
     """True when every row-1 one is isolated (no two adjacent, cyclically)."""
-    n = p.n
-    return all(
-        not (p.row1[i] and p.row1[(i + 1) % n]) for i in range(n)
-    )
+    return not any(a and b for a, b in zip(p.row1, p.row1[1:] + p.row1[:1]))
 
 
 def peel(p: Pattern) -> Tuple[Pattern, int]:
@@ -241,22 +229,17 @@ def peel(p: Pattern) -> Tuple[Pattern, int]:
 
 def _cyclic_groups(row: Bits) -> Optional[List[Tuple[int, int]]]:
     """Maximal cyclic 1-groups as (start, length); None when the row is all ones."""
-    n = len(row)
     if all(row):
         return None
+    n, anchor = len(row), row.index(0)
     groups: List[Tuple[int, int]] = []
-    anchor = row.index(0)
     start = None
-    length = 0
-    for k in range(1, n + 1):
-        j = (anchor + k) % n
-        if row[j]:
+    for j in range(anchor + 1, anchor + n + 1):
+        if row[j % n]:
             if start is None:
-                start, length = j, 1
-            else:
-                length += 1
+                start = j
         elif start is not None:
-            groups.append((start, length))
+            groups.append((start % n, j - start))
             start = None
     return groups
 
@@ -396,18 +379,12 @@ def enumerate_proper(n: int, mu: Optional[int] = None, bound: int = 16) -> List[
         raise ValueError("pattern length must be even and at least 2")
     if n > bound:
         raise ResourceLimitError(f"pattern length {n} exceeds the bound {bound}")
-    seen: Dict[PatternClass, None] = {}
-
-    def record(p: Pattern):
-        cls = canonicalize(p)
-        if cls not in seen:
-            seen[cls] = None
-
+    seen = set()
     # all-ones second row: the first row is any nonempty cyclic nice run
     ones = (1,) * n
     for bits in product((0, 1), repeat=n):
         if _is_cyclic_run(bits, nice=True):
-            record(Pattern(bits, ones))
+            seen.add(canonicalize(Pattern(bits, ones)))
 
     for mask in range(1 << n):
         row2 = tuple((mask >> i) & 1 for i in range(n))
@@ -421,7 +398,7 @@ def enumerate_proper(n: int, mu: Optional[int] = None, bound: int = 16) -> List[
             for (start, length), seg in zip(long_blocks, combo):
                 for j, b in enumerate(seg):
                     row1[(start + j) % n] = b
-            record(Pattern(tuple(row1), row2))
+            seen.add(canonicalize(Pattern(tuple(row1), row2)))
 
     classes = sorted(seen)
     if mu is not None:

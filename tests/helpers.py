@@ -7,7 +7,10 @@ hardsquares.graphs) produces seeded Erdos-Renyi-style graphs, optionally
 with loops, for property sweeps.  transfer_oracle and torus_oracle are the
 plain row transfer over every ring state with a quadratic compatibility
 table, kept as a differential oracle for the orbit and cell-by-cell
-kernels.  load_reduced_forms and load_golden_cycles parse the reference
+kernels.  necklace_oracle and transitions_oracle are the deduplicating
+necklace enumerator over every (vector, gap) sequence and the step on
+positioned Necklace objects, kept as a differential oracle for the
+sequence kernel.  load_reduced_forms and load_golden_cycles parse the reference
 data files shared by the feature tests and the acceptance module.  EXTENDED
 (HARDSQUARES_EXTENDED=1) turns on the slow sweeps.
 """
@@ -20,6 +23,7 @@ from itertools import combinations
 from pathlib import Path
 
 from hardsquares.graphs import Graph, random_graph  # noqa: F401  (re-exported)
+from hardsquares.necklaces import Necklace, NecklaceClass
 from hardsquares.polynomials import IntPoly
 
 DATA = Path(__file__).parent / "data"
@@ -75,6 +79,74 @@ def torus_oracle(n, mmax):
             vec = _stack(table, vec)
             out[m] += vec[start]
     return out
+
+
+_TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
+
+
+def _least_symmetry(seq):
+    """Least rotation or reflection of a (vector, gap) sequence, all offsets."""
+    size = len(seq)
+    mirror = tuple((-seq[(size - j) % size][0], seq[size - 1 - j][1])
+                   for j in range(size))
+    return min(d[s:s + size] for d in (seq + seq, mirror + mirror)
+               for s in range(size))
+
+
+def _necklace_at_zero(n, seq):
+    stones, pos = [], 0
+    for v, gap in seq:
+        stones.append((pos, v))
+        pos += gap
+    return Necklace(n, tuple(stones))
+
+
+def canonical_oracle(neck):
+    """The class of neck: the least symmetry of its stones' sequence."""
+    stones, n = neck.stones, neck.n
+    seq = tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
+                for i, (p, v) in enumerate(stones))
+    return NecklaceClass(_necklace_at_zero(n, _least_symmetry(seq)))
+
+
+def step_oracle(neck):
+    """T on positioned stones: jump, turn, shrink facing pairs at distance 3."""
+    n = neck.n
+    jumped = sorted(((p + v) % n, _TURN[v]) for p, v in neck.stones)
+    vecs = dict(jumped)
+    for i, (p, v) in enumerate(jumped):
+        q, w = jumped[(i + 1) % len(jumped)]
+        if v > 0 and w < 0 and (q - p) % n == 3:
+            vecs[p], vecs[q] = 1, -1
+    return Necklace(n, tuple(vecs.items()))
+
+
+def necklace_oracle(k, n):
+    """The (k, n) classes by brute force: every sequence of k (facing, away)
+    pairs, deduplicated by its least symmetry."""
+    found = set()
+
+    def extend(pairs_left, used, seq):
+        if pairs_left == 0:
+            if used == n:
+                found.add(_least_symmetry(tuple(seq)))
+            return
+        floor_rest = 4 * (pairs_left - 1)
+        for inward in (1, 2):
+            for outward in (1, 2):
+                t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
+                for t_gap in range(t_lo, n - used - floor_rest, 2):
+                    for a_gap in range(1, n - used - t_gap - floor_rest + 1, 2):
+                        extend(pairs_left - 1, used + t_gap + a_gap,
+                               seq + [(inward, t_gap), (-outward, a_gap)])
+
+    extend(k, 0, [])
+    return sorted(NecklaceClass(_necklace_at_zero(n, s)) for s in found)
+
+
+def transitions_oracle(k, n):
+    return [(cls, canonical_oracle(step_oracle(cls.canonical)))
+            for cls in necklace_oracle(k, n)]
 
 
 def load_reduced_forms():

@@ -9,7 +9,9 @@
   the pattern route, odd ones the fitted route and come out as the two
   known shapes.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
-  missing -k/-n is a usage error (exit 2).
+  missing -k/-n is a usage error (exit 2).  An --nmax above the circle
+  bound exits 2 before any necklace work, and a step that fails to permute
+  the classes is a one-line internal consistency failure (exit 1).
 - witten and table1 refuse mask widths above the bound (exit 2) instead of
   starting an exponential walk, and --bound-n overrides the limit.
 - verify identities and correspondence pass; verify conjectures fails on
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from hardsquares import necklaces
 from hardsquares.cli import main
 from hardsquares.graphs import GridSpec, witten_transfer
 
@@ -194,6 +197,29 @@ def test_necklace_verify_sweep(capsys):
     assert code == 0
     assert out.endswith("pass\n")
     assert "FAIL" not in out
+
+
+def test_nmax_above_the_circle_bound_exits_two(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep started before the bound check")
+
+    monkeypatch.setattr(necklaces, "_canonical_sequences", no_work)
+    for argv in (["necklace", "verify", "--nmax", "30"],
+                 ["verify", "correspondence", "--nmax", "30"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds the" in err and "bound 28" in err
+
+
+def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
+    classes = necklaces._canonical_sequences(2, 12)
+    monkeypatch.setattr(necklaces, "_step", lambda seq: classes[0])
+    necklaces._cycles.cache_clear()
+    code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")
+    necklaces._cycles.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("FAIL internal consistency:")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_verify_identities_and_correspondence(capsys):

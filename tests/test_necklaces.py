@@ -9,7 +9,13 @@ Claims covered:
 - canonicalize identifies rotated and reflected arrangements.
 - enumeration is empty exactly when 4k > n, respects its resource bound,
   and its classes are all valid.
-- cycle structures match the golden table for every n <= 20 cell (the full
+- the sequence kernel agrees with the deduplicating enumerator and the
+  step on positioned Necklace objects: the same classes and transitions for
+  every k and every n <= 24 (odd n included), and the same step and class
+  on random valid arrangements.
+- the cycle cache is keyed on (k, n) alone, and every call still checks its
+  own bound.
+- cycle structures match the golden table for every n <= 24 cell (the full
   file through n = 36 with HARDSQUARES_EXTENDED=1), and the closed forms:
   one pair gives one (n-3)-cycle, 2k stones on 4k intervals give one fixed
   point, and on 4k+2 intervals one (k+2)-cycle plus floor(k/2) fixed points.
@@ -21,6 +27,7 @@ Claims covered:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardsquares.errors import ResourceLimitError
 from hardsquares.necklaces import (
@@ -45,7 +52,13 @@ from hardsquares.necklaces import (
     verify_cycle_divisibility,
 )
 from hardsquares.patterns import block_count, is_proper, is_reducible, parse_pattern
-from helpers import EXTENDED, load_golden_cycles
+from helpers import (
+    EXTENDED,
+    canonical_oracle,
+    load_golden_cycles,
+    step_oracle,
+    transitions_oracle,
+)
 
 
 def test_constructor_normalization_and_validation():
@@ -132,12 +145,55 @@ def test_enumeration_counts_and_bounds():
 
 def test_cycle_structures_match_golden_table():
     golden = load_golden_cycles()
-    limit = 36 if EXTENDED else 20
+    limit = 36 if EXTENDED else 24
     for (n, k), expect in sorted(golden.items()):
         if n > limit:
             continue
         got = format_cycle_structure(cycle_structure(k, n, bound=36))
         assert got == expect, (n, k, got, expect)
+
+
+def test_cycle_cache_still_checks_the_bound():
+    assert cycle_structure(1, 30, bound=36) == {27: 1}
+    with pytest.raises(ResourceLimitError):
+        cycle_structure(1, 30)
+    with pytest.raises(ResourceLimitError):
+        cycle_length_lcm(1, 30, bound=29)
+    assert cycle_length_lcm(1, 30, bound=30) == 27
+
+
+def test_enumeration_and_step_match_dedupe_oracle():
+    for n in range(1, 25):
+        for k in range(1, n // 4 + 2):
+            expect = transitions_oracle(k, n)
+            assert enumerate_necklaces(k, n) == [src for src, _ in expect], (k, n)
+            assert transitions(k, n) == expect, (k, n)
+
+
+@st.composite
+def arrangements(draw):
+    """Valid arrangements: k (facing, away) pairs placed at a random offset."""
+    seq = []
+    for _ in range(draw(st.integers(1, 5))):
+        inward, outward = draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2)))
+        t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
+        seq.append((inward, t_lo + 2 * draw(st.integers(0, 3))))
+        seq.append((-outward, 1 + 2 * draw(st.integers(0, 3))))
+    n = sum(gap for _, gap in seq)
+    pos, stones = draw(st.integers(0, n - 1)), []
+    for v, gap in seq:
+        stones.append((pos, v))
+        pos += gap
+    return Necklace(n, tuple(stones))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrangements())
+def test_sequence_step_matches_necklace_step(neck):
+    assert is_valid(neck)
+    assert canonicalize(neck) == canonical_oracle(neck)
+    assert transform(neck) == step_oracle(neck)
+    assert canonicalize(transform(neck)) == canonical_oracle(step_oracle(neck))
 
 
 def test_closed_form_families():

@@ -10,7 +10,8 @@ Claims covered:
   reproduces the cylinder index; z_pattern_series equals the
   compatibility-table oracle on random masked patterns (proper or not)
   of length up to 12.
-- canonicalize identifies all 2n rotations/reflections and nothing else;
+- canonicalize identifies all 2n rotations/reflections and nothing else,
+  and equals the least of the 2n images on random masked patterns;
   z_pattern is constant on a class.
 - the four frozen length-10 patterns are proper with two blocks; frozen
   non-examples are rejected; exactly two proper classes have no blocks.
@@ -119,6 +120,20 @@ def test_z_pattern_series_matches_compat_oracle(p, m_max):
     rows = masks + [(1 << p.n) - 1] * (m_max - 2)
     expected = transfer_oracle(p.n, rows)[: m_max + 1]
     assert z_pattern_series(p, m_max) == [0, 0][: m_max + 1] + expected[2:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masked_patterns())
+def test_canonicalize_is_the_least_symmetry(p):
+    n = p.n
+    images = []
+    for sign in (1, -1):
+        for shift in range(n):
+            cols = [(sign * i + shift) % n for i in range(n)]
+            images.append((tuple(p.row1[c] for c in cols),
+                           tuple(p.row2[c] for c in cols)))
+    best = min(images)
+    assert canonicalize(p).canonical == Pattern(*best)
 
 
 def test_pattern_index_requires_two_rows():
