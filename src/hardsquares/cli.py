@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConsistencyError, FitInconclusiveError, ResourceLimitError
 from .genfun import (
+    PATTERN_ROUTE_BOUND,
     check_block_count_denominator,
     check_denominator_form,
     check_roots_of_unity,
@@ -62,7 +63,7 @@ from .necklaces import (
     check_correspondence,
     verify_cycle_divisibility,
 )
-from .patterns import enumerate_proper, format_pattern
+from .patterns import PROPER_BOUND, enumerate_proper, format_pattern
 from .polynomials import factor_cyclotomic, format_cyclotomic, format_poly
 
 SCHEMA = 1
@@ -188,11 +189,12 @@ def cmd_table1(args: argparse.Namespace,
 
 def cmd_genfun(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    bound = args.bound_n if args.bound_n is not None else 12
     if args.n % 2 == 0:
+        bound = args.bound_n if args.bound_n is not None else PATTERN_ROUTE_BOUND
         gf = cylinder_gf(args.n, bound=bound)
         route = "pattern"
     else:
+        _check_transfer_width(GridSpec("cylinder", 1, args.n), args.bound_n)
         gf = fitted_cylinder_gf(args.n)
         route = "fitted"
     factors, remainder = factor_cyclotomic(gf.den)
@@ -294,7 +296,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
     results = []
     infos = []
     for n in _even_range(2, n_max):
-        gf = cylinder_gf(n, bound=max(12, n_max))
+        gf = cylinder_gf(n, bound=n_max)
         results.append(CheckResult(
             "roots_of_unity", {"n": n}, check_roots_of_unity(gf)))
         results.append(CheckResult(
@@ -312,11 +314,10 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
                 f"max_multiplicity={rep.max_multiplicity}"))
             infos.append(f"periodicity n={n}: linear growth, "
                          f"max_multiplicity={rep.max_multiplicity}")
-        if n >= 4:
-            for k in range(1, n // 4 + 1):
-                results.append(CheckResult(
-                    "cycle_divisibility", {"k": k, "n": n},
-                    verify_cycle_divisibility(k, n)))
+        for k in range(1, n // 4 + 1):
+            results.append(CheckResult(
+                "cycle_divisibility", {"k": k, "n": n},
+                verify_cycle_divisibility(k, n)))
         for cls in enumerate_proper(n):
             results.append(CheckResult(
                 "block_count_denominator",
@@ -326,19 +327,20 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
 
 
 def _suite_correspondence(n_max: int) -> List[CheckResult]:
-    results = []
-    for n in _even_range(4, n_max):
-        ok = check_correspondence(n)
-        results.append(CheckResult("pattern_correspondence", {"n": n}, ok))
-    return results
+    return [CheckResult("pattern_correspondence", {"n": n}, check_correspondence(n))
+            for n in _even_range(4, n_max)]
 
 
 def cmd_verify(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     results: List[CheckResult] = []
     infos: List[str] = []
-    if args.suite != "identities" and (args.nmax or 0) > DEFAULT_BOUND:
-        raise ResourceLimitError(f"--nmax {args.nmax} exceeds the bound {DEFAULT_BOUND}")
+    # each suite's --nmax is a row-mask width, a pattern or a circle length
+    bounds = {"identities": TRANSFER_WIDTH_BOUND, "conjectures": PROPER_BOUND,
+              "correspondence": DEFAULT_BOUND}
+    bound = min(b for suite, b in bounds.items() if args.suite in (suite, "all"))
+    if (args.nmax or 0) > bound:
+        raise ResourceLimitError(f"--nmax {args.nmax} exceeds the bound {bound}")
     if args.suite in ("identities", "all"):
         results.extend(_suite_identities(
             args.m if args.m is not None else 20,
@@ -396,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "circumference")
     p.add_argument("-n", type=int, required=True, help="circumference")
     p.add_argument("--bound-n", type=int, default=None,
-                   help="largest even circumference accepted (default 12)")
+                   help=f"largest circumference accepted (default {PATTERN_ROUTE_BOUND}"
+                        f" for even n, {TRANSFER_WIDTH_BOUND} for odd n)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_genfun)
 

@@ -15,12 +15,13 @@ For even n this module derives it exactly through the pattern calculus:
   - side classes recurse on the block count, which is finite.
 
 Every computed series is re-validated coefficient by coefficient against
-the direct transfer evaluation, and the assembled cylinder series is
-cross-checked against a recurrence fitted to the raw column series; any
-mismatch raises ConsistencyError rather than returning a wrong answer.
+the direct transfer evaluation, and the assembled cylinder series must equal
+the certified fit of the raw column series; any mismatch raises
+ConsistencyError rather than returning a wrong answer.
 
-The odd-circumference series offers no pattern route here and is fitted
-directly from enough series terms (fitted_cylinder_gf).
+The certified fit (fitted_cylinder_gf) works for any circumference and is
+the only route for odd n.  Its window follows from the ring's dihedral-orbit
+count, so the fit is a proof, not a guess.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import ConsistencyError, FitInconclusiveError, ResourceLimitError
-from .graphs import GridSpec, column_series, witten_transfer
+from .errors import ConsistencyError, ResourceLimitError
+from .graphs import GridSpec, _orbits, column_series, witten_transfer
 from .patterns import (
     Pattern,
     PatternClass,
@@ -54,6 +55,8 @@ from .polynomials import (
     fit_recurrence,
     series_expand,
 )
+
+PATTERN_ROUTE_BOUND = 12  # cylinder_gf's default largest circumference
 
 _PATTERN_GF: Dict[PatternClass, RationalGF] = {}
 
@@ -123,24 +126,22 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
     return _PATTERN_GF[cls]
 
 
-def fitted_cylinder_gf(n: int, max_terms: int = 320) -> RationalGF:
-    """Rational form fitted from the raw column series (any circumference)."""
-    terms = 48
-    while True:
-        try:
-            return fit_recurrence(column_series(n, terms))
-        except FitInconclusiveError:  # anything else propagates at once
-            if terms >= max_terms:
-                raise
-            terms = min(2 * terms, max_terms)
+def fitted_cylinder_gf(n: int) -> RationalGF:
+    """Rational form certified from the raw column series (any circumference).
+
+    The series is 1, then s B^k w for the N x N orbit matrix B: its order is
+    at most N + 1 (Cayley-Hamilton), so Berlekamp-Massey on 2N + 2 terms is
+    exact (Massey 1969); 2N + 6 terms also meet fit_recurrence's guard.
+    """
+    return fit_recurrence(column_series(n, 2 * len(_orbits(n).reps) + 5))
 
 
-def cylinder_gf(n: int, bound: int = 12, cross_check: bool = True) -> RationalGF:
+def cylinder_gf(n: int, bound: int = PATTERN_ROUTE_BOUND) -> RationalGF:
     """Exact series sum_{m>=0} Z(P_m x C_n) t^m for even circumference n.
 
     Assembled from the signed initial decomposition over pattern classes;
-    with cross_check the result must reproduce a recurrence fitted to the
-    raw column series, else ConsistencyError.
+    the result must equal the certified fit of the raw column series, else
+    ConsistencyError.
     """
     if n < 2 or n % 2:
         raise ValueError("pattern assembly needs even n >= 2; "
@@ -151,14 +152,10 @@ def cylinder_gf(n: int, bound: int = 12, cross_check: bool = True) -> RationalGF
     total = RationalGF(IntPoly((1, ring)))
     for cls, coeff in initial_patterns(n).terms:
         total = total + pattern_gf(cls) * coeff
-    if cross_check:
-        window = 2 * total.den.degree + 6
-        fitted = fit_recurrence(column_series(n, window))
-        if fitted != total:
-            raise ConsistencyError(
-                f"pattern assembly and fitted recurrence disagree at n={n}: "
-                f"{total} vs {fitted}"
-            )
+    fitted = fitted_cylinder_gf(n)
+    if fitted != total:
+        raise ConsistencyError(f"pattern assembly and certified fit disagree "
+                               f"at n={n}: {total} vs {fitted}")
     return total
 
 
@@ -189,11 +186,10 @@ def conjectured_denominator(n: int) -> IntPoly:
     return out
 
 
-def check_denominator_form(n: int, gf: Optional[RationalGF] = None,
-                           bound: int = 12) -> bool:
+def check_denominator_form(n: int, gf: Optional[RationalGF] = None) -> bool:
     """Does the conjectured denominator clear all poles of the series?"""
     if gf is None:
-        gf = cylinder_gf(n, bound=bound)
+        gf = cylinder_gf(n)
     return gf.den.divides(conjectured_denominator(n))
 
 
@@ -214,10 +210,9 @@ class PeriodicityReport:
     period: Optional[int]
 
 
-def periodicity_report(n: int, gf: Optional[RationalGF] = None,
-                       bound: int = 12) -> PeriodicityReport:
+def periodicity_report(n: int, gf: Optional[RationalGF] = None) -> PeriodicityReport:
     if gf is None:
-        gf = cylinder_gf(n, bound=bound)
+        gf = cylinder_gf(n)
     factors, remainder = factor_cyclotomic(gf.den)
     remainder_ok = remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
     max_mult = max(factors.values(), default=0)

@@ -57,7 +57,6 @@ _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
 _TOGGLE = {-2: -1, -1: -2, 1: 2, 2: 1}
 
 DEFAULT_BOUND = 28
-EXTENDED_BOUND = 36
 
 
 @dataclass(frozen=True, order=True)

@@ -41,6 +41,7 @@ from .graphs import Graph, GridSpec, _orbits, _row_step, build_grid, grid_vertex
 
 
 Bits = Tuple[int, ...]
+PROPER_BOUND = 16  # enumerate_proper's largest length: it scans all 2^n rows
 
 
 @dataclass(frozen=True, order=True)
@@ -369,7 +370,7 @@ def _aligned_runs(length: int) -> Tuple[Bits, ...]:
     )
 
 
-def enumerate_proper(n: int, mu: Optional[int] = None, bound: int = 16) -> List[PatternClass]:
+def enumerate_proper(n: int, mu: Optional[int] = None, bound: int = PROPER_BOUND) -> List[PatternClass]:
     """All canonical proper pattern classes of length n, optionally by measure.
 
     Works blockwise: row 2 ranges over cyclic runs (plus all-ones), and each

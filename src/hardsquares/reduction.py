@@ -23,7 +23,7 @@ on their witness vertices to keep each step individually sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute

@@ -173,7 +173,7 @@ def test_criterion_03_reduced_generating_functions():
     ok = True
     for n in range(2, 13, 2):
         stored = _stored_form(n)
-        assembled = cylinder_gf(n, cross_check=False)
+        assembled = cylinder_gf(n)
         fitted = fitted_cylinder_gf(n)
         if not (assembled == stored == fitted):
             ok = False

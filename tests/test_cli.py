@@ -7,13 +7,17 @@
 - an empty row range produces only the CSV header.
 - genfun prints the factored generating function; even circumferences use
   the pattern route, odd ones the fitted route and come out as the two
-  known shapes.
+  known shapes.  An odd circumference above --bound-n (default 18) exits 2
+  before the fit starts.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
   missing -k/-n is a usage error (exit 2).  An --nmax above the circle
   bound exits 2 before any necklace work, and a step that fails to permute
   the classes is a one-line internal consistency failure (exit 1).
 - witten and table1 refuse mask widths above the bound (exit 2) instead of
   starting an exponential walk, and --bound-n overrides the limit.
+- verify checks --nmax against the bound of every suite it will run
+  (identities 18, conjectures 16, correspondence 28) before any work, and
+  exits 2 above it.
 - verify identities and correspondence pass; verify conjectures fails on
   exactly the circumference-4 denominator form and nothing else, so its
   exit code is 1 and the failure list is machine readable.
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from hardsquares import necklaces
+from hardsquares import cli, necklaces
 from hardsquares.cli import main
 from hardsquares.graphs import GridSpec, witten_transfer
 
@@ -127,6 +131,19 @@ def test_genfun_bound(capsys):
     assert code == 2 and "error" in err
     code, out, _ = run_cli(capsys, "genfun", "-n", "0")
     assert code == 2
+    code, out, _ = run_cli(capsys, "genfun", "-n", "17")
+    assert code == 0 and out == "f_17(t) = (-1) / (Phi_1)\n"
+
+
+def test_odd_genfun_above_the_bound_exits_two(capsys, monkeypatch):
+    def no_work(n):
+        raise AssertionError("the fit started before the bound check")
+
+    monkeypatch.setattr(cli, "fitted_cylinder_gf", no_work)
+    for argv, bound in ((["-n", "19"], 18), (["-n", "13", "--bound-n", "11"], 11)):
+        code, out, err = run_cli(capsys, "genfun", *argv)
+        assert code == 2 and out == ""
+        assert f"above the bound {bound}" in err
 
 
 def test_witten_and_table_refuse_wide_rings(capsys):
@@ -209,6 +226,20 @@ def test_nmax_above_the_circle_bound_exits_two(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "exceeds the" in err and "bound 28" in err
+
+
+def test_verify_nmax_above_a_suite_bound_exits_two(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite started before the bound check")
+
+    for name in ("verify_index_identities", "cylinder_gf", "enumerate_proper",
+                 "check_correspondence"):
+        monkeypatch.setattr(cli, name, no_work)
+    for suite, nmax, bound in (("identities", 22, 18), ("conjectures", 18, 16),
+                               ("all", 17, 16)):
+        code, out, err = run_cli(capsys, "verify", suite, "--nmax", str(nmax))
+        assert code == 2 and out == ""
+        assert f"--nmax {nmax} exceeds the bound {bound}" in err
 
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):

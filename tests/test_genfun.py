@@ -9,13 +9,16 @@ Claims covered:
   t^2(1 - t - t^3)/((t^2+1)(t^3-1)) with a 12-periodic tail.
 - cylinder_gf matches the golden reduced forms (numerator coefficients and
   cyclotomic denominators) for n = 2..14, and its series prefix equals the
-  raw column series.
-- the built-in cross-check against a fitted recurrence runs by default;
-  invalid circumferences are rejected with the documented errors.
-- fitted_cylinder_gf recovers the frozen odd-circumference forms: n=3 and
-  n=9 share (1-2t+t^2)/(1-t^3), n=5 and n=7 are the constant series; it
-  retries only an inconclusive fit and lets a ConsistencyError through on
-  the first call.
+  raw column series; at n = 16, where no form is stored, the pattern route
+  and the certified fit still agree.
+- cylinder_gf always compares its result with the certified fit: a
+  disagreeing fit is a ConsistencyError, and through the CLI one
+  `FAIL internal consistency` line with exit status 1.  Invalid
+  circumferences are rejected with the documented errors.
+- fitted_cylinder_gf recovers the frozen odd-circumference forms: n = 3, 9
+  and 15 share (1-2t+t^2)/(1-t^3), n = 5, 7, 11 and 13 are the constant
+  series.  It reads the column series once, with at least 2(N + 1) terms
+  for N dihedral orbits, and lets a ConsistencyError through.
 - check_roots_of_unity accepts every even cylinder denominator through 12
   and rejects a denominator with a root off the unit circle.
 - conjectured_denominator builds the frozen products, clears all poles for
@@ -30,11 +33,8 @@ Claims covered:
 import pytest
 
 from hardsquares import genfun
-from hardsquares.errors import (
-    ConsistencyError,
-    FitInconclusiveError,
-    ResourceLimitError,
-)
+from hardsquares.cli import main
+from hardsquares.errors import ConsistencyError, ResourceLimitError
 from hardsquares.genfun import (
     check_block_count_denominator,
     check_denominator_form,
@@ -46,7 +46,7 @@ from hardsquares.genfun import (
     pattern_gf,
     periodicity_report,
 )
-from hardsquares.graphs import column_series
+from hardsquares.graphs import _orbits, column_series
 from hardsquares.patterns import (
     block_count,
     canonicalize,
@@ -104,8 +104,22 @@ def test_cylinder_gf_matches_golden_reduced_forms():
 
 
 def test_cylinder_gf_series_prefix_is_column_series():
-    for n in (2, 4, 6, 8):
-        assert series_expand(cylinder_gf(n), 24) == column_series(n, 24)
+    # n = 16 has no stored form: cylinder_gf raises unless the pattern route
+    # and the certified fit agree
+    for n in (2, 4, 6, 8, 16):
+        assert series_expand(cylinder_gf(n, bound=n), 24) == column_series(n, 24)
+
+
+def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
+    wrong = RationalGF(ONE, ONE - T)
+    monkeypatch.setattr(genfun, "fitted_cylinder_gf", lambda n: wrong)
+    with pytest.raises(ConsistencyError):
+        cylinder_gf(6)
+    assert main(["genfun", "-n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAIL internal consistency:")
+    assert len(err.splitlines()) == 1
 
 
 def test_cylinder_gf_validation():
@@ -121,38 +135,39 @@ def test_fitted_route_odd_circumference():
     three = fitted_cylinder_gf(3)
     assert three == RationalGF(IntPoly((1, -2, 1)), IntPoly((1, 0, 0, -1)))
     assert fitted_cylinder_gf(9) == three
+    assert fitted_cylinder_gf(15) == three
     constant = RationalGF(ONE, ONE - T)
-    assert fitted_cylinder_gf(5) == constant
-    assert fitted_cylinder_gf(7) == constant
+    for n in (5, 7, 11, 13):
+        assert fitted_cylinder_gf(n) == constant, n
     # the fitted and exact routes agree where both apply
     assert fitted_cylinder_gf(6) == cylinder_gf(6)
 
 
-def test_fitted_route_retries_only_inconclusive_fits(monkeypatch):
-    # a disagreement between two routes is never retried or swallowed
+def test_fitted_route_reads_one_certified_window(monkeypatch):
     calls = []
 
+    def recorded(n, mmax):
+        calls.append((n, mmax))
+        return column_series(n, mmax)
+
+    monkeypatch.setattr(genfun, "column_series", recorded)
+    for n in (6, 9, 13):
+        calls.clear()
+        fitted_cylinder_gf(n)
+        orbits = len(_orbits(n).reps)
+        assert len(calls) == 1 and calls[0][0] == n
+        assert calls[0][1] + 1 >= 2 * (orbits + 1), n
+
+    # a disagreement inside the transfer is never retried or swallowed
     def disagreeing(n, mmax):
-        calls.append(mmax)
+        calls.append((n, mmax))
         raise ConsistencyError("two routes disagree")
 
+    calls.clear()
     monkeypatch.setattr(genfun, "column_series", disagreeing)
     with pytest.raises(ConsistencyError):
         fitted_cylinder_gf(9)
-    assert calls == [48]
-
-    # an inconclusive fit doubles its window up to max_terms, then gives up
-    windows = []
-
-    def inconclusive(seq):
-        windows.append(len(seq))
-        raise FitInconclusiveError("too few terms")
-
-    monkeypatch.setattr(genfun, "column_series", lambda n, mmax: [1] * (mmax + 1))
-    monkeypatch.setattr(genfun, "fit_recurrence", inconclusive)
-    with pytest.raises(FitInconclusiveError):
-        fitted_cylinder_gf(9)
-    assert windows == [49, 97, 193, 321]
+    assert len(calls) == 1
 
 
 def test_roots_of_unity_checker():
