@@ -158,12 +158,12 @@ def cmd_witten(args: argparse.Namespace,
 
 def cmd_table1(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
+    spec = GridSpec("cylinder", args.m, args.nmax)  # rejects negative sizes
     cols = list(range(2, args.nmax + 1))
     rows = list(range(0, args.m + 1))
-    if rows and cols and rows[-1] >= 1:
-        _check_transfer_width(GridSpec("cylinder", rows[-1], cols[-1]),
-                              args.bound_n)
-    series = [column_series(n, rows[-1]) for n in cols] if rows else []
+    if cols and args.m >= 1:
+        _check_transfer_width(spec, args.bound_n)
+    series = [column_series(n, args.m) for n in cols]
     table = {m: [s[m] for s in series] for m in rows}
     if args.format == "json":
         _emit_json({

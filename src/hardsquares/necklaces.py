@@ -42,11 +42,11 @@ from typing import Dict, List, Tuple
 from .errors import ConsistencyError, ResourceLimitError
 from .patterns import (
     Pattern,
+    _block_count,
     _cyclic_groups,
-    block_count,
+    _parse,
     canonicalize as canonicalize_pattern,
     delete_top_neighborhood,
-    is_proper,
     is_reducible,
     peel,
 )
@@ -54,7 +54,6 @@ from .patterns import (
 Stone = Tuple[int, int]  # (position, vector)
 
 _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
-_TOGGLE = {-2: -1, -1: -2, 1: 2, 2: 1}
 
 DEFAULT_BOUND = 28
 
@@ -159,17 +158,6 @@ def transform(neck: Necklace) -> Necklace:
     return _place(neck.n, _step(_sequence(neck)), p0 + v0)
 
 
-def transform_inverse(neck: Necklace) -> Necklace:
-    """Inverse step: toggle lengths away from distance-3 pairs, jump, flip."""
-    exempt = set()
-    for (p, v), (q, w), gap in _pairs(neck):
-        if v > 0 and w < 0 and gap == 3:
-            exempt.update((p, q))
-    adjusted = [(p, v if p in exempt else _TOGGLE[v]) for p, v in neck.stones]
-    flipped = tuple(((p + v) % neck.n, -v) for p, v in adjusted)
-    return Necklace(neck.n, flipped)
-
-
 # -- canonical classes --------------------------------------------------------------
 
 
@@ -195,6 +183,8 @@ def canonicalize(neck: Necklace) -> NecklaceClass:
 def _check_size(k: int, n: int, bound: int) -> None:
     if k < 1:
         raise ValueError("at least one stone pair is required")
+    if n < 1:
+        raise ValueError("circle length must be positive")
     if n > bound:
         raise ResourceLimitError(f"circle length {n} exceeds the bound {bound}")
 
@@ -319,12 +309,17 @@ def pattern_of_necklace(neck: Necklace) -> Pattern:
 
 def necklace_of_pattern(p: Pattern) -> Necklace:
     """Stones at block boundaries; vector lengths from the overhang zeros."""
-    if not is_proper(p) or not is_reducible(p):
+    word = _parse(p)
+    if word is None or not is_reducible(p):
         raise ValueError("only proper patterns without first-row blocks convert")
-    groups = _cyclic_groups(p.row2)
-    blocks = [] if groups is None else [(s, l) for s, l in groups if l >= 3]
-    if not blocks:
+    if not _block_count(word):
         raise ValueError("the pattern has no second-row block")
+    return _necklace_of(p)
+
+
+def _necklace_of(p: Pattern) -> Necklace:
+    """necklace_of_pattern for a proper reducible p with a second-row block."""
+    blocks = [(s, l) for s, l in _cyclic_groups(p.row2) if l >= 3]
     n = p.n
     stones = []
     for start, length in blocks:
@@ -361,9 +356,10 @@ def check_correspondence(n: int, bound: int = DEFAULT_BOUND) -> bool:
         _check_size(k, n, bound)
         for seq in _canonical_sequences(k, n):
             pat = pattern_of_necklace(_place(n, seq))
-            if not (is_proper(pat) and is_reducible(pat)) or block_count(pat) != k:
+            word = _parse(pat)  # the one properness check of the class
+            if word is None or not is_reducible(pat) or _block_count(word) != k:
                 return False
-            if _canonical(_sequence(necklace_of_pattern(pat))) != seq:
+            if _canonical(_sequence(_necklace_of(pat))) != seq:
                 return False
             stepped = pattern_of_necklace(_place(n, _step(seq)))
             peeled, _ = peel(pat)

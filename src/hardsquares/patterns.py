@@ -18,11 +18,24 @@ with the index identities (m counted as grid rows, m >= 2):
   z(P, m) = z(delete_top(P,i), m) - z(delete_top_neighborhood(P,i), m)
   z(P, m) = (-1)^k * z(peel(P), m-1)        (usable once m-1 >= 2)
 
-Proper patterns are the closed class these operations stay inside; their
-block_count (number of maximal 1-groups of length >= 3, both rows) is the
-induction measure: delete_top at a block middle lowers it by one, the other
-two preserve it.  Patterns related by rotation or reflection of the cycle
-give isomorphic graphs and are identified by canonicalize().
+Proper patterns are the closed class these operations stay inside.  Read a
+pattern as a cyclic word in the column letters a = (0,0), b = (0,1) and
+c = (1,1) (row 1 over row 2); it is proper when the word obeys this grammar:
+
+  row 2 has a zero   read from just after a row-2 zero, the word is a
+                     sequence of row-2 groups, each followed by one a.  A
+                     group is b, bbb, or a long block (length >= 4): row-1
+                     groups c or ccc, one b apart, with one or two b's at
+                     each end and exactly two beside a ccc.
+  row 2 is all ones  read from just after a b, the word is c/ccc groups,
+                     one b apart.
+
+is_proper parses the word, and enumerate_proper generates the words from the
+same grammar.  The block_count (row-2 groups of length >= 3 plus the ccc's:
+the maximal 1-groups of length >= 3 in both rows) is the induction measure:
+delete_top at a block middle lowers it by one, the other two preserve it.
+Patterns related by rotation or reflection of the cycle give isomorphic
+graphs and are identified by canonicalize().
 
 Index series convention: the pattern-level generating function starts at
 m = 2 (z_pattern is undefined below that); the cylinder series prepends its
@@ -33,15 +46,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, product
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import ResourceLimitError, RuleInapplicableError
 from .graphs import Graph, GridSpec, _orbits, _row_step, build_grid, grid_vertex
 
 
 Bits = Tuple[int, ...]
-PROPER_BOUND = 16  # enumerate_proper's largest length: it scans all 2^n rows
+# enumerate_proper's default bound and the largest --nmax of verify
+# conjectures, which runs the pattern route up to it.
+PROPER_BOUND = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -245,104 +260,70 @@ def _cyclic_groups(row: Bits) -> Optional[List[Tuple[int, int]]]:
     return groups
 
 
-def _is_cyclic_run(row: Bits, nice: bool = False) -> bool:
-    """A cyclic sequence of singletons and blocks separated by single zeros.
-
-    Blocks are groups of length >= 3 (exactly 3 when nice); the all-zero and
-    all-one rows are not runs.
-    """
-    groups = _cyclic_groups(row)
-    if groups is None or not groups:
-        return False
-    n = len(row)
-    for _, length in groups:
-        if length == 2 or (nice and length not in (1, 3)):
-            return False
-    for (s, l), (s2, _) in zip(groups, groups[1:] + groups[:1]):
-        if (s2 - s - l) % n != 1:
-            return False
-    return True
+# -- the proper grammar -------------------------------------------------------------
 
 
-def _linear_groups(seg: Sequence[int]) -> List[Tuple[int, int]]:
-    groups = []
-    start = None
-    for j, b in enumerate(seg):
-        if b:
-            if start is None:
-                start = j
-        elif start is not None:
-            groups.append((start, j - start))
-            start = None
-    if start is not None:
-        groups.append((start, len(seg) - start))
-    return groups
+# The grammar of the module docstring as moves (token, next state).  "part"
+# stands between row-2 groups and "ones" reads a row 2 of all ones; both
+# accept.  Inside a long block, "c" and "ccc" follow a row-1 group of that
+# length and its b, and "short" follows the opening "bcb", which may not
+# close at once: that group would have length 3.  No token of a state is a
+# prefix of another, so at most one move applies at any point of a word.
+_GRAMMAR: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "part": (("ba", "part"), ("bbba", "part"),
+             ("bcb", "short"), ("bbcb", "c"), ("bbcccb", "ccc")),
+    "short": (("cb", "c"), ("cccb", "ccc"), ("ba", "part")),
+    "c": (("cb", "c"), ("cccb", "ccc"), ("a", "part"), ("ba", "part")),
+    "ccc": (("cb", "c"), ("cccb", "ccc"), ("ba", "part")),
+    "ones": (("cb", "ones"), ("cccb", "ones")),
+}
+_ACCEPT = ("part", "ones")
 
 
-def _is_aligned_nice_run(seg: Sequence[int]) -> bool:
-    """Nonempty nice run filling the span above a long row-2 block.
+def _derive(state: str, length: int) -> Iterator[str]:
+    """Every word of this length that the grammar reads from state."""
+    if length == 0 and state in _ACCEPT:
+        yield ""
+    for token, nxt in _GRAMMAR[state]:
+        if len(token) <= length:
+            for rest in _derive(nxt, length - len(token)):
+                yield token + rest
 
-    Interior groups are singletons or 3-blocks with single-zero separation;
-    a leading 3-block starts exactly at the 3rd position, a leading singleton
-    at the 2nd or 3rd; mirrored on the right.
-    """
-    groups = _linear_groups(seg)
-    if not groups:
-        return False
-    if any(length not in (1, 3) for _, length in groups):
-        return False
-    for (s, l), (s2, _) in zip(groups, groups[1:]):
-        if s2 - s - l != 1:
-            return False
-    l_seg = len(seg)
-    s0, len0 = groups[0]
-    if len0 == 3 and s0 != 2:
-        return False
-    if len0 == 1 and s0 not in (1, 2):
-        return False
-    s_last, len_last = groups[-1]
-    end = s_last + len_last - 1
-    if len_last == 3 and end != l_seg - 3:
-        return False
-    if len_last == 1 and end not in (l_seg - 2, l_seg - 3):
-        return False
-    return True
+
+def _parse(p: Pattern) -> Optional[str]:
+    """p's column word rotated to read from "part" or "ones"; None if improper."""
+    word = "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
+    state = "part" if "a" in word else "ones"
+    cut = word.rfind("a" if state == "part" else "b") + 1
+    word = word[cut:] + word[:cut]
+    i = 0
+    while i < len(word):
+        for token, nxt in _GRAMMAR[state]:
+            if word.startswith(token, i):
+                break
+        else:
+            return None
+        state, i = nxt, i + len(token)
+    return word if state in _ACCEPT else None
+
+
+def _block_count(word: str) -> int:
+    """Row-2 groups of length >= 3 plus the ccc groups of a parsed word."""
+    groups = word.split("a") if "a" in word else ()
+    return word.count("ccc") + sum(len(g) >= 3 for g in groups)
 
 
 def is_proper(p: Pattern) -> bool:
-    """The closure class of the rewrite calculus; see the module docstring.
-
-    Row 2 is a cyclic run or all ones (all ones forces row 1 to be a
-    nonempty cyclic nice run); row-2 singletons and 3-blocks carry nothing
-    above; every longer row-2 block carries an aligned nice run.
-    """
-    groups2 = _cyclic_groups(p.row2)
-    if groups2 is None:
-        return _is_cyclic_run(p.row1, nice=True)
-    if not _is_cyclic_run(p.row2):
-        return False
-    n = p.n
-    for start, length in groups2:
-        seg = [p.row1[(start + j) % n] for j in range(length)]
-        if length in (1, 3):
-            if any(seg):
-                return False
-        else:
-            if not _is_aligned_nice_run(seg):
-                return False
-    return True
+    """The closure class of the rewrite calculus: p's word obeys the grammar."""
+    return _parse(p) is not None
 
 
 def block_count(p: Pattern) -> int:
     """Number of length >= 3 groups over both rows (the induction measure)."""
-    if not is_proper(p):
+    word = _parse(p)
+    if word is None:
         raise ValueError("block_count is defined for proper patterns only")
-    total = 0
-    for row in (p.row1, p.row2):
-        groups = _cyclic_groups(row)
-        if groups:
-            total += sum(1 for _, length in groups if length >= 3)
-    return total
+    return _block_count(word)
 
 
 def leftmost_block_middle(p: Pattern) -> int:
@@ -360,51 +341,20 @@ def leftmost_block_middle(p: Pattern) -> int:
 # -- enumeration ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _aligned_runs(length: int) -> Tuple[Bits, ...]:
-    """All aligned nice runs that can sit above a row-2 block of this length."""
-    return tuple(
-        bits
-        for bits in product((0, 1), repeat=length)
-        if _is_aligned_nice_run(bits)
-    )
+def enumerate_proper(n: int, bound: int = PROPER_BOUND) -> List[PatternClass]:
+    """All canonical proper pattern classes of length n.
 
-
-def enumerate_proper(n: int, mu: Optional[int] = None, bound: int = PROPER_BOUND) -> List[PatternClass]:
-    """All canonical proper pattern classes of length n, optionally by measure.
-
-    Works blockwise: row 2 ranges over cyclic runs (plus all-ones), and each
-    long row-2 block independently carries one of its aligned nice runs.
+    Every word the grammar derives from "part" or "ones", deduplicated
+    through canonicalize.
     """
     if n < 2 or n % 2:
         raise ValueError("pattern length must be even and at least 2")
     if n > bound:
         raise ResourceLimitError(f"pattern length {n} exceeds the bound {bound}")
-    seen = set()
-    # all-ones second row: the first row is any nonempty cyclic nice run
-    ones = (1,) * n
-    for bits in product((0, 1), repeat=n):
-        if _is_cyclic_run(bits, nice=True):
-            seen.add(canonicalize(Pattern(bits, ones)))
-
-    for mask in range(1 << n):
-        row2 = tuple((mask >> i) & 1 for i in range(n))
-        if not _is_cyclic_run(row2):
-            continue
-        groups = _cyclic_groups(row2)
-        long_blocks = [(s, l) for s, l in groups if l >= 4]
-        choices = [_aligned_runs(l) for _, l in long_blocks]
-        for combo in product(*choices):
-            row1 = [0] * n
-            for (start, length), seg in zip(long_blocks, combo):
-                for j, b in enumerate(seg):
-                    row1[(start + j) % n] = b
-            seen.add(canonicalize(Pattern(tuple(row1), row2)))
-
-    classes = sorted(seen)
-    if mu is not None:
-        classes = [c for c in classes if block_count(c.canonical) == mu]
-    return classes
+    return sorted({
+        canonicalize(Pattern(tuple(int(x == "c") for x in word),
+                             tuple(int(x != "a") for x in word)))
+        for word in chain(_derive("part", n), _derive("ones", n))})
 
 
 # -- initial decomposition ----------------------------------------------------------
@@ -415,15 +365,6 @@ class SignedPatternCombo:
     """Integer combination of pattern classes; zero coefficients are dropped."""
 
     terms: Tuple[Tuple[PatternClass, int], ...]
-
-    def coefficient(self, cls: PatternClass) -> int:
-        for c, coeff in self.terms:
-            if c == cls:
-                return coeff
-        return 0
-
-    def evaluate(self, m: int) -> int:
-        return sum(coeff * z_pattern(c.canonical, m) for c, coeff in self.terms)
 
 
 def initial_patterns(n: int) -> SignedPatternCombo:

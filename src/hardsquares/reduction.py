@@ -77,13 +77,6 @@ REDUCED = "REDUCED"
 # -- residue graphs ---------------------------------------------------------------
 
 
-def residue_vertex(g: Graph, v: int) -> Graph:
-    """Induced subgraph on V minus N[v]."""
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v} not in graph")
-    return g.without_vertices(g.closed_neighborhood(v))
-
-
 def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     """Induced subgraph on V minus (N[u] union N[v]); e need not be an edge."""
     u, v = e

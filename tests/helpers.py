@@ -10,20 +10,25 @@ table, kept as a differential oracle for the orbit and cell-by-cell
 kernels.  necklace_oracle and transitions_oracle are the deduplicating
 necklace enumerator over every (vector, gap) sequence and the step on
 positioned Necklace objects, kept as a differential oracle for the
-sequence kernel.  load_reduced_forms and load_golden_cycles parse the reference
-data files shared by the feature tests and the acceptance module.  EXTENDED
-(HARDSQUARES_EXTENDED=1) turns on the slow sweeps.
+sequence kernel.  proper_oracle decides properness by scanning the rows
+for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
+rows above each long block; both are kept as a differential oracle for the
+column-word grammar of the patterns module.  load_reduced_forms and
+load_golden_cycles parse the reference data files shared by the feature
+tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
+on the slow sweeps.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from hardsquares.graphs import Graph, random_graph  # noqa: F401  (re-exported)
 from hardsquares.necklaces import Necklace, NecklaceClass
+from hardsquares.patterns import Pattern, canonicalize
 from hardsquares.polynomials import IntPoly
 
 DATA = Path(__file__).parent / "data"
@@ -147,6 +152,84 @@ def necklace_oracle(k, n):
 def transitions_oracle(k, n):
     return [(cls, canonical_oracle(step_oracle(cls.canonical)))
             for cls in necklace_oracle(k, n)]
+
+
+def _cyclic_groups(row):
+    """Maximal cyclic 1-groups as (start, length); None for the all-ones row."""
+    if all(row):
+        return None
+    n, anchor = len(row), row.index(0)
+    groups, start = [], None
+    for j in range(anchor + 1, anchor + n + 1):
+        if row[j % n]:
+            if start is None:
+                start = j
+        elif start is not None:
+            groups.append((start % n, j - start))
+            start = None
+    return groups
+
+
+def _is_cyclic_run(row, nice=False):
+    """Singletons and blocks (length >= 3, exactly 3 when nice) separated by
+    single zeros, cyclically; the all-zero and all-one rows are not runs."""
+    groups = _cyclic_groups(row)
+    if not groups:
+        return False
+    if any(l == 2 or (nice and l not in (1, 3)) for _, l in groups):
+        return False
+    return all((s2 - s - l) % len(row) == 1
+               for (s, l), (s2, _) in zip(groups, groups[1:] + groups[:1]))
+
+
+def _is_aligned_nice_run(seg):
+    """A nonempty nice run above a long row-2 block: groups 1 or 3 one zero
+    apart, a leading singleton at offset 1 or 2 and a leading 3-block at 2,
+    mirrored on the right."""
+    groups = _cyclic_groups(tuple(seg) + (0,))
+    if not groups or any(l not in (1, 3) for _, l in groups):
+        return False
+    if any(s2 - s - l != 1 for (s, l), (s2, _) in zip(groups, groups[1:])):
+        return False
+    (s0, l0), (s1, l1) = groups[0], groups[-1]
+    tail = len(seg) - s1 - l1
+    return s0 in ((1, 2) if l0 == 1 else (2,)) and tail in ((1, 2) if l1 == 1 else (2,))
+
+
+def proper_oracle(p):
+    """Block count of p by row scanning, or None when p is not proper."""
+    groups2 = _cyclic_groups(p.row2)
+    if groups2 is None:
+        ok = _is_cyclic_run(p.row1, nice=True)
+    else:
+        ok = _is_cyclic_run(p.row2) and all(
+            not any(seg) if l in (1, 3) else _is_aligned_nice_run(seg)
+            for s, l in groups2
+            for seg in [[p.row1[(s + j) % p.n] for j in range(l)]])
+    if not ok:
+        return None
+    return sum(l >= 3 for row in (p.row1, p.row2)
+               for _, l in _cyclic_groups(row) or ())
+
+
+def enumerate_proper_oracle(n):
+    """Proper classes of length n from every row-2 mask and all 2^L rows
+    above each long block, deduplicated by canonicalize."""
+    seen = {canonicalize(Pattern(bits, (1,) * n))
+            for bits in product((0, 1), repeat=n) if _is_cyclic_run(bits, nice=True)}
+    for row2 in product((0, 1), repeat=n):
+        if not _is_cyclic_run(row2):
+            continue
+        blocks = [(s, l) for s, l in _cyclic_groups(row2) if l >= 4]
+        choices = [[seg for seg in product((0, 1), repeat=l) if _is_aligned_nice_run(seg)]
+                   for _, l in blocks]
+        for combo in product(*choices):
+            row1 = [0] * n
+            for (s, l), seg in zip(blocks, combo):
+                for j, b in enumerate(seg):
+                    row1[(s + j) % n] = b
+            seen.add(canonicalize(Pattern(tuple(row1), row2)))
+    return sorted(seen)
 
 
 def load_reduced_forms():

@@ -4,7 +4,8 @@
   carrying the schema version.
 - table1 emits the reference CSV layout and matches the stored reference
   table line for line, and the JSON form round-trips.
-- an empty row range produces only the CSV header.
+- negative sizes (table1 -m or --nmax, a necklace circle length below 1)
+  exit 2 with one error line and no output.
 - genfun prints the factored generating function; even circumferences use
   the pattern route, odd ones the fitted route and come out as the two
   known shapes.  An odd circumference above --bound-n (default 18) exits 2
@@ -93,10 +94,14 @@ def test_table1_json_round_trip(capsys):
             assert value == witten_transfer(GridSpec("cylinder", row["m"], n))
 
 
-def test_table1_empty_range_header_only(capsys):
-    code, out, _ = run_cli(capsys, "table1", "-m", "-1", "--format", "csv")
-    assert code == 0
-    assert out == "m\\n," + ",".join(str(n) for n in range(2, 15)) + "\n"
+def test_negative_sizes_exit_two(capsys):
+    for argv in (["table1", "-m", "-1", "--format", "csv"],
+                 ["table1", "--nmax", "-3"],
+                 ["necklace", "cycles", "-k", "1", "-n", "-4"],
+                 ["necklace", "cycles", "-k", "1", "-n", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_genfun_even_text(capsys):

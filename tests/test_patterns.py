@@ -16,6 +16,9 @@ Claims covered:
 - the four frozen length-10 patterns are proper with two blocks; frozen
   non-examples are rejected; exactly two proper classes have no blocks.
 - block_count is at most n/4 and proper rows avoid 0110 and 1001.
+- is_proper and block_count agree with the row-scanner oracle on every
+  pattern of even length <= 10, and enumerate_proper with the 2^n
+  enumerator for even n <= 14 (n <= 18 with HARDSQUARES_EXTENDED=1).
 - the worked length-6 classes: peel chains A->D->A, C->E, B->>E with sign -1,
   the block-middle deletions of E give A and B, and the initial decomposition
   has coefficients (1, -3, 3, -1) summing to the cylinder index.
@@ -25,7 +28,8 @@ Claims covered:
 - peel and block-middle deletions stay proper with the expected block_count
   (unchanged for peel and the neighborhood deletion, one less for the plain
   deletion).
-- enumeration respects its bound and the mu filter partitions the classes.
+- enumeration respects its bound; the n = 18 classes are distinct and
+  proper, and their block counts take every value 0..4.
 """
 
 import itertools
@@ -55,7 +59,7 @@ from hardsquares.patterns import (
     z_pattern,
     z_pattern_series,
 )
-from helpers import transfer_oracle
+from helpers import EXTENDED, enumerate_proper_oracle, proper_oracle, transfer_oracle
 
 
 def all_patterns(n):
@@ -217,7 +221,7 @@ def test_improper_examples():
 
 def test_exactly_two_blockless_classes():
     for n in (2, 4, 6, 8, 10):
-        zero = enumerate_proper(n, mu=0)
+        zero = [c for c in enumerate_proper(n) if block_count(c.canonical) == 0]
         alt = tuple(i % 2 for i in range(n))
         expected = {
             canonicalize(Pattern(alt, (1,) * n)),
@@ -267,7 +271,8 @@ def test_worked_length_six_classes():
     combo = initial_patterns(6)
     assert dict(combo.terms) == {a: 1, b: -3, c: 3, d: -1}
     for m in range(2, 9):
-        assert combo.evaluate(m) == witten_transfer(GridSpec("cylinder", m, 6))
+        assert (sum(coeff * z_pattern(cls.canonical, m) for cls, coeff in combo.terms)
+                == witten_transfer(GridSpec("cylinder", m, 6)))
 
 
 def test_initial_patterns_reducible_proper_and_exact():
@@ -279,7 +284,8 @@ def test_initial_patterns_reducible_proper_and_exact():
             assert is_reducible(cls.canonical)
             assert is_proper(cls.canonical)
         for m in (2, 3, 4):
-            assert combo.evaluate(m) == witten_transfer(GridSpec("cylinder", m, n))
+            assert (sum(coeff * z_pattern(cls.canonical, m) for cls, coeff in combo.terms)
+                    == witten_transfer(GridSpec("cylinder", m, n)))
 
 
 def test_delete_identity_on_proper_patterns():
@@ -343,9 +349,19 @@ def test_enumeration_bound_and_filter():
         enumerate_proper(18)
     with pytest.raises(ValueError):
         enumerate_proper(7)
-    classes = enumerate_proper(18, bound=18, mu=4)
-    assert all(block_count(c.canonical) == 4 for c in classes)
-    everything = enumerate_proper(12)
-    by_mu = [enumerate_proper(12, mu=k) for k in range(4)]
-    assert sorted(everything) == sorted(c for part in by_mu for c in part)
+    everything = enumerate_proper(18, bound=18)
+    assert len(set(everything)) == len(everything)
     assert all(is_proper(c.canonical) for c in everything)
+    assert {block_count(c.canonical) for c in everything} == {0, 1, 2, 3, 4}
+
+
+def test_grammar_matches_the_row_scanners():
+    for n in (2, 4, 6, 8, 10):
+        for cols in itertools.product((0, 1, 2), repeat=n):  # a, b, c
+            p = Pattern(tuple(int(x == 2) for x in cols), tuple(int(x > 0) for x in cols))
+            want = proper_oracle(p)
+            assert is_proper(p) == (want is not None), str(p)
+            if want is not None:
+                assert block_count(p) == want, str(p)
+    for n in range(2, (18 if EXTENDED else 14) + 1, 2):
+        assert enumerate_proper(n, bound=n) == enumerate_proper_oracle(n), n

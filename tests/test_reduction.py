@@ -1,10 +1,11 @@
 """Rewrite rules, contractibility detection, and certificate soundness.
 
-Covers: residue graphs, the fold / pendant / square rules with their
-preconditions, the one-step contractibility configurations, simplify's
-verdicts on the two hard residue graphs from the rows-3 cylinder argument,
-determinism, trace replay (including tamper rejection), and the
-sign-tracking invariant (-1)^suspensions * Z(current) = Z(original).
+Covers: edge residue graphs, the zero-residue vertex lemma, the fold /
+pendant / square rules with their preconditions, the one-step
+contractibility configurations, simplify's verdicts on the two hard residue
+graphs from the rows-3 cylinder argument, determinism, trace replay
+(including tamper rejection), and the sign-tracking invariant
+(-1)^suspensions * Z(current) = Z(original).
 """
 
 from random import Random
@@ -21,7 +22,6 @@ from hardsquares.reduction import (
     detect_configuration,
     replay_trace,
     residue_edge,
-    residue_vertex,
     simplify,
 )
 from helpers import naive_witten, random_graph
@@ -38,17 +38,6 @@ def path(n: int) -> Graph:
 
 
 # -- residue graphs ------------------------------------------------------------
-
-
-def test_residue_vertex():
-    c5 = cycle(5)
-    r = residue_vertex(c5, 0)
-    assert r.vertices == frozenset({2, 3})
-    assert r.edges == frozenset({(2, 3)})
-    c4 = cycle(4)
-    assert residue_vertex(c4, 0).vertices == frozenset({2})
-    with pytest.raises(ValueError):
-        residue_vertex(c4, 17)
 
 
 def test_residue_edge_leaves_isolated_vertex():
@@ -205,7 +194,7 @@ def test_zero_residue_lets_vertex_deletion_preserve_index():
         for v in sorted(g.vertices):
             if g.has_loop(v):
                 continue
-            if naive_witten(residue_vertex(g, v)) == 0:
+            if naive_witten(g.without_vertices(g.closed_neighborhood(v))) == 0:
                 assert naive_witten(g) == naive_witten(g.without_vertices([v]))
 
 
