@@ -15,8 +15,9 @@ Subcommands:
 
 Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
-line per failing instance), and 2 for usage errors, including requests
-that exceed the resource bounds.
+line per failing instance) or an internal consistency check failed, and 2
+for usage errors, including requests that exceed the resource bounds and
+sweeps whose --nmax is too small to check anything.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -117,6 +118,15 @@ def _report(suite: str, results: List[CheckResult], infos: List[str],
               f"{len(results)} checks passed")
         print("fail" if failures else "pass")
     return 1 if failures else 0
+
+
+def _check_nmax(nmax: int, floor: int, bound: int) -> None:
+    """Refuse a sweep that is too large, or that would check nothing."""
+    if nmax > bound:
+        raise ResourceLimitError(f"--nmax {nmax} exceeds the bound {bound}")
+    if nmax < floor:
+        raise ValueError(f"--nmax {nmax} is below {floor}, where a sweep "
+                         f"would check no circumference")
 
 
 def _even_range(lo: int, hi: int) -> Iterable[int]:
@@ -221,14 +231,10 @@ def cmd_necklace(args: argparse.Namespace,
     bound = args.bound_n if args.bound_n is not None else DEFAULT_BOUND
     if args.action == "verify":
         nmax = args.nmax if args.nmax is not None else 24
-        if nmax > bound:
-            raise ResourceLimitError(f"--nmax {nmax} exceeds the bound {bound}")
-        results = []
-        for n in _even_range(4, nmax):
-            for k in range(1, n // 4 + 1):
-                ok = verify_cycle_divisibility(k, n, bound=bound)
-                results.append(CheckResult("cycle_divisibility",
-                                           {"k": k, "n": n}, ok))
+        _check_nmax(nmax, 4, bound)
+        results = [CheckResult("cycle_divisibility", {"k": k, "n": n},
+                               verify_cycle_divisibility(k, n, bound=bound))
+                   for n in _even_range(4, nmax) for k in range(1, n // 4 + 1)]
         return _report("necklace-verify", results, [], args.format)
 
     if args.k is None or args.n is None:
@@ -266,12 +272,11 @@ def cmd_necklace(args: argparse.Namespace,
 # -- verify ------------------------------------------------------------------
 
 def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
-    results = []
-    for c in verify_index_identities(m_max, n_max):
-        results.append(CheckResult(
-            "index_identity",
-            {"identity": c.identity, "family": c.family, "m": c.m, "n": c.n},
-            c.ok, f"lhs={c.lhs} rhs={c.rhs}"))
+    results = [CheckResult(
+        "index_identity",
+        {"identity": c.identity, "family": c.family, "m": c.m, "n": c.n},
+        c.ok, f"lhs={c.lhs} rhs={c.rhs}")
+        for c in verify_index_identities(m_max, n_max)]
     rng = Random(seed)
     for case in range(40):
         g = random_graph(rng, 10)
@@ -293,8 +298,7 @@ def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
 
 
 def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
-    results = []
-    infos = []
+    results, infos = [], []
     for n in _even_range(2, n_max):
         gf = cylinder_gf(n, bound=n_max)
         results.append(CheckResult(
@@ -314,10 +318,9 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
                 f"max_multiplicity={rep.max_multiplicity}"))
             infos.append(f"periodicity n={n}: linear growth, "
                          f"max_multiplicity={rep.max_multiplicity}")
-        for k in range(1, n // 4 + 1):
-            results.append(CheckResult(
-                "cycle_divisibility", {"k": k, "n": n},
-                verify_cycle_divisibility(k, n)))
+        results.extend(CheckResult("cycle_divisibility", {"k": k, "n": n},
+                                   verify_cycle_divisibility(k, n))
+                       for k in range(1, n // 4 + 1))
         for cls in enumerate_proper(n):
             results.append(CheckResult(
                 "block_count_denominator",
@@ -333,27 +336,25 @@ def _suite_correspondence(n_max: int) -> List[CheckResult]:
 
 def cmd_verify(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    results: List[CheckResult] = []
-    infos: List[str] = []
-    # each suite's --nmax is a row-mask width, a pattern or a circle length
-    bounds = {"identities": TRANSFER_WIDTH_BOUND, "conjectures": PROPER_BOUND,
-              "correspondence": DEFAULT_BOUND}
-    bound = min(b for suite, b in bounds.items() if args.suite in (suite, "all"))
-    if (args.nmax or 0) > bound:
-        raise ResourceLimitError(f"--nmax {args.nmax} exceeds the bound {bound}")
-    if args.suite in ("identities", "all"):
-        results.extend(_suite_identities(
-            args.m if args.m is not None else 20,
-            args.nmax if args.nmax is not None else 14,
-            args.seed))
-    if args.suite in ("conjectures", "all"):
-        sub, extra = _suite_conjectures(
-            args.nmax if args.nmax is not None else 12)
+    # per suite: the --nmax floor (below it no circumference is swept), the
+    # bound (a row-mask width, a pattern or a circle length) and the default
+    limits = {"identities": (0, TRANSFER_WIDTH_BOUND, 14),
+              "conjectures": (2, PROPER_BOUND, 12),
+              "correspondence": (4, DEFAULT_BOUND, 14)}
+    chosen = [s for s in limits if args.suite in (s, "all")]
+    if args.nmax is not None:
+        _check_nmax(args.nmax, max(limits[s][0] for s in chosen),
+                    min(limits[s][1] for s in chosen))
+    nmax = {s: limits[s][2] if args.nmax is None else args.nmax for s in chosen}
+    results, infos = [], []
+    if "identities" in nmax:
+        results.extend(_suite_identities(args.m if args.m is not None else 20,
+                                         nmax["identities"], args.seed))
+    if "conjectures" in nmax:
+        sub, infos = _suite_conjectures(nmax["conjectures"])
         results.extend(sub)
-        infos.extend(extra)
-    if args.suite in ("correspondence", "all"):
-        results.extend(_suite_correspondence(
-            args.nmax if args.nmax is not None else 14))
+    if "correspondence" in nmax:
+        results.extend(_suite_correspondence(nmax["correspondence"]))
     return _report(args.suite, results, infos, args.format)
 
 

@@ -64,13 +64,14 @@ _PATTERN_GF: Dict[PatternClass, RationalGF] = {}
 def _validate_pattern_gf(cls: PatternClass, gf: RationalGF) -> RationalGF:
     """Check the claimed series against direct transfer evaluation."""
     upto = gf.num.degree + gf.den.degree + 6
-    claimed = series_expand(gf, upto)
+    try:
+        claimed = series_expand(gf, upto)
+    except ValueError as exc:  # a non-integral series is a broken derivation
+        raise ConsistencyError(f"series for pattern {cls.canonical}: {exc}") from exc
     direct = z_pattern_series(cls.canonical, upto)
     if claimed != direct:
-        raise ConsistencyError(
-            f"series for pattern {cls.canonical} disagrees with transfer "
-            f"evaluation: {claimed} vs {direct}"
-        )
+        raise ConsistencyError(f"series for pattern {cls.canonical} disagrees with "
+                               f"transfer evaluation: {claimed} vs {direct}")
     return gf
 
 
@@ -111,17 +112,16 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
         accumulated = RationalGF(0)
         sigma, a = 1, 0
         for _, side, sign, shift in path[start:]:
-            accumulated = accumulated + RationalGF(T ** a) * sigma * side
+            accumulated = accumulated + side.times_monomial(sigma, a)
             sigma *= sign
             a += shift
         if a == 0:
-            raise ConsistencyError(
-                f"successor cycle of {cur.canonical} contains no peel step"
-            )
-        series = accumulated / RationalGF(ONE - T ** a * sigma)
+            raise ConsistencyError(f"successor cycle of {cur.canonical} contains no peel step")
+        series = accumulated / (ONE - T ** a * sigma)
 
+    # one gcd per step: the signed shift keeps series reduced, only + reduces
     for cls_j, side, sign, shift in reversed(path):
-        series = side + RationalGF(T ** shift) * sign * series
+        series = side + series.times_monomial(sign, shift)
         _PATTERN_GF[cls_j] = _validate_pattern_gf(cls_j, series)
     return _PATTERN_GF[cls]
 

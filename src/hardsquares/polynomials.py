@@ -1,19 +1,22 @@
 """Exact integer polynomials, rational generating functions, and recurrence fits.
 
-Everything here is exact: integer coefficients, Fraction elimination, no
-floating point.  IntPoly stores ascending coefficients with no trailing
-zeros.  RationalGF keeps a canonical reduced form (polynomial gcd divided
-out, integer content 1, positive leading denominator coefficient) so that
-structural equality compares mathematical equality.  fit_recurrence
-reconstructs the minimal linear recurrence behind an integer sequence and
-refuses to answer when the sequence is too short to certify it.
+Everything here is exact and runs on int: division and power-series
+expansion check divisibility with divmod at each step and raise ValueError
+on the first coefficient that is not an integer; only fit_recurrence's
+Berlekamp-Massey elimination uses Fraction.  IntPoly stores ascending
+coefficients with no trailing zeros.  RationalGF keeps a canonical reduced
+form (polynomial gcd divided out, integer content 1, positive leading
+denominator coefficient) so that structural equality compares mathematical
+equality.  fit_recurrence reconstructs the minimal linear recurrence behind
+an integer sequence and refuses to answer when the sequence is too short to
+certify it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import FitInconclusiveError
@@ -75,9 +78,7 @@ class IntPoly:
         return IntPoly(self.coefficient(i) + other.coefficient(i) for i in range(n))
 
     def __sub__(self, other: "PolyLike") -> "IntPoly":
-        other = as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coefficient(i) - other.coefficient(i) for i in range(n))
+        return self + -as_poly(other)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
@@ -124,25 +125,26 @@ class IntPoly:
         return acc
 
     def divrem(self, div: "IntPoly") -> Tuple["IntPoly", "IntPoly"]:
-        """Division over the rationals; raises if the result is not integral."""
+        """Long division in integers; ValueError at the first quotient
+        coefficient that is not integral.  The remainder stays integral until
+        then, so this raises exactly when division over Q is not integral."""
         if div.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
         qlen = len(self.coeffs) - len(div.coeffs) + 1
         if qlen <= 0:
             return IntPoly(), self
-        quo = [Fraction(0)] * qlen
-        lead = Fraction(div.leading)
+        rem = list(self.coeffs)
+        quo = [0] * qlen
+        lead, top = div.leading, div.degree
         for k in range(qlen - 1, -1, -1):
-            q = rem[k + div.degree] / lead
+            q, r = divmod(rem[k + top], lead)
+            if r:
+                raise ValueError("non-integral polynomial division result")
             quo[k] = q
             if q:
                 for i, b in enumerate(div.coeffs):
                     rem[i + k] -= q * b
-        for f in quo + rem:
-            if f.denominator != 1:
-                raise ValueError("non-integral polynomial division result")
-        return IntPoly(int(f) for f in quo), IntPoly(int(f) for f in rem)
+        return IntPoly(quo), IntPoly(rem)
 
     def exact_div(self, div: "IntPoly") -> "IntPoly":
         q, r = self.divrem(div)
@@ -306,10 +308,11 @@ class RationalGF:
         if num.is_zero:
             den = ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            if num.degree > 0 and den.degree > 0:  # else the gcd is constant
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
             c = gcd(num.content, den.content)
             if c > 1:
                 num = IntPoly(x // c for x in num.coeffs)
@@ -329,12 +332,10 @@ class RationalGF:
                           self.den * other.den)
 
     def __sub__(self, other: "GFLike") -> "RationalGF":
-        other = as_gf(other)
-        return RationalGF(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
+        return self + -as_gf(other)
 
     def __neg__(self) -> "RationalGF":
-        return RationalGF(-self.num, self.den)
+        return self.times_monomial(-1, 0)
 
     def __mul__(self, other: "GFLike") -> "RationalGF":
         other = as_gf(other)
@@ -348,6 +349,12 @@ class RationalGF:
 
     __radd__ = __add__
     __rmul__ = __mul__
+
+    def times_monomial(self, sign: int, k: int) -> "RationalGF":
+        """sign * t^k * self, sign = ±1; stays reduced since den(0) != 0."""
+        out = object.__new__(RationalGF)
+        out.num, out.den = (self.num * sign).shift(k), self.den
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -379,24 +386,18 @@ def as_gf(x: GFLike) -> RationalGF:
 
 
 def series_expand(gf: RationalGF, upto: int) -> List[int]:
-    """Power-series coefficients [t^0] .. [t^upto]; requires den(0) != 0.
-
-    Raises if any coefficient fails to be an integer.
-    """
-    den0 = gf.den.coefficient(0)
-    if den0 == 0:
-        raise ValueError("denominator vanishes at 0; no power series")
+    """Power-series coefficients [t^0] .. [t^upto] (RationalGF ensures
+    den(0) != 0); ValueError at the first one that is not an integer."""
+    num, den = gf.num.coeffs, gf.den.coeffs
     out: List[int] = []
-    vals: List[Fraction] = []
     for m in range(upto + 1):
-        acc = Fraction(gf.num.coefficient(m))
-        for j in range(1, min(m, gf.den.degree) + 1):
-            acc -= gf.den.coefficient(j) * vals[m - j]
-        val = acc / den0
-        if val.denominator != 1:
+        acc = num[m] if m < len(num) else 0
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc -= den[j] * out[m - j]
+        val, r = divmod(acc, den[0])
+        if r:
             raise ValueError(f"series coefficient at t^{m} is not an integer")
-        vals.append(val)
-        out.append(int(val))
+        out.append(val)
     return out
 
 
@@ -440,9 +441,7 @@ def fit_recurrence(seq: Sequence[int]) -> RationalGF:
         raise FitInconclusiveError(
             f"recurrence of order {order} needs at least {2 * order + 4} terms, got {len(seq)}"
         )
-    denom_lcm = 1
-    for c in conn:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in conn))
     den = IntPoly(int(c * denom_lcm) for c in conn)
     num = IntPoly(
         sum(den.coefficient(j) * seq[i - j] for j in range(0, min(i, den.degree) + 1))

@@ -13,7 +13,11 @@ positioned Necklace objects, kept as a differential oracle for the
 sequence kernel.  proper_oracle decides properness by scanning the rows
 for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
 rows above each long block; both are kept as a differential oracle for the
-column-word grammar of the patterns module.  load_reduced_forms and
+column-word grammar of the patterns module.  divrem_oracle and
+series_expand_oracle are polynomial division and power-series expansion
+over Fraction with the integrality checked at the end, kept as a
+differential oracle for the integer arithmetic of the polynomials module.
+load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -230,6 +235,41 @@ def enumerate_proper_oracle(n):
                     row1[(s + j) % n] = b
             seen.add(canonicalize(Pattern(tuple(row1), row2)))
     return sorted(seen)
+
+
+def divrem_oracle(p, div):
+    """(quotient, remainder) of p by div over the rationals; ValueError
+    unless both are integral."""
+    if div.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p.coeffs]
+    qlen = len(p.coeffs) - len(div.coeffs) + 1
+    if qlen <= 0:
+        return IntPoly(), p
+    quo = [Fraction(0)] * qlen
+    for k in range(qlen - 1, -1, -1):
+        q = rem[k + div.degree] / div.leading
+        quo[k] = q
+        for i, b in enumerate(div.coeffs):
+            rem[i + k] -= q * b
+    if any(f.denominator != 1 for f in quo + rem):
+        raise ValueError("non-integral polynomial division result")
+    return IntPoly(int(f) for f in quo), IntPoly(int(f) for f in rem)
+
+
+def series_expand_oracle(gf, upto):
+    """[t^0] .. [t^upto] of gf over the rationals; ValueError at the first
+    coefficient that is not an integer."""
+    vals = []
+    for m in range(upto + 1):
+        acc = Fraction(gf.num.coefficient(m))
+        for j in range(1, min(m, gf.den.degree) + 1):
+            acc -= gf.den.coefficient(j) * vals[m - j]
+        val = acc / gf.den.coefficient(0)
+        if val.denominator != 1:
+            raise ValueError(f"series coefficient at t^{m} is not an integer")
+        vals.append(val)
+    return [int(v) for v in vals]
 
 
 def load_reduced_forms():

@@ -18,7 +18,9 @@
   starting an exponential walk, and --bound-n overrides the limit.
 - verify checks --nmax against the bound of every suite it will run
   (identities 18, conjectures 16, correspondence 28) before any work, and
-  exits 2 above it.
+  exits 2 above it.  An --nmax below a selected sweep's floor (identities
+  0, conjectures 2, correspondence and necklace verify 4), where the sweep
+  would check no circumference, also exits 2 with one error line.
 - verify identities and correspondence pass; verify conjectures fails on
   exactly the circumference-4 denominator form and nothing else, so its
   exit code is 1 and the failure list is machine readable.
@@ -245,6 +247,27 @@ def test_verify_nmax_above_a_suite_bound_exits_two(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", suite, "--nmax", str(nmax))
         assert code == 2 and out == ""
         assert f"--nmax {nmax} exceeds the bound {bound}" in err
+
+
+def test_nmax_that_sweeps_nothing_exits_two(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep started before the floor check")
+
+    for name in ("verify_index_identities", "witten_brute", "cylinder_gf",
+                 "enumerate_proper", "check_correspondence",
+                 "verify_cycle_divisibility"):
+        monkeypatch.setattr(cli, name, no_work)
+    for argv, floor in ((["verify", "correspondence", "--nmax", "-5"], 4),
+                        (["verify", "conjectures", "--nmax", "-2"], 2),
+                        (["verify", "conjectures", "--nmax", "1"], 2),
+                        (["verify", "identities", "--nmax", "-1"], 0),
+                        (["verify", "all", "--nmax", "3"], 4),
+                        (["necklace", "verify", "--nmax", "-3"], 4),
+                        (["necklace", "verify", "--nmax", "3"], 4)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"--nmax {argv[-1]} is below {floor}" in err
 
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):

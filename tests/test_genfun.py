@@ -11,6 +11,9 @@ Claims covered:
   cyclotomic denominators) for n = 2..14, and its series prefix equals the
   raw column series; at n = 16, where no form is stored, the pattern route
   and the certified fit still agree.
+- every cached pattern series is in the canonical reduced form, although
+  the back-substitution reduces only its sums, and a series that is not
+  integral is a ConsistencyError (exit 1), not a usage error.
 - cylinder_gf always compares its result with the certified fit: a
   disagreeing fit is a ConsistencyError, and through the CLI one
   `FAIL internal consistency` line with exit status 1.  Invalid
@@ -32,7 +35,7 @@ Claims covered:
 
 import pytest
 
-from hardsquares import genfun
+from hardsquares import cli, genfun
 from hardsquares.cli import main
 from hardsquares.errors import ConsistencyError, ResourceLimitError
 from hardsquares.genfun import (
@@ -120,6 +123,26 @@ def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("FAIL internal consistency:")
+    assert len(err.splitlines()) == 1
+
+
+def test_cached_pattern_series_are_reduced():
+    cylinder_gf(14, bound=14)
+    assert len(genfun._PATTERN_GF) >= 64  # the n = 14 classes walked
+    for g in genfun._PATTERN_GF.values():
+        assert g == RationalGF(g.num, g.den)  # equality is structural
+
+
+def test_non_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys):
+    cls = enumerate_proper(6)[0]
+    bad = RationalGF(ONE, IntPoly([2, 1]))  # 1/(2 + t) = 1/2 - t/4 + ...
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        genfun._validate_pattern_gf(cls, bad)
+    monkeypatch.setattr(cli, "cylinder_gf",
+                        lambda n, bound: genfun._validate_pattern_gf(cls, bad))
+    assert main(["genfun", "-n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("FAIL internal consistency:")
     assert len(err.splitlines()) == 1
 
 

@@ -4,9 +4,18 @@ Covers: IntPoly ring operations and exact division, primitive gcd
 normalization, cyclotomic polynomials and the factor-splitting routine,
 RationalGF canonical reduction, power-series expansion, and the
 Berlekamp-Massey fit including its refusal on short input.
+
+The integer division and expansion agree with the Fraction oracles of
+tests/helpers.py: for divisors that are not monic, on exact products,
+products plus a remainder and random pairs, both give the same
+(quotient, remainder) or both raise ValueError; series_expand gives the
+same coefficients or raises at the same power of t; and divides answers
+as the oracle does on every pair factor_cyclotomic tries.
 """
 
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import column_series
@@ -25,6 +34,8 @@ from hardsquares.polynomials import (
 )
 
 import pytest
+
+from helpers import divrem_oracle, series_expand_oracle
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -139,6 +150,71 @@ def test_series_expand():
     assert series_expand(alt, 7) == [1, -1, -1, 1, 1, -1, -1, 1]
     with pytest.raises(ValueError):
         RationalGF(ONE, T)  # 1/t has no power series
+
+
+# -- integer arithmetic against the Fraction oracles ------------------------------
+
+small_polys = st.lists(st.integers(-6, 6), max_size=6).map(IntPoly)
+# leading (and constant) coefficients that are mostly not units
+leads = st.sampled_from([1, -1, 2, -2, 3, -3, 4, 6])
+divisors = st.builds(lambda low, lead: IntPoly(low + [lead]),
+                     st.lists(st.integers(-6, 6), max_size=4), leads)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _oracle_divides(div, p):
+    outcome = _outcome(divrem_oracle, p, div)
+    return outcome[0] is not ValueError and outcome[1].is_zero
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_polys, divisors, small_polys,
+       st.sampled_from(["product", "offset", "random"]))
+def test_divrem_matches_the_fraction_oracle(q, div, r, kind):
+    p = {"product": q * div, "offset": q * div + r, "random": r}[kind]
+    assert _outcome(p.divrem, div) == _outcome(divrem_oracle, p, div)
+    assert div.divides(p) == _oracle_divides(div, p)
+    if kind == "product" and not p.is_zero:
+        assert p.exact_div(div) == q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_polys, st.lists(st.integers(-6, 6), max_size=4), leads,
+       st.integers(0, 12))
+def test_series_expand_matches_the_fraction_oracle(num, high, den0, upto):
+    gf = RationalGF(num, IntPoly([den0] + high))
+    assert _outcome(series_expand, gf, upto) == _outcome(series_expand_oracle, gf, upto)
+
+
+# pure products stop the scan at the largest order; a non-cyclotomic factor
+# makes it run to 2(deg + 1)^2, so those products stay short
+cyclotomic_products = st.one_of(
+    st.tuples(st.lists(st.integers(1, 30), max_size=4), st.sampled_from([ONE, P(-1)])),
+    st.tuples(st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3),
+              st.sampled_from([P(1, -2), P(2, 1), P(3, -1, 1), P(2, 0, 2)])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cyclotomic_products)
+def test_divides_matches_the_oracle_inside_factor_cyclotomic(product):
+    orders, extra = product
+    p = extra
+    for d in orders:
+        p = p * cyclotomic(d)
+    seen = []
+    real = IntPoly.divides
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntPoly, "divides",
+                   lambda div, other: seen.append((div, other)) or real(div, other))
+        factor_cyclotomic(p)
+    for div, other in seen:
+        assert div.divides(other) == _oracle_divides(div, other)
 
 
 # -- recurrence fitting -----------------------------------------------------------
