@@ -15,9 +15,11 @@ Subcommands:
 
 Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
-line per failing instance) or an internal consistency check failed, and 2
-for usage errors, including requests that exceed the resource bounds and
-sweeps whose --nmax is too small to check anything.
+line per failing instance) or an internal consistency check failed, 2 for
+usage errors, including requests above their row of BOUNDS (checked before
+any work starts) and sweeps whose --nmax is too small to check anything,
+and 3 for any other error, such as a KeyError or MemoryError, reported as
+one "internal error:" line on stderr.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -35,7 +37,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConsistencyError, FitInconclusiveError, ResourceLimitError
 from .genfun import (
-    PATTERN_ROUTE_BOUND,
     check_block_count_denominator,
     check_denominator_form,
     check_roots_of_unity,
@@ -54,7 +55,6 @@ from .graphs import (
     witten_transfer,
 )
 from .necklaces import (
-    DEFAULT_BOUND,
     cycle_structure,
     dot_transition_graph,
     enumerate_necklaces,
@@ -64,15 +64,20 @@ from .necklaces import (
     check_correspondence,
     verify_cycle_divisibility,
 )
-from .patterns import PROPER_BOUND, enumerate_proper, format_pattern
+from .patterns import enumerate_proper, format_pattern
 from .polynomials import factor_cyclotomic, format_cyclotomic, format_poly
 
 SCHEMA = 1
 
-# Largest row width the index commands accept; the work is exponential in it.
-# At width 18 (2-core x86-64, Python 3.11) cylinder 20x18 takes ~0.15 s, free
-# 18x18 ~0.3 s; the torus is the slowest, one run per orbit: 18x18 ~23 s.
-TRANSFER_WIDTH_BOUND = 18
+# The one size policy: the largest size each command accepts, in the size its
+# work is exponential in (times on a 2-core x86-64, Python 3.11).  --bound-n
+# replaces its command's row; the library computes whatever it is asked.
+#   width:   row-mask width (witten, table1, odd genfun, verify identities);
+#            cylinder 20x18 ~0.15 s, free 18x18 ~0.3 s, torus 18x18 ~23 s
+#   pattern: pattern-route circumference (even genfun, verify conjectures);
+#            genfun -n 16 ~0.8 s, -n 18 ~3 s
+#   circle:  necklace circle length (necklace, verify correspondence)
+BOUNDS = {"width": 18, "pattern": 16, "circle": 28}
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,18 @@ def _report(suite: str, results: List[CheckResult], infos: List[str],
     return 1 if failures else 0
 
 
-def _check_nmax(nmax: int, floor: int, bound: int) -> None:
+def _check_bound(what: str, value: int, *rows: str,
+                 override: Optional[int] = None) -> None:
+    """Refuse a value above the least of its BOUNDS rows, or above override."""
+    bound = override if override is not None else min(BOUNDS[r] for r in rows)
+    if value > bound:
+        raise ResourceLimitError(f"{what} {value} exceeds the bound {bound}")
+
+
+def _check_nmax(nmax: int, floor: int, *rows: str,
+                override: Optional[int] = None) -> None:
     """Refuse a sweep that is too large, or that would check nothing."""
-    if nmax > bound:
-        raise ResourceLimitError(f"--nmax {nmax} exceeds the bound {bound}")
+    _check_bound("--nmax", nmax, *rows, override=override)
     if nmax < floor:
         raise ValueError(f"--nmax {nmax} is below {floor}, where a sweep "
                          f"would check no circumference")
@@ -136,20 +149,10 @@ def _even_range(lo: int, hi: int) -> Iterable[int]:
 
 # -- witten ----------------------------------------------------------------
 
-def _check_transfer_width(spec: GridSpec, bound: Optional[int]) -> None:
-    limit = bound if bound is not None else TRANSFER_WIDTH_BOUND
-    width = transfer_width(spec)
-    if width > limit:
-        raise ResourceLimitError(
-            f"{spec.family} {spec.m}x{spec.n} needs row masks of width "
-            f"{width}, above the bound {limit}; raise --bound-n if you "
-            f"really want to wait")
-
-
 def cmd_witten(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     spec = GridSpec(args.family, args.m, args.n)
-    _check_transfer_width(spec, args.bound_n)
+    _check_bound("row-mask width", transfer_width(spec), "width", override=args.bound_n)
     value = witten_transfer(spec)
     if args.format == "json":
         _emit_json({
@@ -172,7 +175,7 @@ def cmd_table1(args: argparse.Namespace,
     cols = list(range(2, args.nmax + 1))
     rows = list(range(0, args.m + 1))
     if cols and args.m >= 1:
-        _check_transfer_width(spec, args.bound_n)
+        _check_bound("row-mask width", transfer_width(spec), "width", override=args.bound_n)
     series = [column_series(n, args.m) for n in cols]
     table = {m: [s[m] for s in series] for m in rows}
     if args.format == "json":
@@ -200,11 +203,12 @@ def cmd_table1(args: argparse.Namespace,
 def cmd_genfun(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     if args.n % 2 == 0:
-        bound = args.bound_n if args.bound_n is not None else PATTERN_ROUTE_BOUND
-        gf = cylinder_gf(args.n, bound=bound)
+        _check_bound("circumference", args.n, "pattern", override=args.bound_n)
+        gf = cylinder_gf(args.n)
         route = "pattern"
     else:
-        _check_transfer_width(GridSpec("cylinder", 1, args.n), args.bound_n)
+        _check_bound("row-mask width", transfer_width(GridSpec("cylinder", 1, args.n)),
+                     "width", override=args.bound_n)
         gf = fitted_cylinder_gf(args.n)
         route = "fitted"
     factors, remainder = factor_cyclotomic(gf.den)
@@ -228,22 +232,22 @@ def cmd_genfun(args: argparse.Namespace,
 
 def cmd_necklace(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
-    bound = args.bound_n if args.bound_n is not None else DEFAULT_BOUND
     if args.action == "verify":
         nmax = args.nmax if args.nmax is not None else 24
-        _check_nmax(nmax, 4, bound)
+        _check_nmax(nmax, 4, "circle", override=args.bound_n)
         results = [CheckResult("cycle_divisibility", {"k": k, "n": n},
-                               verify_cycle_divisibility(k, n, bound=bound))
+                               verify_cycle_divisibility(k, n))
                    for n in _even_range(4, nmax) for k in range(1, n // 4 + 1)]
         return _report("necklace-verify", results, [], args.format)
 
     if args.k is None or args.n is None:
         parser.error(f"necklace {args.action} requires both -k and -n")
+    _check_bound("circle length", args.n, "circle", override=args.bound_n)
     if args.action == "dot" or args.format == "dot":
-        sys.stdout.write(dot_transition_graph(args.k, args.n, bound) + "\n")
+        sys.stdout.write(dot_transition_graph(args.k, args.n) + "\n")
         return 0
     if args.action == "cycles":
-        structure = cycle_structure(args.k, args.n, bound)
+        structure = cycle_structure(args.k, args.n)
         if args.format == "json":
             _emit_json({
                 "schema": SCHEMA,
@@ -254,7 +258,7 @@ def cmd_necklace(args: argparse.Namespace,
         else:
             print(format_cycle_structure(structure))
         return 0
-    classes = enumerate_necklaces(args.k, args.n, bound)
+    classes = enumerate_necklaces(args.k, args.n)
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
@@ -300,7 +304,7 @@ def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
 def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
     results, infos = [], []
     for n in _even_range(2, n_max):
-        gf = cylinder_gf(n, bound=n_max)
+        gf = cylinder_gf(n)
         results.append(CheckResult(
             "roots_of_unity", {"n": n}, check_roots_of_unity(gf)))
         results.append(CheckResult(
@@ -337,14 +341,14 @@ def _suite_correspondence(n_max: int) -> List[CheckResult]:
 def cmd_verify(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     # per suite: the --nmax floor (below it no circumference is swept), the
-    # bound (a row-mask width, a pattern or a circle length) and the default
-    limits = {"identities": (0, TRANSFER_WIDTH_BOUND, 14),
-              "conjectures": (2, PROPER_BOUND, 12),
-              "correspondence": (4, DEFAULT_BOUND, 14)}
+    # BOUNDS row and the default
+    limits = {"identities": (0, "width", 14),
+              "conjectures": (2, "pattern", 12),
+              "correspondence": (4, "circle", 14)}
     chosen = [s for s in limits if args.suite in (s, "all")]
     if args.nmax is not None:
         _check_nmax(args.nmax, max(limits[s][0] for s in chosen),
-                    min(limits[s][1] for s in chosen))
+                    *(limits[s][1] for s in chosen))
     nmax = {s: limits[s][2] if args.nmax is None else args.nmax for s in chosen}
     results, infos = [], []
     if "identities" in nmax:
@@ -375,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True,
                    help="number of columns (cyclic for cylinder and torus)")
     p.add_argument("--bound-n", type=int, default=None,
-                   help="largest row-mask width accepted (default "
-                        f"{TRANSFER_WIDTH_BOUND})")
+                   help=f"largest row-mask width accepted (default {BOUNDS['width']})")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_witten)
 
@@ -388,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest circumference, columns start at 2 "
                         "(default 14)")
     p.add_argument("--bound-n", type=int, default=None,
-                   help="largest row-mask width accepted (default "
-                        f"{TRANSFER_WIDTH_BOUND})")
+                   help=f"largest row-mask width accepted (default {BOUNDS['width']})")
     p.add_argument("--format", choices=("text", "csv", "json"),
                    default="text")
     p.set_defaults(handler=cmd_table1)
@@ -399,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "circumference")
     p.add_argument("-n", type=int, required=True, help="circumference")
     p.add_argument("--bound-n", type=int, default=None,
-                   help=f"largest circumference accepted (default {PATTERN_ROUTE_BOUND}"
-                        f" for even n, {TRANSFER_WIDTH_BOUND} for odd n)")
+                   help=f"largest circumference accepted (default {BOUNDS['pattern']}"
+                        f" for even n, {BOUNDS['width']} for odd n)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_genfun)
 
@@ -415,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest circle length for the verify sweep "
                         "(default 24)")
     p.add_argument("--bound-n", type=int, default=None,
-                   help="resource bound on the circle length (default "
-                        f"{DEFAULT_BOUND})")
+                   help=f"resource bound on the circle length (default {BOUNDS['circle']})")
     p.add_argument("--format", choices=("text", "json", "dot"),
                    default="text")
     p.set_defaults(handler=cmd_necklace)
@@ -446,15 +447,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, FitInconclusiveError) as exc:
         print(f"FAIL internal consistency: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError
 from .graphs import GridSpec, _orbits, column_series, witten_transfer
 from .patterns import (
     Pattern,
@@ -55,8 +55,6 @@ from .polynomials import (
     fit_recurrence,
     series_expand,
 )
-
-PATTERN_ROUTE_BOUND = 12  # cylinder_gf's default largest circumference
 
 _PATTERN_GF: Dict[PatternClass, RationalGF] = {}
 
@@ -136,7 +134,7 @@ def fitted_cylinder_gf(n: int) -> RationalGF:
     return fit_recurrence(column_series(n, 2 * len(_orbits(n).reps) + 5))
 
 
-def cylinder_gf(n: int, bound: int = PATTERN_ROUTE_BOUND) -> RationalGF:
+def cylinder_gf(n: int) -> RationalGF:
     """Exact series sum_{m>=0} Z(P_m x C_n) t^m for even circumference n.
 
     Assembled from the signed initial decomposition over pattern classes;
@@ -146,8 +144,6 @@ def cylinder_gf(n: int, bound: int = PATTERN_ROUTE_BOUND) -> RationalGF:
     if n < 2 or n % 2:
         raise ValueError("pattern assembly needs even n >= 2; "
                          "odd circumferences go through fitted_cylinder_gf")
-    if n > bound:
-        raise ResourceLimitError(f"circumference {n} exceeds the bound {bound}")
     ring = witten_transfer(GridSpec("cylinder", 1, n))
     total = RationalGF(IntPoly((1, ring)))
     for cls, coeff in initial_patterns(n).terms:

@@ -39,7 +39,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError
 from .patterns import (
     Pattern,
     _block_count,
@@ -54,8 +54,6 @@ from .patterns import (
 Stone = Tuple[int, int]  # (position, vector)
 
 _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
-
-DEFAULT_BOUND = 28
 
 
 @dataclass(frozen=True, order=True)
@@ -180,13 +178,11 @@ def canonicalize(neck: Necklace) -> NecklaceClass:
 # -- enumeration and cycle structure ----------------------------------------------
 
 
-def _check_size(k: int, n: int, bound: int) -> None:
+def _check_size(k: int, n: int) -> None:
     if k < 1:
         raise ValueError("at least one stone pair is required")
     if n < 1:
         raise ValueError("circle length must be positive")
-    if n > bound:
-        raise ResourceLimitError(f"circle length {n} exceeds the bound {bound}")
 
 
 def _canonical_sequences(k: int, n: int) -> List[Seq]:
@@ -235,9 +231,9 @@ def _successors(seqs: List[Seq]) -> List[int]:
     return succ
 
 
-def enumerate_necklaces(k: int, n: int, bound: int = DEFAULT_BOUND) -> List[NecklaceClass]:
+def enumerate_necklaces(k: int, n: int) -> List[NecklaceClass]:
     """All (k, n) arrangement classes, sorted by canonical representative."""
-    _check_size(k, n, bound)
+    _check_size(k, n)
     necks = sorted((_place(n, seq) for seq in _canonical_sequences(k, n)),
                    key=lambda neck: neck.stones)
     return [NecklaceClass(neck) for neck in necks]
@@ -259,9 +255,9 @@ def _cycles(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(lengths.items()))
 
 
-def cycle_structure(k: int, n: int, bound: int = DEFAULT_BOUND) -> Dict[int, int]:
+def cycle_structure(k: int, n: int) -> Dict[int, int]:
     """Multiset of cycle lengths of the step transformation, as length -> count."""
-    _check_size(k, n, bound)
+    _check_size(k, n)
     return dict(_cycles(k, n))
 
 
@@ -269,19 +265,19 @@ def format_cycle_structure(lengths: Dict[int, int]) -> str:
     return " ".join(f"{size}^{count}" for size, count in sorted(lengths.items()))
 
 
-def cycle_length_lcm(k: int, n: int, bound: int = DEFAULT_BOUND) -> int:
+def cycle_length_lcm(k: int, n: int) -> int:
     """Least common multiple of all cycle lengths (1 for an empty graph)."""
-    _check_size(k, n, bound)
+    _check_size(k, n)
     return lcm(*(size for size, _ in _cycles(k, n)), 1)
 
 
-def verify_cycle_divisibility(k: int, n: int, bound: int = DEFAULT_BOUND) -> bool:
+def verify_cycle_divisibility(k: int, n: int) -> bool:
     """Do all cycle lengths divide n - 3k?"""
-    return (n - 3 * k) % cycle_length_lcm(k, n, bound) == 0
+    return (n - 3 * k) % cycle_length_lcm(k, n) == 0
 
 
-def transitions(k: int, n: int, bound: int = DEFAULT_BOUND) -> List[Tuple[NecklaceClass, NecklaceClass]]:
-    classes = enumerate_necklaces(k, n, bound)
+def transitions(k: int, n: int) -> List[Tuple[NecklaceClass, NecklaceClass]]:
+    classes = enumerate_necklaces(k, n)
     succ = _successors([_sequence(cls.canonical) for cls in classes])
     return [(cls, classes[j]) for cls, j in zip(classes, succ)]
 
@@ -344,7 +340,7 @@ def collapse_top_blocks(p: Pattern) -> Pattern:
     return out
 
 
-def check_correspondence(n: int, bound: int = DEFAULT_BOUND) -> bool:
+def check_correspondence(n: int) -> bool:
     """The three structural identities tying arrangements to patterns.
 
     For every (k, n) class: converting to a pattern gives a proper reducible
@@ -353,7 +349,6 @@ def check_correspondence(n: int, bound: int = DEFAULT_BOUND) -> bool:
     the new first-row blocks, as classes.
     """
     for k in range(1, n // 4 + 1):
-        _check_size(k, n, bound)
         for seq in _canonical_sequences(k, n):
             pat = pattern_of_necklace(_place(n, seq))
             word = _parse(pat)  # the one properness check of the class
@@ -376,10 +371,10 @@ def necklace_to_json_obj(neck: Necklace) -> dict:
     return {"schema": 1, "n": neck.n, "stones": [list(s) for s in neck.stones]}
 
 
-def dot_transition_graph(k: int, n: int, bound: int = DEFAULT_BOUND) -> str:
+def dot_transition_graph(k: int, n: int) -> str:
     """The step transformation on classes in DOT format."""
     lines = [f'digraph "neck_{k}_{n}" {{']
-    for src, dst in transitions(k, n, bound):
+    for src, dst in transitions(k, n):
         lines.append(f'  "{format_necklace(src.canonical)}" -> '
                      f'"{format_necklace(dst.canonical)}";')
     lines.append("}")

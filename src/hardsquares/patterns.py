@@ -49,14 +49,11 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import ResourceLimitError, RuleInapplicableError
+from .errors import RuleInapplicableError
 from .graphs import Graph, GridSpec, _orbits, _row_step, build_grid, grid_vertex
 
 
 Bits = Tuple[int, ...]
-# enumerate_proper's default bound and the largest --nmax of verify
-# conjectures, which runs the pattern route up to it.
-PROPER_BOUND = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -341,7 +338,7 @@ def leftmost_block_middle(p: Pattern) -> int:
 # -- enumeration ---------------------------------------------------------------------
 
 
-def enumerate_proper(n: int, bound: int = PROPER_BOUND) -> List[PatternClass]:
+def enumerate_proper(n: int) -> List[PatternClass]:
     """All canonical proper pattern classes of length n.
 
     Every word the grammar derives from "part" or "ones", deduplicated
@@ -349,8 +346,6 @@ def enumerate_proper(n: int, bound: int = PROPER_BOUND) -> List[PatternClass]:
     """
     if n < 2 or n % 2:
         raise ValueError("pattern length must be even and at least 2")
-    if n > bound:
-        raise ResourceLimitError(f"pattern length {n} exceeds the bound {bound}")
     return sorted({
         canonicalize(Pattern(tuple(int(x == "c") for x in word),
                              tuple(int(x != "a") for x in word)))

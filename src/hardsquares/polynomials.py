@@ -253,6 +253,18 @@ def cyclotomic(d: int) -> IntPoly:
     return p
 
 
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of cyclotomic(d), by trial division."""
+    phi, m, q = d, d, 2
+    while q * q <= m:
+        if m % q == 0:
+            phi -= phi // q
+            while m % q == 0:
+                m //= q
+        q += 1
+    return phi - phi // m if m > 1 else phi
+
+
 def factor_cyclotomic(p: IntPoly) -> Tuple[Dict[int, int], IntPoly]:
     """Split off all cyclotomic factors Φ_d with φ(d) ≤ deg(p).
 
@@ -268,13 +280,11 @@ def factor_cyclotomic(p: IntPoly) -> Tuple[Dict[int, int], IntPoly]:
     # φ(d) ≥ sqrt(d/2), so orders beyond 2(deg+1)^2 cannot divide
     limit = 2 * (p.degree + 1) ** 2
     while d <= limit and rem.degree > 0:
-        phi = cyclotomic(d)
-        if phi.degree <= rem.degree:
+        if _totient(d) <= rem.degree:  # Φ_d is built only when it can divide
+            phi = cyclotomic(d)
             while phi.divides(rem):
                 rem = rem.exact_div(phi)
                 factors[d] = factors.get(d, 0) + 1
-                if rem.degree < phi.degree:
-                    break
         d += 1
     return factors, rem
 

@@ -216,7 +216,7 @@ def test_denominator_product_status_by_circumference():
 def test_criterion_06_reduced_series_periods():
     expected = {2: 4, 6: 12, 10: 56}
     periods = {n: periodicity_report(n).period for n in expected}
-    p14 = periodicity_report(14, gf=cylinder_gf(14, bound=14)).period
+    p14 = periodicity_report(14, gf=cylinder_gf(14)).period
     ok = periods == expected and p14 == 880
     detail = ", ".join(f"n={n}: {p}" for n, p in sorted(periods.items()))
     detail += f", n=14: {p14}"
@@ -244,7 +244,7 @@ def test_criterion_07_cycle_structure_table():
 def test_criterion_08_cycle_length_divisibility():
     nmax = 36 if EXTENDED else 24
     ok = all(
-        verify_cycle_divisibility(k, n, bound=nmax)
+        verify_cycle_divisibility(k, n)
         for n in range(4, nmax + 1, 2)
         for k in range(1, n // 4 + 1)
     )

@@ -8,19 +8,22 @@
   exit 2 with one error line and no output.
 - genfun prints the factored generating function; even circumferences use
   the pattern route, odd ones the fitted route and come out as the two
-  known shapes.  An odd circumference above --bound-n (default 18) exits 2
-  before the fit starts.
+  known shapes.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
-  missing -k/-n is a usage error (exit 2).  An --nmax above the circle
-  bound exits 2 before any necklace work, and a step that fails to permute
+  missing -k/-n is a usage error (exit 2).  A step that fails to permute
   the classes is a one-line internal consistency failure (exit 1).
-- witten and table1 refuse mask widths above the bound (exit 2) instead of
-  starting an exponential walk, and --bound-n overrides the limit.
-- verify checks --nmax against the bound of every suite it will run
-  (identities 18, conjectures 16, correspondence 28) before any work, and
-  exits 2 above it.  An --nmax below a selected sweep's floor (identities
-  0, conjectures 2, correspondence and necklace verify 4), where the sweep
-  would check no circumference, also exits 2 with one error line.
+- cli.BOUNDS is the one size policy: width 18 (witten, table1, odd genfun,
+  verify identities), pattern 16 (even genfun, verify conjectures) and
+  circle 28 (necklace, verify correspondence; verify all takes the least).
+  For every command the size at its row's bound reaches the library, and
+  one above it exits 2 with one `exceeds the bound` line and no output
+  before any library work starts; --bound-n raises and lowers the bound.
+  Mask widths follow the enumerated width, not the raw sizes.
+- an --nmax below a selected sweep's floor (identities 0, conjectures 2,
+  correspondence and necklace verify 4), where the sweep would check no
+  circumference, also exits 2 with one error line.
+- any other exception in a command (a KeyError, a MemoryError) exits 3
+  with one `internal error:` line and no traceback.
 - verify identities and correspondence pass; verify conjectures fails on
   exactly the circumference-4 denominator form and nothing else, so its
   exit code is 1 and the failure list is machine readable.
@@ -134,7 +137,7 @@ def test_genfun_json(capsys):
 
 
 def test_genfun_bound(capsys):
-    code, _, err = run_cli(capsys, "genfun", "-n", "14")
+    code, _, err = run_cli(capsys, "genfun", "-n", "18")
     assert code == 2 and "error" in err
     code, out, _ = run_cli(capsys, "genfun", "-n", "0")
     assert code == 2
@@ -150,7 +153,7 @@ def test_odd_genfun_above_the_bound_exits_two(capsys, monkeypatch):
     for argv, bound in ((["-n", "19"], 18), (["-n", "13", "--bound-n", "11"], 11)):
         code, out, err = run_cli(capsys, "genfun", *argv)
         assert code == 2 and out == ""
-        assert f"above the bound {bound}" in err
+        assert f"exceeds the bound {bound}" in err
 
 
 def test_witten_and_table_refuse_wide_rings(capsys):
@@ -179,6 +182,67 @@ def test_witten_and_table_refuse_wide_rings(capsys):
     code, out, _ = run_cli(capsys, "table1", "-m", "0", "--nmax", "3",
                            "--bound-n", "2", "--format", "csv")
     assert code == 0  # height-0 rows never build masks
+
+
+# command with {} for the size, its BOUNDS row, the largest size accepted,
+# the least refused, and the library function the command calls first
+BOUND_CASES = [
+    ("witten --family cylinder -m 3 -n {}", "width", 18, 19, "witten_transfer"),
+    ("witten --family torus -m {} -n 30", "width", 18, 19, "witten_transfer"),
+    ("table1 -m 2 --nmax {}", "width", 18, 19, "column_series"),
+    ("genfun -n {}", "width", 17, 19, "fitted_cylinder_gf"),
+    ("genfun -n {}", "pattern", 16, 18, "cylinder_gf"),
+    ("verify identities --nmax {}", "width", 18, 19, "verify_index_identities"),
+    ("verify conjectures --nmax {}", "pattern", 16, 17, "cylinder_gf"),
+    ("verify correspondence --nmax {}", "circle", 28, 29, "check_correspondence"),
+    ("verify all --nmax {}", "pattern", 16, 17, "verify_index_identities"),
+    ("necklace enumerate -k 2 -n {}", "circle", 28, 29, "enumerate_necklaces"),
+    ("necklace cycles -k 2 -n {}", "circle", 28, 29, "cycle_structure"),
+    ("necklace dot -k 2 -n {}", "circle", 28, 29, "dot_transition_graph"),
+    ("necklace verify --nmax {}", "circle", 28, 29, "verify_cycle_divisibility"),
+]
+
+
+def test_every_command_checks_its_bound_row_before_work(capsys, monkeypatch):
+    assert cli.BOUNDS == {"width": 18, "pattern": 16, "circle": 28}
+
+    def started(*args, **kwargs):
+        raise LookupError("work started")
+
+    def run(template, size, *extra):
+        return run_cli(capsys, *template.format(size).split(), *extra)
+
+    def refused(result, bound):
+        code, out, err = result
+        return (code == 2 and out == "" and len(err.splitlines()) == 1
+                and err.startswith("error: ") and f"exceeds the bound {bound}\n" in err)
+
+    accepted = (3, "", "internal error: LookupError: work started\n")
+    for template, row, top, over, entry in BOUND_CASES:
+        monkeypatch.setattr(cli, entry, started)
+        case = (template, row)
+        assert run(template, top) == accepted, case
+        assert refused(run(template, over), cli.BOUNDS[row]), case
+        if not template.startswith("verify"):  # --bound-n replaces the row
+            assert run(template, over, "--bound-n", str(over)) == accepted, case
+            assert refused(run(template, top, "--bound-n", str(top - 1)), top - 1), case
+        monkeypatch.undo()
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def key_error(args, parser):
+        raise KeyError("missing")
+
+    def out_of_memory(args, parser):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_witten", key_error)
+    monkeypatch.setattr(cli, "cmd_genfun", out_of_memory)
+    for argv, line in ((["witten", "-m", "2", "-n", "4"], "KeyError: 'missing'"),
+                       (["genfun", "-n", "6"], "MemoryError: ")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err == f"internal error: {line}\n", argv
 
 
 def test_necklace_cycles(capsys):

@@ -37,7 +37,7 @@ import pytest
 
 from hardsquares import cli, genfun
 from hardsquares.cli import main
-from hardsquares.errors import ConsistencyError, ResourceLimitError
+from hardsquares.errors import ConsistencyError
 from hardsquares.genfun import (
     check_block_count_denominator,
     check_denominator_form,
@@ -100,7 +100,7 @@ def test_blockless_denominators():
 def test_cylinder_gf_matches_golden_reduced_forms():
     table = load_reduced_forms()
     for n in (2, 4, 6, 8, 10, 12, 14):
-        gf = cylinder_gf(n, bound=14)
+        gf = cylinder_gf(n)
         num, factors = table[n]
         assert gf.num == num, n
         got_factors, remainder = factor_cyclotomic(gf.den)
@@ -111,7 +111,7 @@ def test_cylinder_gf_series_prefix_is_column_series():
     # n = 16 has no stored form: cylinder_gf raises unless the pattern route
     # and the certified fit agree
     for n in (2, 4, 6, 8, 16):
-        assert series_expand(cylinder_gf(n, bound=n), 24) == column_series(n, 24)
+        assert series_expand(cylinder_gf(n), 24) == column_series(n, 24)
 
 
 def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
@@ -127,7 +127,7 @@ def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
 
 
 def test_cached_pattern_series_are_reduced():
-    cylinder_gf(14, bound=14)
+    cylinder_gf(14)
     assert len(genfun._PATTERN_GF) >= 64  # the n = 14 classes walked
     for g in genfun._PATTERN_GF.values():
         assert g == RationalGF(g.num, g.den)  # equality is structural
@@ -139,7 +139,7 @@ def test_non_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys)
     with pytest.raises(ConsistencyError, match="not an integer"):
         genfun._validate_pattern_gf(cls, bad)
     monkeypatch.setattr(cli, "cylinder_gf",
-                        lambda n, bound: genfun._validate_pattern_gf(cls, bad))
+                        lambda n: genfun._validate_pattern_gf(cls, bad))
     assert main(["genfun", "-n", "6"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("FAIL internal consistency:")
@@ -151,8 +151,6 @@ def test_cylinder_gf_validation():
         cylinder_gf(7)
     with pytest.raises(ValueError):
         cylinder_gf(0)
-    with pytest.raises(ResourceLimitError):
-        cylinder_gf(14)  # default bound is 12
 
 
 def test_fitted_route_odd_circumference():
@@ -232,7 +230,7 @@ def test_periodicity_reports():
         report = periodicity_report(n)
         assert report.period is None
         assert report.max_multiplicity == 2
-    assert periodicity_report(14, gf=cylinder_gf(14, bound=14)).period == 880
+    assert periodicity_report(14, gf=cylinder_gf(14)).period == 880
 
 
 def test_periodic_tail_values():

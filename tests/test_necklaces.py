@@ -7,14 +7,12 @@ Claims covered:
   one-pair arrangement walks the frozen orbit
   (widest gap -> gap 3 -> shrinking long vectors).
 - canonicalize identifies rotated and reflected arrangements.
-- enumeration is empty exactly when 4k > n, respects its resource bound,
-  and its classes are all valid.
+- enumeration is empty exactly when 4k > n, rejects k < 1, and its classes
+  are all valid.  Size bounds belong to the command line (test_cli).
 - the sequence kernel agrees with the deduplicating enumerator and the
   step on positioned Necklace objects: the same classes and transitions for
   every k and every n <= 24 (odd n included), and the same step and class
   on random valid arrangements.
-- the cycle cache is keyed on (k, n) alone, and every call still checks its
-  own bound.
 - cycle structures match the golden table for every n <= 24 cell (the full
   file through n = 36 with HARDSQUARES_EXTENDED=1), and the closed forms:
   one pair gives one (n-3)-cycle, 2k stones on 4k intervals give one fixed
@@ -29,7 +27,6 @@ Claims covered:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardsquares.errors import ResourceLimitError
 from hardsquares.necklaces import (
     Necklace,
     NecklaceClass,
@@ -132,8 +129,6 @@ def test_enumeration_counts_and_bounds():
     assert len(enumerate_necklaces(2, 12)) == 14
     with pytest.raises(ValueError):
         enumerate_necklaces(0, 12)
-    with pytest.raises(ResourceLimitError):
-        enumerate_necklaces(2, 30)
     for cls in enumerate_necklaces(2, 14):
         assert is_valid(cls.canonical)
 
@@ -144,17 +139,8 @@ def test_cycle_structures_match_golden_table():
     for (n, k), expect in sorted(golden.items()):
         if n > limit:
             continue
-        got = format_cycle_structure(cycle_structure(k, n, bound=36))
+        got = format_cycle_structure(cycle_structure(k, n))
         assert got == expect, (n, k, got, expect)
-
-
-def test_cycle_cache_still_checks_the_bound():
-    assert cycle_structure(1, 30, bound=36) == {27: 1}
-    with pytest.raises(ResourceLimitError):
-        cycle_structure(1, 30)
-    with pytest.raises(ResourceLimitError):
-        cycle_length_lcm(1, 30, bound=29)
-    assert cycle_length_lcm(1, 30, bound=30) == 27
 
 
 def test_enumeration_and_step_match_dedupe_oracle():
@@ -210,6 +196,7 @@ def test_cycle_lengths_divide_slack():
 
 def test_cycle_length_lcm_values():
     assert cycle_length_lcm(1, 6) == 3
+    assert cycle_length_lcm(1, 30) == 27  # above the command line's circle bound
     assert cycle_length_lcm(2, 12) == 6
     assert cycle_length_lcm(2, 10) == 4
     assert cycle_length_lcm(3, 12) == 1

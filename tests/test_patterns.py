@@ -28,7 +28,7 @@ Claims covered:
 - peel and block-middle deletions stay proper with the expected block_count
   (unchanged for peel and the neighborhood deletion, one less for the plain
   deletion).
-- enumeration respects its bound; the n = 18 classes are distinct and
+- enumeration rejects odd lengths; the n = 18 classes are distinct and
   proper, and their block counts take every value 0..4.
 """
 
@@ -37,7 +37,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardsquares.errors import ResourceLimitError, RuleInapplicableError
+from hardsquares.errors import RuleInapplicableError
 from hardsquares.graphs import GridSpec, witten_brute, witten_transfer
 from hardsquares.patterns import (
     Pattern,
@@ -345,11 +345,9 @@ def test_operation_preconditions():
 
 
 def test_enumeration_bound_and_filter():
-    with pytest.raises(ResourceLimitError):
-        enumerate_proper(18)
     with pytest.raises(ValueError):
         enumerate_proper(7)
-    everything = enumerate_proper(18, bound=18)
+    everything = enumerate_proper(18)
     assert len(set(everything)) == len(everything)
     assert all(is_proper(c.canonical) for c in everything)
     assert {block_count(c.canonical) for c in everything} == {0, 1, 2, 3, 4}
@@ -364,4 +362,4 @@ def test_grammar_matches_the_row_scanners():
             if want is not None:
                 assert block_count(p) == want, str(p)
     for n in range(2, (18 if EXTENDED else 14) + 1, 2):
-        assert enumerate_proper(n, bound=n) == enumerate_proper_oracle(n), n
+        assert enumerate_proper(n) == enumerate_proper_oracle(n), n

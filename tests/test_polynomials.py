@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic, cyclotomic factorization, and recurrence fits.
 
 Covers: IntPoly ring operations and exact division, primitive gcd
-normalization, cyclotomic polynomials and the factor-splitting routine,
-RationalGF canonical reduction, power-series expansion, and the
+normalization, cyclotomic polynomials and the factor-splitting routine
+(which builds Φ_d only when φ(d), found by trial division, is at most the
+degree left to split), RationalGF canonical reduction, power-series expansion, and the
 Berlekamp-Massey fit including its refusal on short input.
 
 The integer division and expansion agree with the Fraction oracles of
@@ -17,10 +18,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from hardsquares import polynomials
 from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import column_series
 from hardsquares.polynomials import (
     ONE,
+    _totient,
     IntPoly,
     RationalGF,
     T,
@@ -120,6 +123,21 @@ def test_factor_cyclotomic():
     assert format_cyclotomic({1: 1, 2: 2}, P(-1)) == "-1 * Phi_1 * Phi_2^2"
 
 
+def test_totient_is_the_cyclotomic_degree():
+    assert [_totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert all(_totient(d) == cyclotomic(d).degree for d in range(1, 300))
+
+
+def test_factor_cyclotomic_builds_only_orders_that_can_divide(monkeypatch):
+    # a non-cyclotomic factor keeps the scan going to 2(deg + 1)^2 = 882
+    p = P(3, -1, 1) * cyclotomic(7) ** 3
+    built = []
+    monkeypatch.setattr(polynomials, "cyclotomic",
+                        lambda d: built.append(d) or cyclotomic(d))
+    assert factor_cyclotomic(p) == ({7: 3}, P(3, -1, 1))
+    assert 7 in built and all(cyclotomic(d).degree <= p.degree for d in built)
+
+
 # -- rational functions ---------------------------------------------------------
 
 
@@ -193,7 +211,7 @@ def test_series_expand_matches_the_fraction_oracle(num, high, den0, upto):
 
 
 # pure products stop the scan at the largest order; a non-cyclotomic factor
-# makes it run to 2(deg + 1)^2, so those products stay short
+# makes it run to 2(deg + 1)^2
 cyclotomic_products = st.one_of(
     st.tuples(st.lists(st.integers(1, 30), max_size=4), st.sampled_from([ONE, P(-1)])),
     st.tuples(st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3),
