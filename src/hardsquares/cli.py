@@ -171,11 +171,11 @@ def cmd_witten(args: argparse.Namespace,
 
 def cmd_table1(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    spec = GridSpec("cylinder", args.m, args.nmax)  # rejects negative sizes
+    GridSpec("cylinder", args.m, args.nmax)  # rejects negative sizes
+    # every height pays one series per column, so --nmax is bounded at m = 0 too
+    _check_bound("row-mask width", args.nmax, "width", override=args.bound_n)
     cols = list(range(2, args.nmax + 1))
     rows = list(range(0, args.m + 1))
-    if cols and args.m >= 1:
-        _check_bound("row-mask width", transfer_width(spec), "width", override=args.bound_n)
     series = [column_series(n, args.m) for n in cols]
     table = {m: [s[m] for s in series] for m in rows}
     if args.format == "json":

@@ -56,7 +56,9 @@ from .polynomials import (
     series_expand,
 )
 
-_PATTERN_GF: Dict[PatternClass, RationalGF] = {}
+# the series of every class walked, one dict per circumference (a successor
+# walk never leaves its n); only the last four circumferences used are kept
+_PATTERN_GF: Dict[int, Dict[PatternClass, RationalGF]] = {}
 
 
 def _validate_pattern_gf(cls: PatternClass, gf: RationalGF) -> RationalGF:
@@ -80,15 +82,18 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
     solves its terminal cycle, and back-substitutes (see module docstring).
     """
     cls = canonicalize(p) if isinstance(p, Pattern) else p
-    if cls in _PATTERN_GF:
-        return _PATTERN_GF[cls]
+    memo = _PATTERN_GF[cls.n] = _PATTERN_GF.pop(cls.n, {})  # the most recent
+    if len(_PATTERN_GF) > 4:
+        del _PATTERN_GF[next(iter(_PATTERN_GF))]
+    if cls in memo:
+        return memo[cls]
 
     # Walk successors until we hit a known class or close a cycle.
     # step = (class, side series, sign, shift): F = side + sign * t^shift * F_next
     path: List[Tuple[PatternClass, RationalGF, int, int]] = []
     position: Dict[PatternClass, int] = {}
     cur = cls
-    while cur not in position and cur not in _PATTERN_GF:
+    while cur not in position and cur not in memo:
         position[cur] = len(path)
         q = cur.canonical
         if is_reducible(q):
@@ -102,8 +107,8 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
             path.append((cur, side, -1, 0))
             cur = canonicalize(delete_top_neighborhood(q, mid))
 
-    if cur in _PATTERN_GF:
-        series = _PATTERN_GF[cur]
+    if cur in memo:
+        series = memo[cur]
     else:
         # Solve the cycle F_c = A + sigma * t^a * F_c.
         start = position[cur]
@@ -120,8 +125,8 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
     # one gcd per step: the signed shift keeps series reduced, only + reduces
     for cls_j, side, sign, shift in reversed(path):
         series = side + series.times_monomial(sign, shift)
-        _PATTERN_GF[cls_j] = _validate_pattern_gf(cls_j, series)
-    return _PATTERN_GF[cls]
+        memo[cls_j] = _validate_pattern_gf(cls_j, series)
+    return memo[cls]
 
 
 def fitted_cylinder_gf(n: int) -> RationalGF:

@@ -22,9 +22,12 @@ Two independent evaluation routes are provided: ``witten_brute`` (recursive
 deletion on an explicit graph) and ``witten_transfer`` (row transfer); they
 must always agree.  The transfer has two primitives: ``_orbits(n)``, the
 dihedral orbits of the ring C_n's independent states (49 / 99 / 209 for
-843 / 2207 / 5778 states at n = 14 / 16 / 18) with the orbit matrix that
-cylinders iterate, and ``_row_step``, one row stacked cell by cell on a
-sparse {mask: signed count} dict, for free grids, tori and masked rows.
+843 / 2207 / 5778 states at n = 14 / 16 / 18), their orbit matrix B and
+the powers B^k w kept so far, and ``_row_step``, one row stacked cell by
+cell on a sparse {mask: signed count} dict, for free grids, tori and
+masked rows.  ``column_series`` is the one column kernel: it stacks any
+masked top rows (none for cylinders, two for patterns) with ``_row_step``
+and reads every later row from the kept powers.
 """
 
 from __future__ import annotations
@@ -335,22 +338,28 @@ def _row_step(vec: Dict[int, int], n: int, allowed: int, cyclic: bool) -> Dict[i
 
 class RingOrbits:
     """Dihedral orbits of a ring's independent states: least member, size
-    and sign w = (-1)^|rep| per orbit, the orbit of every state, and the
-    sparse rows (b, B[a][b]) of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0}."""
+    and sign w = (-1)^|rep| per orbit, the orbit of every state, the sparse
+    rows (b, B[a][b]) of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0},
+    and the powers B^k w computed so far, shared by every caller."""
 
     # a plain class: a dataclass costs about 1 ms at import
-    __slots__ = ("reps", "sizes", "weights", "orbit_of", "matrix")
+    __slots__ = ("reps", "sizes", "weights", "orbit_of", "matrix", "powers")
 
     def __init__(self, reps, sizes, weights, orbit_of, matrix):
         self.reps, self.sizes, self.weights = reps, sizes, weights
         self.orbit_of, self.matrix = orbit_of, matrix
+        self.powers = [weights]
 
-    def step(self, u: Sequence[int]) -> Tuple[int, ...]:
-        """B u: one more ring row on a dihedral-invariant vector."""
-        return tuple(sum(c * u[b] for b, c in row) for row in self.matrix)
+    def power(self, k: int) -> Tuple[int, ...]:
+        """B^k w: k + 1 free ring rows on each representative, kept."""
+        powers = self.powers
+        while len(powers) <= k:
+            u = powers[-1]
+            powers.append(tuple(sum(c * u[b] for b, c in row) for row in self.matrix))
+        return powers[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _orbits(n: int) -> RingOrbits:
     full = (1 << n) - 1
     orbit_of: Dict[int, int] = {}
@@ -371,17 +380,25 @@ def _orbits(n: int) -> RingOrbits:
     return RingOrbits(tuple(reps), tuple(sizes), weights, orbit_of, tuple(matrix))
 
 
-def column_series(n: int, mmax: int) -> List[int]:
-    """[Z(P_0 x C_n), Z(P_1 x C_n), ..., Z(P_mmax x C_n)]."""
+def column_series(n: int, mmax: int, masks: Sequence[int] = ()) -> List[int]:
+    """[Z of rows 1..m of P_mmax x C_n for m = 0..mmax], row i + 1 restricted
+    to masks[i].  The masked counts fold into orbits, read against B^k w
+    below them; with no masks, Z(P_m x C_n) = (B^m w)[orbit of 0]."""
     if n < 0 or mmax < 0:
         raise ValueError("column_series needs n >= 0 and mmax >= 0")
-    out = [1]
-    if mmax:
+    vec, out = {0: 1}, [1]
+    for mask in masks[:mmax]:
+        vec = _row_step(vec, n, mask, cyclic=True)
+        out.append(sum(vec.values()))
+    if mmax > len(masks):
         orb = _orbits(n)
-        u = orb.weights
-        for m in range(mmax):
-            u = orb.step(u) if m else u
-            out.append(sum(size * x for size, x in zip(orb.sizes, u)))
+        fold: Dict[int, int] = {}
+        for s, v in vec.items():
+            a = orb.orbit_of[s]
+            fold[a] = fold.get(a, 0) + orb.weights[a] * v  # B^k w counts s's sign again
+        for k in range(1, mmax - len(masks) + 1):
+            u = orb.power(k)
+            out.append(sum(f * u[a] for a, f in fold.items()))
     return out
 
 

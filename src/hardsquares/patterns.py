@@ -45,12 +45,11 @@ m = 0, 1 values separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import RuleInapplicableError
-from .graphs import Graph, GridSpec, _orbits, _row_step, build_grid, grid_vertex
+from .graphs import Graph, GridSpec, build_grid, column_series, grid_vertex
 
 
 Bits = Tuple[int, ...]
@@ -144,37 +143,11 @@ def masked_graph(p: Pattern, m: int) -> Graph:
     return g.without_vertices(drop)
 
 
-@lru_cache(maxsize=None)
-def _tail_vector(n: int, r: int) -> Tuple[int, ...]:
-    """Orbit vector of r + 1 free ring rows stacked on each representative."""
-    orb = _orbits(n)
-    if r == 0:
-        return orb.weights
-    return orb.step(_tail_vector(n, r - 1))
-
-
-def _row_mask(row: Bits) -> int:
-    return sum(b << i for i, b in enumerate(row))
-
-
 def z_pattern_series(p: Pattern, m_max: int) -> List[int]:
-    """[z(P;m) for m = 0..m_max] with the m < 2 entries set to 0.
-
-    Transfer evaluation: rows 1 and 2 are cell-by-cell steps restricted to
-    the masks; the row-2 counts are folded into dihedral orbits, where rows
-    3..m are the cached orbit vectors of the free ring.
-    """
-    orb = _orbits(p.n)
-    row1 = _row_step({0: 1}, p.n, _row_mask(p.row1), cyclic=True)
-    base = _row_step(row1, p.n, _row_mask(p.row2), cyclic=True)
-    fold = [0] * len(orb.reps)
-    for s2, v in base.items():
-        a = orb.orbit_of[s2]
-        fold[a] += orb.weights[a] * v  # the tail vectors count s2's sign again
-    out = [0] * (m_max + 1)
-    for m in range(2, m_max + 1):
-        out[m] = sum(f * x for f, x in zip(fold, _tail_vector(p.n, m - 2)))
-    return out
+    """[z(P;m) for m = 0..m_max] with the m < 2 entries set to 0: the column
+    kernel with rows 1 and 2 masked by the pattern's rows."""
+    masks = tuple(sum(b << i for i, b in enumerate(row)) for row in (p.row1, p.row2))
+    return [0, 0][:m_max + 1] + column_series(p.n, m_max, masks)[2:]
 
 
 def z_pattern(p: Pattern, m: int) -> int:

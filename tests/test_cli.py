@@ -16,9 +16,10 @@
   verify identities), pattern 16 (even genfun, verify conjectures) and
   circle 28 (necklace, verify correspondence; verify all takes the least).
   For every command the size at its row's bound reaches the library, and
-  one above it exits 2 with one `exceeds the bound` line and no output
-  before any library work starts; --bound-n raises and lowers the bound.
-  Mask widths follow the enumerated width, not the raw sizes.
+  one above it exits 2 with the one line `error: <subject> <size> exceeds
+  the bound <B>` and no output before any library work starts; --bound-n
+  raises and lowers the bound.  Mask widths follow the enumerated width,
+  not the raw sizes, but table1 bounds --nmax at every height, m = 0 too.
 - an --nmax below a selected sweep's floor (identities 0, conjectures 2,
   correspondence and necklace verify 4), where the sweep would check no
   circumference, also exits 2 with one error line.
@@ -145,17 +146,6 @@ def test_genfun_bound(capsys):
     assert code == 0 and out == "f_17(t) = (-1) / (Phi_1)\n"
 
 
-def test_odd_genfun_above_the_bound_exits_two(capsys, monkeypatch):
-    def no_work(n):
-        raise AssertionError("the fit started before the bound check")
-
-    monkeypatch.setattr(cli, "fitted_cylinder_gf", no_work)
-    for argv, bound in ((["-n", "19"], 18), (["-n", "13", "--bound-n", "11"], 11)):
-        code, out, err = run_cli(capsys, "genfun", *argv)
-        assert code == 2 and out == ""
-        assert f"exceeds the bound {bound}" in err
-
-
 def test_witten_and_table_refuse_wide_rings(capsys):
     # the transfer walk is exponential in the mask width, so oversized
     # requests must die fast with a bounds error instead of grinding
@@ -179,27 +169,33 @@ def test_witten_and_table_refuse_wide_rings(capsys):
     code, out, _ = run_cli(capsys, "table1", "-m", "1", "--nmax", "3",
                            "--bound-n", "2", "--format", "csv")
     assert code == 2
+    # a height-0 table builds no masks but still one series per column
     code, out, _ = run_cli(capsys, "table1", "-m", "0", "--nmax", "3",
                            "--bound-n", "2", "--format", "csv")
-    assert code == 0  # height-0 rows never build masks
+    assert code == 2
 
 
-# command with {} for the size, its BOUNDS row, the largest size accepted,
-# the least refused, and the library function the command calls first
+# command with {} for the size, its BOUNDS row, the subject of its refusal
+# line, the largest size accepted, the least refused, and the library
+# function the command calls first
 BOUND_CASES = [
-    ("witten --family cylinder -m 3 -n {}", "width", 18, 19, "witten_transfer"),
-    ("witten --family torus -m {} -n 30", "width", 18, 19, "witten_transfer"),
-    ("table1 -m 2 --nmax {}", "width", 18, 19, "column_series"),
-    ("genfun -n {}", "width", 17, 19, "fitted_cylinder_gf"),
-    ("genfun -n {}", "pattern", 16, 18, "cylinder_gf"),
-    ("verify identities --nmax {}", "width", 18, 19, "verify_index_identities"),
-    ("verify conjectures --nmax {}", "pattern", 16, 17, "cylinder_gf"),
-    ("verify correspondence --nmax {}", "circle", 28, 29, "check_correspondence"),
-    ("verify all --nmax {}", "pattern", 16, 17, "verify_index_identities"),
-    ("necklace enumerate -k 2 -n {}", "circle", 28, 29, "enumerate_necklaces"),
-    ("necklace cycles -k 2 -n {}", "circle", 28, 29, "cycle_structure"),
-    ("necklace dot -k 2 -n {}", "circle", 28, 29, "dot_transition_graph"),
-    ("necklace verify --nmax {}", "circle", 28, 29, "verify_cycle_divisibility"),
+    ("witten --family cylinder -m 3 -n {}", "width", "row-mask width", 18, 19,
+     "witten_transfer"),
+    ("witten --family torus -m {} -n 30", "width", "row-mask width", 18, 19,
+     "witten_transfer"),
+    ("table1 -m 2 --nmax {}", "width", "row-mask width", 18, 19, "column_series"),
+    ("table1 -m 0 --nmax {}", "width", "row-mask width", 18, 19, "column_series"),
+    ("genfun -n {}", "width", "row-mask width", 17, 19, "fitted_cylinder_gf"),
+    ("genfun -n {}", "pattern", "circumference", 16, 18, "cylinder_gf"),
+    ("verify identities --nmax {}", "width", "--nmax", 18, 19, "verify_index_identities"),
+    ("verify conjectures --nmax {}", "pattern", "--nmax", 16, 17, "cylinder_gf"),
+    ("verify correspondence --nmax {}", "circle", "--nmax", 28, 29, "check_correspondence"),
+    ("verify all --nmax {}", "pattern", "--nmax", 16, 17, "verify_index_identities"),
+    ("necklace enumerate -k 2 -n {}", "circle", "circle length", 28, 29,
+     "enumerate_necklaces"),
+    ("necklace cycles -k 2 -n {}", "circle", "circle length", 28, 29, "cycle_structure"),
+    ("necklace dot -k 2 -n {}", "circle", "circle length", 28, 29, "dot_transition_graph"),
+    ("necklace verify --nmax {}", "circle", "--nmax", 28, 29, "verify_cycle_divisibility"),
 ]
 
 
@@ -212,20 +208,19 @@ def test_every_command_checks_its_bound_row_before_work(capsys, monkeypatch):
     def run(template, size, *extra):
         return run_cli(capsys, *template.format(size).split(), *extra)
 
-    def refused(result, bound):
-        code, out, err = result
-        return (code == 2 and out == "" and len(err.splitlines()) == 1
-                and err.startswith("error: ") and f"exceeds the bound {bound}\n" in err)
+    def refusal(subject, size, bound):
+        return 2, "", f"error: {subject} {size} exceeds the bound {bound}\n"
 
     accepted = (3, "", "internal error: LookupError: work started\n")
-    for template, row, top, over, entry in BOUND_CASES:
+    for template, row, subject, top, over, entry in BOUND_CASES:
         monkeypatch.setattr(cli, entry, started)
         case = (template, row)
         assert run(template, top) == accepted, case
-        assert refused(run(template, over), cli.BOUNDS[row]), case
+        assert run(template, over) == refusal(subject, over, cli.BOUNDS[row]), case
         if not template.startswith("verify"):  # --bound-n replaces the row
             assert run(template, over, "--bound-n", str(over)) == accepted, case
-            assert refused(run(template, top, "--bound-n", str(top - 1)), top - 1), case
+            assert (run(template, top, "--bound-n", str(top - 1))
+                    == refusal(subject, top, top - 1)), case
         monkeypatch.undo()
 
 
@@ -285,32 +280,6 @@ def test_necklace_verify_sweep(capsys):
     assert code == 0
     assert out.endswith("pass\n")
     assert "FAIL" not in out
-
-
-def test_nmax_above_the_circle_bound_exits_two(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the sweep started before the bound check")
-
-    monkeypatch.setattr(necklaces, "_canonical_sequences", no_work)
-    for argv in (["necklace", "verify", "--nmax", "30"],
-                 ["verify", "correspondence", "--nmax", "30"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "exceeds the" in err and "bound 28" in err
-
-
-def test_verify_nmax_above_a_suite_bound_exits_two(capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a suite started before the bound check")
-
-    for name in ("verify_index_identities", "cylinder_gf", "enumerate_proper",
-                 "check_correspondence"):
-        monkeypatch.setattr(cli, name, no_work)
-    for suite, nmax, bound in (("identities", 22, 18), ("conjectures", 18, 16),
-                               ("all", 17, 16)):
-        code, out, err = run_cli(capsys, "verify", suite, "--nmax", str(nmax))
-        assert code == 2 and out == ""
-        assert f"--nmax {nmax} exceeds the bound {bound}" in err
 
 
 def test_nmax_that_sweeps_nothing_exits_two(capsys, monkeypatch):

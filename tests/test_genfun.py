@@ -13,7 +13,8 @@ Claims covered:
   and the certified fit still agree.
 - every cached pattern series is in the canonical reduced form, although
   the back-substitution reduces only its sums, and a series that is not
-  integral is a ConsistencyError (exit 1), not a usage error.
+  integral is a ConsistencyError (exit 1), not a usage error.  The class
+  memo keeps one dict for each of the last four circumferences used.
 - cylinder_gf always compares its result with the certified fit: a
   disagreeing fit is a ConsistencyError, and through the CLI one
   `FAIL internal consistency` line with exit status 1.  Invalid
@@ -128,9 +129,18 @@ def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
 
 def test_cached_pattern_series_are_reduced():
     cylinder_gf(14)
-    assert len(genfun._PATTERN_GF) >= 64  # the n = 14 classes walked
-    for g in genfun._PATTERN_GF.values():
+    assert len(genfun._PATTERN_GF[14]) >= 64  # the n = 14 classes walked
+    for g in genfun._PATTERN_GF[14].values():
         assert g == RationalGF(g.num, g.den)  # equality is structural
+
+
+def test_pattern_memo_keeps_the_last_four_circumferences():
+    for n in (2, 4, 6, 8, 10):
+        cylinder_gf(n)
+    assert list(genfun._PATTERN_GF) == [4, 6, 8, 10]
+    cylinder_gf(4)  # a hit makes n = 4 the most recent again
+    cylinder_gf(12)
+    assert list(genfun._PATTERN_GF) == [8, 10, 4, 12]
 
 
 def test_non_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys):

@@ -9,10 +9,16 @@ short-side mask routing that keeps thin grids cheap at large sizes.  The
 orbit and cell-by-cell kernels are compared with the compatibility-table
 oracle of tests/helpers on cylinders (n <= 12, m <= 24), free grids up to
 10 x 10 and tori up to 9 x 9; the dihedral orbit counts 49 / 99 / 209 at
-n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.
+n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  The column
+kernel with arbitrary masked top rows matches the same oracle (n <= 10,
+up to three masks, m <= 12, also m below the mask count).  The orbit cache
+is bounded, and the cylinder and the patterns of one ring read one kept
+list of powers B^k w.
 """
 
 from random import Random
+
+from hypothesis import given, settings, strategies as st
 
 from hardsquares.graphs import (
     FAMILIES,
@@ -28,6 +34,7 @@ from hardsquares.graphs import (
     witten_transfer,
     _orbits,
 )
+from hardsquares.patterns import Pattern, z_pattern_series
 from helpers import (
     naive_witten,
     random_graph,
@@ -229,6 +236,34 @@ def test_torus_transfer_matches_compat_oracle():
         for m in range(2, 10):
             assert witten_transfer(GridSpec("torus", m, n)) == expected[m], (m, n)
     assert witten_transfer(GridSpec("torus", 12, 12)) == 166
+
+
+@st.composite
+def masked_columns(draw):
+    n = draw(st.integers(0, 10))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+    return n, draw(st.integers(0, 12)), tuple(masks)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masked_columns())
+def test_column_kernel_with_masked_rows_matches_compat_oracle(case):
+    n, m, masks = case
+    expected = transfer_oracle(n, list(masks) + [-1] * (m - len(masks)))[: m + 1]
+    assert column_series(n, m, masks) == expected
+
+
+def test_orbit_cache_is_bounded_and_rings_share_one_power_list():
+    assert _orbits.cache_info().maxsize == 32
+    _orbits.cache_clear()
+    p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
+    z_pattern_series(p, 20)  # rows 3..20: B^0 w .. B^18 w
+    column_series(6, 12)
+    orb = _orbits(6)
+    assert len(orb.powers) == max(20 - 2, 12) + 1
+    column_series(6, 25)
+    z_pattern_series(p, 27)
+    assert _orbits(6) is orb and len(orb.powers) == max(27 - 2, 25) + 1
 
 
 def test_ring_orbits_partition_the_ring_states():
