@@ -17,9 +17,9 @@ Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
 line per failing instance) or an internal consistency check failed, 2 for
 usage errors, including requests above their row of BOUNDS (checked before
-any work starts) and sweeps whose --nmax is too small to check anything,
-and 3 for any other error, such as a KeyError or MemoryError, reported as
-one "internal error:" line on stderr.
+any work starts) and sweeps whose --nmax or -m is too small to check
+anything, and 3 for any other error, such as a KeyError or MemoryError,
+reported as one "internal error:" line on stderr.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -48,6 +48,7 @@ from .graphs import (
     GridSpec,
     column_series,
     disjoint_union,
+    identity_instances,
     random_graph,
     transfer_width,
     verify_index_identities,
@@ -243,7 +244,9 @@ def cmd_necklace(args: argparse.Namespace,
     if args.k is None or args.n is None:
         parser.error(f"necklace {args.action} requires both -k and -n")
     _check_bound("circle length", args.n, "circle", override=args.bound_n)
-    if args.action == "dot" or args.format == "dot":
+    if args.action == "dot":
+        if args.format == "json":
+            raise ValueError("necklace dot prints DOT; --format json does not apply")
         sys.stdout.write(dot_transition_graph(args.k, args.n) + "\n")
         return 0
     if args.action == "cycles":
@@ -350,10 +353,12 @@ def cmd_verify(args: argparse.Namespace,
         _check_nmax(args.nmax, max(limits[s][0] for s in chosen),
                     *(limits[s][1] for s in chosen))
     nmax = {s: limits[s][2] if args.nmax is None else args.nmax for s in chosen}
+    if "identities" in nmax and not any(identity_instances(args.m, nmax["identities"])):
+        raise ValueError(f"-m {args.m} and --nmax {nmax['identities']} leave no "
+                         f"identity instance to check")
     results, infos = [], []
     if "identities" in nmax:
-        results.extend(_suite_identities(args.m if args.m is not None else 20,
-                                         nmax["identities"], args.seed))
+        results.extend(_suite_identities(args.m, nmax["identities"], args.seed))
     if "conjectures" in nmax:
         sub, infos = _suite_conjectures(nmax["conjectures"])
         results.extend(sub)
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 24)")
     p.add_argument("--bound-n", type=int, default=None,
                    help=f"resource bound on the circle length (default {BOUNDS['circle']})")
-    p.add_argument("--format", choices=("text", "json", "dot"),
+    p.add_argument("--format", choices=("text", "json"),
                    default="text")
     p.set_defaults(handler=cmd_necklace)
 
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("identities", "conjectures", "correspondence",
                             "all"),
                    help="which sweep to run")
-    p.add_argument("-m", type=int, default=None,
+    p.add_argument("-m", type=int, default=20,
                    help="largest row count for the identity sweep "
                         "(default 20)")
     p.add_argument("--nmax", type=int, default=None,

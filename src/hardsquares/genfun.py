@@ -31,7 +31,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ConsistencyError
-from .graphs import GridSpec, _orbits, column_series, witten_transfer
+from .graphs import GridSpec, column_series, fit_window, witten_transfer
 from .patterns import (
     Pattern,
     PatternClass,
@@ -136,7 +136,7 @@ def fitted_cylinder_gf(n: int) -> RationalGF:
     at most N + 1 (Cayley-Hamilton), so Berlekamp-Massey on 2N + 2 terms is
     exact (Massey 1969); 2N + 6 terms also meet fit_recurrence's guard.
     """
-    return fit_recurrence(column_series(n, 2 * len(_orbits(n).reps) + 5))
+    return fit_recurrence(column_series(n, fit_window(n) - 1))
 
 
 def cylinder_gf(n: int) -> RationalGF:

@@ -23,11 +23,12 @@ deletion on an explicit graph) and ``witten_transfer`` (row transfer); they
 must always agree.  The transfer has two primitives: ``_orbits(n)``, the
 dihedral orbits of the ring C_n's independent states (49 / 99 / 209 for
 843 / 2207 / 5778 states at n = 14 / 16 / 18), their orbit matrix B and
-the powers B^k w kept so far, and ``_row_step``, one row stacked cell by
-cell on a sparse {mask: signed count} dict, for free grids, tori and
-masked rows.  ``column_series`` is the one column kernel: it stacks any
-masked top rows (none for cylinders, two for patterns) with ``_row_step``
-and reads every later row from the kept powers.
+the powers B^k w kept so far, at most the 2N + 6 of the fit window; and
+``_row_step``, one row stacked cell by cell on a sparse {mask: signed
+count} dict, for free grids, tori and masked rows.  ``column_series`` is
+the one column kernel: it stacks any masked top rows (none for cylinders,
+two for patterns) with ``_row_step`` and reads every later row from the
+powers B^k w.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 FAMILIES = ("free", "cylinder", "torus")
 
@@ -113,22 +115,7 @@ class Graph:
 
     def components(self) -> List[frozenset]:
         """Connected components as vertex sets, sorted by smallest member."""
-        seen = set()
-        out = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        return sorted(_components(self._adj, self.vertices), key=min)
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,12 +238,33 @@ def grid_vertex(g: Graph, row: int, col: int) -> int:
 # -- brute-force Witten index --------------------------------------------------
 
 
+def _components(adj: Dict[int, frozenset], active: frozenset) -> List[frozenset]:
+    """Connected components of the subgraph induced on active."""
+    comps: List[frozenset] = []
+    seen: set = set()
+    for start in active:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x] & active:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def witten_brute(g: Graph) -> int:
     """Witten index by recursive deletion.
 
-    Looped vertices are discarded (they join no independent set), an isolated
-    vertex forces 0, connected components multiply, and otherwise a
-    maximum-degree vertex v is pivoted on via Z = Z(G-v) - Z(G-N[v]).
+    Looped vertices are discarded once (they join no independent set, and
+    deletions add no loop), an isolated vertex forces 0, connected
+    components multiply, and otherwise a maximum-degree vertex v is pivoted
+    on via Z = Z(G-v) - Z(G-N[v]).
     """
     adj = g._adj
     memo: Dict[frozenset, int] = {}
@@ -267,31 +275,11 @@ def witten_brute(g: Graph) -> int:
         cached = memo.get(active)
         if cached is not None:
             return cached
-        looped = {v for v in active if v in adj[v]}
-        if looped:
-            result = solve(active - looped)
-            memo[active] = result
-            return result
         degs = {v: len(adj[v] & active) for v in active}
         if any(d == 0 for d in degs.values()):
             memo[active] = 0
             return 0
-        # component split
-        comps = []
-        seen: set = set()
-        for start in active:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x] & active:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
+        comps = _components(adj, active)
         if len(comps) > 1:
             result = 1
             for comp in comps:
@@ -305,7 +293,7 @@ def witten_brute(g: Graph) -> int:
         memo[active] = result
         return result
 
-    return solve(g.vertices)
+    return solve(frozenset(v for v in g.vertices if not g.has_loop(v)))
 
 
 # -- transfer-matrix Witten index ----------------------------------------------
@@ -340,23 +328,31 @@ class RingOrbits:
     """Dihedral orbits of a ring's independent states: least member, size
     and sign w = (-1)^|rep| per orbit, the orbit of every state, the sparse
     rows (b, B[a][b]) of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0},
-    and the powers B^k w computed so far, shared by every caller."""
+    the fit window 2N + 6 for N orbits, and the powers B^k w computed so far
+    below that window, shared by every caller."""
 
     # a plain class: a dataclass costs about 1 ms at import
-    __slots__ = ("reps", "sizes", "weights", "orbit_of", "matrix", "powers")
+    __slots__ = ("reps", "sizes", "weights", "orbit_of", "matrix", "window", "kept")
 
     def __init__(self, reps, sizes, weights, orbit_of, matrix):
         self.reps, self.sizes, self.weights = reps, sizes, weights
         self.orbit_of, self.matrix = orbit_of, matrix
-        self.powers = [weights]
+        self.window = 2 * len(reps) + 6
+        self.kept = [weights]
 
-    def power(self, k: int) -> Tuple[int, ...]:
-        """B^k w: k + 1 free ring rows on each representative, kept."""
-        powers = self.powers
-        while len(powers) <= k:
-            u = powers[-1]
-            powers.append(tuple(sum(c * u[b] for b, c in row) for row in self.matrix))
-        return powers[k]
+    def powers(self) -> Iterator[Tuple[int, ...]]:
+        """B^0 w, B^1 w, ...: B^k w is k + 1 free ring rows on each
+        representative.  Powers below the window are kept; deeper ones are
+        stepped from the one before and dropped."""
+        kept = self.kept
+        yield from kept
+        u, k = kept[-1], len(kept)
+        while True:
+            u = tuple(sum(c * u[b] for b, c in row) for row in self.matrix)
+            if k == len(kept) < self.window:  # another walk may have kept it
+                kept.append(u)
+            yield u
+            k += 1
 
 
 @lru_cache(maxsize=32)
@@ -396,10 +392,15 @@ def column_series(n: int, mmax: int, masks: Sequence[int] = ()) -> List[int]:
         for s, v in vec.items():
             a = orb.orbit_of[s]
             fold[a] = fold.get(a, 0) + orb.weights[a] * v  # B^k w counts s's sign again
-        for k in range(1, mmax - len(masks) + 1):
-            u = orb.power(k)
+        for u in islice(orb.powers(), 1, mmax - len(masks) + 1):
             out.append(sum(f * u[a] for a, f in fold.items()))
     return out
+
+
+def fit_window(n: int) -> int:
+    """Column terms (rows 0 .. 2N + 5 for the N orbits of C_n) that certify
+    the rational form of the column series; each ring keeps that many powers."""
+    return _orbits(n).window
 
 
 def transfer_width(spec: GridSpec) -> int:
@@ -460,30 +461,40 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-# (name, family, lhs(m, n) -> rhs instance, sign, validity predicate).
+# name -> (family, lhs(m, n) -> rhs instance, sign, validity predicate).
 # Each entry encodes Z(family, m, n) == sign * Z(family, m', n') on its range.
-_IDENTITIES = (
-    ("one_row_cylinder_shift3", "cylinder", lambda m, n: (m, n - 3), -1,
-     lambda m, n: m == 1 and n >= 4),
-    ("two_row_cylinder_shift4", "cylinder", lambda m, n: (m, n - 4), 1,
-     lambda m, n: m == 2 and n >= 5),
-    ("three_row_cylinder_shift8", "cylinder", lambda m, n: (m, n - 8), 1,
-     lambda m, n: m == 3 and n >= 9),
-    ("circumference3_shift3", "cylinder", lambda m, n: (m - 3, n), 1,
-     lambda m, n: n == 3 and m >= 3),
-    ("circumference5_shift2", "cylinder", lambda m, n: (m - 2, n), 1,
-     lambda m, n: n == 5 and m >= 2),
-    ("circumference7_shift4", "cylinder", lambda m, n: (m - 4, n), 1,
-     lambda m, n: n == 7 and m >= 4),
-    ("one_row_free_shift3", "free", lambda m, n: (m, n - 3), -1,
-     lambda m, n: m == 1 and n >= 3),
-    ("two_row_free_shift2", "free", lambda m, n: (m, n - 2), -1,
-     lambda m, n: m == 2 and n >= 2),
-    ("three_row_free_shift4", "free", lambda m, n: (m, n - 4), -1,
-     lambda m, n: m == 3 and n >= 4),
-    ("torus3_shift3", "torus", lambda m, n: (m, n - 3), 1,
-     lambda m, n: m == 3 and n >= 4),
-)
+_IDENTITIES = {
+    "one_row_cylinder_shift3": (
+        "cylinder", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 4),
+    "two_row_cylinder_shift4": (
+        "cylinder", lambda m, n: (m, n - 4), 1, lambda m, n: m == 2 and n >= 5),
+    "three_row_cylinder_shift8": (
+        "cylinder", lambda m, n: (m, n - 8), 1, lambda m, n: m == 3 and n >= 9),
+    "circumference3_shift3": (
+        "cylinder", lambda m, n: (m - 3, n), 1, lambda m, n: n == 3 and m >= 3),
+    "circumference5_shift2": (
+        "cylinder", lambda m, n: (m - 2, n), 1, lambda m, n: n == 5 and m >= 2),
+    "circumference7_shift4": (
+        "cylinder", lambda m, n: (m - 4, n), 1, lambda m, n: n == 7 and m >= 4),
+    "one_row_free_shift3": (
+        "free", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 3),
+    "two_row_free_shift2": (
+        "free", lambda m, n: (m, n - 2), -1, lambda m, n: m == 2 and n >= 2),
+    "three_row_free_shift4": (
+        "free", lambda m, n: (m, n - 4), -1, lambda m, n: m == 3 and n >= 4),
+    "torus3_shift3": (
+        "torus", lambda m, n: (m, n - 3), 1, lambda m, n: m == 3 and n >= 4),
+}
+
+
+def identity_instances(m_max: int, n_max: int) -> Iterator[Tuple[str, int, int]]:
+    """(identity, m, n) for every in-range instance with m <= m_max and
+    n <= n_max, in sweep order, lazily."""
+    for name, (_, _, _, in_range) in _IDENTITIES.items():
+        for m in range(0, m_max + 1):
+            for n in range(0, n_max + 1):
+                if in_range(m, n):
+                    yield name, m, n
 
 
 def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCheck]:
@@ -494,13 +505,10 @@ def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCh
     homotopy equivalences do not apply.
     """
     checks = []
-    for name, family, shift, sign, in_range in _IDENTITIES:
-        for m in range(0, m_max + 1):
-            for n in range(0, n_max + 1):
-                if not in_range(m, n):
-                    continue
-                m2, n2 = shift(m, n)
-                lhs = witten_transfer(GridSpec(family, m, n))
-                rhs = sign * witten_transfer(GridSpec(family, m2, n2))
-                checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
+    for name, m, n in identity_instances(m_max, n_max):
+        family, shift, sign, _ = _IDENTITIES[name]
+        m2, n2 = shift(m, n)
+        lhs = witten_transfer(GridSpec(family, m, n))
+        rhs = sign * witten_transfer(GridSpec(family, m2, n2))
+        checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
     return checks

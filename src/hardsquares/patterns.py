@@ -170,6 +170,14 @@ def delete_top(p: Pattern, i: int) -> Pattern:
     return Pattern(tuple(row1), p.row2)
 
 
+def _wipe(row1: List[int], row2: List[int], i: int) -> None:
+    """Zero row1 at columns i-1, i, i+1 and row2 at column i, in place."""
+    n = len(row1)
+    for j in (i - 1, i, i + 1):
+        row1[j % n] = 0
+    row2[i] = 0
+
+
 def delete_top_neighborhood(p: Pattern, i: int) -> Pattern:
     """Zero row-1 at columns i-1, i, i+1 and row-2 at column i."""
     i %= p.n
@@ -177,9 +185,7 @@ def delete_top_neighborhood(p: Pattern, i: int) -> Pattern:
         raise RuleInapplicableError(f"row 1 has no 1 at column {i}")
     row1 = list(p.row1)
     row2 = list(p.row2)
-    for j in (i - 1, i, i + 1):
-        row1[j % p.n] = 0
-    row2[i] = 0
+    _wipe(row1, row2, i)
     return Pattern(tuple(row1), tuple(row2))
 
 
@@ -197,17 +203,12 @@ def peel(p: Pattern) -> Tuple[Pattern, int]:
     """
     if not is_reducible(p):
         raise RuleInapplicableError("peel needs all row-1 ones isolated")
-    n = p.n
     new1 = list(p.row2)
-    new2 = [1] * n
-    k = 0
-    for i in range(n):
-        if p.row1[i]:
-            k += 1
-            for j in (i - 1, i, i + 1):
-                new1[j % n] = 0
-            new2[i] = 0
-    return Pattern(tuple(new1), tuple(new2)), (-1 if k % 2 else 1)
+    new2 = [1] * p.n
+    for i, one in enumerate(p.row1):
+        if one:
+            _wipe(new1, new2, i)
+    return Pattern(tuple(new1), tuple(new2)), (-1 if sum(p.row1) % 2 else 1)
 
 
 # -- row structure ---------------------------------------------------------------
@@ -356,9 +357,7 @@ def initial_patterns(n: int) -> SignedPatternCombo:
                 row1[i] = 0
             else:
                 sign = -sign
-                for j in (i - 1, i, i + 1):
-                    row1[j % n] = 0
-                row2[i] = 0
+                _wipe(row1, row2, i)
         cls = canonicalize(Pattern(tuple(row1), tuple(row2)))
         combo[cls] = combo.get(cls, 0) + sign
     terms = tuple(

@@ -228,17 +228,12 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Remainder of lead(b)^(deg a - deg b + 1) * a by b; the scaling makes
+    every quotient coefficient an integer."""
     d = a.degree - b.degree
     if d < 0:
         return a
-    lead = b.leading
-    rem = list(a.coeffs)
-    for k in range(d, -1, -1):
-        top = rem[b.degree + k]
-        rem = [lead * c for c in rem]
-        for i, bc in enumerate(b.coeffs):
-            rem[i + k] -= top * bc
-    return IntPoly(rem)
+    return (a * b.leading ** (d + 1)).divrem(b)[1]
 
 
 @lru_cache(maxsize=None)

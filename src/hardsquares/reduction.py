@@ -18,12 +18,16 @@ uses that as its terminal contractibility test.
 Looped vertices join no independent set, so dropping them is index-neutral;
 simplify normalizes them away first, and the rule preconditions reject loops
 on their witness vertices to keep each step individually sound.
+
+RULES maps each trace step name (drop_loops, fold, pendant, square,
+isolated) to the one function that checks and applies it; simplify,
+replay_trace and detect_configuration all apply rules through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute
@@ -85,7 +89,7 @@ def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     return g.without_vertices(g.closed_neighborhood(u) | g.closed_neighborhood(v))
 
 
-# -- individual rules ----------------------------------------------------------------
+# -- the rules -------------------------------------------------------------------------
 
 
 def _require(cond: bool, msg: str):
@@ -148,6 +152,24 @@ def apply_square_suspension(state: ReductionState, u: int, v: int,
     return _step(state, g.without_vertices(four), "square", four, True)
 
 
+def _certify_isolated(state: ReductionState, w: int) -> ReductionState:
+    """Record an isolated vertex: the complex is a cone, the index 0."""
+    g = state.graph
+    _require(w in g.vertices and g.degree(w) == 0, f"vertex {w} is not isolated")
+    return _step(state, g, "isolated", (w,), False)
+
+
+# Rule name -> the one function that checks its precondition and applies it.
+# drop_loops takes no witnesses: the looped vertices it deletes are determined.
+RULES: Dict[str, Callable[..., ReductionState]] = {
+    "drop_loops": lambda state, *looped: drop_loops(state),
+    "fold": apply_fold,
+    "pendant": apply_pendant_suspension,
+    "square": apply_square_suspension,
+    "isolated": _certify_isolated,
+}
+
+
 # -- contractibility configurations -----------------------------------------------------
 
 
@@ -159,18 +181,15 @@ class Configuration:
     isolated_vertex: int
 
 
-def _pendant_candidates(g: Graph) -> List[Tuple[int, int]]:
-    out = []
+def _pendant_candidates(g: Graph) -> Iterator[Tuple[int, int]]:
     for u in sorted(g.vertices):
         if g.degree(u) == 1 and not g.has_loop(u):
             (v,) = g.neighbors(u)
             if not g.has_loop(v):
-                out.append((u, v))
-    return out
+                yield u, v
 
 
-def _square_candidates(g: Graph) -> List[Tuple[int, int, int, int]]:
-    out = []
+def _square_candidates(g: Graph) -> Iterator[Tuple[int, int, int, int]]:
     for u, v in sorted(g.edges):
         if u == v or g.degree(u) != 2 or g.degree(v) != 2:
             continue
@@ -181,8 +200,7 @@ def _square_candidates(g: Graph) -> List[Tuple[int, int, int, int]]:
         if x == y or g.has_loop(x) or g.has_loop(y):
             continue
         if g.has_edge(x, y):
-            out.append((u, v, x, y))
-    return out
+            yield u, v, x, y
 
 
 def _effectively_isolated(h: Graph) -> List[int]:
@@ -206,79 +224,63 @@ def detect_configuration(g: Graph) -> Optional[Configuration]:
     When one application isolates several vertices, a degree-1 witness is
     preferred (the facing-pendants reading), then the lowest id.
     """
-
-    def pick(ws: List[int]) -> Optional[int]:
-        if not ws:
-            return None
-        degree_one = [w for w in ws if g.degree(w) == 1]
-        return degree_one[0] if degree_one else ws[0]
-
-    for u, v in _pendant_candidates(g):
-        h = g.without_vertices(g.closed_neighborhood(v))
-        w = pick(_effectively_isolated(h))
-        if w is not None:
-            kind = "A" if g.degree(w) == 1 else "B"
-            return Configuration(kind, "pendant", (u, v), w)
-    for u, v, x, y in _square_candidates(g):
-        h = g.without_vertices({u, v, x, y})
-        w = pick(_effectively_isolated(h))
-        if w is not None:
-            kind = "C" if g.degree(w) == 1 else "D"
-            return Configuration(kind, "square", (u, v, x, y), w)
+    fresh = ReductionState.initial(g)
+    for rule, kinds, candidates in (("pendant", "AB", _pendant_candidates(g)),
+                                    ("square", "CD", _square_candidates(g))):
+        for witnesses in candidates:
+            ws = _effectively_isolated(RULES[rule](fresh, *witnesses).graph)
+            if ws:
+                w = next((w for w in ws if g.degree(w) == 1), ws[0])
+                kind = kinds[0] if g.degree(w) == 1 else kinds[1]
+                return Configuration(kind, rule, witnesses, w)
     return None
 
 
 # -- the driver -----------------------------------------------------------------
 
 
+def _first_step(g: Graph) -> Optional[TraceStep]:
+    """simplify's next step on a loop-free graph: an isolated vertex, else
+    fold on the lexicographically first (u, v) pair, else pendant at the
+    lowest pendant vertex, else square at the lowest qualifying edge."""
+    verts = sorted(g.vertices)
+    for w in verts:
+        if g.degree(w) == 0:
+            return TraceStep("isolated", (w,))
+    for u in verts:
+        nu = g.neighbors(u)
+        for v in verts:
+            if v != u and nu <= g.neighbors(v):
+                return TraceStep("fold", (u, v))
+    for rule, candidates in (("pendant", _pendant_candidates(g)),
+                             ("square", _square_candidates(g))):
+        witnesses = next(candidates, None)
+        if witnesses is not None:
+            return TraceStep(rule, witnesses)
+    return None
+
+
 def simplify(g: Graph) -> Verdict:
     """Rewrite until contractibility is certified or no rule applies.
 
-    Deterministic rule order per pass: isolated-vertex test, fold on the
-    lexicographically first (u, v) pair, pendant at the lowest pendant
-    vertex, square at the lowest qualifying edge.
+    Loops go first; then each pass applies _first_step's rule through RULES.
     """
     state = drop_loops(ReductionState.initial(g))
     while True:
-        cur = state.graph
-        isolated = next(
-            (w for w in sorted(cur.vertices) if cur.degree(w) == 0), None
-        )
-        if isolated is not None:
-            state = _step(state, cur, "isolated", (isolated,), False)
+        step = _first_step(state.graph)
+        if step is None:
+            return Verdict(REDUCED, state)
+        state = RULES[step.rule](state, *step.vertices)
+        if step.rule == "isolated":
             return Verdict(CONTRACTIBLE, state)
-
-        folded = False
-        for u in sorted(cur.vertices):
-            nu = cur.neighbors(u)
-            for v in sorted(cur.vertices):
-                if v != u and nu <= cur.neighbors(v):
-                    state = apply_fold(state, u, v)
-                    folded = True
-                    break
-            if folded:
-                break
-        if folded:
-            continue
-
-        pendants = _pendant_candidates(cur)
-        if pendants:
-            u, v = pendants[0]
-            state = apply_pendant_suspension(state, u, v)
-            continue
-
-        squares = _square_candidates(cur)
-        if squares:
-            state = apply_square_suspension(state, *squares[0])
-            continue
-
-        return Verdict(REDUCED, state)
 
 
 def replay_trace(g: Graph, steps) -> ReductionState:
     """Re-run a trace (TraceStep sequence or JSON step dicts) from scratch.
 
-    Every precondition is re-checked, so a tampered trace fails loudly.
+    Every step goes through its rule in RULES, which re-checks the
+    precondition, and must add exactly that step to the trace, so a
+    tampered trace fails loudly.
     """
     state = ReductionState.initial(g)
     for step in steps:
@@ -286,22 +288,10 @@ def replay_trace(g: Graph, steps) -> ReductionState:
             rule, verts = step.rule, tuple(step.vertices)
         else:
             rule, verts = step["rule"], tuple(step["vertices"])
-        if rule == "drop_loops":
-            state = drop_loops(state)
-            if not state.trace or state.trace[-1].vertices != verts:
-                raise RuleInapplicableError("drop_loops step does not match graph")
-        elif rule == "fold":
-            state = apply_fold(state, *verts)
-        elif rule == "pendant":
-            state = apply_pendant_suspension(state, *verts)
-        elif rule == "square":
-            state = apply_square_suspension(state, *verts)
-        elif rule == "isolated":
-            (w,) = verts
-            cur = state.graph
-            _require(w in cur.vertices and cur.degree(w) == 0,
-                     f"vertex {w} is not isolated")
-            state = _step(state, cur, "isolated", verts, False)
-        else:
+        if rule not in RULES:
             raise RuleInapplicableError(f"unknown rule {rule!r}")
+        done = RULES[rule](state, *verts)
+        if done.trace != state.trace + (TraceStep(rule, verts),):
+            raise RuleInapplicableError(f"{rule} {verts} does not apply as recorded")
+        state = done
     return state

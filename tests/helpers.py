@@ -17,7 +17,10 @@ column-word grammar of the patterns module.  divrem_oracle and
 series_expand_oracle are polynomial division and power-series expansion
 over Fraction with the integrality checked at the end, kept as a
 differential oracle for the integer arithmetic of the polynomials module.
-load_reduced_forms and
+peel_oracle, initial_patterns_oracle and pseudo_rem_oracle are the column
+wipes of peel and initial_patterns and the pseudo-remainder loop written
+out in place, kept as a differential oracle for the shared wipe helper and
+for the pseudo-remainder by divrem.  load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from hardsquares.graphs import Graph, random_graph  # noqa: F401  (re-exported)
 from hardsquares.necklaces import Necklace, NecklaceClass
-from hardsquares.patterns import Pattern, canonicalize
+from hardsquares.patterns import Pattern, canonicalize, is_reducible
 from hardsquares.polynomials import IntPoly
 
 DATA = Path(__file__).parent / "data"
@@ -270,6 +273,61 @@ def series_expand_oracle(gf, upto):
             raise ValueError(f"series coefficient at t^{m} is not an integer")
         vals.append(val)
     return [int(v) for v in vals]
+
+
+def peel_oracle(p):
+    """(peeled pattern, sign) of a reducible pattern, each row-1 one wiping
+    the old row 2 at i-1, i, i+1 and the fresh row at i."""
+    assert is_reducible(p)
+    n = p.n
+    new1 = list(p.row2)
+    new2 = [1] * n
+    k = 0
+    for i in range(n):
+        if p.row1[i]:
+            k += 1
+            for j in (i - 1, i, i + 1):
+                new1[j % n] = 0
+            new2[i] = 0
+    return Pattern(tuple(new1), tuple(new2)), (-1 if k % 2 else 1)
+
+
+def initial_patterns_oracle(n):
+    """{class: nonzero coefficient} of the delete_top / neighbourhood
+    expansion of the all-ones pattern at every even column."""
+    combo = {}
+    evens = range(0, n, 2)
+    for picks in product("VN", repeat=len(evens)):
+        row1 = [1] * n
+        row2 = [1] * n
+        sign = 1
+        for i, op in zip(evens, picks):
+            if op == "V":
+                row1[i] = 0
+            else:
+                sign = -sign
+                for j in (i - 1, i, i + 1):
+                    row1[j % n] = 0
+                row2[i] = 0
+        cls = canonicalize(Pattern(tuple(row1), tuple(row2)))
+        combo[cls] = combo.get(cls, 0) + sign
+    return {cls: c for cls, c in combo.items() if c != 0}
+
+
+def pseudo_rem_oracle(a, b):
+    """Pseudo-remainder of a by b: scale by lead(b), cancel the top term,
+    deg a - deg b + 1 times."""
+    d = a.degree - b.degree
+    if d < 0:
+        return a
+    lead = b.leading
+    rem = list(a.coeffs)
+    for k in range(d, -1, -1):
+        top = rem[b.degree + k]
+        rem = [lead * c for c in rem]
+        for i, bc in enumerate(b.coeffs):
+            rem[i + k] -= top * bc
+    return IntPoly(rem)
 
 
 def load_reduced_forms():

@@ -10,8 +10,10 @@
   the pattern route, odd ones the fitted route and come out as the two
   known shapes.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
-  missing -k/-n is a usage error (exit 2).  A step that fails to permute
-  the classes is a one-line internal consistency failure (exit 1).
+  missing -k/-n is a usage error (exit 2).  --format takes text or json
+  only, and json with the dot action exits 2 with one error line.  A step
+  that fails to permute the classes is a one-line internal consistency
+  failure (exit 1).
 - cli.BOUNDS is the one size policy: width 18 (witten, table1, odd genfun,
   verify identities), pattern 16 (even genfun, verify conjectures) and
   circle 28 (necklace, verify correspondence; verify all takes the least).
@@ -22,7 +24,9 @@
   not the raw sizes, but table1 bounds --nmax at every height, m = 0 too.
 - an --nmax below a selected sweep's floor (identities 0, conjectures 2,
   correspondence and necklace verify 4), where the sweep would check no
-  circumference, also exits 2 with one error line.
+  circumference, also exits 2 with one error line, and so does a verify
+  identities or verify all whose -m and --nmax leave no identity instance
+  in range.
 - any other exception in a command (a KeyError, a MemoryError) exits 3
   with one `internal error:` line and no traceback.
 - verify identities and correspondence pass; verify conjectures fails on
@@ -33,12 +37,14 @@
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hardsquares
 from hardsquares import cli, necklaces
 from hardsquares.cli import main
 from hardsquares.graphs import GridSpec, witten_transfer
@@ -275,6 +281,18 @@ def test_necklace_dot(capsys):
     assert out.count("->") == 3
 
 
+def test_necklace_dot_takes_no_other_format(capsys):
+    code, out, err = run_cli(capsys, "necklace", "dot", "-k", "1", "-n", "6",
+                             "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    for action in ("enumerate", "cycles", "dot", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main(["necklace", action, "-k", "1", "-n", "6", "--format", "dot"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
 def test_necklace_verify_sweep(capsys):
     code, out, _ = run_cli(capsys, "necklace", "verify", "--nmax", "16")
     assert code == 0
@@ -282,7 +300,8 @@ def test_necklace_verify_sweep(capsys):
     assert "FAIL" not in out
 
 
-def test_nmax_that_sweeps_nothing_exits_two(capsys, monkeypatch):
+@pytest.fixture
+def no_sweeps(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a sweep started before the floor check")
 
@@ -290,6 +309,9 @@ def test_nmax_that_sweeps_nothing_exits_two(capsys, monkeypatch):
                  "enumerate_proper", "check_correspondence",
                  "verify_cycle_divisibility"):
         monkeypatch.setattr(cli, name, no_work)
+
+
+def test_nmax_that_sweeps_nothing_exits_two(capsys, no_sweeps):
     for argv, floor in ((["verify", "correspondence", "--nmax", "-5"], 4),
                         (["verify", "conjectures", "--nmax", "-2"], 2),
                         (["verify", "conjectures", "--nmax", "1"], 2),
@@ -301,6 +323,19 @@ def test_nmax_that_sweeps_nothing_exits_two(capsys, monkeypatch):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"--nmax {argv[-1]} is below {floor}" in err
+
+
+def test_identity_sweep_with_no_instance_in_range_exits_two(capsys, no_sweeps):
+    for argv, m, nmax in ((["identities", "-m", "0"], 0, 14),
+                          (["identities", "-m", "-1"], -1, 14),
+                          (["identities", "--nmax", "0"], 20, 0),
+                          (["identities", "--nmax", "1"], 20, 1),
+                          (["identities", "-m", "1", "--nmax", "2"], 1, 2),
+                          (["all", "-m", "-3"], -3, 14)):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err == (f"error: -m {m} and --nmax {nmax} leave no identity "
+                       f"instance to check\n"), argv
 
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
@@ -371,8 +406,10 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "hardsquares.cli", "witten", "-m", "6",
          "-n", "14"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and proc.stdout == "13\n"

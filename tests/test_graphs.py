@@ -13,7 +13,9 @@ n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  The column
 kernel with arbitrary masked top rows matches the same oracle (n <= 10,
 up to three masks, m <= 12, also m below the mask count).  The orbit cache
 is bounded, and the cylinder and the patterns of one ring read one kept
-list of powers B^k w.
+list of powers B^k w, which stops at the fit window 2N + 6; columns taller
+than the window match the oracle.  An identity instance is in range exactly
+when m >= 1 and n >= 3, or m >= 2 and n >= 2.
 """
 
 from random import Random
@@ -27,7 +29,9 @@ from hardsquares.graphs import (
     build_grid,
     column_series,
     disjoint_union,
+    fit_window,
     grid_vertex,
+    identity_instances,
     transfer_width,
     verify_index_identities,
     witten_brute,
@@ -257,13 +261,35 @@ def test_orbit_cache_is_bounded_and_rings_share_one_power_list():
     assert _orbits.cache_info().maxsize == 32
     _orbits.cache_clear()
     p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
-    z_pattern_series(p, 20)  # rows 3..20: B^0 w .. B^18 w
-    column_series(6, 12)
     orb = _orbits(6)
-    assert len(orb.powers) == max(20 - 2, 12) + 1
+    assert orb.window == fit_window(6) == 2 * len(orb.reps) + 6 == 16
+    z_pattern_series(p, 12)  # rows 3..12: B^0 w .. B^10 w
+    column_series(6, 8)
+    assert len(orb.kept) == max(12 - 2, 8) + 1  # one list below the window
     column_series(6, 25)
     z_pattern_series(p, 27)
-    assert _orbits(6) is orb and len(orb.powers) == max(27 - 2, 25) + 1
+    assert _orbits(6) is orb and len(orb.kept) == orb.window
+
+
+def test_columns_taller_than_the_window_match_the_unbounded_walk():
+    for n in (3, 6, 8):
+        _orbits.cache_clear()
+        orb = _orbits(n)
+        rows = 3 * orb.window
+        unbounded = [orb.weights]
+        for _ in range(rows):
+            u = unbounded[-1]
+            unbounded.append(tuple(sum(c * u[b] for b, c in row) for row in orb.matrix))
+        assert column_series(n, rows) == transfer_oracle(n, [-1] * rows)
+        assert [u[0] for u in unbounded] == column_series(n, rows)
+        # two walks interleaved past the window: the kept prefix stays exact
+        first, second = orb.powers(), orb.powers()
+        for k, u in enumerate(unbounded):
+            assert next(first) == u == next(second), (n, k)
+        assert orb.kept == unbounded[:orb.window]
+    p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
+    masks = [0b000010, 0b110111]  # bit i is column i
+    assert z_pattern_series(p, 50)[2:] == transfer_oracle(6, masks + [-1] * 48)[2:]
 
 
 def test_ring_orbits_partition_the_ring_states():
@@ -281,6 +307,13 @@ def test_ring_orbits_partition_the_ring_states():
 
 
 # -- suspension identities -------------------------------------------------------
+
+
+def test_identity_instances_exist_exactly_from_one_row_and_three_columns():
+    for m in range(-1, 8):
+        for n in range(-1, 10):
+            expected = (m >= 1 and n >= 3) or (m >= 2 and n >= 2)
+            assert any(identity_instances(m, n)) == expected, (m, n)
 
 
 def test_identity_sweep_development_ranges():

@@ -30,6 +30,10 @@ Claims covered:
   deletion).
 - enumeration rejects odd lengths; the n = 18 classes are distinct and
   proper, and their block counts take every value 0..4.
+- the one column wipe: peel equals the written-out loop of tests/helpers on
+  every reducible proper class of even n <= 12, delete_top_neighborhood
+  zeroes exactly its four cells there, and initial_patterns equals the
+  written-out expansion for even n <= 16.
 """
 
 import itertools
@@ -59,7 +63,14 @@ from hardsquares.patterns import (
     z_pattern,
     z_pattern_series,
 )
-from helpers import EXTENDED, enumerate_proper_oracle, proper_oracle, transfer_oracle
+from helpers import (
+    EXTENDED,
+    enumerate_proper_oracle,
+    initial_patterns_oracle,
+    peel_oracle,
+    proper_oracle,
+    transfer_oracle,
+)
 
 
 def all_patterns(n):
@@ -286,6 +297,21 @@ def test_initial_patterns_reducible_proper_and_exact():
         for m in (2, 3, 4):
             assert (sum(coeff * z_pattern(cls.canonical, m) for cls, coeff in combo.terms)
                     == witten_transfer(GridSpec("cylinder", m, n)))
+
+
+def test_column_wipes_match_the_written_out_loops():
+    for n in range(2, 13, 2):
+        for cls in enumerate_proper(n):
+            p = cls.canonical
+            if is_reducible(p):
+                assert peel(p) == peel_oracle(p), p
+            for i in (i for i in range(n) if p.row1[i]):
+                wiped = {(i - 1) % n, i, (i + 1) % n}
+                assert delete_top_neighborhood(p, i) == Pattern(
+                    tuple(0 if j in wiped else x for j, x in enumerate(p.row1)),
+                    tuple(0 if j == i else x for j, x in enumerate(p.row2))), (p, i)
+    for n in range(2, 17, 2):
+        assert dict(initial_patterns(n).terms) == initial_patterns_oracle(n), n
 
 
 def test_delete_identity_on_proper_patterns():

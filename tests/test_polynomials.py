@@ -11,7 +11,9 @@ tests/helpers.py: for divisors that are not monic, on exact products,
 products plus a remainder and random pairs, both give the same
 (quotient, remainder) or both raise ValueError; series_expand gives the
 same coefficients or raises at the same power of t; and divides answers
-as the oracle does on every pair factor_cyclotomic tries.
+as the oracle does on every pair factor_cyclotomic tries.  The
+pseudo-remainder, now a divrem of the scaled dividend, equals the
+written-out scale-and-cancel loop on random pairs.
 """
 
 from fractions import Fraction
@@ -38,7 +40,7 @@ from hardsquares.polynomials import (
 
 import pytest
 
-from helpers import divrem_oracle, series_expand_oracle
+from helpers import divrem_oracle, pseudo_rem_oracle, series_expand_oracle
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -208,6 +210,12 @@ def test_divrem_matches_the_fraction_oracle(q, div, r, kind):
 def test_series_expand_matches_the_fraction_oracle(num, high, den0, upto):
     gf = RationalGF(num, IntPoly([den0] + high))
     assert _outcome(series_expand, gf, upto) == _outcome(series_expand_oracle, gf, upto)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-9, 9), max_size=9).map(IntPoly), divisors)
+def test_pseudo_rem_matches_the_scale_and_cancel_loop(a, b):
+    assert polynomials._pseudo_rem(a, b) == pseudo_rem_oracle(a, b)
 
 
 # pure products stop the scan at the largest order; a non-cyclotomic factor

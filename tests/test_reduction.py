@@ -5,7 +5,12 @@ pendant / square rules with their preconditions, the one-step
 contractibility configurations, simplify's verdicts on the two hard residue
 graphs from the rows-3 cylinder argument, determinism, trace replay
 (including tamper rejection), and the sign-tracking invariant
-(-1)^suspensions * Z(current) = Z(original).
+(-1)^suspensions * Z(current) = Z(original).  RULES holds exactly the five
+trace rules and simplify's traces use every one; each step of a trace
+replays as exactly that one step, so a step that applies nothing (a second
+drop_loops, a drop_loops on a loop-free graph) is rejected; and
+detect_configuration's witness is effectively isolated in the graph that
+its rule, recomputed here, leaves.
 """
 
 from random import Random
@@ -15,7 +20,9 @@ from hardsquares.graphs import Graph, GridSpec, build_grid, grid_vertex, witten_
 from hardsquares.reduction import (
     CONTRACTIBLE,
     REDUCED,
+    RULES,
     ReductionState,
+    TraceStep,
     apply_fold,
     apply_pendant_suspension,
     apply_square_suspension,
@@ -140,6 +147,30 @@ def test_configuration_in_two_row_residue():
     assert witten_brute(r) == 0
 
 
+def test_configuration_witness_is_isolated_by_its_rule():
+    rng = Random(31)
+    found = set()
+    for _ in range(400):
+        g = random_graph(rng, 10, edge_prob=0.3, loop_prob=0.08)
+        cfg = detect_configuration(g)
+        if cfg is None:
+            continue
+        if cfg.rule == "pendant":
+            _, v = cfg.rule_vertices
+            h = g.without_vertices(g.closed_neighborhood(v))
+        else:
+            h = g.without_vertices(cfg.rule_vertices)
+        w = cfg.isolated_vertex
+        assert w in h.vertices and not h.has_loop(w)
+        assert all(h.has_loop(z) for z in h.neighbors(w))
+        assert cfg.kind == {("pendant", True): "A", ("pendant", False): "B",
+                            ("square", True): "C", ("square", False): "D"}[
+            cfg.rule, g.degree(w) == 1]
+        assert naive_witten(g) == 0
+        found.add(cfg.kind)
+    assert found == {"A", "B", "C", "D"}
+
+
 def test_no_configuration_when_index_nonzero():
     assert detect_configuration(cycle(5)) is None
     assert witten_brute(cycle(5)) == 1
@@ -217,3 +248,37 @@ def test_trace_replay_and_tamper_rejection():
         bad[0] = {"rule": "pendant", "vertices": [0, 1]}
         with pytest.raises(RuleInapplicableError):
             replay_trace(r, bad)
+
+
+def test_replay_rejects_a_step_that_applies_nothing():
+    p3 = path(3)
+    with pytest.raises(RuleInapplicableError):
+        replay_trace(p3, [TraceStep("fold", (0, 2)), TraceStep("drop_loops", (0, 2))])
+    looped = Graph(range(3), [(0, 0), (0, 1), (1, 2)])
+    with pytest.raises(RuleInapplicableError):
+        replay_trace(looped, [{"rule": "drop_loops", "vertices": [0]},
+                              {"rule": "drop_loops", "vertices": [0]}])
+    with pytest.raises(RuleInapplicableError):
+        replay_trace(looped, [{"rule": "drop_loops", "vertices": [0, 1]}])
+    with pytest.raises(RuleInapplicableError):
+        replay_trace(looped, [{"rule": "unfold", "vertices": [0]}])
+    state = replay_trace(looped, [{"rule": "drop_loops", "vertices": [0]}])
+    assert state.graph == path(3).without_vertices([0])
+
+
+def test_each_simplify_step_replays_as_exactly_one_step():
+    assert set(RULES) == {"drop_loops", "fold", "pendant", "square", "isolated"}
+    rng = Random(99)
+    rules = set()
+    for _ in range(120):
+        g = random_graph(rng, 12, edge_prob=0.25, loop_prob=0.08)
+        trace = simplify(g).state.trace
+        rules.update(step.rule for step in trace)
+        for k in range(len(trace) + 1):
+            assert replay_trace(g, trace[:k]).trace == trace[:k]
+    # a square always admits a fold first, so only a replay reaches square
+    assert rules == set(RULES) - {"square"}
+    square = [TraceStep("square", (0, 1, 2, 3)), TraceStep("isolated", (4,))]
+    hung = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
+    state = replay_trace(hung, square)
+    assert state.trace == tuple(square) and state.witten() == 0
