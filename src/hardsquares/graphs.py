@@ -19,8 +19,8 @@ C_2 = P_2, C_1 = a single looped vertex, C_0 = P_0 = the empty graph.  A
 looped vertex belongs to no independent set, so Z(C_1) = Z(P_0) = 1.
 
 Two independent evaluation routes are provided: ``witten_brute`` (recursive
-deletion on an explicit graph) and ``witten_transfer`` (row transfer); they
-must always agree.  The transfer has two primitives: ``_orbits(n)``, the
+deletion on an explicit graph, whose vertex sets it holds as bit masks) and
+``witten_transfer`` (row transfer); they must always agree.  The transfer has two primitives: ``_orbits(n)``, the
 dihedral orbits of the ring C_n's independent states (49 / 99 / 209 for
 843 / 2207 / 5778 states at n = 14 / 16 / 18), their orbit matrix B and
 the powers B^k w kept so far, at most the 2N + 6 of the fit window; and
@@ -97,12 +97,19 @@ class Graph:
     # -- derived graphs ------------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> "Graph":
+        """Subgraph on keep; its neighbour sets are this graph's cut to keep,
+        with no edge re-checked."""
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices not present in the graph")
-        edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
-        labels = {v: lab for v, lab in self.labels.items() if v in keep}
-        return Graph(keep, edges, labels)
+        adj = self._adj
+        g = Graph.__new__(Graph)
+        g.vertices = keep
+        g.edges = self.edges - {(u, v) if u <= v else (v, u)
+                                for u in self.vertices - keep for v in adj[u]}
+        g.labels = {v: lab for v, lab in self.labels.items() if v in keep}
+        g._adj = {v: adj[v] & keep for v in keep}
+        return g
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         return self.induced(self.vertices - frozenset(drop))
@@ -115,7 +122,10 @@ class Graph:
 
     def components(self) -> List[frozenset]:
         """Connected components as vertex sets, sorted by smallest member."""
-        return sorted(_components(self._adj, self.vertices), key=min)
+        verts = sorted(self.vertices)
+        masks = _components(_neighbor_masks(self, verts), (1 << len(verts)) - 1)
+        return [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+                for mask in masks]
 
     def __eq__(self, other) -> bool:
         return (
@@ -238,48 +248,61 @@ def grid_vertex(g: Graph, row: int, col: int) -> int:
 # -- brute-force Witten index --------------------------------------------------
 
 
-def _components(adj: Dict[int, frozenset], active: frozenset) -> List[frozenset]:
-    """Connected components of the subgraph induced on active."""
-    comps: List[frozenset] = []
-    seen: set = set()
-    for start in active:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x] & active:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
+def _neighbor_masks(g: Graph, verts: Sequence[int]) -> List[int]:
+    """Bit i stands for verts[i]: the mask of each vertex's neighbours among
+    verts."""
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    return [sum(bit[w] for w in g._adj[v] if w in bit) for v in verts]
+
+
+def _components(nbrs: Sequence[int], active: int) -> List[int]:
+    """Connected components of the subgraph induced on the bits of active,
+    as masks, in order of least bit."""
+    comps: List[int] = []
+    while active:
+        comp = frontier = active & -active
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & active & ~comp
+            comp |= frontier
+        comps.append(comp)
+        active &= ~comp
     return comps
 
 
 def witten_brute(g: Graph) -> int:
-    """Witten index by recursive deletion.
+    """Witten index by recursive deletion on vertex masks.
 
     Looped vertices are discarded once (they join no independent set, and
     deletions add no loop), an isolated vertex forces 0, connected
-    components multiply, and otherwise a maximum-degree vertex v is pivoted
-    on via Z = Z(G-v) - Z(G-N[v]).
+    components multiply, and otherwise a maximum-degree vertex v, the
+    lowest id among ties, is pivoted on via Z = Z(G-v) - Z(G-N[v]).  Bit i
+    of a mask stands for the i-th loop-free vertex in id order.
     """
-    adj = g._adj
-    memo: Dict[frozenset, int] = {}
+    nbrs = _neighbor_masks(g, sorted(v for v in g.vertices if not g.has_loop(v)))
+    memo: Dict[int, int] = {}
 
-    def solve(active: frozenset) -> int:
+    def solve(active: int) -> int:
         if not active:
             return 1
         cached = memo.get(active)
         if cached is not None:
             return cached
-        degs = {v: len(adj[v] & active) for v in active}
-        if any(d == 0 for d in degs.values()):
-            memo[active] = 0
-            return 0
-        comps = _components(adj, active)
+        top, pivot, rest = -1, 0, active
+        while rest:  # ascending bits, so a tie keeps the lowest id
+            low = rest & -rest
+            deg = (nbrs[low.bit_length() - 1] & active).bit_count()
+            if deg == 0:
+                memo[active] = 0
+                return 0
+            if deg > top:
+                top, pivot = deg, low
+            rest ^= low
+        comps = _components(nbrs, active)
         if len(comps) > 1:
             result = 1
             for comp in comps:
@@ -287,13 +310,12 @@ def witten_brute(g: Graph) -> int:
                 if result == 0:
                     break
         else:
-            pivot = max(active, key=lambda v: (degs[v], -v))
-            closed = (adj[pivot] & active) | {pivot}
-            result = solve(active - {pivot}) - solve(active - closed)
+            closed = nbrs[pivot.bit_length() - 1] | pivot
+            result = solve(active ^ pivot) - solve(active & ~closed)
         memo[active] = result
         return result
 
-    return solve(frozenset(v for v in g.vertices if not g.has_loop(v)))
+    return solve((1 << len(nbrs)) - 1)
 
 
 # -- transfer-matrix Witten index ----------------------------------------------
@@ -502,13 +524,27 @@ def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCh
 
     Each identity relates Z on one family to Z at a shifted size with a fixed
     sign; the ranges exclude the degenerate instances where the underlying
-    homotopy equivalences do not apply.
+    homotopy equivalences do not apply.  Cylinders read one column per
+    circumference, as tall as the tallest instance at it.
     """
+    instances = list(identity_instances(m_max, n_max))
+    tallest: Dict[int, int] = {}  # cylinder circumference -> rows read
+    for name, m, n in instances:
+        family, shift, _, _ = _IDENTITIES[name]
+        if family == "cylinder":
+            for mi, ni in ((m, n), shift(m, n)):
+                tallest[ni] = max(tallest.get(ni, 0), mi)
+    columns = {n: column_series(n, m) for n, m in tallest.items()}
+
+    def z(family: str, m: int, n: int) -> int:
+        if family == "cylinder":
+            return columns[n][m]
+        return witten_transfer(GridSpec(family, m, n))
+
     checks = []
-    for name, m, n in identity_instances(m_max, n_max):
+    for name, m, n in instances:
         family, shift, sign, _ = _IDENTITIES[name]
-        m2, n2 = shift(m, n)
-        lhs = witten_transfer(GridSpec(family, m, n))
-        rhs = sign * witten_transfer(GridSpec(family, m2, n2))
+        lhs = z(family, m, n)
+        rhs = sign * z(family, *shift(m, n))
         checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
     return checks

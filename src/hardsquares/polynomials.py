@@ -236,7 +236,7 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return (a * b.leading ** (d + 1)).divrem(b)[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial, by exact division of t^d - 1."""
     if d < 1:

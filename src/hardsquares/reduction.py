@@ -168,6 +168,10 @@ RULES: Dict[str, Callable[..., ReductionState]] = {
     "square": apply_square_suspension,
     "isolated": _certify_isolated,
 }
+# Witnesses each rule takes after the state; drop_loops takes any list,
+# which replay_trace compares with the loops it deletes.
+_ARITY = {name: rule.__code__.co_argcount - 1
+          for name, rule in RULES.items() if name != "drop_loops"}
 
 
 # -- contractibility configurations -----------------------------------------------------
@@ -242,22 +246,24 @@ def detect_configuration(g: Graph) -> Optional[Configuration]:
 def _first_step(g: Graph) -> Optional[TraceStep]:
     """simplify's next step on a loop-free graph: an isolated vertex, else
     fold on the lexicographically first (u, v) pair, else pendant at the
-    lowest pendant vertex, else square at the lowest qualifying edge."""
+    lowest pendant vertex.
+
+    N(u) <= N(v) puts v in N(w) for every w in N(u), so fold only scans
+    the neighbours of the least-degree w in N(u).  No square is searched:
+    a square u-v-x-y always admits fold(u, x), as N(u) = {v, y} <= N(x).
+    """
     verts = sorted(g.vertices)
     for w in verts:
         if g.degree(w) == 0:
             return TraceStep("isolated", (w,))
     for u in verts:
         nu = g.neighbors(u)
-        for v in verts:
+        w = min(nu, key=g.degree)
+        for v in sorted(g.neighbors(w)):
             if v != u and nu <= g.neighbors(v):
                 return TraceStep("fold", (u, v))
-    for rule, candidates in (("pendant", _pendant_candidates(g)),
-                             ("square", _square_candidates(g))):
-        witnesses = next(candidates, None)
-        if witnesses is not None:
-            return TraceStep(rule, witnesses)
-    return None
+    witnesses = next(_pendant_candidates(g), None)
+    return None if witnesses is None else TraceStep("pendant", witnesses)
 
 
 def simplify(g: Graph) -> Verdict:
@@ -290,6 +296,9 @@ def replay_trace(g: Graph, steps) -> ReductionState:
             rule, verts = step["rule"], tuple(step["vertices"])
         if rule not in RULES:
             raise RuleInapplicableError(f"unknown rule {rule!r}")
+        if len(verts) != _ARITY.get(rule, len(verts)):
+            raise RuleInapplicableError(
+                f"{rule} takes {_ARITY[rule]} vertices, got {len(verts)}")
         done = RULES[rule](state, *verts)
         if done.trace != state.trace + (TraceStep(rule, verts),):
             raise RuleInapplicableError(f"{rule} {verts} does not apply as recorded")

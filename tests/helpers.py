@@ -20,7 +20,15 @@ differential oracle for the integer arithmetic of the polynomials module.
 peel_oracle, initial_patterns_oracle and pseudo_rem_oracle are the column
 wipes of peel and initial_patterns and the pseudo-remainder loop written
 out in place, kept as a differential oracle for the shared wipe helper and
-for the pseudo-remainder by divrem.  load_reduced_forms and
+for the pseudo-remainder by divrem.  witten_brute_oracle and
+components_oracle are the deletion recursion and the component search on
+frozensets of vertex ids, and first_step_oracle is simplify's step choice
+with the fold test over every (u, v) pair and the square search, kept as
+a differential oracle for the vertex-mask recursion of the graphs module
+and the neighbourhood-local fold search.  identity_checks_oracle is the
+identity sweep with one witten_transfer per side of every instance, kept
+as a differential oracle for the sweep's one column per circumference.
+load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -34,7 +42,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
-from hardsquares.graphs import Graph, random_graph  # noqa: F401  (re-exported)
+from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
+    _IDENTITIES,
+    Graph,
+    GridSpec,
+    IdentityCheck,
+    identity_instances,
+    random_graph,
+    witten_transfer,
+)
 from hardsquares.necklaces import Necklace, NecklaceClass
 from hardsquares.patterns import Pattern, canonicalize, is_reducible
 from hardsquares.polynomials import IntPoly
@@ -328,6 +344,93 @@ def pseudo_rem_oracle(a, b):
         for i, bc in enumerate(b.coeffs):
             rem[i + k] -= top * bc
     return IntPoly(rem)
+
+
+def components_oracle(g, active):
+    """Components of g's subgraph on the vertex set active, in search order."""
+    comps, seen = [], set()
+    for start in active:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for y in g.neighbors(stack.pop()) & active:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def witten_brute_oracle(g, visit=None):
+    """Z(g) by the deletion recursion on frozensets: drop looped vertices,
+    0 on an isolated vertex, multiply components, else pivot on a
+    maximum-degree vertex, the lowest id among ties.  visit(active) sees
+    every unmemoized active set with no isolated vertex, in order."""
+    memo = {}
+
+    def solve(active):
+        if not active:
+            return 1
+        if active in memo:
+            return memo[active]
+        degs = {v: len(g.neighbors(v) & active) for v in active}
+        if 0 in degs.values():
+            memo[active] = 0
+            return 0
+        if visit is not None:
+            visit(active)
+        comps = sorted(components_oracle(g, active), key=min)
+        if len(comps) > 1:
+            result = 1
+            for comp in comps:
+                result *= solve(comp)
+                if result == 0:
+                    break
+        else:
+            pivot = max(active, key=lambda v: (degs[v], -v))
+            closed = (g.neighbors(pivot) & active) | {pivot}
+            result = solve(active - {pivot}) - solve(active - closed)
+        memo[active] = result
+        return result
+
+    return solve(frozenset(v for v in g.vertices if not g.has_loop(v)))
+
+
+def first_step_oracle(g):
+    """(rule, vertices) of simplify's next step on a loop-free graph: an
+    isolated vertex, else the first fold (u, v) over all pairs, else the
+    lowest pendant, else the lowest square edge; None when nothing applies."""
+    verts = sorted(g.vertices)
+    for w in verts:
+        if g.degree(w) == 0:
+            return "isolated", (w,)
+    for u in verts:
+        for v in verts:
+            if v != u and g.neighbors(u) <= g.neighbors(v):
+                return "fold", (u, v)
+    for u in verts:
+        if g.degree(u) == 1:
+            return "pendant", (u, *g.neighbors(u))
+    for u, v in sorted(g.edges):
+        if g.degree(u) == g.degree(v) == 2:
+            (y,) = g.neighbors(u) - {v}
+            (x,) = g.neighbors(v) - {u}
+            if x != y and g.has_edge(x, y):
+                return "square", (u, v, x, y)
+    return None
+
+
+def identity_checks_oracle(m_max, n_max):
+    """Every in-range identity instance, each side by its own witten_transfer."""
+    checks = []
+    for name, m, n in identity_instances(m_max, n_max):
+        family, shift, sign, _ = _IDENTITIES[name]
+        lhs = witten_transfer(GridSpec(family, m, n))
+        rhs = sign * witten_transfer(GridSpec(family, *shift(m, n)))
+        checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
+    return checks
 
 
 def load_reduced_forms():

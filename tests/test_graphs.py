@@ -15,13 +15,22 @@ up to three masks, m <= 12, also m below the mask count).  The orbit cache
 is bounded, and the cylinder and the patterns of one ring read one kept
 list of powers B^k w, which stops at the fit window 2N + 6; columns taller
 than the window match the oracle.  An identity instance is in range exactly
-when m >= 1 and n >= 3, or m >= 2 and n >= 2.
+when m >= 1 and n >= 3, or m >= 2 and n >= 2, and the sweep, one column
+per circumference, checks exactly what one witten_transfer per side does.
+
+The brute oracle recurses on vertex masks; on derandomized graphs with
+loops, isolated vertices, several components and scattered ids it returns
+the frozenset recursion's value after visiting the same vertex sets in the
+same order.  Graph.induced equals the graph built from scratch on the kept
+vertices, and Graph.components matches the frozenset search, sorted by
+least member.
 """
 
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
+from hardsquares import graphs
 from hardsquares.graphs import (
     FAMILIES,
     Graph,
@@ -40,11 +49,14 @@ from hardsquares.graphs import (
 )
 from hardsquares.patterns import Pattern, z_pattern_series
 from helpers import (
+    components_oracle,
+    identity_checks_oracle,
     naive_witten,
     random_graph,
     ring_table,
     torus_oracle,
     transfer_oracle,
+    witten_brute_oracle,
 )
 
 import pytest
@@ -145,6 +157,69 @@ def test_vertex_and_edge_deletion_relations():
             closed = g.closed_neighborhood(u) | g.closed_neighborhood(v)
             no_nbhd = witten_brute(g.without_vertices(closed))
             assert z == no_edge - no_nbhd
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Up to 14 vertices with scattered ids, loops, isolated vertices and
+    several components; every other vertex labelled."""
+    ids = draw(st.lists(st.integers(-5, 60), unique=True, max_size=14))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          max_size=30)) if ids else []
+    return Graph(ids, edges, {v: (v % 4, v) for v in ids[::2]})
+
+
+def assert_brute_recursion_matches_the_oracle(g):
+    """Same value, and the same vertex sets reach the component search in
+    the same order, as in the frozenset recursion."""
+    verts = sorted(v for v in g.vertices if not g.has_loop(v))
+    seen, expected = [], []
+    search = graphs._components
+
+    def spy(nbrs, active):
+        seen.append(frozenset(v for i, v in enumerate(verts) if active >> i & 1))
+        return search(nbrs, active)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_components", spy)
+        z = witten_brute(g)
+    assert z == witten_brute_oracle(g, expected.append)
+    assert seen == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scattered_graphs())
+def test_brute_recursion_matches_the_frozenset_oracle(g):
+    assert_brute_recursion_matches_the_oracle(g)
+
+
+def test_brute_recursion_matches_the_frozenset_oracle_on_grids():
+    for family in FAMILIES:
+        for m in range(1, 6):
+            for n in range(0, 7):
+                assert_brute_recursion_matches_the_oracle(build_grid(GridSpec(family, m, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scattered_graphs(), st.data())
+def test_induced_equals_the_graph_built_from_scratch(g, data):
+    keep = data.draw(st.frozensets(st.sampled_from(sorted(g.vertices)))
+                     if g.vertices else st.just(frozenset()))
+    fresh = Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep],
+                  {v: lab for v, lab in g.labels.items() if v in keep})
+    for h in (g.induced(keep), g.without_vertices(g.vertices - keep)):
+        assert (h.vertices, h.edges, h.labels) == (fresh.vertices, fresh.edges, fresh.labels)
+        assert all(h.neighbors(v) == fresh.neighbors(v) for v in keep)
+    with pytest.raises(ValueError):
+        g.induced(keep | {61})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scattered_graphs())
+def test_components_keep_the_least_member_order(g):
+    comps = g.components()
+    assert comps == sorted(components_oracle(g, g.vertices), key=min)
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
 
 # -- transfer engine -----------------------------------------------------------
@@ -321,6 +396,12 @@ def test_identity_sweep_development_ranges():
     assert checks, "empty identity sweep"
     failures = [c for c in checks if not c.ok]
     assert failures == []
+
+
+def test_identity_sweep_reads_what_one_transfer_per_side_reads():
+    checks = verify_index_identities(40, 10)
+    assert len(checks) == 160
+    assert checks == identity_checks_oracle(40, 10)
 
 
 def test_identity_frozen_instances():

@@ -125,6 +125,17 @@ def test_factor_cyclotomic():
     assert format_cyclotomic({1: 1, 2: 2}, P(-1)) == "-1 * Phi_1 * Phi_2^2"
 
 
+def test_cyclotomic_cache_is_bounded():
+    assert cyclotomic.cache_info().maxsize == 32
+    cyclotomic.cache_clear()
+    orders = range(1, 61)
+    prod = IntPoly([1])
+    for d in orders:
+        prod = prod * cyclotomic(d)  # 60 orders through 32 slots
+    assert cyclotomic.cache_info().currsize == 32
+    assert factor_cyclotomic(prod) == (dict.fromkeys(orders, 1), ONE)
+
+
 def test_totient_is_the_cyclotomic_degree():
     assert [_totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert all(_totient(d) == cyclotomic(d).degree for d in range(1, 300))

@@ -10,7 +10,12 @@ trace rules and simplify's traces use every one; each step of a trace
 replays as exactly that one step, so a step that applies nothing (a second
 drop_loops, a drop_loops on a loop-free graph) is rejected; and
 detect_configuration's witness is effectively isolated in the graph that
-its rule, recomputed here, leaves.
+its rule, recomputed here, leaves.  A step with too few or too many
+vertices is refused as inapplicable.  simplify's step choice, which scans
+only one neighbourhood for a fold, equals the all-pairs oracle of
+tests/helpers on random loop-free graphs and along their traces, and never
+needs a square: whenever a square exists, an isolated vertex or a fold is
+found first.
 """
 
 from random import Random
@@ -27,11 +32,13 @@ from hardsquares.reduction import (
     apply_pendant_suspension,
     apply_square_suspension,
     detect_configuration,
+    _first_step,
+    _square_candidates,
     replay_trace,
     residue_edge,
     simplify,
 )
-from helpers import naive_witten, random_graph
+from helpers import first_step_oracle, naive_witten, random_graph
 
 import pytest
 
@@ -282,3 +289,45 @@ def test_each_simplify_step_replays_as_exactly_one_step():
     hung = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
     state = replay_trace(hung, square)
     assert state.trace == tuple(square) and state.witten() == 0
+
+
+@pytest.mark.parametrize("rule, arity", [("fold", 2), ("pendant", 2),
+                                         ("square", 4), ("isolated", 1)])
+def test_replay_refuses_a_wrong_vertex_count(rule, arity):
+    for count in (arity - 1, arity + 1):
+        with pytest.raises(RuleInapplicableError):
+            replay_trace(path(3), [{"rule": rule, "vertices": list(range(count))}])
+    with pytest.raises(TypeError):  # raised inside the rule, not a count
+        replay_trace(path(3), [{"rule": rule, "vertices": [[0]] * arity}])
+
+
+def _as_pair(step):
+    return None if step is None else (step.rule, step.vertices)
+
+
+def test_first_step_matches_the_all_pairs_oracle_along_traces():
+    rng = Random(404)
+    for _ in range(150):
+        g = random_graph(rng, 16, edge_prob=rng.choice((0.15, 0.3, 0.5)), loop_prob=0.0)
+        assert _as_pair(_first_step(g)) == first_step_oracle(g)
+        looped = random_graph(rng, 16, edge_prob=0.25, loop_prob=0.1)
+        trace = simplify(looped).state.trace
+        for k in range(len(trace) + 1):
+            h = replay_trace(looped, trace[:k]).graph
+            if not any(h.has_loop(v) for v in h.vertices):
+                assert _as_pair(_first_step(h)) == first_step_oracle(h), trace[:k]
+
+
+def test_a_square_always_meets_an_isolated_vertex_or_a_fold_first():
+    rng = Random(8)
+    graphs = [random_graph(rng, 12, edge_prob=rng.choice((0.15, 0.25)), loop_prob=0.0)
+              for _ in range(400)]
+    graphs += [build_grid(GridSpec(family, m, n)) for family in ("free", "cylinder")
+               for m in range(1, 5) for n in range(2, 9)]
+    graphs += [residue_edge(g, (u, v)) for g in graphs[400:] for u, v in sorted(g.edges)[:6]]
+    squares = 0
+    for g in graphs:
+        if next(_square_candidates(g), None) is not None:
+            squares += 1
+            assert _first_step(g).rule in ("isolated", "fold")
+    assert squares >= 40
