@@ -6,145 +6,9 @@ fold and suspension moves, manipulates the cyclic two-row patterns whose
 weighted indices assemble cylinder columns, derives closed-form generating
 functions for those columns, and enumerates the necklace classes whose cycle
 structure under a rotation-like dynamics explains the denominators.
+Each name lives in its own module (``hardsquares.graphs``,
+``hardsquares.cli``, ...).  The package root re-exports none, so loading one
+module loads only the modules it needs.
 """
-
-from .errors import (
-    ConsistencyError,
-    FitInconclusiveError,
-    ResourceLimitError,
-    RuleInapplicableError,
-)
-from .graphs import (
-    Graph,
-    GridSpec,
-    build_grid,
-    column_series,
-    disjoint_union,
-    grid_vertex,
-    transfer_width,
-    verify_index_identities,
-    witten_brute,
-    witten_transfer,
-)
-from .polynomials import (
-    IntPoly,
-    RationalGF,
-    cyclotomic,
-    factor_cyclotomic,
-    fit_recurrence,
-    format_cyclotomic,
-    format_poly,
-    series_expand,
-)
-from .reduction import Configuration, ReductionState, replay_trace, simplify
-from .patterns import (
-    Pattern,
-    PatternClass,
-    block_count,
-    canonicalize,
-    delete_top,
-    delete_top_neighborhood,
-    enumerate_proper,
-    format_pattern,
-    initial_patterns,
-    is_proper,
-    is_reducible,
-    masked_graph,
-    parse_pattern,
-    peel,
-    z_pattern,
-    z_pattern_series,
-)
-from .genfun import (
-    PeriodicityReport,
-    check_block_count_denominator,
-    check_denominator_form,
-    check_roots_of_unity,
-    conjectured_denominator,
-    cylinder_gf,
-    fitted_cylinder_gf,
-    pattern_gf,
-    periodicity_report,
-)
-from .necklaces import (
-    Necklace,
-    NecklaceClass,
-    check_correspondence,
-    collapse_top_blocks,
-    cycle_structure,
-    enumerate_necklaces,
-    format_cycle_structure,
-    format_necklace,
-    necklace_of_pattern,
-    pattern_of_necklace,
-    transform,
-    verify_cycle_divisibility,
-)
-
-__all__ = [
-    "ConsistencyError",
-    "FitInconclusiveError",
-    "ResourceLimitError",
-    "RuleInapplicableError",
-    "Graph",
-    "GridSpec",
-    "build_grid",
-    "column_series",
-    "disjoint_union",
-    "grid_vertex",
-    "transfer_width",
-    "verify_index_identities",
-    "witten_brute",
-    "witten_transfer",
-    "IntPoly",
-    "RationalGF",
-    "cyclotomic",
-    "factor_cyclotomic",
-    "fit_recurrence",
-    "format_cyclotomic",
-    "format_poly",
-    "series_expand",
-    "Configuration",
-    "ReductionState",
-    "replay_trace",
-    "simplify",
-    "Pattern",
-    "PatternClass",
-    "block_count",
-    "canonicalize",
-    "delete_top",
-    "delete_top_neighborhood",
-    "enumerate_proper",
-    "format_pattern",
-    "initial_patterns",
-    "is_proper",
-    "is_reducible",
-    "masked_graph",
-    "parse_pattern",
-    "peel",
-    "z_pattern",
-    "z_pattern_series",
-    "PeriodicityReport",
-    "check_block_count_denominator",
-    "check_denominator_form",
-    "check_roots_of_unity",
-    "conjectured_denominator",
-    "cylinder_gf",
-    "fitted_cylinder_gf",
-    "pattern_gf",
-    "periodicity_report",
-    "Necklace",
-    "NecklaceClass",
-    "check_correspondence",
-    "collapse_top_blocks",
-    "cycle_structure",
-    "enumerate_necklaces",
-    "format_cycle_structure",
-    "format_necklace",
-    "necklace_of_pattern",
-    "pattern_of_necklace",
-    "transform",
-    "verify_cycle_divisibility",
-]
 
 __version__ = "0.1.0"

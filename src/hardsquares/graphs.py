@@ -38,36 +38,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from random import Random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 FAMILIES = ("free", "cylinder", "torus")
 
 
 class Graph:
-    """Undirected graph with integer vertex ids; loops allowed.
+    """Undirected graph with integer vertex ids; loops allowed.  It stores
+    its vertex ids and each vertex's neighbour set, nothing else.
 
-    Vertices surviving a deletion keep their ids and labels, so reduction
-    traces can be replayed against the original graph.
+    Vertices surviving a deletion keep their ids, so reduction traces can be
+    replayed against the original graph.
     """
 
-    __slots__ = ("vertices", "edges", "labels", "_adj")
+    __slots__ = ("vertices", "_adj")
 
-    def __init__(
-        self,
-        vertices: Iterable[int],
-        edges: Iterable[Tuple[int, int]] = (),
-        labels: Optional[Dict[int, tuple]] = None,
-    ):
+    def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
         self.vertices = frozenset(vertices)
-        normalized = set()
-        for u, v in edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            normalized.add((u, v) if u <= v else (v, u))
-        self.edges = frozenset(normalized)
-        self.labels = dict(labels) if labels else {}
         adj: Dict[int, set] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
+        for u, v in edges:
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(s) for v, s in adj.items()}
@@ -88,7 +79,12 @@ class Graph:
         return v in self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.edges
+        return v in self._adj.get(u, ())
+
+    @property
+    def edges(self) -> frozenset:
+        """Every edge once, as (u, v) with u <= v; (v, v) is a loop."""
+        return frozenset((u, v) for u, nbrs in self._adj.items() for v in nbrs if u <= v)
 
     @property
     def vertex_count(self) -> int:
@@ -102,23 +98,18 @@ class Graph:
         keep = frozenset(keep)
         if not keep <= self.vertices:
             raise ValueError("induced() got vertices not present in the graph")
-        adj = self._adj
         g = Graph.__new__(Graph)
         g.vertices = keep
-        g.edges = self.edges - {(u, v) if u <= v else (v, u)
-                                for u in self.vertices - keep for v in adj[u]}
-        g.labels = {v: lab for v, lab in self.labels.items() if v in keep}
-        g._adj = {v: adj[v] & keep for v in keep}
+        g._adj = {v: self._adj[v] & keep for v in keep}
         return g
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         return self.induced(self.vertices - frozenset(drop))
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        e = (u, v) if u <= v else (v, u)
-        if e not in self.edges:
+        if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
-        return Graph(self.vertices, self.edges - {e}, self.labels)
+        return Graph(self.vertices, self.edges - {(u, v) if u <= v else (v, u)})
 
     def components(self) -> List[frozenset]:
         """Connected components as vertex sets, sorted by smallest member."""
@@ -131,7 +122,7 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self._adj == other._adj
         )
 
     def __hash__(self) -> int:
@@ -146,9 +137,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     offset = max(g.vertices, default=-1) + 1
     verts = set(g.vertices) | {v + offset for v in h.vertices}
     edges = list(g.edges) + [(u + offset, v + offset) for u, v in h.edges]
-    labels = dict(g.labels)
-    labels.update({v + offset: lab for v, lab in h.labels.items()})
-    return Graph(verts, edges, labels)
+    return Graph(verts, edges)
 
 
 def random_graph(rng: Random, max_vertices: int, edge_prob: float = 0.3,
@@ -185,64 +174,33 @@ class GridSpec:
             raise ValueError("grid sizes must be non-negative")
 
 
-def _path_factor(k: int, base: int) -> Tuple[List[int], List[Tuple[int, int]]]:
-    keys = list(range(base, base + k))
-    return keys, [(keys[i], keys[i + 1]) for i in range(k - 1)]
-
-
-def _cycle_factor(k: int) -> Tuple[List[int], List[Tuple[int, int]]]:
-    # C_2 = P_2, C_1 = looped vertex, C_0 = empty graph.
-    if k == 0:
-        return [], []
-    if k == 1:
-        return [0], [(0, 0)]
-    keys = list(range(k))
-    if k == 2:
-        return keys, [(0, 1)]
-    return keys, [(i, (i + 1) % k) for i in range(k)]
+def _factor_edges(k: int, cyclic: bool) -> List[Tuple[int, int]]:
+    """Edges of P_k, or of C_k when cyclic, on 0..k-1.  C_2 = P_2, C_1 is a
+    looped vertex and C_0 the empty graph."""
+    if not cyclic or k == 2:
+        return [(i, i + 1) for i in range(k - 1)]
+    return [(i, (i + 1) % k) for i in range(k)]
 
 
 def build_grid(spec: GridSpec) -> Graph:
-    """Construct the labelled product graph for a grid-family instance.
-
-    Labels are (row, column) pairs: rows run 1..m for path factors and
-    0..m-1 for cyclic ones, columns 1..n (free) or 0..n-1 (cyclic).
-    """
-    if spec.family == "free":
-        rows, row_edges = _path_factor(spec.m, 1)
-        cols, col_edges = _path_factor(spec.n, 1)
-    elif spec.family == "cylinder":
-        rows, row_edges = _path_factor(spec.m, 1)
-        cols, col_edges = _cycle_factor(spec.n)
-    else:
-        rows, row_edges = _cycle_factor(spec.m)
-        cols, col_edges = _cycle_factor(spec.n)
-
-    n_cols = len(cols)
-    col_index = {b: idx for idx, b in enumerate(cols)}
-    row_index = {a: idx for idx, a in enumerate(rows)}
-
-    def vid(a: int, b: int) -> int:
-        return row_index[a] * n_cols + col_index[b]
-
-    vertices = [vid(a, b) for a in rows for b in cols]
-    labels = {vid(a, b): (a, b) for a in rows for b in cols}
-    edges: List[Tuple[int, int]] = []
-    for a, a2 in row_edges:
-        for b in cols:
-            edges.append((vid(a, b), vid(a2, b)))
-    for b, b2 in col_edges:
-        for a in rows:
-            edges.append((vid(a, b), vid(a, b2)))
-    return Graph(vertices, edges, labels)
+    """Construct the product graph for a grid-family instance; vertex ids
+    run row-major from 0 (see grid_vertex)."""
+    m, n = spec.m, spec.n
+    edges = [(a * n + b, a2 * n + b) for b in range(n)
+             for a, a2 in _factor_edges(m, spec.family == "torus")]
+    edges += [(a * n + b, a * n + b2) for a in range(m)
+              for b, b2 in _factor_edges(n, spec.family != "free")]
+    return Graph(range(m * n), edges)
 
 
-def grid_vertex(g: Graph, row: int, col: int) -> int:
-    """Vertex id carrying the label (row, col)."""
-    for v, lab in g.labels.items():
-        if lab == (row, col):
-            return v
-    raise KeyError((row, col))
+def grid_vertex(spec: GridSpec, row: int, col: int) -> int:
+    """Vertex id of cell (row, col) in build_grid(spec).  Rows run 1..m for
+    path factors and 0..m-1 for cyclic ones, columns 1..n (free) or 0..n-1
+    (cyclic), and ids run row-major from 0."""
+    i, j = row - (spec.family != "torus"), col - (spec.family == "free")
+    if not (0 <= i < spec.m and 0 <= j < spec.n):
+        raise KeyError((row, col))
+    return i * spec.n + j
 
 
 # -- brute-force Witten index --------------------------------------------------
@@ -483,40 +441,38 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-# name -> (family, lhs(m, n) -> rhs instance, sign, validity predicate).
-# Each entry encodes Z(family, m, n) == sign * Z(family, m', n') on its range.
+# name -> (family, fixed side, its value, shift, sign, first size of the
+# other side).  Each row encodes Z(family, m, n) == sign * Z(family, m', n')
+# for the fixed side ("m" or "n") at its value and the other side at the
+# first size or more, where m', n' is m, n with the other side less shift.
 _IDENTITIES = {
-    "one_row_cylinder_shift3": (
-        "cylinder", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 4),
-    "two_row_cylinder_shift4": (
-        "cylinder", lambda m, n: (m, n - 4), 1, lambda m, n: m == 2 and n >= 5),
-    "three_row_cylinder_shift8": (
-        "cylinder", lambda m, n: (m, n - 8), 1, lambda m, n: m == 3 and n >= 9),
-    "circumference3_shift3": (
-        "cylinder", lambda m, n: (m - 3, n), 1, lambda m, n: n == 3 and m >= 3),
-    "circumference5_shift2": (
-        "cylinder", lambda m, n: (m - 2, n), 1, lambda m, n: n == 5 and m >= 2),
-    "circumference7_shift4": (
-        "cylinder", lambda m, n: (m - 4, n), 1, lambda m, n: n == 7 and m >= 4),
-    "one_row_free_shift3": (
-        "free", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 3),
-    "two_row_free_shift2": (
-        "free", lambda m, n: (m, n - 2), -1, lambda m, n: m == 2 and n >= 2),
-    "three_row_free_shift4": (
-        "free", lambda m, n: (m, n - 4), -1, lambda m, n: m == 3 and n >= 4),
-    "torus3_shift3": (
-        "torus", lambda m, n: (m, n - 3), 1, lambda m, n: m == 3 and n >= 4),
+    "one_row_cylinder_shift3": ("cylinder", "m", 1, 3, -1, 4),
+    "two_row_cylinder_shift4": ("cylinder", "m", 2, 4, 1, 5),
+    "three_row_cylinder_shift8": ("cylinder", "m", 3, 8, 1, 9),
+    "circumference3_shift3": ("cylinder", "n", 3, 3, 1, 3),
+    "circumference5_shift2": ("cylinder", "n", 5, 2, 1, 2),
+    "circumference7_shift4": ("cylinder", "n", 7, 4, 1, 4),
+    "one_row_free_shift3": ("free", "m", 1, 3, -1, 3),
+    "two_row_free_shift2": ("free", "m", 2, 2, -1, 2),
+    "three_row_free_shift4": ("free", "m", 3, 4, -1, 4),
+    "torus3_shift3": ("torus", "m", 3, 3, 1, 4),
 }
 
 
 def identity_instances(m_max: int, n_max: int) -> Iterator[Tuple[str, int, int]]:
     """(identity, m, n) for every in-range instance with m <= m_max and
-    n <= n_max, in sweep order, lazily."""
-    for name, (_, _, _, in_range) in _IDENTITIES.items():
-        for m in range(0, m_max + 1):
-            for n in range(0, n_max + 1):
-                if in_range(m, n):
-                    yield name, m, n
+    n <= n_max, in sweep order (by identity, then m, then n), lazily."""
+    for name, (_, side, value, _, _, first) in _IDENTITIES.items():
+        if side == "m" and value <= m_max:
+            yield from ((name, value, n) for n in range(first, n_max + 1))
+        elif side == "n" and value <= n_max:
+            yield from ((name, m, value) for m in range(first, m_max + 1))
+
+
+def _rhs(name: str, m: int, n: int) -> Tuple[str, int, int, int]:
+    """(family, sign, m', n') of the instance: its rhs is sign * Z(family, m', n')."""
+    family, side, _, shift, sign, _ = _IDENTITIES[name]
+    return (family, sign, m, n - shift) if side == "m" else (family, sign, m - shift, n)
 
 
 def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCheck]:
@@ -527,12 +483,11 @@ def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCh
     homotopy equivalences do not apply.  Cylinders read one column per
     circumference, as tall as the tallest instance at it.
     """
-    instances = list(identity_instances(m_max, n_max))
+    instances = [(name, m, n, _rhs(name, m, n)) for name, m, n in identity_instances(m_max, n_max)]
     tallest: Dict[int, int] = {}  # cylinder circumference -> rows read
-    for name, m, n in instances:
-        family, shift, _, _ = _IDENTITIES[name]
+    for _, m, n, (family, _, mr, nr) in instances:
         if family == "cylinder":
-            for mi, ni in ((m, n), shift(m, n)):
+            for mi, ni in ((m, n), (mr, nr)):
                 tallest[ni] = max(tallest.get(ni, 0), mi)
     columns = {n: column_series(n, m) for n, m in tallest.items()}
 
@@ -541,10 +496,5 @@ def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCh
             return columns[n][m]
         return witten_transfer(GridSpec(family, m, n))
 
-    checks = []
-    for name, m, n in instances:
-        family, shift, sign, _ = _IDENTITIES[name]
-        lhs = z(family, m, n)
-        rhs = sign * z(family, *shift(m, n))
-        checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
-    return checks
+    return [IdentityCheck(name, family, m, n, z(family, m, n), sign * z(family, mr, nr))
+            for name, m, n, (family, sign, mr, nr) in instances]

@@ -137,10 +137,10 @@ def masked_graph(p: Pattern, m: int) -> Graph:
     """The first two rows of P_m x C_n masked by p; rows 3..m intact."""
     if m < 2:
         raise ValueError("masked graphs need at least 2 rows")
-    g = build_grid(GridSpec("cylinder", m, p.n))
-    drop = [grid_vertex(g, 1, i) for i in range(p.n) if p.row1[i] == 0]
-    drop += [grid_vertex(g, 2, i) for i in range(p.n) if p.row2[i] == 0]
-    return g.without_vertices(drop)
+    spec = GridSpec("cylinder", m, p.n)
+    drop = [grid_vertex(spec, 1, i) for i in range(p.n) if p.row1[i] == 0]
+    drop += [grid_vertex(spec, 2, i) for i in range(p.n) if p.row2[i] == 0]
+    return build_grid(spec).without_vertices(drop)
 
 
 def z_pattern_series(p: Pattern, m_max: int) -> List[int]:

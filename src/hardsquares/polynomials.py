@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import FitInconclusiveError
@@ -238,26 +239,44 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 @lru_cache(maxsize=32)
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, by exact division of t^d - 1."""
+    """The d-th cyclotomic polynomial, the product over e | d of
+    (t^e - 1)^μ(d/e): the factors with μ = +1 multiplied, then those with
+    μ = -1 divided out.  μ(d/e) is nonzero only for squarefree d/e, so e
+    runs over d divided by products of d's distinct primes."""
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    p = IntPoly([-1] + [0] * (d - 1) + [1])
-    for e in range(1, d):
-        if d % e == 0:
-            p = p.exact_div(cyclotomic(e))
+    primes = _prime_divisors(d)
+    p, denominators = ONE, []
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            e = d // prod(chosen)
+            factor = IntPoly([-1] + [0] * (e - 1) + [1])
+            if k % 2:
+                denominators.append(factor)
+            else:
+                p = p * factor
+    for factor in denominators:
+        p = p.exact_div(factor)
     return p
 
 
-def _totient(d: int) -> int:
-    """Euler's phi(d), the degree of cyclotomic(d), by trial division."""
-    phi, m, q = d, d, 2
-    while q * q <= m:
-        if m % q == 0:
-            phi -= phi // q
-            while m % q == 0:
-                m //= q
+def _prime_divisors(d: int) -> List[int]:
+    """The distinct primes dividing d, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= d:
+        if d % q == 0:
+            primes.append(q)
+            while d % q == 0:
+                d //= q
         q += 1
-    return phi - phi // m if m > 1 else phi
+    return primes + [d] if d > 1 else primes
+
+
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of cyclotomic(d)."""
+    for q in _prime_divisors(d):
+        d -= d // q
+    return d
 
 
 def factor_cyclotomic(p: IntPoly) -> Tuple[Dict[int, int], IntPoly]:

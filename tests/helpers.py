@@ -25,9 +25,15 @@ components_oracle are the deletion recursion and the component search on
 frozensets of vertex ids, and first_step_oracle is simplify's step choice
 with the fold test over every (u, v) pair and the square search, kept as
 a differential oracle for the vertex-mask recursion of the graphs module
-and the neighbourhood-local fold search.  identity_checks_oracle is the
-identity sweep with one witten_transfer per side of every instance, kept
-as a differential oracle for the sweep's one column per circumference.
+and the neighbourhood-local fold search.  IDENTITIES_ORACLE is the
+identity table as a shift function and a validity predicate per identity,
+and identity_checks_oracle is the identity sweep over it with one
+witten_transfer per side of every instance, kept as a differential oracle
+for the data rows of the identity table and the sweep's one column per
+circumference.  labelled_grid_oracle builds a grid from its labelled row
+and column factors, kept as a differential oracle for the row-major ids
+of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
+division, kept as a differential oracle for the Moebius product.
 load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
@@ -43,11 +49,9 @@ from itertools import combinations, product
 from pathlib import Path
 
 from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
-    _IDENTITIES,
     Graph,
     GridSpec,
     IdentityCheck,
-    identity_instances,
     random_graph,
     witten_transfer,
 )
@@ -422,15 +426,80 @@ def first_step_oracle(g):
     return None
 
 
+# name -> (family, lhs(m, n) -> rhs instance, sign, validity predicate).
+# Each entry encodes Z(family, m, n) == sign * Z(family, m', n') on its range.
+IDENTITIES_ORACLE = {
+    "one_row_cylinder_shift3": (
+        "cylinder", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 4),
+    "two_row_cylinder_shift4": (
+        "cylinder", lambda m, n: (m, n - 4), 1, lambda m, n: m == 2 and n >= 5),
+    "three_row_cylinder_shift8": (
+        "cylinder", lambda m, n: (m, n - 8), 1, lambda m, n: m == 3 and n >= 9),
+    "circumference3_shift3": (
+        "cylinder", lambda m, n: (m - 3, n), 1, lambda m, n: n == 3 and m >= 3),
+    "circumference5_shift2": (
+        "cylinder", lambda m, n: (m - 2, n), 1, lambda m, n: n == 5 and m >= 2),
+    "circumference7_shift4": (
+        "cylinder", lambda m, n: (m - 4, n), 1, lambda m, n: n == 7 and m >= 4),
+    "one_row_free_shift3": (
+        "free", lambda m, n: (m, n - 3), -1, lambda m, n: m == 1 and n >= 3),
+    "two_row_free_shift2": (
+        "free", lambda m, n: (m, n - 2), -1, lambda m, n: m == 2 and n >= 2),
+    "three_row_free_shift4": (
+        "free", lambda m, n: (m, n - 4), -1, lambda m, n: m == 3 and n >= 4),
+    "torus3_shift3": (
+        "torus", lambda m, n: (m, n - 3), 1, lambda m, n: m == 3 and n >= 4),
+}
+
+
+def identity_instances_oracle(m_max, n_max):
+    """(identity, m, n) for every (m, n) in range that its predicate accepts."""
+    return [(name, m, n) for name, (_, _, _, in_range) in IDENTITIES_ORACLE.items()
+            for m in range(0, m_max + 1) for n in range(0, n_max + 1) if in_range(m, n)]
+
+
 def identity_checks_oracle(m_max, n_max):
     """Every in-range identity instance, each side by its own witten_transfer."""
     checks = []
-    for name, m, n in identity_instances(m_max, n_max):
-        family, shift, sign, _ = _IDENTITIES[name]
+    for name, m, n in identity_instances_oracle(m_max, n_max):
+        family, shift, sign, _ = IDENTITIES_ORACLE[name]
         lhs = witten_transfer(GridSpec(family, m, n))
         rhs = sign * witten_transfer(GridSpec(family, *shift(m, n)))
         checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
     return checks
+
+
+def labelled_grid_oracle(spec):
+    """(vertices, edges, labels) of the grid built from labelled factors:
+    rows 1..m of a path or 0..m-1 of a cycle, columns 1..n (free) or
+    0..n-1 (cyclic), ids numbered by (row index, column index), and
+    labels[id] = (row, col)."""
+    def path(k):
+        keys = list(range(1, k + 1))
+        return keys, [(keys[i], keys[i + 1]) for i in range(k - 1)]
+
+    def cycle(k):  # C_2 = P_2, C_1 = looped vertex, C_0 = empty graph
+        if k <= 1:
+            return list(range(k)), [(0, 0)] * k
+        keys = list(range(k))
+        return keys, [(0, 1)] if k == 2 else [(i, (i + 1) % k) for i in range(k)]
+
+    rows, row_edges = cycle(spec.m) if spec.family == "torus" else path(spec.m)
+    cols, col_edges = path(spec.n) if spec.family == "free" else cycle(spec.n)
+    vid = {(a, b): i * len(cols) + j for i, a in enumerate(rows) for j, b in enumerate(cols)}
+    edges = [(vid[a, b], vid[a2, b]) for a, a2 in row_edges for b in cols]
+    edges += [(vid[a, b], vid[a, b2]) for b, b2 in col_edges for a in rows]
+    return sorted(vid.values()), edges, {v: lab for lab, v in vid.items()}
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_oracle(d):
+    """Phi_d by exact division of t^d - 1 by every Phi_e with e | d, e < d."""
+    p = IntPoly([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            p = p.exact_div(cyclotomic_oracle(e))
+    return p
 
 
 def load_reduced_forms():

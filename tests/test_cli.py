@@ -34,8 +34,13 @@
   exit code is 1 and the failure list is machine readable.
 - repeated invocations produce byte-identical output.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
+- every module.function the benchmark tracer wraps (perfbench/tracer.py,
+  read only) exists, and importing hardsquares.cli in a fresh interpreter
+  leaves hardsquares.reduction unloaded.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -413,3 +418,22 @@ def test_module_entry_point():
          "-n", "14"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and proc.stdout == "13\n"
+
+
+def test_benchmark_traced_names_resolve_and_the_cli_loads_no_reduction():
+    # perfbench/tracer.py is read, not changed: every traced module.function
+    # must exist, and the CLI must not pull in the reduction module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, functions in tracer.TRACED.items():
+        home = importlib.import_module(f"hardsquares.{module}")
+        for name in functions:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hardsquares.cli; "
+         "print('hardsquares.reduction' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr

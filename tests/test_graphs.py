@@ -1,7 +1,10 @@
 """Grid construction and the two Witten-index engines.
 
 Covers: degenerate cycle conventions (C_2 = P_2, C_1 = looped vertex,
-C_0 = empty), agreement of witten_brute and witten_transfer with the naive
+C_0 = empty), row-major grid ids that equal those of the labelled-factor
+construction of tests/helpers (every family, m, n <= 5) with grid_vertex
+refusing cells outside the grid, a Graph that stores only its vertex ids
+and neighbour sets (edges derived, equality on neighbour sets), agreement of witten_brute and witten_transfer with the naive
 subset-enumeration oracle, frozen small values, the constant and period-3
 column series, multiplicativity and the two deletion relations on random
 graphs, the ten suspension identities on a development-sized sweep, and the
@@ -17,6 +20,8 @@ list of powers B^k w, which stops at the fit window 2N + 6; columns taller
 than the window match the oracle.  An identity instance is in range exactly
 when m >= 1 and n >= 3, or m >= 2 and n >= 2, and the sweep, one column
 per circumference, checks exactly what one witten_transfer per side does.
+The identity rows give the same instances, in the same order, as the
+predicate table of tests/helpers for -1 <= m <= 12, -1 <= n <= 18.
 
 The brute oracle recurses on vertex masks; on derandomized graphs with
 loops, isolated vertices, several components and scattered ids it returns
@@ -51,6 +56,8 @@ from hardsquares.patterns import Pattern, z_pattern_series
 from helpers import (
     components_oracle,
     identity_checks_oracle,
+    identity_instances_oracle,
+    labelled_grid_oracle,
     naive_witten,
     random_graph,
     ring_table,
@@ -95,11 +102,48 @@ def test_degenerate_cycles():
 
 
 def test_grid_labels_and_lookup():
-    g = build_grid(GridSpec("cylinder", 2, 3))
-    assert g.labels[grid_vertex(g, 1, 0)] == (1, 0)
-    assert g.labels[grid_vertex(g, 2, 2)] == (2, 2)
-    sub = g.without_vertices([grid_vertex(g, 1, 0)])
-    assert sub.labels[grid_vertex(sub, 2, 2)] == (2, 2)
+    spec = GridSpec("cylinder", 2, 3)
+    g = build_grid(spec)
+    assert grid_vertex(spec, 1, 0) == 0
+    assert grid_vertex(spec, 2, 2) == 5
+    sub = g.without_vertices([grid_vertex(spec, 1, 0)])
+    assert grid_vertex(spec, 2, 2) in sub.vertices
+    assert sub.neighbors(5) == g.neighbors(5)
+    with pytest.raises(KeyError):
+        grid_vertex(spec, 3, 0)
+
+
+def test_row_major_ids_match_the_labelled_grid():
+    for family in FAMILIES:
+        for m in range(0, 6):
+            for n in range(0, 6):
+                spec = GridSpec(family, m, n)
+                verts, edges, labels = labelled_grid_oracle(spec)
+                assert build_grid(spec) == Graph(verts, edges), spec
+                for v, (row, col) in labels.items():
+                    assert grid_vertex(spec, row, col) == v, (spec, row, col)
+                for row in range(-1, m + 2):
+                    for col in range(-1, n + 2):
+                        if (row, col) not in labels.values():
+                            with pytest.raises(KeyError):
+                                grid_vertex(spec, row, col)
+
+
+def test_graph_stores_its_vertices_and_neighbour_sets_only():
+    assert Graph.__slots__ == ("vertices", "_adj")
+    g = Graph(range(4), [(1, 0), (0, 1), (2, 2), (3, 1)])
+    assert g.edges == frozenset({(0, 1), (2, 2), (1, 3)})
+    assert g.has_edge(1, 0) and g.has_edge(2, 2) and not g.has_edge(0, 2)
+    assert not g.has_edge(0, 9) and not g.has_edge(9, 0)
+    same = Graph([3, 2, 1, 0], [(0, 1), (2, 2), (1, 3)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(range(4), [(0, 1), (1, 3)])
+    assert g != Graph(range(5), [(0, 1), (2, 2), (1, 3)])
+    assert g.without_edge(3, 1) == Graph(range(4), [(0, 1), (2, 2)])
+    with pytest.raises(ValueError):
+        g.without_edge(0, 2)
+    with pytest.raises(ValueError):
+        Graph(range(2), [(0, 2)])
 
 
 def test_grid_spec_validation():
@@ -162,11 +206,11 @@ def test_vertex_and_edge_deletion_relations():
 @st.composite
 def scattered_graphs(draw):
     """Up to 14 vertices with scattered ids, loops, isolated vertices and
-    several components; every other vertex labelled."""
+    several components."""
     ids = draw(st.lists(st.integers(-5, 60), unique=True, max_size=14))
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                           max_size=30)) if ids else []
-    return Graph(ids, edges, {v: (v % 4, v) for v in ids[::2]})
+    return Graph(ids, edges)
 
 
 def assert_brute_recursion_matches_the_oracle(g):
@@ -205,10 +249,10 @@ def test_brute_recursion_matches_the_frozenset_oracle_on_grids():
 def test_induced_equals_the_graph_built_from_scratch(g, data):
     keep = data.draw(st.frozensets(st.sampled_from(sorted(g.vertices)))
                      if g.vertices else st.just(frozenset()))
-    fresh = Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep],
-                  {v: lab for v, lab in g.labels.items() if v in keep})
+    fresh = Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep])
     for h in (g.induced(keep), g.without_vertices(g.vertices - keep)):
-        assert (h.vertices, h.edges, h.labels) == (fresh.vertices, fresh.edges, fresh.labels)
+        assert (h.vertices, h.edges) == (fresh.vertices, fresh.edges)
+        assert h == fresh
         assert all(h.neighbors(v) == fresh.neighbors(v) for v in keep)
     with pytest.raises(ValueError):
         g.induced(keep | {61})
@@ -389,6 +433,12 @@ def test_identity_instances_exist_exactly_from_one_row_and_three_columns():
         for n in range(-1, 10):
             expected = (m >= 1 and n >= 3) or (m >= 2 and n >= 2)
             assert any(identity_instances(m, n)) == expected, (m, n)
+
+
+def test_identity_rows_give_the_instances_of_the_predicate_table():
+    for m in range(-1, 13):
+        for n in range(-1, 19):
+            assert list(identity_instances(m, n)) == identity_instances_oracle(m, n), (m, n)
 
 
 def test_identity_sweep_development_ranges():

@@ -3,7 +3,8 @@
 Covers: IntPoly ring operations and exact division, primitive gcd
 normalization, cyclotomic polynomials and the factor-splitting routine
 (which builds Φ_d only when φ(d), found by trial division, is at most the
-degree left to split), RationalGF canonical reduction, power-series expansion, and the
+degree left to split, and builds each order once, as a Möbius product of
+t^e - 1 equal to the recursive division of tests/helpers.py for d < 400), RationalGF canonical reduction, power-series expansion, and the
 Berlekamp-Massey fit including its refusal on short input.
 
 The integer division and expansion agree with the Fraction oracles of
@@ -40,7 +41,7 @@ from hardsquares.polynomials import (
 
 import pytest
 
-from helpers import divrem_oracle, pseudo_rem_oracle, series_expand_oracle
+from helpers import cyclotomic_oracle, divrem_oracle, pseudo_rem_oracle, series_expand_oracle
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -134,6 +135,22 @@ def test_cyclotomic_cache_is_bounded():
         prod = prod * cyclotomic(d)  # 60 orders through 32 slots
     assert cyclotomic.cache_info().currsize == 32
     assert factor_cyclotomic(prod) == (dict.fromkeys(orders, 1), ONE)
+
+
+def test_cyclotomic_moebius_product_equals_the_recursive_division():
+    for d in range(1, 400):
+        assert cyclotomic(d) == cyclotomic_oracle(d), d
+
+
+def test_factor_cyclotomic_builds_each_order_once():
+    # no cyclotomic factor, so the scan runs to 2(deg + 1)^2 = 7442, and
+    # building one order must not rebuild smaller ones through the cache
+    p = IntPoly([3, 1] + [0] * 58 + [1])
+    cyclotomic.cache_clear()
+    assert factor_cyclotomic(p) == ({}, p)
+    info = cyclotomic.cache_info()
+    assert info.hits == 0
+    assert info.misses == sum(1 for d in range(1, 7443) if _totient(d) <= 60) == 119
 
 
 def test_totient_is_the_cyclotomic_degree():

@@ -144,9 +144,9 @@ def test_square_preconditions():
 
 
 def test_configuration_in_two_row_residue():
-    g2 = build_grid(GridSpec("cylinder", 2, 12))
-    e = (grid_vertex(g2, 1, 0), grid_vertex(g2, 1, 5))
-    r = residue_edge(g2, e)
+    s2 = GridSpec("cylinder", 2, 12)
+    e = (grid_vertex(s2, 1, 0), grid_vertex(s2, 1, 5))
+    r = residue_edge(build_grid(s2), e)
     cfg = detect_configuration(r)
     assert cfg is not None
     assert cfg.kind == "A"
@@ -187,14 +187,15 @@ def test_no_configuration_when_index_nonzero():
 
 
 def test_simplify_three_row_residues_are_contractible():
-    g3 = build_grid(GridSpec("cylinder", 3, 12))
-    e1 = (grid_vertex(g3, 1, 0), grid_vertex(g3, 1, 9))
+    s3 = GridSpec("cylinder", 3, 12)
+    g3 = build_grid(s3)
+    e1 = (grid_vertex(s3, 1, 0), grid_vertex(s3, 1, 9))
     r1 = residue_edge(g3, e1)
     verdict = simplify(r1)
     assert verdict.kind == CONTRACTIBLE
     assert witten_brute(r1) == 0
 
-    e2 = (grid_vertex(g3, 2, 0), grid_vertex(g3, 2, 9))
+    e2 = (grid_vertex(s3, 2, 0), grid_vertex(s3, 2, 9))
     r2 = residue_edge(g3, e2)
     component = r2.induced(max(r2.components(), key=len))
     assert simplify(component).kind == CONTRACTIBLE
@@ -237,9 +238,9 @@ def test_zero_residue_lets_vertex_deletion_preserve_index():
 
 
 def test_trace_replay_and_tamper_rejection():
-    g3 = build_grid(GridSpec("cylinder", 3, 9))
-    e = (grid_vertex(g3, 1, 0), grid_vertex(g3, 1, 4))
-    r = residue_edge(g3, e)
+    s3 = GridSpec("cylinder", 3, 9)
+    e = (grid_vertex(s3, 1, 0), grid_vertex(s3, 1, 4))
+    r = residue_edge(build_grid(s3), e)
     verdict = simplify(r)
     state = replay_trace(r, verdict.state.trace)
     assert state.graph == verdict.state.graph
