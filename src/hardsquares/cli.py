@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ConsistencyError, FitInconclusiveError, ResourceLimitError
+from .errors import ConsistencyError, FitInconclusiveError
 from .genfun import (
     check_block_count_denominator,
     check_denominator_form,
-    check_roots_of_unity,
     cylinder_gf,
     fitted_cylinder_gf,
     periodicity_report,
@@ -73,7 +72,7 @@ SCHEMA = 1
 # The one size policy: the largest size each command accepts, in the size its
 # work is exponential in (times on a 2-core x86-64, Python 3.11).  --bound-n
 # replaces its command's row; the library computes whatever it is asked.
-#   width:   row-mask width (witten, table1, odd genfun, verify identities);
+#   width:   row-mask width (witten, table1, genfun's fit, verify identities);
 #            cylinder 20x18 ~0.15 s, free 18x18 ~0.3 s, torus 18x18 ~23 s
 #   pattern: pattern-route circumference (even genfun, verify conjectures);
 #            genfun -n 16 ~0.8 s, -n 18 ~3 s
@@ -131,7 +130,7 @@ def _check_bound(what: str, value: int, *rows: str,
     """Refuse a value above the least of its BOUNDS rows, or above override."""
     bound = override if override is not None else min(BOUNDS[r] for r in rows)
     if value > bound:
-        raise ResourceLimitError(f"{what} {value} exceeds the bound {bound}")
+        raise ValueError(f"{what} {value} exceeds the bound {bound}")
 
 
 def _check_nmax(nmax: int, floor: int, *rows: str,
@@ -203,11 +202,11 @@ def cmd_table1(args: argparse.Namespace,
 
 def cmd_genfun(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    if args.n % 2 == 0:
+    if args.n >= 2 and args.n % 2 == 0:
         _check_bound("circumference", args.n, "pattern", override=args.bound_n)
         gf = cylinder_gf(args.n)
         route = "pattern"
-    else:
+    else:  # odd n and n = 0 take the fit; GridSpec refuses a negative n
         _check_bound("row-mask width", transfer_width(GridSpec("cylinder", 1, args.n)),
                      "width", override=args.bound_n)
         gf = fitted_cylinder_gf(args.n)
@@ -308,12 +307,11 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
     results, infos = [], []
     for n in _even_range(2, n_max):
         gf = cylinder_gf(n)
+        rep = periodicity_report(n, gf)  # the one cyclotomic split of f_n
+        results.append(CheckResult("roots_of_unity", {"n": n}, rep.remainder_ok))
         results.append(CheckResult(
-            "roots_of_unity", {"n": n}, check_roots_of_unity(gf)))
-        results.append(CheckResult(
-            "denominator_form", {"n": n}, check_denominator_form(n, gf=gf),
+            "denominator_form", {"n": n}, check_denominator_form(n, gf),
             "reduced denominator must divide the conjectured product"))
-        rep = periodicity_report(n, gf=gf)
         if n % 4 == 2:
             results.append(CheckResult(
                 "periodicity", {"n": n}, rep.period is not None,
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="circumference")
     p.add_argument("--bound-n", type=int, default=None,
                    help=f"largest circumference accepted (default {BOUNDS['pattern']}"
-                        f" for even n, {BOUNDS['width']} for odd n)")
+                        f" for even n >= 2, {BOUNDS['width']} for odd n and n = 0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_genfun)
 
@@ -452,7 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ResourceLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, FitInconclusiveError) as exc:

@@ -5,17 +5,13 @@ RuleInapplicableError when a rewrite rule's precondition fails), an
 underdetermined fit raises FitInconclusiveError, and an internal cross-check
 that disagrees raises ConsistencyError.  A ConsistencyError is never
 swallowed: it means two independent computations of the same quantity differ.
-Only the command line raises ResourceLimitError, for a request above its size
-bound and before any work starts; the library computes what it is asked.
+The library computes what it is asked; the command line refuses a request
+above its size bound with ValueError, before any work starts.
 """
 
 
 class RuleInapplicableError(ValueError):
     """A rewrite rule was applied where its precondition does not hold."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured size bound."""
 
 
 class FitInconclusiveError(RuntimeError):

@@ -160,10 +160,14 @@ def cylinder_gf(n: int) -> RationalGF:
     return total
 
 
+def _is_unit(remainder: IntPoly) -> bool:
+    """Is the non-cyclotomic part of a denominator ±1?"""
+    return remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
+
+
 def check_roots_of_unity(gf: RationalGF) -> bool:
     """True when every denominator root is a root of unity."""
-    factors, remainder = factor_cyclotomic(gf.den)
-    return remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
+    return _is_unit(factor_cyclotomic(gf.den)[1])
 
 
 def conjectured_denominator(n: int) -> IntPoly:
@@ -187,10 +191,8 @@ def conjectured_denominator(n: int) -> IntPoly:
     return out
 
 
-def check_denominator_form(n: int, gf: Optional[RationalGF] = None) -> bool:
-    """Does the conjectured denominator clear all poles of the series?"""
-    if gf is None:
-        gf = cylinder_gf(n)
+def check_denominator_form(n: int, gf: RationalGF) -> bool:
+    """Does the conjectured denominator clear all poles of f_n = gf?"""
     return gf.den.divides(conjectured_denominator(n))
 
 
@@ -201,7 +203,8 @@ class PeriodicityReport:
     factors maps cyclotomic order to multiplicity; period is the least L
     with denominator dividing 1 - t^L (None unless the denominator is a
     squarefree product of cyclotomics), making the coefficient tail
-    L-periodic.
+    L-periodic.  remainder_ok says every denominator root is a root of
+    unity, the verdict of check_roots_of_unity.
     """
 
     n: int
@@ -211,11 +214,10 @@ class PeriodicityReport:
     period: Optional[int]
 
 
-def periodicity_report(n: int, gf: Optional[RationalGF] = None) -> PeriodicityReport:
-    if gf is None:
-        gf = cylinder_gf(n)
+def periodicity_report(n: int, gf: RationalGF) -> PeriodicityReport:
+    """The denominator structure of f_n = gf, from one cyclotomic split."""
     factors, remainder = factor_cyclotomic(gf.den)
-    remainder_ok = remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
+    remainder_ok = _is_unit(remainder)
     max_mult = max(factors.values(), default=0)
     period = None
     if remainder_ok and max_mult <= 1:

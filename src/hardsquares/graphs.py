@@ -475,7 +475,7 @@ def _rhs(name: str, m: int, n: int) -> Tuple[str, int, int, int]:
     return (family, sign, m, n - shift) if side == "m" else (family, sign, m - shift, n)
 
 
-def verify_index_identities(m_max: int = 20, n_max: int = 14) -> List[IdentityCheck]:
+def verify_index_identities(m_max: int, n_max: int) -> List[IdentityCheck]:
     """Evaluate every in-range instance of the ten suspension identities.
 
     Each identity relates Z on one family to Z at a shifted size with a fixed

@@ -42,13 +42,12 @@ from typing import Dict, List, Tuple
 from .errors import ConsistencyError
 from .patterns import (
     Pattern,
-    _block_count,
-    _cyclic_groups,
-    _parse,
     canonicalize as canonicalize_pattern,
     delete_top_neighborhood,
     is_reducible,
     peel,
+    proper_block_count,
+    row_blocks,
 )
 
 Stone = Tuple[int, int]  # (position, vector)
@@ -305,20 +304,19 @@ def pattern_of_necklace(neck: Necklace) -> Pattern:
 
 def necklace_of_pattern(p: Pattern) -> Necklace:
     """Stones at block boundaries; vector lengths from the overhang zeros."""
-    word = _parse(p)
-    if word is None or not is_reducible(p):
+    count = proper_block_count(p)
+    if count is None or not is_reducible(p):
         raise ValueError("only proper patterns without first-row blocks convert")
-    if not _block_count(word):
+    if not count:
         raise ValueError("the pattern has no second-row block")
     return _necklace_of(p)
 
 
 def _necklace_of(p: Pattern) -> Necklace:
     """necklace_of_pattern for a proper reducible p with a second-row block."""
-    blocks = [(s, l) for s, l in _cyclic_groups(p.row2) if l >= 3]
     n = p.n
     stones = []
-    for start, length in blocks:
+    for start, length in row_blocks(p.row2):
         if length == 3:
             left, right = 1, 1
         else:
@@ -332,11 +330,9 @@ def _necklace_of(p: Pattern) -> Necklace:
 
 def collapse_top_blocks(p: Pattern) -> Pattern:
     """Neighborhood-delete the middle of every first-row block."""
-    groups = _cyclic_groups(p.row1) or []
     out = p
-    for start, length in groups:
-        if length >= 3:
-            out = delete_top_neighborhood(out, (start + length // 2) % p.n)
+    for start, length in row_blocks(p.row1):
+        out = delete_top_neighborhood(out, (start + length // 2) % p.n)
     return out
 
 
@@ -351,8 +347,8 @@ def check_correspondence(n: int) -> bool:
     for k in range(1, n // 4 + 1):
         for seq in _canonical_sequences(k, n):
             pat = pattern_of_necklace(_place(n, seq))
-            word = _parse(pat)  # the one properness check of the class
-            if word is None or not is_reducible(pat) or _block_count(word) != k:
+            # the one parse of the class: proper, with k blocks
+            if proper_block_count(pat) != k or not is_reducible(pat):
                 return False
             if _canonical(_sequence(_necklace_of(pat))) != seq:
                 return False

@@ -30,10 +30,12 @@ c = (1,1) (row 1 over row 2); it is proper when the word obeys this grammar:
   row 2 is all ones  read from just after a b, the word is c/ccc groups,
                      one b apart.
 
-is_proper parses the word, and enumerate_proper generates the words from the
-same grammar.  The block_count (row-2 groups of length >= 3 plus the ccc's:
-the maximal 1-groups of length >= 3 in both rows) is the induction measure:
-delete_top at a block middle lowers it by one, the other two preserve it.
+proper_block_count parses the word once (is_proper and block_count read
+it), and enumerate_proper generates the words from the same grammar.  The
+block count (row-2 groups of length >= 3 plus the ccc's: the maximal
+1-groups of length >= 3 in both rows, which row_blocks scans for) is the
+induction measure: delete_top at a block middle lowers it by one, the other
+two preserve it.
 Patterns related by rotation or reflection of the cycle give isomorphic
 graphs and are identified by canonicalize().
 
@@ -45,7 +47,7 @@ m = 0, 1 values separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import RuleInapplicableError
@@ -214,21 +216,19 @@ def peel(p: Pattern) -> Tuple[Pattern, int]:
 # -- row structure ---------------------------------------------------------------
 
 
-def _cyclic_groups(row: Bits) -> Optional[List[Tuple[int, int]]]:
-    """Maximal cyclic 1-groups as (start, length); None when the row is all ones."""
+def row_blocks(row: Bits) -> List[Tuple[int, int]]:
+    """The maximal cyclic runs of at least three ones, as (start, length);
+    none in a row of all ones, whose one run has no start."""
     if all(row):
-        return None
-    n, anchor = len(row), row.index(0)
-    groups: List[Tuple[int, int]] = []
-    start = None
-    for j in range(anchor + 1, anchor + n + 1):
-        if row[j % n]:
-            if start is None:
-                start = j
-        elif start is not None:
-            groups.append((start % n, j - start))
-            start = None
-    return groups
+        return []
+    n, cut = len(row), row.index(0) + 1  # read from just after a zero
+    out, j = [], cut
+    for one, run in groupby(row[cut:] + row[:cut]):
+        length = len(tuple(run))
+        if one and length >= 3:
+            out.append((j % n, length))
+        j += length
+    return out
 
 
 # -- the proper grammar -------------------------------------------------------------
@@ -261,8 +261,9 @@ def _derive(state: str, length: int) -> Iterator[str]:
                 yield token + rest
 
 
-def _parse(p: Pattern) -> Optional[str]:
-    """p's column word rotated to read from "part" or "ones"; None if improper."""
+def proper_block_count(p: Pattern) -> Optional[int]:
+    """Parse p's column word once: its block count (row-2 groups of length
+    >= 3 plus the ccc groups), or None when p is not proper."""
     word = "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
     state = "part" if "a" in word else "ones"
     cut = word.rfind("a" if state == "part" else "b") + 1
@@ -275,34 +276,30 @@ def _parse(p: Pattern) -> Optional[str]:
         else:
             return None
         state, i = nxt, i + len(token)
-    return word if state in _ACCEPT else None
-
-
-def _block_count(word: str) -> int:
-    """Row-2 groups of length >= 3 plus the ccc groups of a parsed word."""
+    if state not in _ACCEPT:
+        return None
     groups = word.split("a") if "a" in word else ()
     return word.count("ccc") + sum(len(g) >= 3 for g in groups)
 
 
 def is_proper(p: Pattern) -> bool:
     """The closure class of the rewrite calculus: p's word obeys the grammar."""
-    return _parse(p) is not None
+    return proper_block_count(p) is not None
 
 
 def block_count(p: Pattern) -> int:
     """Number of length >= 3 groups over both rows (the induction measure)."""
-    word = _parse(p)
-    if word is None:
+    count = proper_block_count(p)
+    if count is None:
         raise ValueError("block_count is defined for proper patterns only")
-    return _block_count(word)
+    return count
 
 
 def leftmost_block_middle(p: Pattern) -> int:
     """Column of the middle of the lowest-starting row-1 block (length 3)."""
-    groups = _cyclic_groups(p.row1)
-    if groups is None:
+    if all(p.row1):
         raise RuleInapplicableError("row 1 is all ones")
-    blocks = [(s, l) for s, l in groups if l >= 3]
+    blocks = row_blocks(p.row1)
     if not blocks:
         raise RuleInapplicableError("row 1 has no block")
     start, length = min(blocks)

@@ -9,7 +9,8 @@ form (polynomial gcd divided out, integer content 1, positive leading
 denominator coefficient) so that structural equality compares mathematical
 equality.  fit_recurrence reconstructs the minimal linear recurrence behind
 an integer sequence and refuses to answer when the sequence is too short to
-certify it.
+certify it.  It is the one function that takes a caller's sequence, so it
+checks once that every term is an int; the arithmetic inside trusts that.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -191,7 +189,7 @@ ONE = IntPoly([1])
 T = IntPoly([0, 1])
 
 
-def format_poly(p: IntPoly, var: str = "t") -> str:
+def format_poly(p: IntPoly) -> str:
     """Render with descending powers, e.g. ``-t^4 - 2t^3 - 2t - 1``."""
     if p.is_zero:
         return "0"
@@ -206,7 +204,7 @@ def format_poly(p: IntPoly, var: str = "t") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+            body = f"{head}t" if i == 1 else f"{head}t^{i}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     out = (first_sign if first_sign == "-" else "") + first_body
@@ -272,11 +270,15 @@ def _prime_divisors(d: int) -> List[int]:
     return primes + [d] if d > 1 else primes
 
 
-def _totient(d: int) -> int:
-    """Euler's phi(d), the degree of cyclotomic(d)."""
-    for q in _prime_divisors(d):
-        d -= d // q
-    return d
+def _totients(limit: int) -> List[int]:
+    """Euler's phi(d), the degree of cyclotomic(d), for d = 0 .. limit by
+    one sieve: each prime q takes its share d // q from every multiple d."""
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # untouched by a smaller prime, so q is prime
+            for d in range(q, limit + 1, q):
+                phi[d] -= phi[d] // q
+    return phi
 
 
 def factor_cyclotomic(p: IntPoly) -> Tuple[Dict[int, int], IntPoly]:
@@ -293,11 +295,12 @@ def factor_cyclotomic(p: IntPoly) -> Tuple[Dict[int, int], IntPoly]:
     d = 1
     # φ(d) ≥ sqrt(d/2), so orders beyond 2(deg+1)^2 cannot divide
     limit = 2 * (p.degree + 1) ** 2
+    phi = _totients(limit)
     while d <= limit and rem.degree > 0:
-        if _totient(d) <= rem.degree:  # Φ_d is built only when it can divide
-            phi = cyclotomic(d)
-            while phi.divides(rem):
-                rem = rem.exact_div(phi)
+        if phi[d] <= rem.degree:  # Φ_d is built only when it can divide
+            cyc = cyclotomic(d)
+            while cyc.divides(rem):
+                rem = rem.exact_div(cyc)
                 factors[d] = factors.get(d, 0) + 1
         d += 1
     return factors, rem
@@ -380,10 +383,6 @@ class RationalGF:
         out.num, out.den = (self.num * sign).shift(k), self.den
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalGF)
                 and self.num == other.num and self.den == other.den)
@@ -431,9 +430,12 @@ def fit_recurrence(seq: Sequence[int]) -> RationalGF:
     Finds the minimal linear recurrence (Berlekamp-Massey over exact
     rationals); the sequence must be long enough to certify it, at least
     2·order + 4 terms, otherwise FitInconclusiveError is raised.  The result
-    reproduces every supplied term.
+    reproduces every supplied term.  A term that is not an int raises
+    TypeError.
     """
     seq = list(seq)
+    if not all(isinstance(x, int) for x in seq):
+        raise TypeError("fit_recurrence needs a sequence of int")
     if not seq:
         raise FitInconclusiveError("empty sequence")
     values = [Fraction(x) for x in seq]

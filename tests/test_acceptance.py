@@ -188,7 +188,7 @@ def test_criterion_04_denominator_roots_of_unity():
 
 
 def test_criterion_05_conjectured_denominator_product():
-    cleared = {n: check_denominator_form(n) for n in (2, 6, 8, 10, 12)}
+    cleared = {n: check_denominator_form(n, cylinder_gf(n)) for n in (2, 6, 8, 10, 12)}
     failing = sorted(n for n, good in cleared.items() if not good)
     # f_4's denominator Phi_1 Phi_2^2 as stored, not as computed
     den4 = _cyclotomic_product(load_reduced_forms()[4][1])
@@ -209,13 +209,13 @@ def test_denominator_product_status_by_circumference():
     # pins the checker's split: the product clears every pole except at
     # circumference 4, where the series has a double pole at t = -1 but
     # the product only a simple zero
-    status = {n: check_denominator_form(n) for n in range(2, 13, 2)}
+    status = {n: check_denominator_form(n, cylinder_gf(n)) for n in range(2, 13, 2)}
     assert status == {2: True, 4: False, 6: True, 8: True, 10: True, 12: True}
 
 
 def test_criterion_06_reduced_series_periods():
     expected = {2: 4, 6: 12, 10: 56}
-    periods = {n: periodicity_report(n).period for n in expected}
+    periods = {n: periodicity_report(n, cylinder_gf(n)).period for n in expected}
     p14 = periodicity_report(14, gf=cylinder_gf(14)).period
     ok = periods == expected and p14 == 880
     detail = ", ".join(f"n={n}: {p}" for n, p in sorted(periods.items()))

@@ -6,22 +6,25 @@
   table line for line, and the JSON form round-trips.
 - negative sizes (table1 -m or --nmax, a necklace circle length below 1)
   exit 2 with one error line and no output.
-- genfun prints the factored generating function; even circumferences use
-  the pattern route, odd ones the fitted route and come out as the two
-  known shapes.
+- genfun prints the factored generating function; even circumferences
+  n >= 2 use the pattern route, odd ones and the degenerate n = 0 the
+  fitted route and come out as the two known shapes (f_0 = f_1 = 1/(1 - t)),
+  and a negative circumference exits 2.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
   missing -k/-n is a usage error (exit 2).  --format takes text or json
   only, and json with the dot action exits 2 with one error line.  A step
   that fails to permute the classes is a one-line internal consistency
   failure (exit 1).
-- cli.BOUNDS is the one size policy: width 18 (witten, table1, odd genfun,
-  verify identities), pattern 16 (even genfun, verify conjectures) and
+- cli.BOUNDS is the one size policy: width 18 (witten, table1, genfun's
+  fit, verify identities), pattern 16 (even genfun, verify conjectures) and
   circle 28 (necklace, verify correspondence; verify all takes the least).
   For every command the size at its row's bound reaches the library, and
   one above it exits 2 with the one line `error: <subject> <size> exceeds
   the bound <B>` and no output before any library work starts; --bound-n
-  raises and lowers the bound.  Mask widths follow the enumerated width,
-  not the raw sizes, but table1 bounds --nmax at every height, m = 0 too.
+  raises and lowers the bound.  The refusal is a ValueError: errors.py has
+  no exception type of its own for it.  Mask widths follow the enumerated
+  width, not the raw sizes, but table1 bounds --nmax at every height, m = 0
+  too.
 - an --nmax below a selected sweep's floor (identities 0, conjectures 2,
   correspondence and necklace verify 4), where the sweep would check no
   circumference, also exits 2 with one error line, and so does a verify
@@ -31,7 +34,8 @@
   with one `internal error:` line and no traceback.
 - verify identities and correspondence pass; verify conjectures fails on
   exactly the circumference-4 denominator form and nothing else, so its
-  exit code is 1 and the failure list is machine readable.
+  exit code is 1 and the failure list is machine readable.  verify all
+  splits each f_n's denominator into cyclotomic factors once.
 - repeated invocations produce byte-identical output.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
@@ -50,7 +54,7 @@ from pathlib import Path
 import pytest
 
 import hardsquares
-from hardsquares import cli, necklaces
+from hardsquares import cli, errors, genfun, necklaces, polynomials
 from hardsquares.cli import main
 from hardsquares.graphs import GridSpec, witten_transfer
 
@@ -151,10 +155,32 @@ def test_genfun_json(capsys):
 def test_genfun_bound(capsys):
     code, _, err = run_cli(capsys, "genfun", "-n", "18")
     assert code == 2 and "error" in err
-    code, out, _ = run_cli(capsys, "genfun", "-n", "0")
-    assert code == 2
+    for n in ("-2", "-3", "-4"):  # even negative n too, not the pattern route
+        assert run_cli(capsys, "genfun", "-n", n) == (
+            2, "", "error: grid sizes must be non-negative\n"), n
     code, out, _ = run_cli(capsys, "genfun", "-n", "17")
     assert code == 0 and out == "f_17(t) = (-1) / (Phi_1)\n"
+
+
+def test_genfun_zero_takes_the_fit(capsys):
+    # C_0 is the degenerate empty ring: every height has index 1, as for C_1
+    code, out, err = run_cli(capsys, "genfun", "-n", "0")
+    assert (code, out, err) == (0, "f_0(t) = (-1) / (Phi_1)\n", "")
+    code, out, _ = run_cli(capsys, "genfun", "-n", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": 1, "n": 0, "route": "fitted", "numerator": [-1],
+        "denominator": [-1, 1], "denominator_cyclotomic": [[1, 1]],
+        "denominator_remainder": [1],
+    }
+
+
+def test_bound_refusal_is_a_value_error(capsys):
+    assert not hasattr(errors, "ResourceLimitError")
+    assert run_cli(capsys, "witten", "-m", "2", "-n", "19") == (
+        2, "", "error: row-mask width 19 exceeds the bound 18\n")
+    with pytest.raises(ValueError, match="exceeds the bound 18"):
+        cli._check_bound("row-mask width", 19, "width")
 
 
 def test_witten_and_table_refuse_wide_rings(capsys):
@@ -375,6 +401,22 @@ def test_verify_conjectures_reports_the_one_failure(capsys):
     assert code == 1 and doc["ok"] is False
     assert [f["params"] for f in doc["failures"]] == [{"n": 4}]
     assert doc["failures"][0]["check"] == "denominator_form"
+
+
+def test_verify_all_splits_each_denominator_once(capsys, monkeypatch):
+    calls = []
+    factor = polynomials.factor_cyclotomic
+
+    def counted(p):
+        calls.append(p)
+        return factor(p)
+
+    for module in (polynomials, genfun, cli):
+        monkeypatch.setattr(module, "factor_cyclotomic", counted)
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "1")
+    assert code == 1 and out.endswith("all: 320 of 321 checks passed\nfail\n")
+    # one split per even circumference 2..12, none repeated
+    assert len(calls) == 6 == len(set(calls))
 
 
 def test_verify_conjectures_below_four_passes(capsys):

@@ -223,21 +223,21 @@ def test_conjectured_denominator_frozen_products():
 
 def test_denominator_form_holds_except_four():
     for n in (2, 6, 8, 10, 12):
-        assert check_denominator_form(n), n
+        assert check_denominator_form(n, cylinder_gf(n)), n
     # The n=4 series has denominator Phi_1 * Phi_2^2 (a double pole at -1)
     # while the proposed product degenerates to 1 - t^2, which vanishes only
     # simply at -1, so it cannot clear the pole.
-    assert not check_denominator_form(4)
+    assert not check_denominator_form(4, cylinder_gf(4))
 
 
 def test_periodicity_reports():
     for n, period in ((2, 4), (6, 12), (10, 56)):
-        report = periodicity_report(n)
+        report = periodicity_report(n, cylinder_gf(n))
         assert report.max_multiplicity == 1
         assert report.remainder_ok
         assert report.period == period
     for n in (4, 8, 12):
-        report = periodicity_report(n)
+        report = periodicity_report(n, cylinder_gf(n))
         assert report.period is None
         assert report.max_multiplicity == 2
     assert periodicity_report(14, gf=cylinder_gf(14)).period == 880

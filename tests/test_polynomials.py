@@ -2,10 +2,12 @@
 
 Covers: IntPoly ring operations and exact division, primitive gcd
 normalization, cyclotomic polynomials and the factor-splitting routine
-(which builds Φ_d only when φ(d), found by trial division, is at most the
-degree left to split, and builds each order once, as a Möbius product of
-t^e - 1 equal to the recursive division of tests/helpers.py for d < 400), RationalGF canonical reduction, power-series expansion, and the
-Berlekamp-Massey fit including its refusal on short input.
+(which builds Φ_d only when φ(d), read from one totient sieve, is at most
+the degree left to split, and builds each order once, as a Möbius product of
+t^e - 1 equal to the recursive division of tests/helpers.py for d < 400,
+with one prime factorisation per order built), RationalGF canonical
+reduction, power-series expansion, and the Berlekamp-Massey fit including
+its refusal on short input and on terms that are not int.
 
 The integer division and expansion agree with the Fraction oracles of
 tests/helpers.py: for divisors that are not monic, on exact products,
@@ -26,7 +28,7 @@ from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import column_series
 from hardsquares.polynomials import (
     ONE,
-    _totient,
+    _totients,
     IntPoly,
     RationalGF,
     T,
@@ -150,12 +152,29 @@ def test_factor_cyclotomic_builds_each_order_once():
     assert factor_cyclotomic(p) == ({}, p)
     info = cyclotomic.cache_info()
     assert info.hits == 0
-    assert info.misses == sum(1 for d in range(1, 7443) if _totient(d) <= 60) == 119
+    phi = _totients(7442)
+    assert info.misses == sum(1 for d in range(1, 7443) if phi[d] <= 60) == 119
+
+
+def test_factor_cyclotomic_factors_only_the_orders_it_builds(monkeypatch):
+    # φ(d) comes from the sieve, so the one trial division left is the one
+    # inside each Φ_d build
+    p = IntPoly([3, 1] + [0] * 58 + [1])
+    factored = []
+    prime_divisors = polynomials._prime_divisors
+    monkeypatch.setattr(polynomials, "_prime_divisors",
+                        lambda d: factored.append(d) or prime_divisors(d))
+    cyclotomic.cache_clear()
+    assert factor_cyclotomic(p) == ({}, p)
+    assert len(factored) == cyclotomic.cache_info().misses == 119
+    assert len(set(factored)) == 119
 
 
 def test_totient_is_the_cyclotomic_degree():
-    assert [_totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    assert all(_totient(d) == cyclotomic(d).degree for d in range(1, 300))
+    phi = _totients(300)
+    assert len(phi) == 301
+    assert phi[1:13] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert all(phi[d] == cyclotomic(d).degree for d in range(1, 300))
 
 
 def test_factor_cyclotomic_builds_only_orders_that_can_divide(monkeypatch):
@@ -288,6 +307,13 @@ def test_fit_recurrence_needs_enough_terms():
     with pytest.raises(FitInconclusiveError):
         fit_recurrence([1, 2, 4, 8, 16])
     assert fit_recurrence([1, 2, 4, 8, 16, 32]) == RationalGF(ONE, P(1, -2))
+
+
+def test_fit_recurrence_takes_int_terms_only():
+    with pytest.raises(TypeError):
+        fit_recurrence([1, 2.0, 3, 4, 5, 6])
+    with pytest.raises(TypeError):
+        fit_recurrence([Fraction(1)] * 10)
 
 
 def test_fit_recurrence_roundtrip_on_random_rational_functions():
