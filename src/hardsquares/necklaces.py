@@ -19,16 +19,21 @@ The kernel works on the sequence form, the clockwise (vector, gap to the
 next stone) pairs; T steps it in place, as jumps never reorder stones.  The
 canonical sequence of a class, its least rotation or reflection, starts
 with an away element (negative vector).  Classes are generated directly in
-that form (orderly generation, after Sawada, SIAM J. Comput. 31 (2001)): a
-branch whose away element is below the first is pruned, and a complete
-sequence is kept when it is canonical.  Necklace objects are built only
-for callers that get arrangements back.
+that form (orderly generation, after Sawada, SIAM J. Comput. 31 (2001)),
+one (facing, away) pair at a time.  A branch is pruned as soon as the
+sequence or its mirror gains an away element below the first.  A complete
+sequence is kept unless a rotation starting with its first element, or a
+mirror rotation starting at or below it, is smaller; no other can be, so
+the leaf test compares only those and stops at the first smaller one.
+Necklace objects are built only for callers that get arrangements back.
 
 Arrangements encode the reducible proper patterns with a given block count:
 pattern_of_necklace writes a block of 1s across each facing gap (with the
 alternating first row pulled in by the vector lengths) and 0101...0 across
 each away gap; necklace_of_pattern inverts it.  One T step corresponds to
 peeling the pattern and collapsing the new first-row blocks.
+check_correspondence builds its patterns from sequences and compares the
+two sides of that identity with patterns.same_class.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ from typing import Dict, List, Tuple
 from .errors import ConsistencyError
 from .patterns import (
     Pattern,
-    canonicalize as canonicalize_pattern,
     delete_top_neighborhood,
     is_reducible,
     peel,
     proper_block_count,
     row_blocks,
+    same_class,
 )
 
 Stone = Tuple[int, int]  # (position, vector)
@@ -134,19 +139,36 @@ def _step(seq: Seq) -> Seq:
     return tuple(zip(vecs, gaps))
 
 
-def _canonical(seq: Seq) -> Seq:
-    """Least rotation or reflection, over the offsets of the away elements.
+def _mirror(seq: Seq) -> Seq:
+    """The reflection: the stones reversed, their vectors negated, each
+    stone with the gap before it.  Element j of the mirror of an
+    away-started sequence is an away element exactly when j is even."""
+    rev = seq[::-1]
+    return tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
 
-    The reflection reverses the stones, negates their vectors and gives each
-    stone the gap before it.
-    """
+
+def _canonical(seq: Seq) -> Seq:
+    """Least rotation or reflection, over the offsets of the away elements."""
     if seq[0][0] > 0:
         seq = seq[1:] + seq[:1]
-    rev = seq[::-1]
-    mirror = tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
     length = len(seq)
-    return min([d[i:i + length] for d in (seq + seq, mirror + mirror)
+    return min([d[i:i + length] for d in (seq + seq, _mirror(seq) * 2)
                 for i in range(0, length, 2)])
+
+
+def _is_canonical(cand: Seq) -> bool:
+    """cand == _canonical(cand), for an away-started cand none of whose away
+    elements is below cand[0]: only a rotation starting with cand[0], or a
+    mirror rotation starting at or below it, can be smaller."""
+    first, length = cand[0], len(cand)
+    for i in range(2, length, 2):
+        if cand[i] == first and cand[i:] + cand[:i] < cand:
+            return False
+    mirror = _mirror(cand)
+    for i in range(0, length, 2):
+        if mirror[i] <= first and mirror[i:] + mirror[:i] < cand:
+            return False
+    return True
 
 
 def transform(neck: Necklace) -> Necklace:
@@ -188,7 +210,9 @@ def _canonical_sequences(k: int, n: int) -> List[Seq]:
     """The (k, n) classes by orderly generation; see the module docstring.
 
     Pairs (facing element, away element) are appended in turn; a candidate
-    is rotated to start at its first away element.
+    is rotated to start at its first away element.  From the second pair on,
+    no away element below the first enters the sequence (which _is_canonical
+    relies on) or its mirror.
     """
     out: List[Seq] = []
     seq: List[Tuple[int, int]] = []
@@ -196,6 +220,9 @@ def _canonical_sequences(k: int, n: int) -> List[Seq]:
     def extend(pairs_left: int, used: int) -> None:
         floor_rest = 4 * (pairs_left - 1)
         for inward in (1, 2):
+            # the mirror's away element (-inward, previous away gap)
+            if seq and (-inward, seq[-1][1]) < seq[1]:
+                continue
             for outward in (1, 2):
                 t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
                 for t_gap in range(t_lo, n - used - floor_rest, 2):
@@ -212,7 +239,7 @@ def _canonical_sequences(k: int, n: int) -> List[Seq]:
                             extend(pairs_left - 1, used + t_gap + a_gap)
                         else:
                             cand = tuple(seq[1:] + seq[:1])
-                            if cand == _canonical(cand):
+                            if _is_canonical(cand):
                                 out.append(cand)
                         del seq[-2:]
 
@@ -286,20 +313,26 @@ def transitions(k: int, n: int) -> List[Tuple[NecklaceClass, NecklaceClass]]:
 
 def pattern_of_necklace(neck: Necklace) -> Pattern:
     """Blocks across facing gaps, alternating strips across away gaps."""
-    n = neck.n
-    row1 = [0] * n
-    row2 = [0] * n
-    for (p, v), (_, w), gap in _pairs(neck):
-        if v > 0:  # facing pair: a block of length gap starting at p
-            for c in range(gap):
-                row2[(p + c) % n] = 1
+    return _pattern_of(_sequence(neck), neck.stones[0][0])
+
+
+def _pattern_of(seq: Seq, start: int) -> Pattern:
+    """pattern_of_necklace of the arrangement whose first stone sits at start."""
+    row1: List[int] = []
+    row2: List[int] = []
+    for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
+        if v > 0:  # facing pair: a block of length gap, 1010... above it
+            top = [0] * gap
             if gap > 3:
-                for off in range(v, gap - abs(w), 2):
-                    row1[(p + off) % n] = 1
+                stop = gap - abs(w)
+                top[v:stop:2] = [1] * len(range(v, stop, 2))
+            row1 += top
+            row2 += [1] * gap
         else:  # away pair: 0101...0 across the gap
-            for off in range(1, gap - 1, 2):
-                row2[(p + off) % n] = 1
-    return Pattern(tuple(row1), tuple(row2))
+            row1 += [0] * gap
+            row2 += ([0, 1] * gap)[:gap - 1] + [0]
+    cut = -start % len(row1)
+    return Pattern(tuple(row1[cut:] + row1[:cut]), tuple(row2[cut:] + row2[:cut]))
 
 
 def necklace_of_pattern(p: Pattern) -> Necklace:
@@ -342,20 +375,21 @@ def check_correspondence(n: int) -> bool:
     For every (k, n) class: converting to a pattern gives a proper reducible
     pattern with block count k; converting back returns the same arrangement;
     and stepping the arrangement matches peeling the pattern and collapsing
-    the new first-row blocks, as classes.
+    the new first-row blocks, as classes.  The third identity cannot see
+    T's unit-vector fix at distance 3: a 3-block carries nothing above it,
+    so a step without the fix gives the same patterns.  The sequence-step
+    tests and the golden cycle table cover that fix.
     """
     for k in range(1, n // 4 + 1):
         for seq in _canonical_sequences(k, n):
-            pat = pattern_of_necklace(_place(n, seq))
+            pat = _pattern_of(seq, 0)
             # the one parse of the class: proper, with k blocks
             if proper_block_count(pat) != k or not is_reducible(pat):
                 return False
             if _canonical(_sequence(_necklace_of(pat))) != seq:
                 return False
-            stepped = pattern_of_necklace(_place(n, _step(seq)))
             peeled, _ = peel(pat)
-            if (canonicalize_pattern(stepped)
-                    != canonicalize_pattern(collapse_top_blocks(peeled))):
+            if not same_class(_pattern_of(_step(seq), 0), collapse_top_blocks(peeled)):
                 return False
     return True
 

@@ -121,6 +121,11 @@ class PatternClass:
         return self.canonical.n
 
 
+def _column_word(p: Pattern) -> str:
+    """p as a word in the column letters a = (0,0), b = (0,1), c = (1,1)."""
+    return "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
+
+
 def canonicalize(p: Pattern) -> PatternClass:
     """Lexicographic minimum of (row1 + row2) over the 2n cycle symmetries."""
     n = p.n
@@ -130,6 +135,16 @@ def canonicalize(p: Pattern) -> PatternClass:
                        (p.row1[::-1] * 2, p.row2[::-1] * 2))
         for k in range(n))
     return PatternClass(Pattern(best[:n], best[n:]))
+
+
+def same_class(p: Pattern, q: Pattern) -> bool:
+    """canonicalize(p) == canonicalize(q) by one substring search each way:
+    p's column word is a factor of q's doubled word, read forwards or
+    backwards."""
+    if p.n != q.n:
+        return False
+    word, doubled = _column_word(p), _column_word(q) * 2
+    return word in doubled or word[::-1] in doubled
 
 
 # -- masked graphs and indices ----------------------------------------------------------
@@ -264,7 +279,7 @@ def _derive(state: str, length: int) -> Iterator[str]:
 def proper_block_count(p: Pattern) -> Optional[int]:
     """Parse p's column word once: its block count (row-2 groups of length
     >= 3 plus the ccc groups), or None when p is not proper."""
-    word = "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
+    word = _column_word(p)
     state = "part" if "a" in word else "ones"
     cut = word.rfind("a" if state == "part" else "b") + 1
     word = word[cut:] + word[:cut]

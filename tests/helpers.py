@@ -9,8 +9,9 @@ plain row transfer over every ring state with a quadratic compatibility
 table, kept as a differential oracle for the orbit and cell-by-cell
 kernels.  necklace_oracle and transitions_oracle are the deduplicating
 necklace enumerator over every (vector, gap) sequence and the step on
-positioned Necklace objects, kept as a differential oracle for the
-sequence kernel.  proper_oracle decides properness by scanning the rows
+positioned Necklace objects, and pattern_of_necklace_oracle writes the
+pattern cell by cell from the positioned stones; both are kept as a
+differential oracle for the sequence kernel.  proper_oracle decides properness by scanning the rows
 for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
 rows above each long block; both are kept as a differential oracle for the
 column-word grammar of the patterns module.  divrem_oracle and
@@ -180,6 +181,27 @@ def necklace_oracle(k, n):
 def transitions_oracle(k, n):
     return [(cls, canonical_oracle(step_oracle(cls.canonical)))
             for cls in necklace_oracle(k, n)]
+
+
+def pattern_of_necklace_oracle(neck):
+    """Blocks across facing gaps, alternating strips across away gaps,
+    written cell by cell from each positioned stone."""
+    n, stones = neck.n, neck.stones
+    row1 = [0] * n
+    row2 = [0] * n
+    for i, (p, v) in enumerate(stones):
+        q, w = stones[(i + 1) % len(stones)]
+        gap = (q - p) % n
+        if v > 0:  # facing pair: a block of length gap starting at p
+            for c in range(gap):
+                row2[(p + c) % n] = 1
+            if gap > 3:
+                for off in range(v, gap - abs(w), 2):
+                    row1[(p + off) % n] = 1
+        else:  # away pair: 0101...0 across the gap
+            for off in range(1, gap - 1, 2):
+                row2[(p + off) % n] = 1
+    return Pattern(tuple(row1), tuple(row2))
 
 
 def _cyclic_groups(row):

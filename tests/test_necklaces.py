@@ -13,20 +13,30 @@ Claims covered:
   step on positioned Necklace objects: the same classes and transitions for
   every k and every n <= 24 (odd n included), and the same step and class
   on random valid arrangements.
-- cycle structures match the golden table for every n <= 24 cell (the full
-  file through n = 36 with HARDSQUARES_EXTENDED=1), and the closed forms:
+- the generator's early-exit leaf test agrees with the canonical form on
+  every candidate it reaches for n <= 20, and pattern_of_necklace with the
+  cell-by-cell builder on random valid arrangements.
+- cycle structures match the golden table for every cell up to the command
+  line's circle bound, n <= 28 (the full file through n = 36 with
+  HARDSQUARES_EXTENDED=1), and the closed forms:
   one pair gives one (n-3)-cycle, 2k stones on 4k intervals give one fixed
   point, and on 4k+2 intervals one (k+2)-cycle plus floor(k/2) fixed points.
 - every cycle length divides n - 3k for even n <= 24.
 - the pattern correspondence: arrangements map to proper reducible patterns
   with block count k, back-conversion is the identity, and one step of the
-  arrangement equals peel-then-collapse on the pattern, for all n <= 14.
+  arrangement equals peel-then-collapse on the pattern, for all n <= 14;
+  and check_correspondence fails for some even n <= 14 once a peel without
+  its wipe, an identity collapse, a row builder without the row-1 strips, a
+  back-conversion to unit vectors or a block count that counts single
+  second-row ones is patched in, so none of the three identities is idle.
 - JSON and DOT exports are deterministic and well formed.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hardsquares import necklaces
+from hardsquares.cli import BOUNDS
 from hardsquares.necklaces import (
     Necklace,
     NecklaceClass,
@@ -47,11 +57,19 @@ from hardsquares.necklaces import (
     transitions,
     verify_cycle_divisibility,
 )
-from hardsquares.patterns import block_count, is_proper, is_reducible, parse_pattern
+from hardsquares.patterns import (
+    Pattern,
+    block_count,
+    is_proper,
+    is_reducible,
+    parse_pattern,
+    proper_block_count,
+)
 from helpers import (
     EXTENDED,
     canonical_oracle,
     load_golden_cycles,
+    pattern_of_necklace_oracle,
     step_oracle,
     transitions_oracle,
 )
@@ -135,7 +153,7 @@ def test_enumeration_counts_and_bounds():
 
 def test_cycle_structures_match_golden_table():
     golden = load_golden_cycles()
-    limit = 36 if EXTENDED else 24
+    limit = 36 if EXTENDED else BOUNDS["circle"]
     for (n, k), expect in sorted(golden.items()):
         if n > limit:
             continue
@@ -175,6 +193,31 @@ def test_sequence_step_matches_necklace_step(neck):
     assert canonicalize(neck) == canonical_oracle(neck)
     assert transform(neck) == step_oracle(neck)
     assert canonicalize(transform(neck)) == canonical_oracle(step_oracle(neck))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrangements())
+def test_pattern_of_necklace_matches_placed_oracle(neck):
+    assume(neck.n % 2 == 0)  # patterns have even length
+    assert pattern_of_necklace(neck) == pattern_of_necklace_oracle(neck)
+    stepped = transform(neck)
+    assert pattern_of_necklace(stepped) == pattern_of_necklace_oracle(stepped)
+
+
+def test_leaf_test_matches_canonical_form(monkeypatch):
+    leaf, verdicts = necklaces._is_canonical, []
+
+    def checked(cand):
+        verdict = leaf(cand)
+        assert verdict == (cand == necklaces._canonical(cand)), cand
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(necklaces, "_is_canonical", checked)
+    for n in range(1, 21):
+        for k in range(1, n // 4 + 1):
+            necklaces._canonical_sequences(k, n)
+    assert True in verdicts and False in verdicts
 
 
 def test_closed_form_families():
@@ -246,6 +289,44 @@ def test_collapse_top_blocks():
 def test_correspondence_identities():
     for n in (4, 6, 8, 10, 12, 14):
         assert check_correspondence(n)
+
+
+def _peel_without_wipe(p):
+    return Pattern(p.row2, (1,) * p.n), (-1) ** sum(p.row1)
+
+
+def _rows_without_strips(seq, start):
+    pat = _real_pattern_of(seq, start)
+    return Pattern((0,) * pat.n, pat.row2)
+
+
+def _necklace_with_unit_vectors(p):
+    neck = _real_necklace_of(p)
+    return Necklace(neck.n, tuple((q, 1 if v > 0 else -1) for q, v in neck.stones))
+
+
+def _count_single_ones_too(p):
+    count = proper_block_count(p)
+    singles = sum(p.row2[i] and not p.row2[i - 1] and not p.row2[(i + 1) % p.n]
+                  for i in range(p.n))
+    return None if count is None else count + singles
+
+
+_real_pattern_of, _real_necklace_of = necklaces._pattern_of, necklaces._necklace_of
+
+
+# Each fault, with the identities that catch it on their own; every
+# identity is the only catch of at least one fault.
+@pytest.mark.parametrize("name, fake", [
+    ("peel", _peel_without_wipe),                    # third
+    ("collapse_top_blocks", lambda p: p),            # third
+    ("_pattern_of", _rows_without_strips),           # first and third
+    ("_necklace_of", _necklace_with_unit_vectors),   # second
+    ("proper_block_count", _count_single_ones_too),  # first
+])
+def test_correspondence_catches_a_broken_part(monkeypatch, name, fake):
+    monkeypatch.setattr(necklaces, name, fake)
+    assert not all(check_correspondence(n) for n in (4, 6, 8, 10, 12, 14))
 
 
 def test_exports():

@@ -12,7 +12,9 @@ Claims covered:
   of length up to 12.
 - canonicalize identifies all 2n rotations/reflections and nothing else,
   and equals the least of the 2n images on random masked patterns;
-  z_pattern is constant on a class.
+  z_pattern is constant on a class.  same_class agrees with equal
+  canonical forms on rotations and reflections of random masked patterns
+  and on pairs that differ in one cell of row 1 only or of row 2 only.
 - the four frozen length-10 patterns are proper with two blocks; frozen
   non-examples are rejected; exactly two proper classes have no blocks.
 - block_count is at most n/4 and proper rows avoid 0110 and 1001.
@@ -60,6 +62,7 @@ from hardsquares.patterns import (
     parse_pattern,
     pattern,
     peel,
+    same_class,
     z_pattern,
     z_pattern_series,
 )
@@ -149,6 +152,42 @@ def test_canonicalize_is_the_least_symmetry(p):
                            tuple(p.row2[c] for c in cols)))
     best = min(images)
     assert canonicalize(p).canonical == Pattern(*best)
+
+
+@st.composite
+def pattern_pairs(draw):
+    """(p, q, kind): q is a rotation or reflection of p, after one cell of
+    row 1 only or of row 2 only flipped when kind names that row."""
+    p = draw(masked_patterns())
+    n, row1, row2 = p.n, list(p.row1), list(p.row2)
+    kind = draw(st.sampled_from(("same", "row1", "row2")))
+    if kind == "row1":  # a row-1 cell may flip above a row-2 one
+        cells = [i for i in range(n) if row2[i]]
+    else:  # a row-2 cell may flip below a row-1 zero
+        cells = [i for i in range(n) if not row1[i]]
+    if kind != "same" and cells:
+        i = draw(st.sampled_from(cells))
+        (row1 if kind == "row1" else row2)[i] ^= 1
+    else:
+        kind = "same"
+    shift, flip = draw(st.integers(0, n - 1)), draw(st.booleans())
+    cols = [((-i if flip else i) + shift) % n for i in range(n)]
+    q = Pattern(tuple(row1[c] for c in cols), tuple(row2[c] for c in cols))
+    return p, q, kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pattern_pairs())
+def test_same_class_is_class_equality(pair):
+    p, q, kind = pair
+    assert same_class(p, q) == (canonicalize(p) == canonicalize(q))
+    assert same_class(p, q) == (kind == "same")
+    assert same_class(q, p) == same_class(p, q)
+
+
+def test_same_class_needs_equal_lengths():
+    assert not same_class(parse_pattern("00 / 11"), parse_pattern("0000 / 1111"))
+    assert not same_class(parse_pattern("0000 / 1111"), parse_pattern("00 / 11"))
 
 
 def test_pattern_index_requires_two_rows():
