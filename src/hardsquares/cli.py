@@ -29,11 +29,9 @@ JSON documents carry a ``"schema": 1`` version field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError, FitInconclusiveError
 from .genfun import (
@@ -80,8 +78,7 @@ SCHEMA = 1
 BOUNDS = {"width": 18, "pattern": 16, "circle": 28}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification instance."""
 
     check: str
@@ -96,6 +93,8 @@ class CheckResult:
 
 
 def _emit_json(obj: dict) -> None:
+    import json  # only JSON output pays for the import
+
     print(json.dumps(obj, indent=2))
 
 

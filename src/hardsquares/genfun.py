@@ -26,9 +26,8 @@ count, so the fit is a proof, not a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConsistencyError
 from .graphs import GridSpec, column_series, fit_window, witten_transfer
@@ -196,8 +195,7 @@ def check_denominator_form(n: int, gf: RationalGF) -> bool:
     return gf.den.divides(conjectured_denominator(n))
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(NamedTuple):
     """Denominator structure of a cylinder series.
 
     factors maps cyclotomic order to multiplicity; period is the least L

@@ -34,11 +34,10 @@ powers B^k w.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from random import Random
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 FAMILIES = ("free", "cylinder", "torus")
 
@@ -157,21 +156,25 @@ def random_graph(rng: Random, max_vertices: int, edge_prob: float = 0.3,
 # -- grid construction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A grid-family instance: family in {free, cylinder, torus}, sizes m, n >= 0."""
-
+class _GridFields(NamedTuple):
     family: str
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+
+class GridSpec(_GridFields):
+    """A grid-family instance: family in {free, cylinder, torus}, sizes m, n >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, m: int, n: int) -> "GridSpec":
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if not (isinstance(m, int) and isinstance(n, int)):
             raise ValueError("grid sizes must be integers")
-        if self.m < 0 or self.n < 0:
+        if m < 0 or n < 0:
             raise ValueError("grid sizes must be non-negative")
+        return super().__new__(cls, family, m, n)
 
 
 def _factor_edges(k: int, cyclic: bool) -> List[Tuple[int, int]]:
@@ -311,7 +314,8 @@ class RingOrbits:
     the fit window 2N + 6 for N orbits, and the powers B^k w computed so far
     below that window, shared by every caller."""
 
-    # a plain class: a dataclass costs about 1 ms at import
+    # src keeps no dataclass: importing dataclasses costs about 8 ms and each
+    # class 1 ms more; immutable records are NamedTuples, this cache grows
     __slots__ = ("reps", "sizes", "weights", "orbit_of", "matrix", "window", "kept")
 
     def __init__(self, reps, sizes, weights, orbit_of, matrix):
@@ -427,8 +431,7 @@ def witten_transfer(spec: GridSpec) -> int:
 # -- suspension identities -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity: str
     family: str
     m: int

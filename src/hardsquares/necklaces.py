@@ -38,11 +38,10 @@ two sides of that identity with patterns.same_class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError
 from .patterns import (
@@ -60,24 +59,27 @@ Stone = Tuple[int, int]  # (position, vector)
 _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
 
 
-@dataclass(frozen=True, order=True)
-class Necklace:
-    """Stones on a circle of n unit intervals, sorted by position."""
-
+class _NecklaceFields(NamedTuple):
     n: int
     stones: Tuple[Stone, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class Necklace(_NecklaceFields):
+    """Stones on a circle of n unit intervals, sorted by position."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, stones: Tuple[Stone, ...]) -> "Necklace":
+        if n < 1:
             raise ValueError("circle length must be positive")
-        stones = tuple(sorted((p % self.n, v) for p, v in self.stones))
+        stones = tuple(sorted((p % n, v) for p, v in stones))
         if len(stones) < 2 or len(stones) % 2:
             raise ValueError("an arrangement has a positive even stone count")
         if len({p for p, _ in stones}) != len(stones):
             raise ValueError("stones must sit at distinct points")
         if any(v not in (-2, -1, 1, 2) for _, v in stones):
             raise ValueError("stone vectors must be one of -2, -1, 1, 2")
-        object.__setattr__(self, "stones", stones)
+        return super().__new__(cls, n, stones)
 
     @property
     def stone_count(self) -> int:
@@ -180,8 +182,7 @@ def transform(neck: Necklace) -> Necklace:
 # -- canonical classes --------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class NecklaceClass:
+class NecklaceClass(NamedTuple):
     """Isometry class of arrangements, keyed by a canonical representative."""
 
     canonical: Necklace

@@ -46,9 +46,8 @@ m = 0, 1 values separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby, product
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, GridSpec, build_grid, column_series, grid_vertex
@@ -57,22 +56,26 @@ from .graphs import Graph, GridSpec, build_grid, column_series, grid_vertex
 Bits = Tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Pattern:
+class _PatternFields(NamedTuple):
     row1: Bits
     row2: Bits
 
-    def __post_init__(self):
-        n = len(self.row1)
-        if n != len(self.row2):
+
+class Pattern(_PatternFields):
+    __slots__ = ()
+
+    def __new__(cls, row1: Bits, row2: Bits) -> "Pattern":
+        n = len(row1)
+        if n != len(row2):
             raise ValueError("rows differ in length")
         if n < 2 or n % 2:
             raise ValueError("pattern length must be even and at least 2")
-        if not {*self.row1, *self.row2} <= {0, 1}:
+        if not {*row1, *row2} <= {0, 1}:
             raise ValueError("pattern entries must be 0 or 1")
         for i in range(n):
-            if self.row1[i] == 1 and self.row2[i] == 0:
+            if row1[i] == 1 and row2[i] == 0:
                 raise ValueError(f"column {i} has a 1 above a 0")
+        return super().__new__(cls, row1, row2)
 
     @property
     def n(self) -> int:
@@ -110,8 +113,7 @@ def all_ones(n: int) -> Pattern:
 # -- symmetry ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class PatternClass:
+class PatternClass(NamedTuple):
     """Equivalence class under rotation/reflection, keyed by its canonical form."""
 
     canonical: Pattern
@@ -341,8 +343,7 @@ def enumerate_proper(n: int) -> List[PatternClass]:
 # -- initial decomposition ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedPatternCombo:
+class SignedPatternCombo(NamedTuple):
     """Integer combination of pattern classes; zero coefficients are dropped."""
 
     terms: Tuple[Tuple[PatternClass, int], ...]

@@ -2,8 +2,8 @@
 
 Everything here is exact and runs on int: division and power-series
 expansion check divisibility with divmod at each step and raise ValueError
-on the first coefficient that is not an integer; only fit_recurrence's
-Berlekamp-Massey elimination uses Fraction.  IntPoly stores ascending
+on the first coefficient that is not an integer, and fit_recurrence's
+Berlekamp-Massey elimination is fraction-free.  IntPoly stores ascending
 coefficients with no trailing zeros.  RationalGF keeps a canonical reduced
 form (polynomial gcd divided out, integer content 1, positive leading
 denominator coefficient) so that structural equality compares mathematical
@@ -15,10 +15,9 @@ checks once that every term is an int; the arithmetic inside trusts that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import FitInconclusiveError
@@ -427,37 +426,33 @@ def series_expand(gf: RationalGF, upto: int) -> List[int]:
 def fit_recurrence(seq: Sequence[int]) -> RationalGF:
     """Reconstruct the rational generating function behind an integer sequence.
 
-    Finds the minimal linear recurrence (Berlekamp-Massey over exact
-    rationals); the sequence must be long enough to certify it, at least
-    2·order + 4 terms, otherwise FitInconclusiveError is raised.  The result
-    reproduces every supplied term.  A term that is not an int raises
-    TypeError.
+    Finds the minimal linear recurrence by fraction-free Berlekamp-Massey
+    (Massey 1969): C <- d'·C - d·t^gap·B, divided by its integer content.
+    The sequence must be long enough to certify it, at least 2·order + 4
+    terms, otherwise FitInconclusiveError is raised.  The result reproduces
+    every supplied term.  A term that is not an int raises TypeError.
     """
     seq = list(seq)
     if not all(isinstance(x, int) for x in seq):
         raise TypeError("fit_recurrence needs a sequence of int")
     if not seq:
         raise FitInconclusiveError("empty sequence")
-    values = [Fraction(x) for x in seq]
-    conn: List[Fraction] = [Fraction(1)]
-    prev: List[Fraction] = [Fraction(1)]
+    conn: List[int] = [1]
+    prev: List[int] = [1]
     order = 0
     gap = 1
-    prev_disc = Fraction(1)
-    for i, s in enumerate(values):
-        disc = s
-        for j in range(1, order + 1):
-            disc += conn[j] * values[i - j]
+    prev_disc = 1
+    for i in range(len(seq)):
+        # conn[0] is not 1 here, so the discrepancy includes its j = 0 term
+        disc = sum(conn[j] * seq[i - j] for j in range(order + 1))
         if disc == 0:
             gap += 1
             continue
-        scale = disc / prev_disc
-        update = conn[:]
-        need = len(prev) + gap
-        if need > len(update):
-            update.extend([Fraction(0)] * (need - len(update)))
+        update = [prev_disc * c for c in conn] + [0] * (len(prev) + gap - len(conn))
         for j, c in enumerate(prev):
-            update[j + gap] -= scale * c
+            update[j + gap] -= disc * c
+        content = gcd(*update)
+        update = [c // content for c in update]
         if 2 * order <= i:
             conn, prev = update, conn
             order, prev_disc, gap = i + 1 - order, disc, 1
@@ -467,8 +462,7 @@ def fit_recurrence(seq: Sequence[int]) -> RationalGF:
         raise FitInconclusiveError(
             f"recurrence of order {order} needs at least {2 * order + 4} terms, got {len(seq)}"
         )
-    denom_lcm = lcm(*(c.denominator for c in conn))
-    den = IntPoly(int(c * denom_lcm) for c in conn)
+    den = IntPoly(conn)
     num = IntPoly(
         sum(den.coefficient(j) * seq[i - j] for j in range(0, min(i, den.degree) + 1))
         for i in range(order if order > 0 else 1)

@@ -26,21 +26,18 @@ replay_trace and detect_configuration all apply rules through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str  # drop_loops | fold | pendant | square | isolated
     vertices: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReductionState:
+class ReductionState(NamedTuple):
     graph: Graph
     suspensions: int
     trace: Tuple[TraceStep, ...]
@@ -68,8 +65,7 @@ class ReductionState:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # CONTRACTIBLE | REDUCED
     state: ReductionState
 
@@ -177,8 +173,7 @@ _ARITY = {name: rule.__code__.co_argcount - 1
 # -- contractibility configurations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     kind: str  # A | B | C | D
     rule: str  # pendant | square
     rule_vertices: Tuple[int, ...]

@@ -16,7 +16,8 @@ for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
 rows above each long block; both are kept as a differential oracle for the
 column-word grammar of the patterns module.  divrem_oracle and
 series_expand_oracle are polynomial division and power-series expansion
-over Fraction with the integrality checked at the end, kept as a
+over Fraction with the integrality checked at the end, and
+fit_recurrence_oracle is Berlekamp-Massey over Fraction, all kept as a
 differential oracle for the integer arithmetic of the polynomials module.
 peel_oracle, initial_patterns_oracle and pseudo_rem_oracle are the column
 wipes of peel and initial_patterns and the pseudo-remainder loop written
@@ -47,8 +48,10 @@ import os
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from pathlib import Path
 
+from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     Graph,
     GridSpec,
@@ -58,7 +61,7 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
 )
 from hardsquares.necklaces import Necklace, NecklaceClass
 from hardsquares.patterns import Pattern, canonicalize, is_reducible
-from hardsquares.polynomials import IntPoly
+from hardsquares.polynomials import IntPoly, RationalGF, series_expand
 
 DATA = Path(__file__).parent / "data"
 
@@ -315,6 +318,56 @@ def series_expand_oracle(gf, upto):
             raise ValueError(f"series coefficient at t^{m} is not an integer")
         vals.append(val)
     return [int(v) for v in vals]
+
+
+def fit_recurrence_oracle(seq):
+    """fit_recurrence with Berlekamp-Massey over Fraction: the connection
+    polynomial keeps C_0 = 1 and each update divides by the previous
+    discrepancy."""
+    seq = list(seq)
+    if not all(isinstance(x, int) for x in seq):
+        raise TypeError("fit_recurrence needs a sequence of int")
+    if not seq:
+        raise FitInconclusiveError("empty sequence")
+    values = [Fraction(x) for x in seq]
+    conn = [Fraction(1)]
+    prev = [Fraction(1)]
+    order = 0
+    gap = 1
+    prev_disc = Fraction(1)
+    for i, s in enumerate(values):
+        disc = s
+        for j in range(1, order + 1):
+            disc += conn[j] * values[i - j]
+        if disc == 0:
+            gap += 1
+            continue
+        scale = disc / prev_disc
+        update = conn[:]
+        need = len(prev) + gap
+        if need > len(update):
+            update.extend([Fraction(0)] * (need - len(update)))
+        for j, c in enumerate(prev):
+            update[j + gap] -= scale * c
+        if 2 * order <= i:
+            conn, prev = update, conn
+            order, prev_disc, gap = i + 1 - order, disc, 1
+        else:
+            conn, gap = update, gap + 1
+    if len(seq) < 2 * order + 4:
+        raise FitInconclusiveError(
+            f"recurrence of order {order} needs at least {2 * order + 4} terms, got {len(seq)}"
+        )
+    denom_lcm = lcm(*(c.denominator for c in conn))
+    den = IntPoly(int(c * denom_lcm) for c in conn)
+    num = IntPoly(
+        sum(den.coefficient(j) * seq[i - j] for j in range(0, min(i, den.degree) + 1))
+        for i in range(order if order > 0 else 1)
+    )
+    result = RationalGF(num, den)
+    if series_expand(result, len(seq) - 1) != seq:
+        raise FitInconclusiveError("fitted recurrence fails to reproduce the input")
+    return result
 
 
 def peel_oracle(p):

@@ -4,9 +4,17 @@
   dunders aside) from another src module: neither by `from .<module> import
   _name` (or its absolute form) nor as `<module>._name` on a module it
   imported.  A module shares a helper by making it public.
+- the cold import of hardsquares.cli stays cheap: a child started without
+  site loads none of dataclasses, inspect, fractions, decimal or json, and
+  no src module imports dataclasses or fractions.  The child still loads
+  graphs, patterns, genfun, polynomials and necklaces, which the
+  benchmark's tracer reaches through the cli module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hardsquares
@@ -93,3 +101,29 @@ def test_the_guard_sees_every_import_form(tmp_path):
         (9, "genfun._is_unit"),
         (9, "polynomials._prime_divisors"),
     ]
+
+
+def test_no_src_module_imports_dataclasses_or_fractions():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.stem, name) for name in names
+                      if name.partition(".")[0] in ("dataclasses", "fractions")]
+    assert found == []
+
+
+def test_cold_cli_import_loads_no_heavy_stdlib_module():
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json")
+    traced = tuple(f"hardsquares.{m}" for m in
+                   ("graphs", "patterns", "genfun", "polynomials", "necklaces"))
+    probe = (f"import sys, hardsquares.cli; m = sys.modules; "
+             f"print([n for n in {heavy!r} if n in m], all(n in m for n in {traced!r}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0 and proc.stdout == "[] True\n", proc.stderr

@@ -16,7 +16,12 @@ products plus a remainder and random pairs, both give the same
 same coefficients or raises at the same power of t; and divides answers
 as the oracle does on every pair factor_cyclotomic tries.  The
 pseudo-remainder, now a divrem of the scaled dividend, equals the
-written-out scale-and-cancel loop on random pairs.
+written-out scale-and-cancel loop on random pairs.  The fraction-free
+Berlekamp-Massey fit returns the same RationalGF as the Fraction fit of
+tests/helpers.py, or raises the same exception with the same message, on
+true recurrences of order up to 6 (windows long enough and too short),
+short random sequences, sequences with leading zeros and prefixes of the
+cylinder column series.
 """
 
 from fractions import Fraction
@@ -43,7 +48,13 @@ from hardsquares.polynomials import (
 
 import pytest
 
-from helpers import cyclotomic_oracle, divrem_oracle, pseudo_rem_oracle, series_expand_oracle
+from helpers import (
+    cyclotomic_oracle,
+    divrem_oracle,
+    fit_recurrence_oracle,
+    pseudo_rem_oracle,
+    series_expand_oracle,
+)
 
 
 def P(*coeffs: int) -> IntPoly:
@@ -326,3 +337,44 @@ def test_fit_recurrence_roundtrip_on_random_rational_functions():
         gf = RationalGF(num, den)
         terms = series_expand(gf, 2 * max(gf.den.degree, gf.num.degree + 1) + 8)
         assert fit_recurrence(terms) == gf
+
+
+def _recurrence_terms(args):
+    """Terms of s_i = sum_j c_j s_{i-j} from the given start, cut at length."""
+    coeffs, start, length = args
+    terms = list(start)
+    while len(terms) < length:
+        terms.append(sum(c * terms[-1 - j] for j, c in enumerate(coeffs)))
+    return terms[:length]
+
+
+true_recurrences = st.integers(0, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+    st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+    st.integers(0, 3 * d + 12))).map(_recurrence_terms)
+fit_inputs = st.one_of(
+    true_recurrences,
+    st.lists(st.integers(-5, 5), max_size=12),
+    st.tuples(st.integers(1, 5), st.lists(st.integers(-3, 3), max_size=10)).map(
+        lambda z: [0] * z[0] + z[1]))
+
+
+def _fit_outcome(fit, seq):
+    try:
+        return fit(seq)
+    except FitInconclusiveError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(fit_inputs)
+def test_fit_recurrence_matches_the_fraction_oracle(seq):
+    assert _fit_outcome(fit_recurrence, seq) == _fit_outcome(fit_recurrence_oracle, seq)
+
+
+def test_fit_recurrence_matches_the_oracle_on_column_series():
+    for n in range(1, 12):
+        seq = column_series(n, 60)
+        outcomes = [_fit_outcome(fit_recurrence, seq[:k]) for k in (4, 8, 16, 61)]
+        assert outcomes == [_fit_outcome(fit_recurrence_oracle, seq[:k]) for k in (4, 8, 16, 61)]
+        assert outcomes[0][0] is FitInconclusiveError and isinstance(outcomes[-1], RationalGF)

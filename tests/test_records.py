@@ -1,0 +1,133 @@
+"""The record types of src are NamedTuples with the dataclass behaviour kept.
+
+Covers every record: its repr and hash equal those of a frozen dataclass
+with the same name and fields (so printed output and set order stay as
+they were), equal records hash equal, and no attribute can be set.  The
+four ordered types sort in field-tuple order.  The three validating types
+(Pattern, GridSpec, Necklace) raise the same ValueError messages, and a
+Necklace still sorts its stones onto the circle.  A record is a tuple, so
+it now also compares equal to the plain tuple of its fields; the last test
+pins that.
+"""
+
+import random
+from dataclasses import make_dataclass
+
+import pytest
+
+from hardsquares.cli import CheckResult
+from hardsquares.genfun import PeriodicityReport
+from hardsquares.graphs import Graph, GridSpec, IdentityCheck
+from hardsquares.necklaces import Necklace, NecklaceClass, enumerate_necklaces
+from hardsquares.patterns import (
+    Pattern,
+    PatternClass,
+    SignedPatternCombo,
+    enumerate_proper,
+)
+from hardsquares.reduction import Configuration, ReductionState, TraceStep, Verdict
+
+PATTERN = Pattern((0, 1, 0, 0), (1, 1, 0, 1))
+NECKLACE = Necklace(8, ((0, -1), (1, 2), (6, -2), (3, 1)))
+STATE = ReductionState(Graph(range(3), [(0, 1)]), 1, (TraceStep("fold", (0, 2)),))
+
+RECORDS = [
+    CheckResult("identity", {"n": 3, "m": 4}, True),
+    PeriodicityReport(6, {1: 1, 2: 1}, True, 1, 2),
+    GridSpec("cylinder", 20, 16),
+    IdentityCheck("one_row_cylinder_shift3", "cylinder", 1, 7, -1, -1),
+    PATTERN,
+    PatternClass(PATTERN),
+    SignedPatternCombo(((PatternClass(PATTERN), -2),)),
+    NECKLACE,
+    NecklaceClass(NECKLACE),
+    STATE.trace[0],
+    STATE,
+    Verdict("REDUCED", STATE),
+    Configuration("A", "pendant", (0, 1), 5),
+]
+# a dict field makes these unhashable, as their dataclasses were
+UNHASHABLE = (CheckResult, PeriodicityReport)
+
+
+def _dataclass_twin(rec):
+    """The same values in a frozen dataclass of the same name and fields."""
+    twin = make_dataclass(type(rec).__name__, rec._fields, frozen=True)
+    return twin(*rec)
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
+def test_repr_and_hash_match_the_dataclass_form(rec):
+    assert repr(rec) == repr(_dataclass_twin(rec))
+    if isinstance(rec, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        again = type(rec)(*rec)
+        assert again == rec and again is not rec
+        assert hash(again) == hash(rec) == hash(_dataclass_twin(rec))
+
+
+def test_repr_examples():
+    assert repr(GridSpec("cylinder", 20, 16)) == "GridSpec(family='cylinder', m=20, n=16)"
+    assert repr(PatternClass(Pattern((1, 0), (1, 1)))) == (
+        "PatternClass(canonical=Pattern(row1=(1, 0), row2=(1, 1)))")
+    assert repr(CheckResult("c", {}, False, "why")) == (
+        "CheckResult(check='c', params={}, ok=False, detail='why')")
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(rec):
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_ordered_records_sort_in_field_order():
+    rng = random.Random(5)
+    classes = enumerate_proper(10)
+    patterns = [c.canonical for c in classes]
+    necklace_classes = enumerate_necklaces(2, 14)
+    necklaces = [c.canonical for c in necklace_classes]
+    for items, key in ((patterns, lambda p: (p.row1, p.row2)),
+                       (classes, lambda c: (c.canonical.row1, c.canonical.row2)),
+                       (necklaces, lambda k: (k.n, k.stones)),
+                       (necklace_classes, lambda c: (c.canonical.n, c.canonical.stones))):
+        assert len(items) > 5
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        assert sorted(shuffled) == sorted(shuffled, key=key)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Pattern((1, 0), (1,)), "rows differ in length"),
+    (lambda: Pattern((1, 0, 1), (1, 1, 1)), "pattern length must be even and at least 2"),
+    (lambda: Pattern((), ()), "pattern length must be even and at least 2"),
+    (lambda: Pattern((2, 0), (1, 1)), "pattern entries must be 0 or 1"),
+    (lambda: Pattern((0, 1), (1, 0)), "column 1 has a 1 above a 0"),
+    (lambda: GridSpec("ring", 1, 2),
+     "unknown family 'ring'; expected one of ('free', 'cylinder', 'torus')"),
+    (lambda: GridSpec("free", 1.0, 2), "grid sizes must be integers"),
+    (lambda: GridSpec("torus", 3, -1), "grid sizes must be non-negative"),
+    (lambda: Necklace(0, ((0, 1), (1, -1))), "circle length must be positive"),
+    (lambda: Necklace(6, ((0, 1),)), "an arrangement has a positive even stone count"),
+    (lambda: Necklace(6, ((0, 1), (6, -1))), "stones must sit at distinct points"),
+    (lambda: Necklace(6, ((0, 3), (2, -1))), "stone vectors must be one of -2, -1, 1, 2"),
+])
+def test_validation_messages_are_unchanged(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_necklace_sorts_its_stones_onto_the_circle():
+    assert Necklace(4, ((5, 1), (2, -1))).stones == ((1, 1), (2, -1))
+    assert Necklace(n=4, stones=[(2, -1), (-3, 1)]) == Necklace(4, ((1, 1), (2, -1)))
+
+
+def test_records_compare_equal_to_their_field_tuples():
+    # a dataclass compared unequal to a tuple; no src code compares the two
+    assert GridSpec("free", 2, 3) == ("free", 2, 3)
+    assert TraceStep("fold", (0, 2)) == ("fold", (0, 2))
+    assert PATTERN == ((0, 1, 0, 0), (1, 1, 0, 1))
