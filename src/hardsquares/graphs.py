@@ -19,7 +19,8 @@ C_2 = P_2, C_1 = a single looped vertex, C_0 = P_0 = the empty graph.  A
 looped vertex belongs to no independent set, so Z(C_1) = Z(P_0) = 1.
 
 Two independent evaluation routes are provided: ``witten_brute`` (recursive
-deletion on an explicit graph, whose vertex sets it holds as bit masks) and
+deletion on an explicit graph, whose vertex sets it holds as bit masks; a
+leaf u with neighbour v steps straight to -Z(G - N[v])) and
 ``witten_transfer`` (row transfer); they must always agree.  The transfer has two primitives: ``_orbits(n)``, the
 dihedral orbits of the ring C_n's independent states (49 / 99 / 209 for
 843 / 2207 / 5778 states at n = 14 / 16 / 18), their orbit matrix B and
@@ -239,10 +240,14 @@ def witten_brute(g: Graph) -> int:
     """Witten index by recursive deletion on vertex masks.
 
     Looped vertices are discarded once (they join no independent set, and
-    deletions add no loop), an isolated vertex forces 0, connected
-    components multiply, and otherwise a maximum-degree vertex v, the
-    lowest id among ties, is pivoted on via Z = Z(G-v) - Z(G-N[v]).  Bit i
-    of a mask stands for the i-th loop-free vertex in id order.
+    deletions add no loop), and an isolated vertex forces 0.  A leaf u, the
+    lowest-id degree-1 vertex, with neighbour v gives Z(G) = -Z(G - N[v]):
+    it is the pivot on v, whose branch G - v leaves u isolated.  Without a
+    leaf, connected components multiply, and otherwise a maximum-degree
+    vertex v, the lowest id among ties, is pivoted on via
+    Z = Z(G-v) - Z(G-N[v]).  So a forest never reaches the component
+    search.  Bit i of a mask stands for the i-th loop-free vertex in id
+    order.
     """
     nbrs = _neighbor_masks(g, sorted(v for v in g.vertices if not g.has_loop(v)))
     memo: Dict[int, int] = {}
@@ -253,18 +258,22 @@ def witten_brute(g: Graph) -> int:
         cached = memo.get(active)
         if cached is not None:
             return cached
-        top, pivot, rest = -1, 0, active
+        top, pivot, leaf, rest = -1, 0, 0, active
         while rest:  # ascending bits, so a tie keeps the lowest id
             low = rest & -rest
             deg = (nbrs[low.bit_length() - 1] & active).bit_count()
             if deg == 0:
                 memo[active] = 0
                 return 0
+            if deg == 1 and not leaf:
+                leaf = low
             if deg > top:
                 top, pivot = deg, low
             rest ^= low
-        comps = _components(nbrs, active)
-        if len(comps) > 1:
+        if leaf:  # pivot on the leaf's neighbour v: G - v isolates the leaf
+            v = nbrs[leaf.bit_length() - 1] & active
+            result = -solve(active & ~(nbrs[v.bit_length() - 1] | v))
+        elif len(comps := _components(nbrs, active)) > 1:
             result = 1
             for comp in comps:
                 result *= solve(comp)

@@ -22,11 +22,17 @@ on their witness vertices to keep each step individually sound.
 RULES maps each trace step name (drop_loops, fold, pendant, square,
 isolated) to the one function that checks and applies it; simplify,
 replay_trace and detect_configuration all apply rules through it.
+
+simplify never needs a square, and its pendant steps fire only on isolated
+edges: both admit a fold first.  A deletion only shrinks neighbourhoods, so
+only the touched vertices, the surviving neighbours of what a rule deleted,
+can become isolated or gain a fold; simplify skips the settled ones, shown
+to fold nowhere and untouched since, instead of rescanning the graph.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute
@@ -238,7 +244,8 @@ def detect_configuration(g: Graph) -> Optional[Configuration]:
 # -- the driver -----------------------------------------------------------------
 
 
-def _first_step(g: Graph) -> Optional[TraceStep]:
+def _first_step(g: Graph, settled: Optional[set] = None,
+                touched: Optional[Iterable[int]] = None) -> Optional[TraceStep]:
     """simplify's next step on a loop-free graph: an isolated vertex, else
     fold on the lexicographically first (u, v) pair, else pendant at the
     lowest pendant vertex.
@@ -246,17 +253,25 @@ def _first_step(g: Graph) -> Optional[TraceStep]:
     N(u) <= N(v) puts v in N(w) for every w in N(u), so fold only scans
     the neighbours of the least-degree w in N(u).  No square is searched:
     a square u-v-x-y always admits fold(u, x), as N(u) = {v, y} <= N(x).
+    Nor does a pendant step fire on anything but an isolated edge: a leaf
+    u whose neighbour v has another neighbour w admits fold(u, w).
+
+    settled holds vertices known to fold nowhere in g; they are skipped,
+    and each u scanned without a fold is added to it.  touched, when
+    given, holds the only vertices that may be isolated.  With neither,
+    every vertex is scanned.
     """
-    verts = sorted(g.vertices)
-    for w in verts:
+    settled = set() if settled is None else settled
+    for w in sorted(g.vertices if touched is None else touched):
         if g.degree(w) == 0:
             return TraceStep("isolated", (w,))
-    for u in verts:
+    for u in sorted(g.vertices - settled):
         nu = g.neighbors(u)
         w = min(nu, key=g.degree)
         for v in sorted(g.neighbors(w)):
             if v != u and nu <= g.neighbors(v):
                 return TraceStep("fold", (u, v))
+        settled.add(u)
     witnesses = next(_pendant_candidates(g), None)
     return None if witnesses is None else TraceStep("pendant", witnesses)
 
@@ -264,16 +279,28 @@ def _first_step(g: Graph) -> Optional[TraceStep]:
 def simplify(g: Graph) -> Verdict:
     """Rewrite until contractibility is certified or no rule applies.
 
-    Loops go first; then each pass applies _first_step's rule through RULES.
+    Loops go first; then each pass applies _first_step's rule through RULES
+    (never a square, and a pendant only on an isolated edge).  Passes carry
+    the settled vertices, shown to fold nowhere, and the touched ones, the
+    surviving neighbours of what the last rule deleted.  An untouched
+    vertex keeps N(u) while every N(v) only shrinks, so it cannot become
+    isolated, and if settled it still folds nowhere: the trace is the one a
+    full rescan at every pass gives.
     """
     state = drop_loops(ReductionState.initial(g))
+    settled: set = set()
+    touched = None
     while True:
-        step = _first_step(state.graph)
+        step = _first_step(state.graph, settled, touched)
         if step is None:
             return Verdict(REDUCED, state)
+        before = state.graph
         state = RULES[step.rule](state, *step.vertices)
         if step.rule == "isolated":
             return Verdict(CONTRACTIBLE, state)
+        kept = state.graph.vertices
+        touched = {w for x in before.vertices - kept for w in before.neighbors(x)} & kept
+        settled -= touched
 
 
 def replay_trace(g: Graph, steps) -> ReductionState:

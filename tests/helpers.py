@@ -24,10 +24,15 @@ wipes of peel and initial_patterns and the pseudo-remainder loop written
 out in place, kept as a differential oracle for the shared wipe helper and
 for the pseudo-remainder by divrem.  witten_brute_oracle and
 components_oracle are the deletion recursion and the component search on
-frozensets of vertex ids, and first_step_oracle is simplify's step choice
-with the fold test over every (u, v) pair and the square search, kept as
-a differential oracle for the vertex-mask recursion of the graphs module
-and the neighbourhood-local fold search.  IDENTITIES_ORACLE is the
+frozensets of vertex ids; with leaf=False the recursion has no leaf step,
+a value oracle for the step itself.  first_step_oracle is simplify's step
+choice with the fold test over every (u, v) pair and the square search,
+kept as a differential oracle for the vertex-mask recursion of the graphs
+module and the neighbourhood-local fold search, and simplify_oracle is the
+simplify loop that rescans the whole graph at every pass, kept as a
+differential oracle for the vertices simplify carries between passes.
+scattered_graphs draws small graphs with scattered ids, loops, isolated
+vertices and several components.  IDENTITIES_ORACLE is the
 identity table as a shift function and a validity predicate per identity,
 and identity_checks_oracle is the identity sweep over it with one
 witten_transfer per side of every instance, kept as a differential oracle
@@ -62,6 +67,16 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
 from hardsquares.necklaces import Necklace, NecklaceClass
 from hardsquares.patterns import Pattern, canonicalize, is_reducible
 from hardsquares.polynomials import IntPoly, RationalGF, series_expand
+from hardsquares.reduction import (
+    CONTRACTIBLE,
+    REDUCED,
+    RULES,
+    ReductionState,
+    Verdict,
+    _first_step,
+    drop_loops,
+)
+from hypothesis import strategies as st
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,11 +457,14 @@ def components_oracle(g, active):
     return comps
 
 
-def witten_brute_oracle(g, visit=None):
+def witten_brute_oracle(g, visit=None, leaf=True):
     """Z(g) by the deletion recursion on frozensets: drop looped vertices,
-    0 on an isolated vertex, multiply components, else pivot on a
-    maximum-degree vertex, the lowest id among ties.  visit(active) sees
-    every unmemoized active set with no isolated vertex, in order."""
+    0 on an isolated vertex, then (with leaf) -Z(g - N[v]) for the lowest
+    degree-1 vertex and its neighbour v, else multiply components, else
+    pivot on a maximum-degree vertex, the lowest id among ties.
+    visit(active) sees every unmemoized active set that reaches the
+    component search, in order.  leaf=False is the recursion without the
+    leaf step."""
     memo = {}
 
     def solve(active):
@@ -458,6 +476,12 @@ def witten_brute_oracle(g, visit=None):
         if 0 in degs.values():
             memo[active] = 0
             return 0
+        leaves = [v for v in active if degs[v] == 1]
+        if leaf and leaves:
+            (v,) = g.neighbors(min(leaves)) & active
+            result = -solve(active - g.neighbors(v) - {v})
+            memo[active] = result
+            return result
         if visit is not None:
             visit(active)
         comps = sorted(components_oracle(g, active), key=min)
@@ -499,6 +523,29 @@ def first_step_oracle(g):
             if x != y and g.has_edge(x, y):
                 return "square", (u, v, x, y)
     return None
+
+
+def simplify_oracle(g):
+    """simplify with a full rescan by _first_step at every pass: the same
+    rule order, no vertex carried between passes."""
+    state = drop_loops(ReductionState.initial(g))
+    while True:
+        step = _first_step(state.graph)
+        if step is None:
+            return Verdict(REDUCED, state)
+        state = RULES[step.rule](state, *step.vertices)
+        if step.rule == "isolated":
+            return Verdict(CONTRACTIBLE, state)
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Up to 14 vertices with scattered ids, loops, isolated vertices and
+    several components."""
+    ids = draw(st.lists(st.integers(-5, 60), unique=True, max_size=14))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          max_size=30)) if ids else []
+    return Graph(ids, edges)
 
 
 # name -> (family, lhs(m, n) -> rhs instance, sign, validity predicate).

@@ -31,7 +31,9 @@
   identities or verify all whose -m and --nmax leave no identity instance
   in range.
 - any other exception in a command (a KeyError, a MemoryError) exits 3
-  with one `internal error:` line and no traceback.
+  with one `internal error:` line and no traceback.  A reader that closes
+  stdout before the output ends is no fault: the child exits 141 (128 +
+  SIGPIPE) and writes nothing to stderr, also not at shutdown.
 - verify identities and correspondence pass; verify conjectures fails on
   exactly the circumference-4 denominator form and nothing else, so its
   exit code is 1 and the failure list is machine readable.  verify all
@@ -460,6 +462,26 @@ def test_module_entry_point():
          "-n", "14"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and proc.stdout == "13\n"
+
+
+def test_a_reader_that_closes_early_gets_exit_141_and_no_stderr():
+    # 386 KB of JSON overflows the pipe, so the child is still writing when
+    # the reader closes after the first line
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hardsquares.cli", "necklace", "-k", "4", "-n",
+         "24", "enumerate", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_benchmark_traced_names_resolve_and_the_cli_loads_no_reduction():

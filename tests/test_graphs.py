@@ -26,9 +26,10 @@ predicate table of tests/helpers for -1 <= m <= 12, -1 <= n <= 18.
 The brute oracle recurses on vertex masks; on derandomized graphs with
 loops, isolated vertices, several components and scattered ids it returns
 the frozenset recursion's value after visiting the same vertex sets in the
-same order.  Graph.induced equals the graph built from scratch on the kept
-vertices, and Graph.components matches the frozenset search, sorted by
-least member.
+same order, and the value of the recursion without the leaf step.  With
+the leaf step, paths and random forests never reach the component search.
+Graph.induced equals the graph built from scratch on the kept vertices,
+and Graph.components matches the frozenset search, sorted by least member.
 """
 
 from random import Random
@@ -61,6 +62,7 @@ from helpers import (
     naive_witten,
     random_graph,
     ring_table,
+    scattered_graphs,
     torus_oracle,
     transfer_oracle,
     witten_brute_oracle,
@@ -203,19 +205,10 @@ def test_vertex_and_edge_deletion_relations():
             assert z == no_edge - no_nbhd
 
 
-@st.composite
-def scattered_graphs(draw):
-    """Up to 14 vertices with scattered ids, loops, isolated vertices and
-    several components."""
-    ids = draw(st.lists(st.integers(-5, 60), unique=True, max_size=14))
-    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
-                          max_size=30)) if ids else []
-    return Graph(ids, edges)
-
-
 def assert_brute_recursion_matches_the_oracle(g):
     """Same value, and the same vertex sets reach the component search in
-    the same order, as in the frozenset recursion."""
+    the same order, as in the frozenset recursion; the same value as the
+    recursion without the leaf step."""
     verts = sorted(v for v in g.vertices if not g.has_loop(v))
     seen, expected = [], []
     search = graphs._components
@@ -229,6 +222,33 @@ def assert_brute_recursion_matches_the_oracle(g):
         z = witten_brute(g)
     assert z == witten_brute_oracle(g, expected.append)
     assert seen == expected
+    assert z == witten_brute_oracle(g, leaf=False)
+
+
+def random_forest(rng, n):
+    """A forest on n vertices with scattered ids: each vertex but the first
+    joins an earlier one with probability 0.8."""
+    ids = rng.sample(range(-20, 80), n)
+    return Graph(ids, [(ids[i], ids[rng.randrange(i)])
+                       for i in range(1, n) if rng.random() < 0.8])
+
+
+def test_the_leaf_step_keeps_forests_out_of_the_component_search():
+    rng = Random(16)
+    forests = [build_grid(GridSpec("free", 1, n)) for n in range(41)]
+    forests += [random_forest(rng, rng.randint(1, 30)) for _ in range(200)]
+    searches, search = [], graphs._components
+
+    def spy(nbrs, active):
+        searches.append(active)
+        return search(nbrs, active)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_components", spy)
+        values = [witten_brute(g) for g in forests]
+    assert searches == []
+    assert values[:41] == [witten_transfer(GridSpec("free", 1, n)) for n in range(41)]
+    assert values == [witten_brute_oracle(g, leaf=False) for g in forests]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

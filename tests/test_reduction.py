@@ -15,7 +15,11 @@ vertices is refused as inapplicable.  simplify's step choice, which scans
 only one neighbourhood for a fold, equals the all-pairs oracle of
 tests/helpers on random loop-free graphs and along their traces, and never
 needs a square: whenever a square exists, an isolated vertex or a fold is
-found first.
+found first.  simplify, which carries settled and touched vertices between
+passes, gives the same verdict, trace and final graph as the loop that
+rescans every vertex at every pass (tests/helpers.simplify_oracle), on
+derandomized graphs with loops and on edge residues of every cylinder with
+m <= 7 and n <= 10.
 """
 
 from random import Random
@@ -38,7 +42,14 @@ from hardsquares.reduction import (
     residue_edge,
     simplify,
 )
-from helpers import first_step_oracle, naive_witten, random_graph
+from helpers import (
+    first_step_oracle,
+    naive_witten,
+    random_graph,
+    scattered_graphs,
+    simplify_oracle,
+)
+from hypothesis import given, settings
 
 import pytest
 
@@ -332,3 +343,21 @@ def test_a_square_always_meets_an_isolated_vertex_or_a_fold_first():
             squares += 1
             assert _first_step(g).rule in ("isolated", "fold")
     assert squares >= 40
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scattered_graphs())
+def test_simplify_equals_the_full_rescan_loop(g):
+    # kind, trace and final graph; the state carries all three
+    assert simplify(g) == simplify_oracle(g)
+
+
+def test_simplify_equals_the_full_rescan_loop_on_cylinder_residues():
+    rng = Random(16)
+    for m in range(1, 8):
+        for n in range(1, 11):
+            g = build_grid(GridSpec("cylinder", m, n))
+            verts = sorted(g.vertices)
+            for _ in range(4):
+                r = residue_edge(g, (rng.choice(verts), rng.choice(verts)))
+                assert simplify(r) == simplify_oracle(r), (m, n)
