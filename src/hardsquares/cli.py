@@ -17,8 +17,8 @@ Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
 line per failing instance) or an internal consistency check failed, 2 for
 usage errors, including requests above their row of BOUNDS (checked before
-any work starts) and sweeps whose --nmax or -m is too small to check
-anything, 3 for any other error, such as a KeyError or MemoryError,
+any work starts) and sweeps or tables whose --nmax or -m is too small to
+check anything, 3 for any other error, such as a KeyError or MemoryError,
 reported as one "internal error:" line on stderr, and 141 (128 + SIGPIPE)
 with nothing on stderr when the reader closes stdout before the output ends.
 
@@ -174,6 +174,8 @@ def cmd_table1(args: argparse.Namespace,
     GridSpec("cylinder", args.m, args.nmax)  # rejects negative sizes
     # every height pays one series per column, so --nmax is bounded at m = 0 too
     _check_bound("row-mask width", args.nmax, "width", override=args.bound_n)
+    if args.nmax < 2:
+        raise ValueError(f"--nmax {args.nmax} is below 2, where the table has no column")
     cols = list(range(2, args.nmax + 1))
     rows = list(range(0, args.m + 1))
     series = [column_series(n, args.m) for n in cols]
@@ -233,6 +235,8 @@ def cmd_genfun(args: argparse.Namespace,
 def cmd_necklace(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     if args.action == "verify":
+        if args.k is not None or args.n is not None:
+            parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
         nmax = args.nmax if args.nmax is not None else 24
         _check_nmax(nmax, 4, "circle", override=args.bound_n)
         results = [CheckResult("cycle_divisibility", {"k": k, "n": n},
@@ -242,6 +246,8 @@ def cmd_necklace(args: argparse.Namespace,
 
     if args.k is None or args.n is None:
         parser.error(f"necklace {args.action} requires both -k and -n")
+    if args.nmax is not None:
+        parser.error(f"--nmax applies to necklace verify only, not {args.action}")
     _check_bound("circle length", args.n, "circle", override=args.bound_n)
     if args.action == "dot":
         if args.format == "json":
@@ -267,11 +273,11 @@ def cmd_necklace(args: argparse.Namespace,
             "k": args.k,
             "n": args.n,
             "count": len(classes),
-            "classes": [necklace_to_json_obj(c.canonical) for c in classes],
+            "classes": [necklace_to_json_obj(neck) for neck in classes],
         })
     else:
-        for cls in classes:
-            print(format_necklace(cls.canonical))
+        for neck in classes:
+            print(format_necklace(neck))
     return 0
 
 
@@ -326,11 +332,10 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
         results.extend(CheckResult("cycle_divisibility", {"k": k, "n": n},
                                    verify_cycle_divisibility(k, n))
                        for k in range(1, n // 4 + 1))
-        for cls in enumerate_proper(n):
+        for p in enumerate_proper(n):
             results.append(CheckResult(
-                "block_count_denominator",
-                {"n": n, "pattern": format_pattern(cls.canonical)},
-                check_block_count_denominator(cls)))
+                "block_count_denominator", {"n": n, "pattern": format_pattern(p)},
+                check_block_count_denominator(p)))
     return results, infos
 
 

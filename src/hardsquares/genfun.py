@@ -27,13 +27,12 @@ count, so the fit is a proof, not a guess.
 from __future__ import annotations
 
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError
 from .graphs import GridSpec, column_series, fit_window, witten_transfer
 from .patterns import (
     Pattern,
-    PatternClass,
     block_count,
     canonicalize,
     delete_top,
@@ -55,56 +54,55 @@ from .polynomials import (
     series_expand,
 )
 
-# the series of every class walked, one dict per circumference (a successor
-# walk never leaves its n); only the last four circumferences used are kept
-_PATTERN_GF: Dict[int, Dict[PatternClass, RationalGF]] = {}
+# the series of every class walked, keyed by its canonical pattern, one dict
+# per circumference (a successor walk never leaves its n); only the last four
+# circumferences used are kept
+_PATTERN_GF: Dict[int, Dict[Pattern, RationalGF]] = {}
 
 
-def _validate_pattern_gf(cls: PatternClass, gf: RationalGF) -> RationalGF:
+def _validate_pattern_gf(q: Pattern, gf: RationalGF) -> RationalGF:
     """Check the claimed series against direct transfer evaluation."""
     upto = gf.num.degree + gf.den.degree + 6
     try:
         claimed = series_expand(gf, upto)
     except ValueError as exc:  # a non-integral series is a broken derivation
-        raise ConsistencyError(f"series for pattern {cls.canonical}: {exc}") from exc
-    direct = z_pattern_series(cls.canonical, upto)
+        raise ConsistencyError(f"series for pattern {q}: {exc}") from exc
+    direct = z_pattern_series(q, upto)
     if claimed != direct:
-        raise ConsistencyError(f"series for pattern {cls.canonical} disagrees with "
+        raise ConsistencyError(f"series for pattern {q} disagrees with "
                                f"transfer evaluation: {claimed} vs {direct}")
     return gf
 
 
-def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
+def pattern_gf(p: Pattern) -> RationalGF:
     """The series sum_{m>=2} z(P;m) t^m as an exact rational function.
 
     Proper patterns only; the computation walks the successor chain,
     solves its terminal cycle, and back-substitutes (see module docstring).
     """
-    cls = canonicalize(p) if isinstance(p, Pattern) else p
-    memo = _PATTERN_GF[cls.n] = _PATTERN_GF.pop(cls.n, {})  # the most recent
+    memo = _PATTERN_GF[p.n] = _PATTERN_GF.pop(p.n, {})  # the most recent
     if len(_PATTERN_GF) > 4:
         del _PATTERN_GF[next(iter(_PATTERN_GF))]
-    if cls in memo:
-        return memo[cls]
+    if p in memo:  # a key is canonical, so a hit needs no canonicalize
+        return memo[p]
 
     # Walk successors until we hit a known class or close a cycle.
     # step = (class, side series, sign, shift): F = side + sign * t^shift * F_next
-    path: List[Tuple[PatternClass, RationalGF, int, int]] = []
-    position: Dict[PatternClass, int] = {}
-    cur = cls
+    path: List[Tuple[Pattern, RationalGF, int, int]] = []
+    position: Dict[Pattern, int] = {}
+    cls = cur = canonicalize(p)
     while cur not in position and cur not in memo:
         position[cur] = len(path)
-        q = cur.canonical
-        if is_reducible(q):
-            peeled, sign = peel(q)
-            side = RationalGF(IntPoly((0, 0, z_pattern(q, 2))))
+        if is_reducible(cur):
+            peeled, sign = peel(cur)
+            side = RationalGF(IntPoly((0, 0, z_pattern(cur, 2))))
             path.append((cur, side, sign, 1))
             cur = canonicalize(peeled)
         else:
-            mid = leftmost_block_middle(q)
-            side = pattern_gf(canonicalize(delete_top(q, mid)))
+            mid = leftmost_block_middle(cur)
+            side = pattern_gf(delete_top(cur, mid))
             path.append((cur, side, -1, 0))
-            cur = canonicalize(delete_top_neighborhood(q, mid))
+            cur = canonicalize(delete_top_neighborhood(cur, mid))
 
     if cur in memo:
         series = memo[cur]
@@ -118,7 +116,7 @@ def pattern_gf(p: Union[Pattern, PatternClass]) -> RationalGF:
             sigma *= sign
             a += shift
         if a == 0:
-            raise ConsistencyError(f"successor cycle of {cur.canonical} contains no peel step")
+            raise ConsistencyError(f"successor cycle of {cur} contains no peel step")
         series = accumulated / (ONE - T ** a * sigma)
 
     # one gcd per step: the signed shift keeps series reduced, only + reduces
@@ -245,8 +243,7 @@ def denominator_bound(n: int, blocks: int) -> IntPoly:
     return out
 
 
-def check_block_count_denominator(p: Union[Pattern, PatternClass]) -> bool:
-    """Does the structural denominator bound cover this pattern's poles?"""
-    cls = canonicalize(p) if isinstance(p, Pattern) else p
-    gf = pattern_gf(cls)
-    return gf.den.divides(denominator_bound(cls.n, block_count(cls.canonical)))
+def check_block_count_denominator(p: Pattern) -> bool:
+    """Does the structural denominator bound cover this pattern's poles?
+    (n and the block count are the same across p's class.)"""
+    return pattern_gf(p).den.divides(denominator_bound(p.n, block_count(p)))

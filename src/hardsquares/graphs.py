@@ -18,18 +18,18 @@ P_m x C_n and the torus C_m x C_n.  Degenerate cycles follow the conventions
 C_2 = P_2, C_1 = a single looped vertex, C_0 = P_0 = the empty graph.  A
 looped vertex belongs to no independent set, so Z(C_1) = Z(P_0) = 1.
 
-Two independent evaluation routes are provided: ``witten_brute`` (recursive
-deletion on an explicit graph, whose vertex sets it holds as bit masks; a
-leaf u with neighbour v steps straight to -Z(G - N[v])) and
-``witten_transfer`` (row transfer); they must always agree.  The transfer has two primitives: ``_orbits(n)``, the
-dihedral orbits of the ring C_n's independent states (49 / 99 / 209 for
-843 / 2207 / 5778 states at n = 14 / 16 / 18), their orbit matrix B and
-the powers B^k w kept so far, at most the 2N + 6 of the fit window; and
-``_row_step``, one row stacked cell by cell on a sparse {mask: signed
-count} dict, for free grids, tori and masked rows.  ``column_series`` is
-the one column kernel: it stacks any masked top rows (none for cylinders,
-two for patterns) with ``_row_step`` and reads every later row from the
-powers B^k w.
+Two independent evaluation routes are provided: ``witten_brute``
+(recursive deletion on an explicit graph, whose vertex sets it holds as
+bit masks; a leaf u with neighbour v steps straight to -Z(G - N[v])) and
+``witten_transfer`` (row transfer); they must always agree.  The transfer
+has two primitives: ``_orbits(n)``, the dihedral orbits of the ring C_n's
+independent states (49 / 99 / 209 for 843 / 2207 / 5778 states at
+n = 14 / 16 / 18), their orbit matrix B and the powers B^k w kept so far,
+at most the 2N + 6 of the fit window; and ``_row_step``, one row stacked
+cell by cell on a sparse {mask: signed count} dict, for free grids, tori
+and masked rows.  ``column_series`` is the one column kernel: it stacks
+any masked top rows (none for cylinders, two for patterns) with
+``_row_step`` and reads every later row from the powers B^k w.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class Graph:
     def edges(self) -> frozenset:
         """Every edge once, as (u, v) with u <= v; (v, v) is a loop."""
         return frozenset((u, v) for u, nbrs in self._adj.items() for v in nbrs if u <= v)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     # -- derived graphs ------------------------------------------------------
 

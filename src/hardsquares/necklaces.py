@@ -25,15 +25,18 @@ sequence or its mirror gains an away element below the first.  A complete
 sequence is kept unless a rotation starting with its first element, or a
 mirror rotation starting at or below it, is smaller; no other can be, so
 the leaf test compares only those and stops at the first smaller one.
-Necklace objects are built only for callers that get arrangements back.
+A class is given by its canonical representative, the canonical sequence
+placed from 0; the kernel sorts and steps sequences and places them only
+for output.
 
 Arrangements encode the reducible proper patterns with a given block count:
 pattern_of_necklace writes a block of 1s across each facing gap (with the
 alternating first row pulled in by the vector lengths) and 0101...0 across
 each away gap; necklace_of_pattern inverts it.  One T step corresponds to
 peeling the pattern and collapsing the new first-row blocks.
-check_correspondence builds its patterns from sequences and compares the
-two sides of that identity with patterns.same_class.
+check_correspondence converts sequences both ways (_pattern_of and
+_sequence_of) and compares the two sides of that identity with
+patterns.same_class.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class Necklace(_NecklaceFields):
             raise ValueError("stone vectors must be one of -2, -1, 1, 2")
         return super().__new__(cls, n, stones)
 
-    @property
-    def stone_count(self) -> int:
-        return len(self.stones)
-
     def __str__(self) -> str:
         return format_necklace(self)
 
@@ -92,26 +91,6 @@ class Necklace(_NecklaceFields):
 def format_necklace(neck: Necklace) -> str:
     body = " ".join(f"{p}:{v:+d}" for p, v in neck.stones)
     return f"[{neck.n}| {body}]"
-
-
-def _pairs(neck: Necklace) -> List[Tuple[Stone, Stone, int]]:
-    """Consecutive stone pairs with their clockwise gaps."""
-    stones = neck.stones
-    return [(s, t, (t[0] - s[0]) % neck.n)
-            for s, t in zip(stones, stones[1:] + stones[:1])]
-
-
-def is_valid(neck: Necklace) -> bool:
-    """The alternating-direction and gap-parity conditions."""
-    for (_, v), (_, w), gap in _pairs(neck):
-        if v < 0:  # facing away (next stone's vector points onward): odd gap
-            ok = w > 0 and gap % 2 == 1
-        else:  # facing towards: gap plus lengths odd, >= 3, unit lengths at 3
-            ok = (w < 0 and (gap + v - w) % 2 == 1
-                  and (gap > 3 or gap == 3 and v == -w == 1))
-        if not ok:
-            return False
-    return True
 
 
 # -- the sequence form ----------------------------------------------------------------
@@ -122,7 +101,23 @@ Seq = Tuple[Tuple[int, int], ...]  # (vector, clockwise gap to the next stone)
 
 def _sequence(neck: Necklace) -> Seq:
     """The sequence form, starting from the lowest stone."""
-    return tuple((v, gap) for (_, v), _, gap in _pairs(neck))
+    stones = neck.stones
+    return tuple((v, (q - p) % neck.n)
+                 for (p, v), (q, _) in zip(stones, stones[1:] + stones[:1]))
+
+
+def is_valid(neck: Necklace) -> bool:
+    """The alternating-direction and gap-parity conditions."""
+    seq = _sequence(neck)
+    for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
+        if v < 0:  # facing away (next stone's vector points onward): odd gap
+            ok = w > 0 and gap % 2 == 1
+        else:  # facing towards: gap plus lengths odd, >= 3, unit lengths at 3
+            ok = (w < 0 and (gap + v - w) % 2 == 1
+                  and (gap > 3 or gap == 3 and v == -w == 1))
+        if not ok:
+            return False
+    return True
 
 
 def _place(n: int, seq: Seq, start: int = 0) -> Necklace:
@@ -179,22 +174,10 @@ def transform(neck: Necklace) -> Necklace:
     return _place(neck.n, _step(_sequence(neck)), p0 + v0)
 
 
-# -- canonical classes --------------------------------------------------------------
-
-
-class NecklaceClass(NamedTuple):
-    """Isometry class of arrangements, keyed by a canonical representative."""
-
-    canonical: Necklace
-
-    @property
-    def n(self) -> int:
-        return self.canonical.n
-
-
-def canonicalize(neck: Necklace) -> NecklaceClass:
-    """Lexicographic minimum over rotations and reflections of the circle."""
-    return NecklaceClass(_place(neck.n, _canonical(_sequence(neck))))
+def canonicalize(neck: Necklace) -> Necklace:
+    """The isometry class of neck, as its representative: the canonical
+    sequence placed from 0."""
+    return _place(neck.n, _canonical(_sequence(neck)))
 
 
 # -- enumeration and cycle structure ----------------------------------------------
@@ -258,12 +241,12 @@ def _successors(seqs: List[Seq]) -> List[int]:
     return succ
 
 
-def enumerate_necklaces(k: int, n: int) -> List[NecklaceClass]:
-    """All (k, n) arrangement classes, sorted by canonical representative."""
+def enumerate_necklaces(k: int, n: int) -> List[Necklace]:
+    """The canonical representatives of the (k, n) classes, sorted.  Their
+    positions are running sums of the gaps, so sorting the sequences sorts
+    them."""
     _check_size(k, n)
-    necks = sorted((_place(n, seq) for seq in _canonical_sequences(k, n)),
-                   key=lambda neck: neck.stones)
-    return [NecklaceClass(neck) for neck in necks]
+    return [_place(n, seq) for seq in sorted(_canonical_sequences(k, n))]
 
 
 @lru_cache(maxsize=32)
@@ -303,10 +286,12 @@ def verify_cycle_divisibility(k: int, n: int) -> bool:
     return (n - 3 * k) % cycle_length_lcm(k, n) == 0
 
 
-def transitions(k: int, n: int) -> List[Tuple[NecklaceClass, NecklaceClass]]:
-    classes = enumerate_necklaces(k, n)
-    succ = _successors([_sequence(cls.canonical) for cls in classes])
-    return [(cls, classes[j]) for cls, j in zip(classes, succ)]
+def transitions(k: int, n: int) -> List[Tuple[Necklace, Necklace]]:
+    """Each class of enumerate_necklaces with its step image."""
+    _check_size(k, n)
+    seqs = sorted(_canonical_sequences(k, n))
+    necks = [_place(n, seq) for seq in seqs]
+    return [(neck, necks[j]) for neck, j in zip(necks, _successors(seqs))]
 
 
 # -- correspondence with patterns ---------------------------------------------------
@@ -343,23 +328,24 @@ def necklace_of_pattern(p: Pattern) -> Necklace:
         raise ValueError("only proper patterns without first-row blocks convert")
     if not count:
         raise ValueError("the pattern has no second-row block")
-    return _necklace_of(p)
+    return _place(p.n, *_sequence_of(p))
 
 
-def _necklace_of(p: Pattern) -> Necklace:
-    """necklace_of_pattern for a proper reducible p with a second-row block."""
-    n = p.n
-    stones = []
-    for start, length in row_blocks(p.row2):
+def _sequence_of(p: Pattern) -> Tuple[Seq, int]:
+    """necklace_of_pattern(p) for a proper reducible p with a second-row
+    block, as its sequence from the first block's left stone and that
+    stone's position."""
+    n, blocks = p.n, row_blocks(p.row2)
+    seq: List[Tuple[int, int]] = []
+    for (start, length), (nxt, _) in zip(blocks, blocks[1:] + blocks[:1]):
         if length == 3:
             left, right = 1, 1
         else:
             above = [p.row1[(start + j) % n] for j in range(length)]
             left = above.index(1)
             right = above[::-1].index(1)
-        stones.append((start, left))
-        stones.append(((start + length) % n, -right))
-    return Necklace(n, tuple(stones))
+        seq += [(left, length), (-right, (nxt - start - length) % n)]
+    return tuple(seq), blocks[0][0]
 
 
 def collapse_top_blocks(p: Pattern) -> Pattern:
@@ -387,7 +373,7 @@ def check_correspondence(n: int) -> bool:
             # the one parse of the class: proper, with k blocks
             if proper_block_count(pat) != k or not is_reducible(pat):
                 return False
-            if _canonical(_sequence(_necklace_of(pat))) != seq:
+            if _canonical(_sequence_of(pat)[0]) != seq:
                 return False
             peeled, _ = peel(pat)
             if not same_class(_pattern_of(_step(seq), 0), collapse_top_blocks(peeled)):
@@ -406,7 +392,6 @@ def dot_transition_graph(k: int, n: int) -> str:
     """The step transformation on classes in DOT format."""
     lines = [f'digraph "neck_{k}_{n}" {{']
     for src, dst in transitions(k, n):
-        lines.append(f'  "{format_necklace(src.canonical)}" -> '
-                     f'"{format_necklace(dst.canonical)}";')
+        lines.append(f'  "{format_necklace(src)}" -> "{format_necklace(dst)}";')
     lines.append("}")
     return "\n".join(lines)

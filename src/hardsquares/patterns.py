@@ -37,7 +37,7 @@ block count (row-2 groups of length >= 3 plus the ccc's: the maximal
 induction measure: delete_top at a block middle lowers it by one, the other
 two preserve it.
 Patterns related by rotation or reflection of the cycle give isomorphic
-graphs and are identified by canonicalize().
+graphs; a class is its canonical pattern, which canonicalize() returns.
 
 Index series convention: the pattern-level generating function starts at
 m = 2 (z_pattern is undefined below that); the cylinder series prepends its
@@ -113,30 +113,21 @@ def all_ones(n: int) -> Pattern:
 # -- symmetry ---------------------------------------------------------------------
 
 
-class PatternClass(NamedTuple):
-    """Equivalence class under rotation/reflection, keyed by its canonical form."""
-
-    canonical: Pattern
-
-    @property
-    def n(self) -> int:
-        return self.canonical.n
-
-
 def _column_word(p: Pattern) -> str:
     """p as a word in the column letters a = (0,0), b = (0,1), c = (1,1)."""
     return "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
 
 
-def canonicalize(p: Pattern) -> PatternClass:
-    """Lexicographic minimum of (row1 + row2) over the 2n cycle symmetries."""
+def canonicalize(p: Pattern) -> Pattern:
+    """The class of p under the 2n cycle symmetries, as its representative:
+    the lexicographic minimum of (row1 + row2)."""
     n = p.n
     best = min(  # a symmetry is a slice of the doubled rows, read either way
         d1[k:k + n] + d2[k:k + n]
         for d1, d2 in ((p.row1 * 2, p.row2 * 2),
                        (p.row1[::-1] * 2, p.row2[::-1] * 2))
         for k in range(n))
-    return PatternClass(Pattern(best[:n], best[n:]))
+    return Pattern(best[:n], best[n:])
 
 
 def same_class(p: Pattern, q: Pattern) -> bool:
@@ -326,8 +317,8 @@ def leftmost_block_middle(p: Pattern) -> int:
 # -- enumeration ---------------------------------------------------------------------
 
 
-def enumerate_proper(n: int) -> List[PatternClass]:
-    """All canonical proper pattern classes of length n.
+def enumerate_proper(n: int) -> List[Pattern]:
+    """The canonical patterns of all proper classes of length n, sorted.
 
     Every word the grammar derives from "part" or "ones", deduplicated
     through canonicalize.
@@ -344,9 +335,10 @@ def enumerate_proper(n: int) -> List[PatternClass]:
 
 
 class SignedPatternCombo(NamedTuple):
-    """Integer combination of pattern classes; zero coefficients are dropped."""
+    """Integer combination of pattern classes, each given by its canonical
+    pattern; zero coefficients are dropped."""
 
-    terms: Tuple[Tuple[PatternClass, int], ...]
+    terms: Tuple[Tuple[Pattern, int], ...]
 
 
 def initial_patterns(n: int) -> SignedPatternCombo:
@@ -359,7 +351,7 @@ def initial_patterns(n: int) -> SignedPatternCombo:
     """
     if n < 2 or n % 2:
         raise ValueError("initial patterns need even n >= 2")
-    combo: Dict[PatternClass, int] = {}
+    combo: Dict[Pattern, int] = {}
     evens = range(0, n, 2)
     for picks in product("VN", repeat=len(evens)):
         row1 = [1] * n

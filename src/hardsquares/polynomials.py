@@ -116,12 +116,6 @@ class IntPoly:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def divrem(self, div: "IntPoly") -> Tuple["IntPoly", "IntPoly"]:
         """Long division in integers; ValueError at the first quotient
         coefficient that is not integral.  The remainder stays integral until

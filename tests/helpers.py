@@ -64,7 +64,7 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     random_graph,
     witten_transfer,
 )
-from hardsquares.necklaces import Necklace, NecklaceClass
+from hardsquares.necklaces import Necklace
 from hardsquares.patterns import Pattern, canonicalize, is_reducible
 from hardsquares.polynomials import IntPoly, RationalGF, series_expand
 from hardsquares.reduction import (
@@ -154,11 +154,12 @@ def _necklace_at_zero(n, seq):
 
 
 def canonical_oracle(neck):
-    """The class of neck: the least symmetry of its stones' sequence."""
+    """The class of neck, as its representative: the least symmetry of its
+    stones' sequence, placed from 0."""
     stones, n = neck.stones, neck.n
     seq = tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
                 for i, (p, v) in enumerate(stones))
-    return NecklaceClass(_necklace_at_zero(n, _least_symmetry(seq)))
+    return _necklace_at_zero(n, _least_symmetry(seq))
 
 
 def step_oracle(neck):
@@ -193,12 +194,12 @@ def necklace_oracle(k, n):
                                seq + [(inward, t_gap), (-outward, a_gap)])
 
     extend(k, 0, [])
-    return sorted(NecklaceClass(_necklace_at_zero(n, s)) for s in found)
+    return sorted(_necklace_at_zero(n, s) for s in found)
 
 
 def transitions_oracle(k, n):
-    return [(cls, canonical_oracle(step_oracle(cls.canonical)))
-            for cls in necklace_oracle(k, n)]
+    return [(neck, canonical_oracle(step_oracle(neck)))
+            for neck in necklace_oracle(k, n)]
 
 
 def pattern_of_necklace_oracle(neck):

@@ -278,8 +278,7 @@ def test_criterion_11_index_identities():
 
 def _pattern_calculus_properties() -> bool:
     for n in (2, 4, 6, 8):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             mu = block_count(p)
             tops = [i for i in range(n) if p.row1[i] == 1]
             for m in range(2, 9):

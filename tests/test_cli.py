@@ -11,10 +11,11 @@
   fitted route and come out as the two known shapes (f_0 = f_1 = 1/(1 - t)),
   and a negative circumference exits 2.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
-  missing -k/-n is a usage error (exit 2).  --format takes text or json
-  only, and json with the dot action exits 2 with one error line.  A step
-  that fails to permute the classes is a one-line internal consistency
-  failure (exit 1).
+  missing -k/-n is a usage error (exit 2), as are -k or -n with the sweep
+  and --nmax with any other action, which would otherwise be ignored.
+  --format takes text or json only, and json with the dot action exits 2
+  with one error line.  A step that fails to permute the classes is a
+  one-line internal consistency failure (exit 1).
 - cli.BOUNDS is the one size policy: width 18 (witten, table1, genfun's
   fit, verify identities), pattern 16 (even genfun, verify conjectures) and
   circle 28 (necklace, verify correspondence; verify all takes the least).
@@ -26,10 +27,10 @@
   width, not the raw sizes, but table1 bounds --nmax at every height, m = 0
   too.
 - an --nmax below a selected sweep's floor (identities 0, conjectures 2,
-  correspondence and necklace verify 4), where the sweep would check no
-  circumference, also exits 2 with one error line, and so does a verify
-  identities or verify all whose -m and --nmax leave no identity instance
-  in range.
+  correspondence and necklace verify 4, and table1's 2 in every format),
+  where the sweep would check no circumference, also exits 2 with one
+  error line, and so does a verify identities or verify all whose -m and
+  --nmax leave no identity instance in range.
 - any other exception in a command (a KeyError, a MemoryError) exits 3
   with one `internal error:` line and no traceback.  A reader that closes
   stdout before the output ends is no fault: the child exits 141 (128 +
@@ -42,11 +43,14 @@
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
   read only) exists, and importing hardsquares.cli in a fresh interpreter
-  leaves hardsquares.reduction unloaded.
+  leaves hardsquares.reduction unloaded.  Every tracer counter can read the
+  parameter or result field it names, and a traced genfun run, whose
+  distinct-argument key reads pattern_gf's p, exits 0.
 """
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -58,7 +62,10 @@ import pytest
 import hardsquares
 from hardsquares import cli, errors, genfun, necklaces, polynomials
 from hardsquares.cli import main
-from hardsquares.graphs import GridSpec, witten_transfer
+from hardsquares.graphs import Graph, GridSpec, witten_transfer
+from hardsquares.patterns import Pattern
+from hardsquares.polynomials import IntPoly, RationalGF
+from hardsquares.reduction import simplify
 
 DATA = Path(__file__).parent / "data"
 
@@ -340,7 +347,7 @@ def no_sweeps(monkeypatch):
 
     for name in ("verify_index_identities", "witten_brute", "cylinder_gf",
                  "enumerate_proper", "check_correspondence",
-                 "verify_cycle_divisibility"):
+                 "verify_cycle_divisibility", "column_series"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -351,7 +358,10 @@ def test_nmax_that_sweeps_nothing_exits_two(capsys, no_sweeps):
                         (["verify", "identities", "--nmax", "-1"], 0),
                         (["verify", "all", "--nmax", "3"], 4),
                         (["necklace", "verify", "--nmax", "-3"], 4),
-                        (["necklace", "verify", "--nmax", "3"], 4)):
+                        (["necklace", "verify", "--nmax", "3"], 4),
+                        (["table1", "--nmax", "1"], 2),
+                        (["table1", "--format", "csv", "--nmax", "0"], 2),
+                        (["table1", "--format", "json", "--nmax", "1"], 2)):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -443,6 +453,12 @@ def test_usage_errors_exit_two(capsys):
         ["witten", "-m", "2"],
         ["table1", "--format", "dot"],
         ["necklace", "spin", "-k", "1", "-n", "8"],
+        # options the action would ignore
+        ["necklace", "verify", "-k", "3", "-n", "8"],
+        ["necklace", "verify", "-n", "8", "--nmax", "12"],
+        ["necklace", "cycles", "-k", "2", "-n", "8", "--nmax", "10"],
+        ["necklace", "enumerate", "-k", "2", "-n", "8", "--nmax", "10"],
+        ["necklace", "dot", "-k", "2", "-n", "8", "--nmax", "10"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -484,13 +500,21 @@ def test_a_reader_that_closes_early_gets_exit_141_and_no_stderr():
     assert err == b""
 
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py as a module, read and not installed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_traced_names_resolve_and_the_cli_loads_no_reduction():
     # perfbench/tracer.py is read, not changed: every traced module.function
     # must exist, and the CLI must not pull in the reduction module
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _benchmark_tracer()
     for module, functions in tracer.TRACED.items():
         home = importlib.import_module(f"hardsquares.{module}")
         for name in functions:
@@ -501,3 +525,44 @@ def test_benchmark_traced_names_resolve_and_the_cli_loads_no_reduction():
          "print('hardsquares.reduction' in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_benchmark_counters_read_what_src_provides():
+    # a counter reads a parameter by name or a field of the result, after the
+    # traced call; a rename in src would break run.py --trace 1 mid-command
+    path = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    calls = {  # small arguments for every function that has a counter
+        "graphs.column_series": (4, 6),
+        "patterns.z_pattern_series": (Pattern((0, 1, 0, 0), (1, 1, 0, 1)), 6),
+        "patterns.initial_patterns": (6,),
+        "patterns.enumerate_proper": (6,),
+        "polynomials.fit_recurrence": ([1, 1, 2, 3, 5, 8, 13, 21, 34, 55],),
+        "polynomials.series_expand": (RationalGF(IntPoly((1,)), IntPoly((1, -1))), 6),
+        "necklaces.enumerate_necklaces": (1, 6),
+        "reduction.simplify": (path,),
+        "reduction.replay_trace": (path, simplify(path).state.trace),
+    }
+    tracer = _benchmark_tracer()
+    counted = {f"{module}.{fname}": counts for module, functions in tracer.TRACED.items()
+               for fname, counts in functions.items() if counts}
+    assert set(counted) == set(calls)
+    for name, args in calls.items():
+        module, fname = name.split(".")
+        fn = getattr(importlib.import_module(f"hardsquares.{module}"), fname)
+        bound = inspect.signature(fn).bind(*args)
+        bound.apply_defaults()
+        result = fn(*args)
+        for counter, measure in counted[name].items():
+            assert measure(bound.arguments, result) >= 0, f"{name}.{counter}"
+    # install's distinct-argument key of pattern_gf reads its argument p; a
+    # key that fails makes the traced command exit 3
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), "cli", "genfun", "-n", "6"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["exit"] == 0, proc.stderr
+    assert doc["counters"]["genfun.pattern_gf.distinct"] > 0
+    assert doc["counters"]["polynomials.fit_recurrence.terms"] > 0
+    assert doc["counters"]["patterns.initial_patterns.terms"] > 0

@@ -75,7 +75,7 @@ def test_pattern_gf_matches_transfer_series():
         for cls in enumerate_proper(n):
             gf = pattern_gf(cls)
             upto = gf.num.degree + gf.den.degree + 8
-            assert series_expand(gf, upto) == z_pattern_series(cls.canonical, upto)
+            assert series_expand(gf, upto) == z_pattern_series(cls, upto)
 
 
 def test_pattern_gf_frozen_forms():
@@ -94,7 +94,7 @@ def test_blockless_denominators():
     for n in (2, 4, 6, 8, 10):
         two_term = ONE - T ** 2 if (n // 2) % 2 == 0 else ONE + T ** 2
         for cls in enumerate_proper(n):
-            if block_count(cls.canonical) == 0:
+            if block_count(cls) == 0:
                 assert pattern_gf(cls).den.divides(two_term)
 
 
@@ -255,6 +255,6 @@ def test_periodic_tail_values():
 def test_block_count_denominator_bound():
     for n in (4, 6, 8, 10):
         for cls in enumerate_proper(n):
-            assert check_block_count_denominator(cls), str(cls.canonical)
+            assert check_block_count_denominator(cls), str(cls)
     # the bound itself: blockless level only contributes the two-term factor
     assert denominator_bound(6, 0) == ONE + T ** 2

@@ -6,7 +6,8 @@ Claims covered:
 - the step transformation keeps every class valid, and stepping a
   one-pair arrangement walks the frozen orbit
   (widest gap -> gap 3 -> shrinking long vectors).
-- canonicalize identifies rotated and reflected arrangements.
+- canonicalize maps rotated and reflected arrangements to one
+  representative Necklace, which stands for the class.
 - enumeration is empty exactly when 4k > n, rejects k < 1, and its classes
   are all valid.  Size bounds belong to the command line (test_cli).
 - the sequence kernel agrees with the deduplicating enumerator and the
@@ -27,9 +28,11 @@ Claims covered:
   arrangement equals peel-then-collapse on the pattern, for all n <= 14;
   and check_correspondence fails for some even n <= 14 once a peel without
   its wipe, an identity collapse, a row builder without the row-1 strips, a
-  back-conversion to unit vectors or a block count that counts single
-  second-row ones is patched in, so none of the three identities is idle.
-- JSON and DOT exports are deterministic and well formed.
+  back-conversion (sequence builder) to unit vectors or a block count that
+  counts single second-row ones is patched in, so none of the three
+  identities is idle.
+- JSON and DOT exports are deterministic and well formed, and transitions
+  pairs the enumerated representatives with their step images.
 """
 
 import pytest
@@ -39,7 +42,6 @@ from hardsquares import necklaces
 from hardsquares.cli import BOUNDS
 from hardsquares.necklaces import (
     Necklace,
-    NecklaceClass,
     canonicalize,
     check_correspondence,
     collapse_top_blocks,
@@ -78,7 +80,7 @@ from helpers import (
 def test_constructor_normalization_and_validation():
     neck = Necklace(8, ((5, -1), (0, 1)))
     assert neck.stones == ((0, 1), (5, -1))
-    assert neck.stone_count == 2
+    assert len(neck.stones) == 2
     with pytest.raises(ValueError):
         Necklace(8, ((0, 1), (0, -1)))  # same point
     with pytest.raises(ValueError):
@@ -124,8 +126,8 @@ def test_step_on_one_pair_orbit():
 def test_step_keeps_classes_valid():
     for k, n in ((1, 8), (2, 12), (2, 14), (3, 16)):
         for cls in enumerate_necklaces(k, n):
-            assert is_valid(cls.canonical)
-            assert is_valid(transform(cls.canonical))
+            assert is_valid(cls)
+            assert is_valid(transform(cls))
 
 
 def test_canonicalize_identifies_isometries():
@@ -148,7 +150,7 @@ def test_enumeration_counts_and_bounds():
     with pytest.raises(ValueError):
         enumerate_necklaces(0, 12)
     for cls in enumerate_necklaces(2, 14):
-        assert is_valid(cls.canonical)
+        assert is_valid(cls)
 
 
 def test_cycle_structures_match_golden_table():
@@ -264,11 +266,11 @@ def test_round_trip_and_block_counts():
     for n in (4, 6, 8, 10, 12):
         for k in range(1, n // 4 + 1):
             for cls in enumerate_necklaces(k, n):
-                pat = pattern_of_necklace(cls.canonical)
+                pat = pattern_of_necklace(cls)
                 assert is_proper(pat)
                 assert is_reducible(pat)
                 assert block_count(pat) == k
-                assert necklace_of_pattern(pat) == cls.canonical
+                assert necklace_of_pattern(pat) == cls
 
 
 def test_necklace_of_pattern_validation():
@@ -300,9 +302,9 @@ def _rows_without_strips(seq, start):
     return Pattern((0,) * pat.n, pat.row2)
 
 
-def _necklace_with_unit_vectors(p):
-    neck = _real_necklace_of(p)
-    return Necklace(neck.n, tuple((q, 1 if v > 0 else -1) for q, v in neck.stones))
+def _sequence_with_unit_vectors(p):
+    seq, start = _real_sequence_of(p)
+    return tuple((1 if v > 0 else -1, gap) for v, gap in seq), start
 
 
 def _count_single_ones_too(p):
@@ -312,7 +314,7 @@ def _count_single_ones_too(p):
     return None if count is None else count + singles
 
 
-_real_pattern_of, _real_necklace_of = necklaces._pattern_of, necklaces._necklace_of
+_real_pattern_of, _real_sequence_of = necklaces._pattern_of, necklaces._sequence_of
 
 
 # Each fault, with the identities that catch it on their own; every
@@ -321,7 +323,7 @@ _real_pattern_of, _real_necklace_of = necklaces._pattern_of, necklaces._necklace
     ("peel", _peel_without_wipe),                    # third
     ("collapse_top_blocks", lambda p: p),            # third
     ("_pattern_of", _rows_without_strips),           # first and third
-    ("_necklace_of", _necklace_with_unit_vectors),   # second
+    ("_sequence_of", _sequence_with_unit_vectors),   # second
     ("proper_block_count", _count_single_ones_too),  # first
 ])
 def test_correspondence_catches_a_broken_part(monkeypatch, name, fake):
@@ -341,5 +343,5 @@ def test_exports():
     assert dot == dot_transition_graph(1, 6)  # deterministic
     pairs = transitions(1, 6)
     assert len(pairs) == 3
-    assert all(isinstance(a, NecklaceClass) and isinstance(b, NecklaceClass)
-               for a, b in pairs)
+    assert all(type(a) is type(b) is Necklace for a, b in pairs)
+    assert [a for a, _ in pairs] == enumerate_necklaces(1, 6)

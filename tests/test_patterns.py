@@ -110,7 +110,7 @@ def test_pattern_validation():
 def test_masked_graph_vertex_count_example():
     p = parse_pattern("101000 / 111101")
     g = masked_graph(p, 4)
-    assert g.vertex_count == 2 + 5 + 6 + 6
+    assert len(g.vertices) == 2 + 5 + 6 + 6
     with pytest.raises(ValueError):
         masked_graph(p, 1)
 
@@ -151,7 +151,7 @@ def test_canonicalize_is_the_least_symmetry(p):
             images.append((tuple(p.row1[c] for c in cols),
                            tuple(p.row2[c] for c in cols)))
     best = min(images)
-    assert canonicalize(p).canonical == Pattern(*best)
+    assert canonicalize(p) == Pattern(*best)
 
 
 @st.composite
@@ -232,7 +232,7 @@ def test_index_constant_on_class():
     shifted = Pattern(p.row1[3:] + p.row1[:3], p.row2[3:] + p.row2[:3])
     reflected = Pattern(tuple(reversed(p.row1)), tuple(reversed(p.row2)))
     for m in (2, 3, 4, 5):
-        z = z_pattern(cls.canonical, m)
+        z = z_pattern(cls, m)
         assert z_pattern(shifted, m) == z
         assert z_pattern(reflected, m) == z
 
@@ -271,7 +271,7 @@ def test_improper_examples():
 
 def test_exactly_two_blockless_classes():
     for n in (2, 4, 6, 8, 10):
-        zero = [c for c in enumerate_proper(n) if block_count(c.canonical) == 0]
+        zero = [c for c in enumerate_proper(n) if block_count(c) == 0]
         alt = tuple(i % 2 for i in range(n))
         expected = {
             canonicalize(Pattern(alt, (1,) * n)),
@@ -282,8 +282,7 @@ def test_exactly_two_blockless_classes():
 
 def test_block_count_bound_and_forbidden_words():
     for n in (4, 6, 8, 10, 12):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             assert block_count(p) <= n // 4
             for row in (p.row1, p.row2):
                 doubled = "".join(map(str, row + row))
@@ -298,30 +297,30 @@ def test_worked_length_six_classes():
     d = canonicalize(parse_pattern("000000 / 010101"))
     e = canonicalize(parse_pattern("101110 / 111111"))
     for cls, mu in ((a, 0), (b, 1), (c, 1), (d, 0), (e, 1)):
-        assert is_proper(cls.canonical)
-        assert block_count(cls.canonical) == mu
+        assert is_proper(cls)
+        assert block_count(cls) == mu
 
-    peeled, sign = peel(a.canonical)
+    peeled, sign = peel(a)
     assert (canonicalize(peeled), sign) == (d, -1)
-    peeled, sign = peel(d.canonical)
+    peeled, sign = peel(d)
     assert (canonicalize(peeled), sign) == (a, 1)
-    peeled, sign = peel(c.canonical)
+    peeled, sign = peel(c)
     assert (canonicalize(peeled), sign) == (e, 1)
-    q, total = b.canonical, 1
+    q, total = b, 1
     for _ in range(3):
         q, sign = peel(q)
         total *= sign
     assert (canonicalize(q), total) == (e, -1)
 
-    assert not is_reducible(e.canonical)
-    mid = leftmost_block_middle(e.canonical)
-    assert canonicalize(delete_top(e.canonical, mid)) == a
-    assert canonicalize(delete_top_neighborhood(e.canonical, mid)) == b
+    assert not is_reducible(e)
+    mid = leftmost_block_middle(e)
+    assert canonicalize(delete_top(e, mid)) == a
+    assert canonicalize(delete_top_neighborhood(e, mid)) == b
 
     combo = initial_patterns(6)
     assert dict(combo.terms) == {a: 1, b: -3, c: 3, d: -1}
     for m in range(2, 9):
-        assert (sum(coeff * z_pattern(cls.canonical, m) for cls, coeff in combo.terms)
+        assert (sum(coeff * z_pattern(cls, m) for cls, coeff in combo.terms)
                 == witten_transfer(GridSpec("cylinder", m, 6)))
 
 
@@ -331,17 +330,16 @@ def test_initial_patterns_reducible_proper_and_exact():
         assert len(combo.terms) >= 2
         for cls, coeff in combo.terms:
             assert coeff != 0
-            assert is_reducible(cls.canonical)
-            assert is_proper(cls.canonical)
+            assert is_reducible(cls)
+            assert is_proper(cls)
         for m in (2, 3, 4):
-            assert (sum(coeff * z_pattern(cls.canonical, m) for cls, coeff in combo.terms)
+            assert (sum(coeff * z_pattern(cls, m) for cls, coeff in combo.terms)
                     == witten_transfer(GridSpec("cylinder", m, n)))
 
 
 def test_column_wipes_match_the_written_out_loops():
     for n in range(2, 13, 2):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             if is_reducible(p):
                 assert peel(p) == peel_oracle(p), p
             for i in (i for i in range(n) if p.row1[i]):
@@ -355,8 +353,7 @@ def test_column_wipes_match_the_written_out_loops():
 
 def test_delete_identity_on_proper_patterns():
     for n in (2, 4, 6, 8):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             for i in range(n):
                 if not p.row1[i]:
                     continue
@@ -368,8 +365,7 @@ def test_delete_identity_on_proper_patterns():
 
 def test_peel_identity_on_reducible_patterns():
     for n in (2, 4, 6, 8):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             if not is_reducible(p):
                 continue
             q, sign = peel(p)
@@ -379,8 +375,7 @@ def test_peel_identity_on_reducible_patterns():
 
 def test_operations_preserve_properness_and_measure():
     for n in (2, 4, 6, 8):
-        for cls in enumerate_proper(n):
-            p = cls.canonical
+        for p in enumerate_proper(n):
             mu = block_count(p)
             if is_reducible(p):
                 q, _ = peel(p)
@@ -414,8 +409,8 @@ def test_enumeration_bound_and_filter():
         enumerate_proper(7)
     everything = enumerate_proper(18)
     assert len(set(everything)) == len(everything)
-    assert all(is_proper(c.canonical) for c in everything)
-    assert {block_count(c.canonical) for c in everything} == {0, 1, 2, 3, 4}
+    assert all(is_proper(c) for c in everything)
+    assert {block_count(c) for c in everything} == {0, 1, 2, 3, 4}
 
 
 def test_grammar_matches_the_row_scanners():

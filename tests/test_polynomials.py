@@ -70,8 +70,6 @@ def test_poly_basic_arithmetic():
     assert -P(1, -2) == P(-1, 2)
     assert P(1, 1) ** 2 == P(1, 2, 1)
     assert P(2, 1).shift(2) == P(0, 0, 2, 1)
-    assert P(1, 1, 1)(2) == 7
-    assert P(1, 1)(Fraction(1, 2)) == Fraction(3, 2)
 
 
 def test_poly_trims_trailing_zeros():

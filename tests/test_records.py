@@ -3,11 +3,12 @@
 Covers every record: its repr and hash equal those of a frozen dataclass
 with the same name and fields (so printed output and set order stay as
 they were), equal records hash equal, and no attribute can be set.  The
-four ordered types sort in field-tuple order.  The three validating types
-(Pattern, GridSpec, Necklace) raise the same ValueError messages, and a
-Necklace still sorts its stones onto the circle.  A record is a tuple, so
-it now also compares equal to the plain tuple of its fields; the last test
-pins that.
+two ordered types, Pattern and Necklace, sort in field-tuple order, so the
+canonical patterns and necklaces that stand for their classes do too.  The
+three validating types (Pattern, GridSpec, Necklace) raise the same
+ValueError messages, and a Necklace still sorts its stones onto the
+circle.  A record is a tuple, so it now also compares equal to the plain
+tuple of its fields; the last test pins that.
 """
 
 import random
@@ -18,10 +19,9 @@ import pytest
 from hardsquares.cli import CheckResult
 from hardsquares.genfun import PeriodicityReport
 from hardsquares.graphs import Graph, GridSpec, IdentityCheck
-from hardsquares.necklaces import Necklace, NecklaceClass, enumerate_necklaces
+from hardsquares.necklaces import Necklace, enumerate_necklaces
 from hardsquares.patterns import (
     Pattern,
-    PatternClass,
     SignedPatternCombo,
     enumerate_proper,
 )
@@ -37,10 +37,8 @@ RECORDS = [
     GridSpec("cylinder", 20, 16),
     IdentityCheck("one_row_cylinder_shift3", "cylinder", 1, 7, -1, -1),
     PATTERN,
-    PatternClass(PATTERN),
-    SignedPatternCombo(((PatternClass(PATTERN), -2),)),
+    SignedPatternCombo(((PATTERN, -2),)),
     NECKLACE,
-    NecklaceClass(NECKLACE),
     STATE.trace[0],
     STATE,
     Verdict("REDUCED", STATE),
@@ -70,8 +68,6 @@ def test_repr_and_hash_match_the_dataclass_form(rec):
 
 def test_repr_examples():
     assert repr(GridSpec("cylinder", 20, 16)) == "GridSpec(family='cylinder', m=20, n=16)"
-    assert repr(PatternClass(Pattern((1, 0), (1, 1)))) == (
-        "PatternClass(canonical=Pattern(row1=(1, 0), row2=(1, 1)))")
     assert repr(CheckResult("c", {}, False, "why")) == (
         "CheckResult(check='c', params={}, ok=False, detail='why')")
 
@@ -86,14 +82,8 @@ def test_records_are_immutable(rec):
 
 def test_ordered_records_sort_in_field_order():
     rng = random.Random(5)
-    classes = enumerate_proper(10)
-    patterns = [c.canonical for c in classes]
-    necklace_classes = enumerate_necklaces(2, 14)
-    necklaces = [c.canonical for c in necklace_classes]
-    for items, key in ((patterns, lambda p: (p.row1, p.row2)),
-                       (classes, lambda c: (c.canonical.row1, c.canonical.row2)),
-                       (necklaces, lambda k: (k.n, k.stones)),
-                       (necklace_classes, lambda c: (c.canonical.n, c.canonical.stones))):
+    for items, key in ((enumerate_proper(10), lambda p: (p.row1, p.row2)),
+                       (enumerate_necklaces(2, 14), lambda k: (k.n, k.stones))):
         assert len(items) > 5
         shuffled = items[:]
         rng.shuffle(shuffled)
