@@ -16,11 +16,12 @@ Subcommands:
 Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
 line per failing instance) or an internal consistency check failed, 2 for
-usage errors, including requests above their row of BOUNDS (checked before
-any work starts) and sweeps or tables whose --nmax or -m is too small to
-check anything, 3 for any other error, such as a KeyError or MemoryError,
-reported as one "internal error:" line on stderr, and 141 (128 + SIGPIPE)
-with nothing on stderr when the reader closes stdout before the output ends.
+usage errors, including these, each refused before any work starts: a
+request above its row of BOUNDS, an --nmax or -m too small to check
+anything, and necklace -k pairs that do not fit on the -n circle (4k > n);
+3 for any other error, such as a KeyError or MemoryError, reported as one
+"internal error:" line on stderr; and 141 (128 + SIGPIPE) with nothing on
+stderr when the reader closes stdout before the output ends.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -232,6 +233,12 @@ def cmd_genfun(args: argparse.Namespace,
 
 # -- necklace ----------------------------------------------------------------
 
+def _cycle_divisibility(n: int) -> List[CheckResult]:
+    return [CheckResult("cycle_divisibility", {"k": k, "n": n},
+                        verify_cycle_divisibility(k, n))
+            for k in range(1, n // 4 + 1)]
+
+
 def cmd_necklace(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     if args.action == "verify":
@@ -239,9 +246,7 @@ def cmd_necklace(args: argparse.Namespace,
             parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
         nmax = args.nmax if args.nmax is not None else 24
         _check_nmax(nmax, 4, "circle", override=args.bound_n)
-        results = [CheckResult("cycle_divisibility", {"k": k, "n": n},
-                               verify_cycle_divisibility(k, n))
-                   for n in _even_range(4, nmax) for k in range(1, n // 4 + 1)]
+        results = [r for n in _even_range(4, nmax) for r in _cycle_divisibility(n)]
         return _report("necklace-verify", results, [], args.format)
 
     if args.k is None or args.n is None:
@@ -249,6 +254,8 @@ def cmd_necklace(args: argparse.Namespace,
     if args.nmax is not None:
         parser.error(f"--nmax applies to necklace verify only, not {args.action}")
     _check_bound("circle length", args.n, "circle", override=args.bound_n)
+    if 1 <= args.n < 4 * args.k:  # -k 0 and -n 0 keep the library's message
+        raise ValueError(f"-k {args.k} needs a circle length of at least {4 * args.k}")
     if args.action == "dot":
         if args.format == "json":
             raise ValueError("necklace dot prints DOT; --format json does not apply")
@@ -329,9 +336,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
                 f"max_multiplicity={rep.max_multiplicity}"))
             infos.append(f"periodicity n={n}: linear growth, "
                          f"max_multiplicity={rep.max_multiplicity}")
-        results.extend(CheckResult("cycle_divisibility", {"k": k, "n": n},
-                                   verify_cycle_divisibility(k, n))
-                       for k in range(1, n // 4 + 1))
+        results.extend(_cycle_divisibility(n))
         for p in enumerate_proper(n):
             results.append(CheckResult(
                 "block_count_denominator", {"n": n, "pattern": format_pattern(p)},

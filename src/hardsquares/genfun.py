@@ -31,6 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError
 from .graphs import GridSpec, column_series, fit_window, witten_transfer
+from .necklaces import cycle_length_lcm
 from .patterns import (
     Pattern,
     block_count,
@@ -162,11 +163,6 @@ def _is_unit(remainder: IntPoly) -> bool:
     return remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
 
 
-def check_roots_of_unity(gf: RationalGF) -> bool:
-    """True when every denominator root is a root of unity."""
-    return _is_unit(factor_cyclotomic(gf.den)[1])
-
-
 def conjectured_denominator(n: int) -> IntPoly:
     """The proposed universal denominator for even circumference n.
 
@@ -200,7 +196,7 @@ class PeriodicityReport(NamedTuple):
     with denominator dividing 1 - t^L (None unless the denominator is a
     squarefree product of cyclotomics), making the coefficient tail
     L-periodic.  remainder_ok says every denominator root is a root of
-    unity, the verdict of check_roots_of_unity.
+    unity.
     """
 
     n: int
@@ -234,8 +230,6 @@ def denominator_bound(n: int, blocks: int) -> IntPoly:
     (1 - t^{2g}) at each level, g the cycle-length lcm of the matching
     stone arrangements; the product bounds every pole.
     """
-    from .necklaces import cycle_length_lcm
-
     sign = -1 if (n // 2) % 2 else 1
     out = ONE - T ** 2 * sign
     for k in range(1, blocks + 1):

@@ -107,13 +107,6 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) not present")
         return Graph(self.vertices, self.edges - {(u, v) if u <= v else (v, u)})
 
-    def components(self) -> List[frozenset]:
-        """Connected components as vertex sets, sorted by smallest member."""
-        verts = sorted(self.vertices)
-        masks = _components(_neighbor_masks(self, verts), (1 << len(verts)) - 1)
-        return [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
-                for mask in masks]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

@@ -106,20 +106,6 @@ def _sequence(neck: Necklace) -> Seq:
                  for (p, v), (q, _) in zip(stones, stones[1:] + stones[:1]))
 
 
-def is_valid(neck: Necklace) -> bool:
-    """The alternating-direction and gap-parity conditions."""
-    seq = _sequence(neck)
-    for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
-        if v < 0:  # facing away (next stone's vector points onward): odd gap
-            ok = w > 0 and gap % 2 == 1
-        else:  # facing towards: gap plus lengths odd, >= 3, unit lengths at 3
-            ok = (w < 0 and (gap + v - w) % 2 == 1
-                  and (gap > 3 or gap == 3 and v == -w == 1))
-        if not ok:
-            return False
-    return True
-
-
 def _place(n: int, seq: Seq, start: int = 0) -> Necklace:
     """The arrangement whose first stone sits at start."""
     starts = accumulate((gap for _, gap in seq), initial=start)

@@ -47,7 +47,7 @@ m = 0, 1 values separately.
 from __future__ import annotations
 
 from itertools import chain, groupby, product
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, GridSpec, build_grid, column_series, grid_vertex
@@ -85,29 +85,8 @@ class Pattern(_PatternFields):
         return format_pattern(self)
 
 
-def pattern(row1: Iterable[int], row2: Iterable[int]) -> Pattern:
-    return Pattern(tuple(row1), tuple(row2))
-
-
-def parse_pattern(text: str) -> Pattern:
-    """Parse the two-line text form, e.g. ``"101000 / 111101"``."""
-    parts = text.replace("/", " ").split()
-    if len(parts) != 2:
-        raise ValueError(f"expected 'ROW1 / ROW2', got {text!r}")
-    rows = []
-    for part in parts:
-        if set(part) - {"0", "1"}:
-            raise ValueError(f"rows must be 0/1 strings, got {part!r}")
-        rows.append(tuple(int(c) for c in part))
-    return Pattern(rows[0], rows[1])
-
-
 def format_pattern(p: Pattern) -> str:
     return "".join(map(str, p.row1)) + " / " + "".join(map(str, p.row2))
-
-
-def all_ones(n: int) -> Pattern:
-    return Pattern((1,) * n, (1,) * n)
 
 
 # -- symmetry ---------------------------------------------------------------------

@@ -41,7 +41,10 @@ circumference.  labelled_grid_oracle builds a grid from its labelled row
 and column factors, kept as a differential oracle for the row-major ids
 of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
 division, kept as a differential oracle for the Moebius product.
-load_reduced_forms and
+parse_pattern reads the two-line text fixture form of a pattern
+("101000 / 111101"), and is_valid is the arrangement-validity oracle
+(alternating directions and the gap parity rules); no src code needs
+either.  load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -153,13 +156,31 @@ def _necklace_at_zero(n, seq):
     return Necklace(n, tuple(stones))
 
 
+def _stone_sequence(neck):
+    """The (vector, gap to the next stone) pairs, from the lowest stone."""
+    stones, n = neck.stones, neck.n
+    return tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
+                 for i, (p, v) in enumerate(stones))
+
+
 def canonical_oracle(neck):
     """The class of neck, as its representative: the least symmetry of its
     stones' sequence, placed from 0."""
-    stones, n = neck.stones, neck.n
-    seq = tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
-                for i, (p, v) in enumerate(stones))
-    return _necklace_at_zero(n, _least_symmetry(seq))
+    return _necklace_at_zero(neck.n, _least_symmetry(_stone_sequence(neck)))
+
+
+def is_valid(neck):
+    """The alternating-direction and gap-parity conditions."""
+    seq = _stone_sequence(neck)
+    for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
+        if v < 0:  # facing away (next stone's vector points onward): odd gap
+            ok = w > 0 and gap % 2 == 1
+        else:  # facing towards: gap plus lengths odd, >= 3, unit lengths at 3
+            ok = (w < 0 and (gap + v - w) % 2 == 1
+                  and (gap > 3 or gap == 3 and v == -w == 1))
+        if not ok:
+            return False
+    return True
 
 
 def step_oracle(neck):
@@ -221,6 +242,19 @@ def pattern_of_necklace_oracle(neck):
             for off in range(1, gap - 1, 2):
                 row2[(p + off) % n] = 1
     return Pattern(tuple(row1), tuple(row2))
+
+
+def parse_pattern(text):
+    """Parse the two-line text form, e.g. ``"101000 / 111101"``."""
+    parts = text.replace("/", " ").split()
+    if len(parts) != 2:
+        raise ValueError(f"expected 'ROW1 / ROW2', got {text!r}")
+    rows = []
+    for part in parts:
+        if set(part) - {"0", "1"}:
+            raise ValueError(f"rows must be 0/1 strings, got {part!r}")
+        rows.append(tuple(int(c) for c in part))
+    return Pattern(rows[0], rows[1])
 
 
 def _cyclic_groups(row):

@@ -49,7 +49,6 @@ from time import perf_counter
 
 from hardsquares.genfun import (
     check_denominator_form,
-    check_roots_of_unity,
     conjectured_denominator,
     cylinder_gf,
     fitted_cylinder_gf,
@@ -183,7 +182,8 @@ def test_criterion_03_reduced_generating_functions():
 
 
 def test_criterion_04_denominator_roots_of_unity():
-    ok = all(check_roots_of_unity(cylinder_gf(n)) for n in range(2, 13, 2))
+    ok = all(periodicity_report(n, cylinder_gf(n)).remainder_ok
+             for n in range(2, 13, 2))
     _criterion(4, "denominator zeroes are roots of unity", ok, "even n <= 12")
 
 

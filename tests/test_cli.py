@@ -13,6 +13,10 @@
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
   missing -k/-n is a usage error (exit 2), as are -k or -n with the sweep
   and --nmax with any other action, which would otherwise be ignored.
+  A request whose k stone pairs do not fit on the circle (4k > n) has no
+  class: every action exits 2 with one error line and no output, in text
+  and json, before any library call; -k 0 and -n 0 keep the library's
+  messages.
   --format takes text or json only, and json with the dot action exits 2
   with one error line.  A step that fails to permute the classes is a
   one-line internal consistency failure (exit 1).
@@ -331,6 +335,36 @@ def test_necklace_dot_takes_no_other_format(capsys):
             main(["necklace", action, "-k", "1", "-n", "6", "--format", "dot"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.fixture
+def no_necklace_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("necklace work started")
+
+    for name in ("enumerate_necklaces", "cycle_structure", "dot_transition_graph"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+def test_necklace_request_with_no_class_exits_two(capsys, no_necklace_work):
+    refusal = "error: -k 3 needs a circle length of at least 12\n"
+    started = "internal error: AssertionError: necklace work started\n"
+    for action in ("enumerate", "cycles", "dot"):
+        for fmt in ("text", "json"):
+            argv = ("necklace", action, "-k", "3", "-n", "8", "--format", fmt)
+            assert run_cli(capsys, *argv) == (2, "", refusal), argv
+        # at 4k = n a class exists, so the request reaches the library
+        assert run_cli(capsys, "necklace", action, "-k", "3", "-n", "12") == (
+            3, "", started), action
+
+
+def test_necklace_size_errors_keep_the_library_messages(capsys):
+    for argv, line in ((("-k", "0", "-n", "8"), "at least one stone pair is required"),
+                       (("-k", "0", "-n", "0"), "at least one stone pair is required"),
+                       (("-k", "1", "-n", "0"), "circle length must be positive")):
+        for action in ("enumerate", "cycles", "dot"):
+            assert run_cli(capsys, "necklace", action, *argv) == (
+                2, "", f"error: {line}\n"), (action, argv)
 
 
 def test_necklace_verify_sweep(capsys):

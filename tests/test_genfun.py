@@ -23,8 +23,9 @@ Claims covered:
   and 15 share (1-2t+t^2)/(1-t^3), n = 5, 7, 11 and 13 are the constant
   series.  It reads the column series once, with at least 2(N + 1) terms
   for N dihedral orbits, and lets a ConsistencyError through.
-- check_roots_of_unity accepts every even cylinder denominator through 12
-  and rejects a denominator with a root off the unit circle.
+- the periodicity report's roots-of-unity verdict (remainder_ok) accepts
+  every even cylinder denominator through 12 and rejects, without raising,
+  a denominator with a root off the unit circle.
 - conjectured_denominator builds the frozen products, clears all poles for
   n in {2,6,8,10,12}, and fails for n=4, whose series has a double pole at
   -1 but the proposed product only a simple zero there.
@@ -42,7 +43,6 @@ from hardsquares.errors import ConsistencyError
 from hardsquares.genfun import (
     check_block_count_denominator,
     check_denominator_form,
-    check_roots_of_unity,
     conjectured_denominator,
     cylinder_gf,
     denominator_bound,
@@ -55,7 +55,6 @@ from hardsquares.patterns import (
     block_count,
     canonicalize,
     enumerate_proper,
-    parse_pattern,
     z_pattern_series,
 )
 from hardsquares.polynomials import (
@@ -67,7 +66,7 @@ from hardsquares.polynomials import (
     series_expand,
 )
 
-from helpers import load_reduced_forms
+from helpers import load_reduced_forms, parse_pattern
 
 
 def test_pattern_gf_matches_transfer_series():
@@ -204,8 +203,8 @@ def test_fitted_route_reads_one_certified_window(monkeypatch):
 
 def test_roots_of_unity_checker():
     for n in (2, 4, 6, 8, 10, 12):
-        assert check_roots_of_unity(cylinder_gf(n))
-    assert not check_roots_of_unity(RationalGF(ONE, ONE - T * 2))
+        assert periodicity_report(n, cylinder_gf(n)).remainder_ok
+    assert not periodicity_report(0, RationalGF(ONE, ONE - T * 2)).remainder_ok
 
 
 def test_conjectured_denominator_frozen_products():

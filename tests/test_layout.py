@@ -9,6 +9,14 @@
   no src module imports dataclasses or fractions.  The child still loads
   graphs, patterns, genfun, polynomials and necklaces, which the
   benchmark's tracer reaches through the cli module.
+- every behaviour has one public path: each public top-level function or
+  class of a src module, and each public method of a src class, is named
+  somewhere outside its own body (an identifier, attribute, import alias
+  or string constant that is a dotted name, in src or in perfbench/*.py;
+  docstrings and comments do not count), or it is on KEEP with its
+  reason.  KEEP holds
+  exactly the names the scan would flag, so an entry that gains a caller
+  leaves it.  Test-only fixtures and oracles live in tests/helpers.
 """
 
 import ast
@@ -20,6 +28,29 @@ from pathlib import Path
 import hardsquares
 
 SRC = Path(hardsquares.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Public names that nothing names outside their own body, kept for a reason
+# the code does not show.  Names that only perfbench names need no entry:
+# the tracer wraps patterns.is_proper, necklaces.transform, canonicalize,
+# pattern_of_necklace and necklace_of_pattern by name (test_cli pins that
+# they resolve), and perfbench/sweep.py drives residue_edge, simplify,
+# replay_trace and ReductionState.witten; they stay while the benchmark
+# reads them.
+KEEP = {
+    "patterns.masked_graph":
+        "the brute route for pattern series, a paper claim: z_pattern is "
+        "checked against witten_brute on it",
+    "graphs.Graph.without_edge":
+        "the index form of edge removal, Z(G - e) = Z(G) + Z(residue); the "
+        "edge rule of ROADMAP item 3 gives it a src caller",
+    "reduction.detect_configuration":
+        "the one-step contractibility certificates of the paper's part 1, "
+        "which the edge rule builds on",
+    "reduction.ReductionState.to_json_obj":
+        "the export form of a reduction certificate, for the edge rule's "
+        "replayable traces",
+}
 
 
 def _private(name: str) -> bool:
@@ -127,3 +158,100 @@ def test_cold_cli_import_loads_no_heavy_stdlib_module():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0 and proc.stdout == "[] True\n", proc.stderr
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function or class
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _uses(tree: ast.Module):
+    """(name, line) of every identifier, attribute and import alias in the
+    tree, and the last part of every string constant that is a dotted
+    name (a docstring is not)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+            if node.asname:
+                yield node.asname, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            yield node.value.rpartition(".")[2], node.lineno
+
+
+def unreferenced(src_paths, bench_paths):
+    """module.name of every public src definition that no src or bench file
+    names outside the definition's own body.  Names match by spelling, so
+    a name that shares its spelling with a used one is never reported."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in (*src_paths, *bench_paths)}
+    seen = {}  # name -> the (path, line) places it is named
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            seen.setdefault(name, []).append((path, line))
+    found = []
+    for path in src_paths:
+        for qualified, node in _definitions(trees[path]):
+            name = qualified.rpartition(".")[2]
+            if not any(where != path or not node.lineno <= line <= node.end_lineno
+                       for where, line in seen.get(name, ())):
+                found.append(f"{path.stem}.{qualified}")
+    return sorted(found)
+
+
+def test_every_public_src_name_has_a_use_outside_its_body():
+    src, bench = sorted(SRC.glob("*.py")), sorted(BENCH.glob("*.py"))
+    assert {p.stem for p in bench} >= {"tracer", "sweep"}
+    assert unreferenced(src, bench) == sorted(KEEP)
+
+
+def test_the_use_guard_sees_every_reference_form(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "bench").mkdir()
+    shape = tmp_path / "src" / "shape.py"
+    shape.write_text(
+        'def imported(): pass\n'
+        'def aliased(): pass\n'
+        'def called(): pass\n'
+        'def recursive(n):\n'
+        '    return recursive(n - 1)\n'
+        'def only_in_a_docstring(): pass\n'
+        'def traced(): pass\n'
+        'def dotted(): pass\n'
+        'def commented(): pass\n'
+        'def _private(): pass\n'
+        'class Box:\n'
+        '    def read(self): return self.write()\n'
+        '    def write(self): return Box()\n'
+        '    def spare(self): pass\n'
+        '    def __len__(self): return 0\n')
+    user = tmp_path / "src" / "user.py"
+    user.write_text(
+        '"""Not a use: shape.only_in_a_docstring"""\n'
+        'from .shape import imported, aliased as other\n'
+        'from . import shape\n'
+        'def main():\n'
+        '    return shape.called(), shape.Box().read()\n')
+    bench = tmp_path / "bench" / "tracer.py"
+    bench.write_text('TRACED = {"shape": {"traced": {}}}  # commented\n'
+                     'DISTINCT = ("shape.dotted",)\n')
+    assert unreferenced([shape, user], [bench]) == [
+        "shape.Box.spare",
+        "shape.commented",
+        "shape.only_in_a_docstring",
+        "shape.recursive",
+        "user.main",
+    ]

@@ -2,7 +2,8 @@
 
 Claims covered:
 - constructor normalization and validation (distinct points, even count,
-  vector range); is_valid enforces alternation and the gap parity rules.
+  vector range); is_valid, the validity oracle of tests/helpers, enforces
+  alternation and the gap parity rules.
 - the step transformation keeps every class valid, and stepping a
   one-pair arrangement walks the frozen orbit
   (widest gap -> gap 3 -> shrinking long vectors).
@@ -51,7 +52,6 @@ from hardsquares.necklaces import (
     enumerate_necklaces,
     format_cycle_structure,
     format_necklace,
-    is_valid,
     necklace_of_pattern,
     necklace_to_json_obj,
     pattern_of_necklace,
@@ -64,13 +64,14 @@ from hardsquares.patterns import (
     block_count,
     is_proper,
     is_reducible,
-    parse_pattern,
     proper_block_count,
 )
 from helpers import (
     EXTENDED,
     canonical_oracle,
+    is_valid,
     load_golden_cycles,
+    parse_pattern,
     pattern_of_necklace_oracle,
     step_oracle,
     transitions_oracle,

@@ -1,7 +1,8 @@
 """Pattern calculus tests.
 
 Claims covered:
-- parse/format round-trip and constructor validation (even length, 0/1
+- the text fixture form (parse_pattern, a test helper) round-trips through
+  format_pattern, and the constructor validates (even length, 0/1
   entries, no 1 above a 0).
 - masked_graph drops exactly the masked row-1/row-2 vertices; the worked
   six-column example with four rows has 19 vertices.
@@ -47,7 +48,6 @@ from hardsquares.errors import RuleInapplicableError
 from hardsquares.graphs import GridSpec, witten_brute, witten_transfer
 from hardsquares.patterns import (
     Pattern,
-    all_ones,
     block_count,
     canonicalize,
     delete_top,
@@ -59,8 +59,6 @@ from hardsquares.patterns import (
     is_reducible,
     leftmost_block_middle,
     masked_graph,
-    parse_pattern,
-    pattern,
     peel,
     same_class,
     z_pattern,
@@ -70,6 +68,7 @@ from helpers import (
     EXTENDED,
     enumerate_proper_oracle,
     initial_patterns_oracle,
+    parse_pattern,
     peel_oracle,
     proper_oracle,
     transfer_oracle,
@@ -94,17 +93,17 @@ def test_parse_format_round_trip():
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        pattern((1, 0, 1), (1, 1, 1))  # odd length
+        Pattern((1, 0, 1), (1, 1, 1))  # odd length
     with pytest.raises(ValueError):
-        pattern((1, 0), (0, 1))  # 1 above a 0
+        Pattern((1, 0), (0, 1))  # 1 above a 0
     with pytest.raises(ValueError):
-        pattern((2, 0), (1, 1))  # not 0/1
+        Pattern((2, 0), (1, 1))  # not 0/1
     with pytest.raises(ValueError):
         parse_pattern("1010")
     with pytest.raises(ValueError):
         parse_pattern("10a0 / 1111")
     with pytest.raises(ValueError):
-        pattern((1, 0), (1, 1, 0, 1))  # row lengths differ
+        Pattern((1, 0), (1, 1, 0, 1))  # row lengths differ
 
 
 def test_masked_graph_vertex_count_example():
@@ -192,11 +191,11 @@ def test_same_class_needs_equal_lengths():
 
 def test_pattern_index_requires_two_rows():
     with pytest.raises(ValueError):
-        z_pattern(all_ones(4), 1)
+        z_pattern(Pattern((1,) * 4, (1,) * 4), 1)
 
 
 def test_series_convention_zero_below_two_rows():
-    series = z_pattern_series(all_ones(6), 5)
+    series = z_pattern_series(Pattern((1,) * 6, (1,) * 6), 5)
     assert series[0] == series[1] == 0
     assert series[4] == 4
 
@@ -205,8 +204,8 @@ def test_all_ones_pattern_recovers_cylinder():
     for n in (4, 6, 8):
         for m in (2, 3, 5):
             expected = witten_transfer(GridSpec("cylinder", m, n))
-            assert z_pattern(all_ones(n), m) == expected
-    assert z_pattern(all_ones(6), 4) == 4
+            assert z_pattern(Pattern((1,) * n, (1,) * n), m) == expected
+    assert z_pattern(Pattern((1,) * 6, (1,) * 6), 4) == 4
 
 
 def test_canonicalize_identifies_symmetries():
@@ -257,7 +256,7 @@ def test_improper_examples():
     # the all-zero row is not a run
     assert not is_proper(parse_pattern("000000 / 000000"))
     # all ones above all ones is not a run either
-    assert not is_proper(all_ones(6))
+    assert not is_proper(Pattern((1,) * 6, (1,) * 6))
     # a 1 above a second-row singleton
     assert not is_proper(parse_pattern("1000 / 1010"))
     # a long second-row block must carry a nonempty aligned run
@@ -266,7 +265,7 @@ def test_improper_examples():
     assert not is_proper(parse_pattern("10000000 / 11111010"))
     # block_count rejects improper patterns
     with pytest.raises(ValueError):
-        block_count(all_ones(6))
+        block_count(Pattern((1,) * 6, (1,) * 6))
 
 
 def test_exactly_two_blockless_classes():
