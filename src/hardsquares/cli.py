@@ -73,7 +73,7 @@ SCHEMA = 1
 # work is exponential in (times on a 2-core x86-64, Python 3.11).  --bound-n
 # replaces its command's row; the library computes whatever it is asked.
 #   width:   row-mask width (witten, table1, genfun's fit, verify identities);
-#            cylinder 20x18 ~0.15 s, free 18x18 ~0.3 s, torus 18x18 ~23 s
+#            cold: cylinder 20x18 ~0.3 s, free 18x18 ~0.3 s, torus 18x18 ~7 s
 #   pattern: pattern-route circumference (even genfun, verify conjectures);
 #            genfun -n 16 ~0.8 s, -n 18 ~3 s
 #   circle:  necklace circle length (necklace, verify correspondence)

@@ -30,6 +30,12 @@ cell by cell on a sparse {mask: signed count} dict, for free grids, tori
 and masked rows.  ``column_series`` is the one column kernel: it stacks
 any masked top rows (none for cylinders, two for patterns) with
 ``_row_step`` and reads every later row from the powers B^k w.
+
+Each index is a trace or bilinear form of a transfer power (Stanley, EC I
+4.7) read from two half-height walks, since T = A D (A the symmetric row
+compatibility, D the sign diagonal) has T^T = D T D and, on orbits,
+B^T = Q B Q^-1 with Q = diag(size * w): a torus walks ceil(m/2) rows per
+orbit, a free grid floor(m/2) + 1, an m-row column B^0 w .. B^(m // 2) w.
 """
 
 from __future__ import annotations
@@ -310,7 +316,9 @@ class RingOrbits:
     and sign w = (-1)^|rep| per orbit, the orbit of every state, the sparse
     rows (b, B[a][b]) of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0},
     the fit window 2N + 6 for N orbits, and the powers B^k w computed so far
-    below that window, shared by every caller."""
+    below that window, shared by every caller.  size_a w_a B[a][b] counts
+    the compatible state pairs of orbits a and b, so B^T = Q B Q^-1 for
+    Q = diag(size * w)."""
 
     # src keeps no dataclass: importing dataclasses costs about 8 ms and each
     # class 1 ms more; immutable records are NamedTuples, this cache grows
@@ -361,21 +369,33 @@ def _orbits(n: int) -> RingOrbits:
 def column_series(n: int, mmax: int, masks: Sequence[int] = ()) -> List[int]:
     """[Z of rows 1..m of P_mmax x C_n for m = 0..mmax], row i + 1 restricted
     to masks[i].  The masked counts fold into orbits, read against B^k w
-    below them; with no masks, Z(P_m x C_n) = (B^m w)[orbit of 0]."""
+    below them.  With no masks, z_m = Z(P_m x C_n) = (B^m w)[orbit of 0]
+    = (B^(m+1))_00, as B e_0 = w; with B^T = Q B Q^-1, q = size * w and
+    u_k = B^k w, that is z_2b+1 = sum q u_b^2 and z_2b = sum q u_b-1 u_b,
+    so the column reads u_0 .. u_(mmax // 2)."""
     if n < 0 or mmax < 0:
         raise ValueError("column_series needs n >= 0 and mmax >= 0")
     vec, out = {0: 1}, [1]
     for mask in masks[:mmax]:
         vec = _row_step(vec, n, mask, cyclic=True)
         out.append(sum(vec.values()))
-    if mmax > len(masks):
-        orb = _orbits(n)
-        fold: Dict[int, int] = {}
-        for s, v in vec.items():
-            a = orb.orbit_of[s]
-            fold[a] = fold.get(a, 0) + orb.weights[a] * v  # B^k w counts s's sign again
-        for u in islice(orb.powers(), 1, mmax - len(masks) + 1):
-            out.append(sum(f * u[a] for a, f in fold.items()))
+    if mmax <= len(masks):
+        return out  # no unmasked row: build no ring (n may be huge at mmax = 0)
+    orb = _orbits(n)
+    if not masks:
+        q, prev = [s * w for s, w in zip(orb.sizes, orb.weights)], None
+        for u in islice(orb.powers(), mmax // 2 + 1):
+            if prev is not None:
+                out.append(sum(c * x * y for c, x, y in zip(q, prev, u)))
+            out.append(sum(c * x * x for c, x in zip(q, u)))
+            prev = u
+        return out[:mmax + 1]
+    fold: Dict[int, int] = {}
+    for s, v in vec.items():
+        a = orb.orbit_of[s]
+        fold[a] = fold.get(a, 0) + orb.weights[a] * v  # B^k w counts s's sign again
+    for u in islice(orb.powers(), 1, mmax - len(masks) + 1):
+        out.append(sum(f * u[a] for a, f in fold.items()))
     return out
 
 
@@ -401,28 +421,33 @@ def transfer_width(spec: GridSpec) -> int:
 
 
 def witten_transfer(spec: GridSpec) -> int:
-    """Witten index of a grid-family instance via row transfer."""
+    """Witten index of a grid-family instance via row transfer.  As
+    T^T = D T D, (T^k)_rr = D_r sum_x D_x (T^a)_rx (T^b)_rx for a = ceil(k/2),
+    b = floor(k/2), read from one a-row walk from e_r: a torus sums it over
+    orbit representatives at k = m, and a free grid is (T^(m+1))_00, since
+    every row is compatible with the empty one."""
     m, n = spec.m, spec.n
     if spec.family == "cylinder":
         return column_series(n, m)[m]
     if n > m:
         m, n = n, m  # stack along the longer side, masks on the shorter
-    full = (1 << n) - 1
-    if spec.family == "free":
-        vec = {0: 1}
-        for _ in range(m):
-            vec = _row_step(vec, n, full, cyclic=False)
-        return sum(vec.values())
-    if n <= 1:
+    full, cyclic = (1 << n) - 1, spec.family == "torus"
+    if not cyclic:
+        starts, m = [(0, 1)], m + 1  # Z(P_m x P_n) = (T^(m+1))_00
+    elif n <= 1:
         return 1  # C_0 is empty; a C_1 factor puts a loop on every vertex
-    # the trace of the m-th transfer power is constant on orbits
-    orb = _orbits(n)
+    else:  # the trace of the m-th transfer power is constant on orbits
+        orb = _orbits(n)
+        starts = zip(orb.reps, (s * w for s, w in zip(orb.sizes, orb.weights)))
     total = 0
-    for rep, size, w in zip(orb.reps, orb.sizes, orb.weights):
-        vec = {rep: 1}
-        for _ in range(m - 1):
-            vec = _row_step(vec, n, full, cyclic=True)
-        total += size * w * sum(v for p, v in vec.items() if not p & rep)
+    for rep, q in starts:
+        vec = half = {rep: 1}
+        for k in range(1, (m + 1) // 2 + 1):
+            vec = _row_step(vec, n, full, cyclic)
+            if k == m // 2:
+                half = vec
+        total += q * sum((-v if p.bit_count() & 1 else v) * half.get(p, 0)
+                         for p, v in vec.items())
     return total
 
 

@@ -7,8 +7,10 @@ hardsquares.graphs) produces seeded Erdos-Renyi-style graphs, optionally
 with loops, for property sweeps.  transfer_oracle and torus_oracle are the
 plain row transfer over every ring state with a quadratic compatibility
 table, kept as a differential oracle for the orbit and cell-by-cell
-kernels.  necklace_oracle and transitions_oracle are the deduplicating
-necklace enumerator over every (vector, gap) sequence and the step on
+kernels; they walk every row, so they are also the oracles for the half
+walks that read tori, free grids and unmasked cylinder columns from two
+half-height transfer vectors.  necklace_oracle and transitions_oracle are
+the deduplicating necklace enumerator over every (vector, gap) sequence and the step on
 positioned Necklace objects, and pattern_of_necklace_oracle writes the
 pattern cell by cell from the positioned stones; both are kept as a
 differential oracle for the sequence kernel.  proper_oracle decides properness by scanning the rows

@@ -53,7 +53,6 @@ from hardsquares.genfun import (
 from hardsquares.graphs import _orbits, column_series
 from hardsquares.patterns import (
     block_count,
-    canonicalize,
     enumerate_proper,
     z_pattern_series,
 )

@@ -10,14 +10,21 @@ column series, multiplicativity and the two deletion relations on random
 graphs, the ten suspension identities on a development-sized sweep, and the
 short-side mask routing that keeps thin grids cheap at large sizes.  The
 orbit and cell-by-cell kernels are compared with the compatibility-table
-oracle of tests/helpers on cylinders (n <= 12, m <= 24), free grids up to
-10 x 10 and tori up to 9 x 9; the dihedral orbit counts 49 / 99 / 209 at
-n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  The column
-kernel with arbitrary masked top rows matches the same oracle (n <= 10,
-up to three masks, m <= 12, also m below the mask count).  The orbit cache
-is bounded, and the cylinder and the patterns of one ring read one kept
-list of powers B^k w, which stops at the fit window 2N + 6; columns taller
-than the window match the oracle.  An identity instance is in range exactly
+oracle of tests/helpers, which walks every row, on cylinders (n <= 12,
+m <= 24, and columns of 0..3, 17, 24 rows and three fit windows for
+n <= 9), free grids (n <= 10, m <= 12) and tori (n <= 9, m <= 12, sizes
+0, 1 and 2 included); the dihedral orbit counts 49 / 99 / 209 at
+n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  The half
+walks do half the work: a torus walks ceil(m/2) rows per orbit
+representative, a free grid floor(m/2) + 1 rows, an unmasked column reads
+floor(mmax/2) + 1 powers, and a zero-row column builds no ring.  The
+column kernel with arbitrary masked top rows matches the same oracle
+(n <= 10, up to three masks, m <= 12, also m below the mask count).  The
+orbit cache is bounded, and the cylinder and the patterns of one ring
+read one kept list of powers B^k w, which stops at the fit window 2N + 6
+(an m-row column reads B^0 w .. B^(m // 2) w, an m-row pattern
+B^0 w .. B^(m - 2) w); columns taller than the window match the oracle.
+An identity instance is in range exactly
 when m >= 1 and n >= 3, or m >= 2 and n >= 2, and the sweep, one column
 per circumference, checks exactly what one witten_transfer per side does.
 The identity rows give the same instances, in the same order, as the
@@ -365,25 +372,71 @@ def test_column_series_constant_or_period_three():
 
 def test_cylinder_transfer_matches_compat_oracle():
     for n in range(0, 13):
-        expected = transfer_oracle(n, [(1 << n) - 1] * 24)
-        assert column_series(n, 24) == expected, n
+        rows = 3 * fit_window(n) if n <= 9 else 24
+        expected = transfer_oracle(n, [(1 << n) - 1] * rows)
+        for mmax in (0, 1, 2, 3, 17, 24, rows):  # both parities of the half walk
+            assert column_series(n, mmax) == expected[: mmax + 1], (n, mmax)
         for m in range(0, 25):
             assert witten_transfer(GridSpec("cylinder", m, n)) == expected[m], (m, n)
 
 
 def test_free_transfer_matches_compat_oracle():
     for n in range(0, 11):
-        expected = transfer_oracle(n, [(1 << n) - 1] * 10, cyclic=False)
-        for m in range(0, 11):
+        expected = transfer_oracle(n, [(1 << n) - 1] * 12, cyclic=False)
+        for m in range(0, 13):
             assert witten_transfer(GridSpec("free", m, n)) == expected[m], (m, n)
 
 
 def test_torus_transfer_matches_compat_oracle():
-    for n in range(2, 10):
-        expected = torus_oracle(n, 9)
-        for m in range(2, 10):
-            assert witten_transfer(GridSpec("torus", m, n)) == expected[m], (m, n)
+    for n in range(0, 10):
+        expected = torus_oracle(n, 12)
+        for m in range(0, 13):
+            spec = GridSpec("torus", m, n)
+            if min(m, n) >= 2:
+                assert witten_transfer(spec) == expected[m], (m, n)
+            else:  # C_0 is empty and C_1 a looped vertex
+                assert witten_transfer(spec) == 1 == witten_brute(build_grid(spec)), (m, n)
     assert witten_transfer(GridSpec("torus", 12, 12)) == 166
+
+
+def test_half_walks_take_half_the_row_steps_and_powers(monkeypatch):
+    steps, powers = [0], [0]
+    row_step, ring_powers = graphs._row_step, graphs.RingOrbits.powers
+
+    def counted_step(*args, **kwargs):
+        steps[0] += 1
+        return row_step(*args, **kwargs)
+
+    def counted_powers(self):
+        for u in ring_powers(self):
+            powers[0] += 1
+            yield u
+
+    rings = {n: _orbits(n) for n in (2, 5, 6, 7)}  # built before counting
+    monkeypatch.setattr(graphs, "_row_step", counted_step)
+    monkeypatch.setattr(graphs.RingOrbits, "powers", counted_powers)
+    for m, n in ((9, 6), (10, 6), (7, 7), (8, 7), (2, 5), (5, 11)):
+        steps[0] = 0
+        assert witten_transfer(GridSpec("torus", m, n)) == torus_oracle(min(m, n), max(m, n))[-1]
+        assert steps[0] == len(rings[min(m, n)].reps) * ((max(m, n) + 1) // 2), (m, n)
+    for m, n in ((9, 6), (10, 6), (1, 1), (0, 0), (16, 3)):
+        steps[0] = 0
+        assert witten_transfer(GridSpec("free", m, n)) == transfer_oracle(
+            min(m, n), [-1] * max(m, n), cyclic=False)[-1]
+        assert steps[0] == max(m, n) // 2 + 1, (m, n)
+    for mmax in (1, 2, 7, 8, 40):
+        steps[0] = powers[0] = 0
+        assert column_series(6, mmax) == transfer_oracle(6, [-1] * mmax)
+        assert powers[0] == mmax // 2 + 1 and steps[0] == 0, mmax
+
+
+def test_a_zero_row_column_builds_no_ring(monkeypatch):
+    def no_ring(n):
+        raise AssertionError(f"_orbits({n}) was built for a zero-row column")
+
+    monkeypatch.setattr(graphs, "_orbits", no_ring)
+    assert column_series(500, 0) == [1]
+    assert witten_transfer(GridSpec("cylinder", 0, 500)) == 1
 
 
 @st.composite
@@ -407,10 +460,12 @@ def test_orbit_cache_is_bounded_and_rings_share_one_power_list():
     p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
     orb = _orbits(6)
     assert orb.window == fit_window(6) == 2 * len(orb.reps) + 6 == 16
+    column_series(6, 8)  # rows 1..8 read u_0 .. u_4, u_k = B^k w
+    assert len(orb.kept) == 8 // 2 + 1
     z_pattern_series(p, 12)  # rows 3..12: B^0 w .. B^10 w
-    column_series(6, 8)
-    assert len(orb.kept) == max(12 - 2, 8) + 1  # one list below the window
+    assert len(orb.kept) == 12 - 2 + 1  # one list below the window
     column_series(6, 25)
+    assert len(orb.kept) == 25 // 2 + 1  # 25 rows read u_0 .. u_12
     z_pattern_series(p, 27)
     assert _orbits(6) is orb and len(orb.kept) == orb.window
 
