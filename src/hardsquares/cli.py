@@ -75,9 +75,17 @@ SCHEMA = 1
 #   width:   row-mask width (witten, table1, genfun's fit, verify identities);
 #            cold: cylinder 20x18 ~0.3 s, free 18x18 ~0.3 s, torus 18x18 ~7 s
 #   pattern: pattern-route circumference (even genfun, verify conjectures);
-#            genfun -n 16 ~0.8 s, -n 18 ~3 s
+#            cold: genfun -n 16 ~0.4 s, -n 18 ~1.5 s
 #   circle:  necklace circle length (necklace, verify correspondence)
 BOUNDS = {"width": 18, "pattern": 16, "circle": 28}
+
+# The sweeps' --nmax defaults, which --help prints: necklace verify's, and
+# per verify suite its --nmax floor (below it no circumference is swept),
+# its BOUNDS row and its default.
+_NECKLACE_NMAX = 24
+_SUITES = {"identities": (0, "width", 14),
+           "conjectures": (2, "pattern", 12),
+           "correspondence": (4, "circle", 14)}
 
 
 class CheckResult(NamedTuple):
@@ -244,7 +252,7 @@ def cmd_necklace(args: argparse.Namespace,
     if args.action == "verify":
         if args.k is not None or args.n is not None:
             parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
-        nmax = args.nmax if args.nmax is not None else 24
+        nmax = args.nmax if args.nmax is not None else _NECKLACE_NMAX
         _check_nmax(nmax, 4, "circle", override=args.bound_n)
         results = [r for n in _even_range(4, nmax) for r in _cycle_divisibility(n)]
         return _report("necklace-verify", results, [], args.format)
@@ -351,16 +359,11 @@ def _suite_correspondence(n_max: int) -> List[CheckResult]:
 
 def cmd_verify(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    # per suite: the --nmax floor (below it no circumference is swept), the
-    # BOUNDS row and the default
-    limits = {"identities": (0, "width", 14),
-              "conjectures": (2, "pattern", 12),
-              "correspondence": (4, "circle", 14)}
-    chosen = [s for s in limits if args.suite in (s, "all")]
+    chosen = [s for s in _SUITES if args.suite in (s, "all")]
     if args.nmax is not None:
-        _check_nmax(args.nmax, max(limits[s][0] for s in chosen),
-                    *(limits[s][1] for s in chosen))
-    nmax = {s: limits[s][2] if args.nmax is None else args.nmax for s in chosen}
+        _check_nmax(args.nmax, max(_SUITES[s][0] for s in chosen),
+                    *(_SUITES[s][1] for s in chosen))
+    nmax = {s: _SUITES[s][2] if args.nmax is None else args.nmax for s in chosen}
     if "identities" in nmax and not any(identity_instances(args.m, nmax["identities"])):
         raise ValueError(f"-m {args.m} and --nmax {nmax['identities']} leave no "
                          f"identity instance to check")
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "witten", help="print the Witten index of one grid family member")
     p.add_argument("--family", choices=("free", "cylinder", "torus"),
-                   default="cylinder", help="grid family (default cylinder)")
+                   default="cylinder", help="grid family (default %(default)s)")
     p.add_argument("-m", type=int, required=True, help="number of rows")
     p.add_argument("-n", type=int, required=True,
                    help="number of columns (cyclic for cylinder and torus)")
@@ -399,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "table1", help="emit the cylinder index table (rows m, columns n)")
     p.add_argument("-m", type=int, default=12,
-                   help="largest row count (default 12)")
+                   help="largest row count (default %(default)s)")
     p.add_argument("--nmax", type=int, default=14,
                    help="largest circumference, columns start at 2 "
-                        "(default 14)")
+                        "(default %(default)s)")
     p.add_argument("--bound-n", type=int, default=None,
                    help=f"largest row-mask width accepted (default {BOUNDS['width']})")
     p.add_argument("--format", choices=("text", "csv", "json"),
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None, help="circle length")
     p.add_argument("--nmax", type=int, default=None,
                    help="largest circle length for the verify sweep "
-                        "(default 24)")
+                        f"(default {_NECKLACE_NMAX})")
     p.add_argument("--bound-n", type=int, default=None,
                    help=f"resource bound on the circle length (default {BOUNDS['circle']})")
     p.add_argument("--format", choices=("text", "json"),
@@ -437,18 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify", help="run a verification sweep and exit nonzero on failure")
-    p.add_argument("suite",
-                   choices=("identities", "conjectures", "correspondence",
-                            "all"),
-                   help="which sweep to run")
+    p.add_argument("suite", choices=(*_SUITES, "all"), help="which sweep to run")
     p.add_argument("-m", type=int, default=20,
                    help="largest row count for the identity sweep "
-                        "(default 20)")
+                        "(default %(default)s)")
     p.add_argument("--nmax", type=int, default=None,
-                   help="largest circumference (defaults: identities 14, "
-                        "conjectures 12, correspondence 14)")
+                   help="largest circumference (defaults: " + ", ".join(
+                       f"{s} {default}" for s, (_, _, default) in _SUITES.items()) + ")")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomized spot checks (default 0)")
+                   help="seed for the randomized spot checks (default %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify)
 

@@ -15,27 +15,29 @@ so its functional graph is a disjoint union of cycles; cycle_structure
 computes them and cycle_length_lcm feeds the denominator bounds of the
 generating-function module.
 
-The kernel works on the sequence form, the clockwise (vector, gap to the
-next stone) pairs; T steps it in place, as jumps never reorder stones.  The
-canonical sequence of a class, its least rotation or reflection, starts
-with an away element (negative vector).  Classes are generated directly in
-that form (orderly generation, after Sawada, SIAM J. Comput. 31 (2001)),
-one (facing, away) pair at a time.  A branch is pruned as soon as the
-sequence or its mirror gains an away element below the first.  A complete
-sequence is kept unless a rotation starting with its first element, or a
-mirror rotation starting at or below it, is smaller; no other can be, so
-the leaf test compares only those and stops at the first smaller one.
-A class is given by its canonical representative, the canonical sequence
-placed from 0; the kernel sorts and steps sequences and places them only
-for output.
+An arrangement is its sequence, the clockwise (vector, gap to the next
+stone) pairs; n is the sum of the gaps.  transform steps it in place, as
+jumps never reorder stones.  A class is its canonical sequence, the least
+rotation or reflection (canonicalize), which starts with an away element
+(negative vector).  Classes are generated directly in that form (orderly
+generation, after Sawada, SIAM J. Comput. 31 (2001)), one (facing, away)
+pair at a time.  A branch is pruned as soon as the sequence or its mirror
+gains an away element below the first.  A complete sequence is kept unless
+a rotation starting with its first element, or a mirror rotation starting
+at or below it, is smaller; no other can be, so the leaf test compares only
+those and stops at the first smaller one.  Stones get positions only when a
+line is printed: format_necklace and necklace_to_json_obj put the first
+stone at 0 and each next one a gap further clockwise.
 
 Arrangements encode the reducible proper patterns with a given block count:
-pattern_of_necklace writes a block of 1s across each facing gap (with the
-alternating first row pulled in by the vector lengths) and 0101...0 across
-each away gap; necklace_of_pattern inverts it.  One T step corresponds to
-peeling the pattern and collapsing the new first-row blocks.
-check_correspondence converts sequences both ways (_pattern_of and
-_sequence_of) and compares the two sides of that identity with
+pattern_of_necklace writes, from the first stone at column 0, a block of 1s
+across each facing gap (with the alternating first row pulled in by the
+vector lengths) and 0101...0 across each away gap; necklace_of_pattern
+inverts it, reading the sequence from the left stone of the first block.
+One T step corresponds to peeling the pattern and collapsing the new
+first-row blocks.  check_correspondence converts each class both ways
+(pattern_of_necklace and _sequence_of, the parse behind
+necklace_of_pattern) and compares the two sides of that identity with
 patterns.same_class.
 """
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConsistencyError
 from .patterns import (
@@ -57,63 +59,17 @@ from .patterns import (
     same_class,
 )
 
-Stone = Tuple[int, int]  # (position, vector)
+Seq = Tuple[Tuple[int, int], ...]  # (vector, clockwise gap to the next stone)
 
 _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
 
 
-class _NecklaceFields(NamedTuple):
-    n: int
-    stones: Tuple[Stone, ...]
+# -- the step and the canonical form --------------------------------------------------
 
 
-class Necklace(_NecklaceFields):
-    """Stones on a circle of n unit intervals, sorted by position."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, stones: Tuple[Stone, ...]) -> "Necklace":
-        if n < 1:
-            raise ValueError("circle length must be positive")
-        stones = tuple(sorted((p % n, v) for p, v in stones))
-        if len(stones) < 2 or len(stones) % 2:
-            raise ValueError("an arrangement has a positive even stone count")
-        if len({p for p, _ in stones}) != len(stones):
-            raise ValueError("stones must sit at distinct points")
-        if any(v not in (-2, -1, 1, 2) for _, v in stones):
-            raise ValueError("stone vectors must be one of -2, -1, 1, 2")
-        return super().__new__(cls, n, stones)
-
-    def __str__(self) -> str:
-        return format_necklace(self)
-
-
-def format_necklace(neck: Necklace) -> str:
-    body = " ".join(f"{p}:{v:+d}" for p, v in neck.stones)
-    return f"[{neck.n}| {body}]"
-
-
-# -- the sequence form ----------------------------------------------------------------
-
-
-Seq = Tuple[Tuple[int, int], ...]  # (vector, clockwise gap to the next stone)
-
-
-def _sequence(neck: Necklace) -> Seq:
-    """The sequence form, starting from the lowest stone."""
-    stones = neck.stones
-    return tuple((v, (q - p) % neck.n)
-                 for (p, v), (q, _) in zip(stones, stones[1:] + stones[:1]))
-
-
-def _place(n: int, seq: Seq, start: int = 0) -> Necklace:
-    """The arrangement whose first stone sits at start."""
-    starts = accumulate((gap for _, gap in seq), initial=start)
-    return Necklace(n, tuple((p % n, v) for p, (v, _) in zip(starts, seq)))
-
-
-def _step(seq: Seq) -> Seq:
-    """T; element i of the result is stone i's image, gap_i - v_i + v_{i+1}."""
+def transform(seq: Seq) -> Seq:
+    """T: jump every stone, switch every vector, then fix distance-3 pairs.
+    Element i of the result is stone i's image, gap_i - v_i + v_{i+1}."""
     vecs = [_TURN[v] for v, _ in seq]
     gaps = [gap - v + w for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1])]
     for i, gap in enumerate(gaps):
@@ -130,8 +86,9 @@ def _mirror(seq: Seq) -> Seq:
     return tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
 
 
-def _canonical(seq: Seq) -> Seq:
-    """Least rotation or reflection, over the offsets of the away elements."""
+def canonicalize(seq: Seq) -> Seq:
+    """The class of seq, as its canonical sequence: the least rotation or
+    reflection, over the offsets of the away elements."""
     if seq[0][0] > 0:
         seq = seq[1:] + seq[:1]
     length = len(seq)
@@ -140,7 +97,7 @@ def _canonical(seq: Seq) -> Seq:
 
 
 def _is_canonical(cand: Seq) -> bool:
-    """cand == _canonical(cand), for an away-started cand none of whose away
+    """cand == canonicalize(cand), for an away-started cand none of whose away
     elements is below cand[0]: only a rotation starting with cand[0], or a
     mirror rotation starting at or below it, can be smaller."""
     first, length = cand[0], len(cand)
@@ -152,18 +109,6 @@ def _is_canonical(cand: Seq) -> bool:
         if mirror[i] <= first and mirror[i:] + mirror[:i] < cand:
             return False
     return True
-
-
-def transform(neck: Necklace) -> Necklace:
-    """Jump every stone, switch every vector, then fix distance-3 pairs."""
-    p0, v0 = neck.stones[0]
-    return _place(neck.n, _step(_sequence(neck)), p0 + v0)
-
-
-def canonicalize(neck: Necklace) -> Necklace:
-    """The isometry class of neck, as its representative: the canonical
-    sequence placed from 0."""
-    return _place(neck.n, _canonical(_sequence(neck)))
 
 
 # -- enumeration and cycle structure ----------------------------------------------
@@ -221,18 +166,16 @@ def _canonical_sequences(k: int, n: int) -> List[Seq]:
 def _successors(seqs: List[Seq]) -> List[int]:
     """Index of each class's step image; T must permute the classes."""
     index = {seq: i for i, seq in enumerate(seqs)}
-    succ = [index.get(_canonical(_step(seq))) for seq in seqs]
+    succ = [index.get(canonicalize(transform(seq))) for seq in seqs]
     if None in succ or len(set(succ)) != len(succ):
         raise ConsistencyError("the step transformation failed to permute classes")
     return succ
 
 
-def enumerate_necklaces(k: int, n: int) -> List[Necklace]:
-    """The canonical representatives of the (k, n) classes, sorted.  Their
-    positions are running sums of the gaps, so sorting the sequences sorts
-    them."""
+def enumerate_necklaces(k: int, n: int) -> List[Seq]:
+    """The (k, n) classes as their canonical sequences, sorted."""
     _check_size(k, n)
-    return [_place(n, seq) for seq in sorted(_canonical_sequences(k, n))]
+    return sorted(_canonical_sequences(k, n))
 
 
 @lru_cache(maxsize=32)
@@ -272,24 +215,18 @@ def verify_cycle_divisibility(k: int, n: int) -> bool:
     return (n - 3 * k) % cycle_length_lcm(k, n) == 0
 
 
-def transitions(k: int, n: int) -> List[Tuple[Necklace, Necklace]]:
+def transitions(k: int, n: int) -> List[Tuple[Seq, Seq]]:
     """Each class of enumerate_necklaces with its step image."""
-    _check_size(k, n)
-    seqs = sorted(_canonical_sequences(k, n))
-    necks = [_place(n, seq) for seq in seqs]
-    return [(neck, necks[j]) for neck, j in zip(necks, _successors(seqs))]
+    seqs = enumerate_necklaces(k, n)
+    return [(seq, seqs[j]) for seq, j in zip(seqs, _successors(seqs))]
 
 
 # -- correspondence with patterns ---------------------------------------------------
 
 
-def pattern_of_necklace(neck: Necklace) -> Pattern:
-    """Blocks across facing gaps, alternating strips across away gaps."""
-    return _pattern_of(_sequence(neck), neck.stones[0][0])
-
-
-def _pattern_of(seq: Seq, start: int) -> Pattern:
-    """pattern_of_necklace of the arrangement whose first stone sits at start."""
+def pattern_of_necklace(seq: Seq) -> Pattern:
+    """Blocks across facing gaps, alternating strips across away gaps, from
+    the first stone at column 0."""
     row1: List[int] = []
     row2: List[int] = []
     for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
@@ -303,24 +240,23 @@ def _pattern_of(seq: Seq, start: int) -> Pattern:
         else:  # away pair: 0101...0 across the gap
             row1 += [0] * gap
             row2 += ([0, 1] * gap)[:gap - 1] + [0]
-    cut = -start % len(row1)
-    return Pattern(tuple(row1[cut:] + row1[:cut]), tuple(row2[cut:] + row2[:cut]))
+    return Pattern(tuple(row1), tuple(row2))
 
 
-def necklace_of_pattern(p: Pattern) -> Necklace:
-    """Stones at block boundaries; vector lengths from the overhang zeros."""
+def necklace_of_pattern(p: Pattern) -> Seq:
+    """Stones at block boundaries, read from the left stone of the first
+    second-row block; vector lengths from the overhang zeros."""
     count = proper_block_count(p)
     if count is None or not is_reducible(p):
         raise ValueError("only proper patterns without first-row blocks convert")
     if not count:
         raise ValueError("the pattern has no second-row block")
-    return _place(p.n, *_sequence_of(p))
+    return _sequence_of(p)
 
 
-def _sequence_of(p: Pattern) -> Tuple[Seq, int]:
+def _sequence_of(p: Pattern) -> Seq:
     """necklace_of_pattern(p) for a proper reducible p with a second-row
-    block, as its sequence from the first block's left stone and that
-    stone's position."""
+    block."""
     n, blocks = p.n, row_blocks(p.row2)
     seq: List[Tuple[int, int]] = []
     for (start, length), (nxt, _) in zip(blocks, blocks[1:] + blocks[:1]):
@@ -331,7 +267,7 @@ def _sequence_of(p: Pattern) -> Tuple[Seq, int]:
             left = above.index(1)
             right = above[::-1].index(1)
         seq += [(left, length), (-right, (nxt - start - length) % n)]
-    return tuple(seq), blocks[0][0]
+    return tuple(seq)
 
 
 def collapse_top_blocks(p: Pattern) -> Pattern:
@@ -355,14 +291,15 @@ def check_correspondence(n: int) -> bool:
     """
     for k in range(1, n // 4 + 1):
         for seq in _canonical_sequences(k, n):
-            pat = _pattern_of(seq, 0)
+            pat = pattern_of_necklace(seq)
             # the one parse of the class: proper, with k blocks
             if proper_block_count(pat) != k or not is_reducible(pat):
                 return False
-            if _canonical(_sequence_of(pat)[0]) != seq:
+            if canonicalize(_sequence_of(pat)) != seq:
                 return False
             peeled, _ = peel(pat)
-            if not same_class(_pattern_of(_step(seq), 0), collapse_top_blocks(peeled)):
+            if not same_class(pattern_of_necklace(transform(seq)),
+                              collapse_top_blocks(peeled)):
                 return False
     return True
 
@@ -370,8 +307,22 @@ def check_correspondence(n: int) -> bool:
 # -- export helpers ----------------------------------------------------------------
 
 
-def necklace_to_json_obj(neck: Necklace) -> dict:
-    return {"schema": 1, "n": neck.n, "stones": [list(s) for s in neck.stones]}
+def _placed(seq: Seq) -> Tuple[int, List[Tuple[int, int]]]:
+    """n and the (position, vector) stones: the first at 0, each next one a
+    gap further clockwise."""
+    starts = list(accumulate((gap for _, gap in seq), initial=0))
+    return starts[-1], [(p, v) for p, (v, _) in zip(starts, seq)]
+
+
+def format_necklace(seq: Seq) -> str:
+    n, stones = _placed(seq)
+    body = " ".join(f"{p}:{v:+d}" for p, v in stones)
+    return f"[{n}| {body}]"
+
+
+def necklace_to_json_obj(seq: Seq) -> dict:
+    n, stones = _placed(seq)
+    return {"schema": 1, "n": n, "stones": [[p, v] for p, v in stones]}
 
 
 def dot_transition_graph(k: int, n: int) -> str:

@@ -9,11 +9,19 @@ plain row transfer over every ring state with a quadratic compatibility
 table, kept as a differential oracle for the orbit and cell-by-cell
 kernels; they walk every row, so they are also the oracles for the half
 walks that read tori, free grids and unmasked cylinder columns from two
-half-height transfer vectors.  necklace_oracle and transitions_oracle are
-the deduplicating necklace enumerator over every (vector, gap) sequence and the step on
-positioned Necklace objects, and pattern_of_necklace_oracle writes the
-pattern cell by cell from the positioned stones; both are kept as a
-differential oracle for the sequence kernel.  proper_oracle decides properness by scanning the rows
+half-height transfer vectors.  The necklace oracles work on a placed
+form of their own, Placed (circle length and sorted (position, vector)
+stones): place puts a (vector, gap) sequence on the circle from a given
+start, and stone_sequence reads the sequence back from the lowest stone.
+necklace_oracle and transitions_oracle are the deduplicating necklace
+enumerator over every (vector, gap) sequence and the step on placed
+stones (step_oracle, canonical_oracle), and pattern_of_necklace_oracle
+writes the pattern cell by cell from the placed stones; they are kept as a
+differential oracle for the sequence kernel and for the positions the
+output prints (format_placed).  rotate_rows turns a pattern to a placed
+arrangement's first stone, and first_block_start finds the column at
+which necklace_of_pattern starts reading, so the sequence round trip is
+checked exactly.  proper_oracle decides properness by scanning the rows
 for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
 rows above each long block; both are kept as a differential oracle for the
 column-word grammar of the patterns module.  divrem_oracle and
@@ -44,9 +52,9 @@ and column factors, kept as a differential oracle for the row-major ids
 of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
 division, kept as a differential oracle for the Moebius product.
 parse_pattern reads the two-line text fixture form of a pattern
-("101000 / 111101"), and is_valid is the arrangement-validity oracle
-(alternating directions and the gap parity rules); no src code needs
-either.  load_reduced_forms and
+("101000 / 111101"), and is_valid is the validity oracle of a (vector,
+gap) sequence (alternating directions and the gap parity rules); no src
+code needs either.  load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -60,6 +68,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 from pathlib import Path
+from typing import NamedTuple
 
 from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
@@ -69,7 +78,6 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     random_graph,
     witten_transfer,
 )
-from hardsquares.necklaces import Necklace
 from hardsquares.patterns import Pattern, canonicalize, is_reducible
 from hardsquares.polynomials import IntPoly, RationalGF, series_expand
 from hardsquares.reduction import (
@@ -141,6 +149,31 @@ def torus_oracle(n, mmax):
 _TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
 
 
+class Placed(NamedTuple):
+    """An arrangement with positions: the circle length n and the
+    (position, vector) stones, sorted by position."""
+
+    n: int
+    stones: tuple
+
+
+def place(seq, start=0):
+    """The (vector, gap) sequence seq with its first stone at start and each
+    next one a gap further clockwise."""
+    n, pos, stones = sum(gap for _, gap in seq), start, []
+    for v, gap in seq:
+        stones.append((pos % n, v))
+        pos += gap
+    return Placed(n, tuple(sorted(stones)))
+
+
+def stone_sequence(neck):
+    """The (vector, gap to the next stone) pairs, from the lowest stone."""
+    stones, n = neck.stones, neck.n
+    return tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
+                 for i, (p, v) in enumerate(stones))
+
+
 def _least_symmetry(seq):
     """Least rotation or reflection of a (vector, gap) sequence, all offsets."""
     size = len(seq)
@@ -150,30 +183,14 @@ def _least_symmetry(seq):
                for s in range(size))
 
 
-def _necklace_at_zero(n, seq):
-    stones, pos = [], 0
-    for v, gap in seq:
-        stones.append((pos, v))
-        pos += gap
-    return Necklace(n, tuple(stones))
-
-
-def _stone_sequence(neck):
-    """The (vector, gap to the next stone) pairs, from the lowest stone."""
-    stones, n = neck.stones, neck.n
-    return tuple((v, (stones[(i + 1) % len(stones)][0] - p) % n)
-                 for i, (p, v) in enumerate(stones))
-
-
 def canonical_oracle(neck):
-    """The class of neck, as its representative: the least symmetry of its
+    """The class of a placed arrangement, as the least symmetry of its
     stones' sequence, placed from 0."""
-    return _necklace_at_zero(neck.n, _least_symmetry(_stone_sequence(neck)))
+    return place(_least_symmetry(stone_sequence(neck)))
 
 
-def is_valid(neck):
-    """The alternating-direction and gap-parity conditions."""
-    seq = _stone_sequence(neck)
+def is_valid(seq):
+    """The alternating-direction and gap-parity conditions on a sequence."""
     for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
         if v < 0:  # facing away (next stone's vector points onward): odd gap
             ok = w > 0 and gap % 2 == 1
@@ -186,7 +203,7 @@ def is_valid(neck):
 
 
 def step_oracle(neck):
-    """T on positioned stones: jump, turn, shrink facing pairs at distance 3."""
+    """T on placed stones: jump, turn, shrink facing pairs at distance 3."""
     n = neck.n
     jumped = sorted(((p + v) % n, _TURN[v]) for p, v in neck.stones)
     vecs = dict(jumped)
@@ -194,12 +211,12 @@ def step_oracle(neck):
         q, w = jumped[(i + 1) % len(jumped)]
         if v > 0 and w < 0 and (q - p) % n == 3:
             vecs[p], vecs[q] = 1, -1
-    return Necklace(n, tuple(vecs.items()))
+    return Placed(n, tuple(vecs.items()))
 
 
 def necklace_oracle(k, n):
     """The (k, n) classes by brute force: every sequence of k (facing, away)
-    pairs, deduplicated by its least symmetry."""
+    pairs, deduplicated by its least symmetry, placed from 0."""
     found = set()
 
     def extend(pairs_left, used, seq):
@@ -217,7 +234,7 @@ def necklace_oracle(k, n):
                                seq + [(inward, t_gap), (-outward, a_gap)])
 
     extend(k, 0, [])
-    return sorted(_necklace_at_zero(n, s) for s in found)
+    return sorted(place(s) for s in found)
 
 
 def transitions_oracle(k, n):
@@ -225,9 +242,14 @@ def transitions_oracle(k, n):
             for neck in necklace_oracle(k, n)]
 
 
+def format_placed(neck):
+    """The text line of a placed arrangement, written from its stones."""
+    return f"[{neck.n}| " + " ".join(f"{p}:{v:+d}" for p, v in neck.stones) + "]"
+
+
 def pattern_of_necklace_oracle(neck):
     """Blocks across facing gaps, alternating strips across away gaps,
-    written cell by cell from each positioned stone."""
+    written cell by cell from each placed stone."""
     n, stones = neck.n, neck.stones
     row1 = [0] * n
     row2 = [0] * n
@@ -244,6 +266,22 @@ def pattern_of_necklace_oracle(neck):
             for off in range(1, gap - 1, 2):
                 row2[(p + off) % n] = 1
     return Pattern(tuple(row1), tuple(row2))
+
+
+def rotate_rows(p, start):
+    """p with both rows turned clockwise by start columns: column 0 moves to
+    column start."""
+    cut = -start % p.n
+    return Pattern(p.row1[cut:] + p.row1[:cut], p.row2[cut:] + p.row2[:cut])
+
+
+def first_block_start(row):
+    """The first column, read from just after the first 0, that starts a run
+    of at least three ones."""
+    n, cut = len(row), row.index(0) + 1
+    return next(j % n for j in range(cut, cut + n)
+                if not row[(j - 1) % n] and row[j % n] and row[(j + 1) % n]
+                and row[(j + 2) % n])
 
 
 def parse_pattern(text):

@@ -49,7 +49,10 @@
   read only) exists, and importing hardsquares.cli in a fresh interpreter
   leaves hardsquares.reduction unloaded.  Every tracer counter can read the
   parameter or result field it names, and a traced genfun run, whose
-  distinct-argument key reads pattern_gf's p, exits 0.
+  distinct-argument key reads pattern_gf's p, exits 0.  Traced necklace
+  cycles and verify correspondence runs call necklaces.transform,
+  canonicalize and pattern_of_necklace, the names the tracer books the
+  necklace kernel under.
 """
 
 import importlib
@@ -417,7 +420,7 @@ def test_identity_sweep_with_no_instance_in_range_exits_two(capsys, no_sweeps):
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
     classes = necklaces._canonical_sequences(2, 12)
-    monkeypatch.setattr(necklaces, "_step", lambda seq: classes[0])
+    monkeypatch.setattr(necklaces, "transform", lambda seq: classes[0])
     necklaces._cycles.cache_clear()
     code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")
     necklaces._cycles.cache_clear()
@@ -600,3 +603,22 @@ def test_benchmark_counters_read_what_src_provides():
     assert doc["counters"]["genfun.pattern_gf.distinct"] > 0
     assert doc["counters"]["polynomials.fit_recurrence.terms"] > 0
     assert doc["counters"]["patterns.initial_patterns.terms"] > 0
+
+
+def test_benchmark_traced_necklace_kernel_names_are_live():
+    # the tracer books the necklace step, canonical form and pattern builder
+    # under these names; a kernel behind other names would read 0 calls
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
+    calls = {}
+    for argv in (["necklace", "cycles", "-k", "2", "-n", "12"],
+                 ["verify", "correspondence", "--nmax", "8"]):
+        proc = subprocess.run(
+            [sys.executable, str(TRACER), "cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["exit"] == 0, argv
+        for name, count in doc["calls"].items():
+            calls[name] = calls.get(name, 0) + count
+    for name in ("transform", "canonicalize", "pattern_of_necklace"):
+        assert calls[f"necklaces.{name}"] > 0, name

@@ -1,23 +1,28 @@
 """Stone-arrangement tests.
 
+An arrangement is its (vector, gap) sequence; tests/helpers places one
+(place, stone_sequence) to compare it with the positioned oracles.
+
 Claims covered:
-- constructor normalization and validation (distinct points, even count,
-  vector range); is_valid, the validity oracle of tests/helpers, enforces
-  alternation and the gap parity rules.
+- is_valid, the validity oracle of tests/helpers, enforces alternation and
+  the gap parity rules.
 - the step transformation keeps every class valid, and stepping a
   one-pair arrangement walks the frozen orbit
   (widest gap -> gap 3 -> shrinking long vectors).
-- canonicalize maps rotated and reflected arrangements to one
-  representative Necklace, which stands for the class.
+- canonicalize maps rotated and reflected arrangements to one canonical
+  sequence, which stands for the class.
 - enumeration is empty exactly when 4k > n, rejects k < 1, and its classes
   are all valid.  Size bounds belong to the command line (test_cli).
 - the sequence kernel agrees with the deduplicating enumerator and the
-  step on positioned Necklace objects: the same classes and transitions for
-  every k and every n <= 24 (odd n included), and the same step and class
-  on random valid arrangements.
+  step on placed stones: the same classes and transitions for every k and
+  every n <= 24 (odd n included), printed and exported with the same
+  positions, and the same step, image position and class on random valid
+  arrangements at a random offset.
 - the generator's early-exit leaf test agrees with the canonical form on
-  every candidate it reaches for n <= 20, and pattern_of_necklace with the
-  cell-by-cell builder on random valid arrangements.
+  every candidate it reaches for n <= 20, and pattern_of_necklace, turned
+  to the first stone's column, with the cell-by-cell builder on random
+  valid arrangements, whose patterns necklace_of_pattern reads back
+  exactly: the sequence from the first block, placed at its column.
 - cycle structures match the golden table for every cell up to the command
   line's circle bound, n <= 28 (the full file through n = 36 with
   HARDSQUARES_EXTENDED=1), and the closed forms:
@@ -25,15 +30,16 @@ Claims covered:
   point, and on 4k+2 intervals one (k+2)-cycle plus floor(k/2) fixed points.
 - every cycle length divides n - 3k for even n <= 24.
 - the pattern correspondence: arrangements map to proper reducible patterns
-  with block count k, back-conversion is the identity, and one step of the
+  with block count k, back-conversion is the exact inverse, and one step of the
   arrangement equals peel-then-collapse on the pattern, for all n <= 14;
   and check_correspondence fails for some even n <= 14 once a peel without
   its wipe, an identity collapse, a row builder without the row-1 strips, a
   back-conversion (sequence builder) to unit vectors or a block count that
   counts single second-row ones is patched in, so none of the three
   identities is idle.
-- JSON and DOT exports are deterministic and well formed, and transitions
-  pairs the enumerated representatives with their step images.
+- JSON and DOT exports are deterministic and well formed, each DOT edge
+  joins the oracle's placed class to its placed step image, and
+  transitions pairs the enumerated classes with their step images.
 """
 
 import pytest
@@ -42,7 +48,6 @@ from hypothesis import assume, given, settings, strategies as st
 from hardsquares import necklaces
 from hardsquares.cli import BOUNDS
 from hardsquares.necklaces import (
-    Necklace,
     canonicalize,
     check_correspondence,
     collapse_top_blocks,
@@ -68,59 +73,54 @@ from hardsquares.patterns import (
 )
 from helpers import (
     EXTENDED,
+    Placed,
     canonical_oracle,
+    first_block_start,
+    format_placed,
     is_valid,
     load_golden_cycles,
     parse_pattern,
     pattern_of_necklace_oracle,
+    place,
+    rotate_rows,
     step_oracle,
+    stone_sequence,
     transitions_oracle,
 )
 
 
-def test_constructor_normalization_and_validation():
-    neck = Necklace(8, ((5, -1), (0, 1)))
-    assert neck.stones == ((0, 1), (5, -1))
-    assert len(neck.stones) == 2
-    with pytest.raises(ValueError):
-        Necklace(8, ((0, 1), (0, -1)))  # same point
-    with pytest.raises(ValueError):
-        Necklace(8, ((0, 1),))  # odd stone count
-    with pytest.raises(ValueError):
-        Necklace(8, ((0, 3), (4, -1)))  # vector out of range
-
-
 def test_validity_conditions():
     # facing pair at distance 5 with unit vectors, away gap 3
-    assert is_valid(Necklace(8, ((0, 1), (5, -1))))
+    assert is_valid(((1, 5), (-1, 3)))
     # same-direction consecutive stones
-    assert not is_valid(Necklace(8, ((0, 1), (5, 1))))
+    assert not is_valid(((1, 5), (1, 3)))
     # facing distance 3 needs unit vectors
-    assert is_valid(Necklace(8, ((0, 1), (3, -1))))
-    assert not is_valid(Necklace(8, ((0, 2), (3, -1))))
+    assert is_valid(((1, 3), (-1, 5)))
+    assert not is_valid(((2, 3), (-1, 5)))
     # away gap must be odd: distance 4 facing with mixed lengths makes
     # the away gap 4 as well
-    assert not is_valid(Necklace(8, ((0, 1), (4, -2))))
+    assert not is_valid(((1, 4), (-2, 4)))
     # parity: facing gap 4 needs vector lengths of opposite parity
-    assert is_valid(Necklace(9, ((0, 1), (4, -2))))
+    assert is_valid(((1, 4), (-2, 5)))
     # facing pair closer than 3
-    assert not is_valid(Necklace(6, ((0, 1), (2, -1), (3, 1), (5, -1))))
+    assert not is_valid(((1, 2), (-1, 1), (1, 2), (-1, 1)))
 
 
 def test_step_on_one_pair_orbit():
     # widest one-pair arrangement on 8 intervals: facing gap 7, unit vectors
-    widest = Necklace(8, ((0, 1), (7, -1)))
+    widest = ((1, 7), (-1, 1))
     orbit = [widest]
     for _ in range(5):
         orbit.append(transform(orbit[-1]))
         assert is_valid(orbit[-1])
     # the jump lands the pair facing at distance 3 with long vectors, which
-    # the fix shrinks; the orbit then widens again and closes after 5 = n-3
-    assert orbit[1] == Necklace(8, ((1, -1), (6, 1)))   # facing gap 3
-    assert orbit[2] == Necklace(8, ((0, 2), (7, -2)))   # facing gap 7, long
-    assert orbit[3] == Necklace(8, ((2, -1), (5, 1)))   # facing gap 5
-    assert orbit[4] == Necklace(8, ((1, 2), (6, -2)))   # facing gap 5, long
-    assert orbit[5] == Necklace(8, ((3, -1), (4, 1)))   # facing gap 7 again
+    # the fix shrinks; the orbit then widens again and closes after 5 = n-3.
+    # Element i of each image is stone i's image.
+    assert orbit[1] == ((-1, 5), (1, 3))   # facing gap 3
+    assert orbit[2] == ((2, 7), (-2, 1))   # facing gap 7, long
+    assert orbit[3] == ((-1, 3), (1, 5))   # facing gap 5
+    assert orbit[4] == ((2, 5), (-2, 3))   # facing gap 5, long
+    assert orbit[5] == ((-1, 1), (1, 7))   # facing gap 7 again
     assert canonicalize(orbit[5]) == canonicalize(widest)
 
 
@@ -132,14 +132,15 @@ def test_step_keeps_classes_valid():
 
 
 def test_canonicalize_identifies_isometries():
-    neck = Necklace(12, ((0, 1), (5, -1), (8, 1), (11, -1)))
-    assert is_valid(neck)
-    cls = canonicalize(neck)
-    rotated = Necklace(12, tuple(((p + 7) % 12, v) for p, v in neck.stones))
-    reflected = Necklace(12, tuple(((-p) % 12, -v) for p, v in neck.stones))
-    assert canonicalize(rotated) == cls
-    assert canonicalize(reflected) == cls
-    assert canonicalize(transform(neck)) != cls  # this one moves
+    seq = ((1, 5), (-1, 3), (1, 3), (-1, 1))  # stones at 0, 5, 8 and 11
+    assert is_valid(seq)
+    cls = canonicalize(seq)
+    stones = place(seq).stones
+    rotated = [((p + 7) % 12, v) for p, v in stones]
+    reflected = [(-p % 12, -v) for p, v in stones]
+    for image in (rotated, reflected):
+        assert canonicalize(stone_sequence(Placed(12, tuple(sorted(image))))) == cls
+    assert canonicalize(transform(seq)) != cls  # this one moves
 
 
 def test_enumeration_counts_and_bounds():
@@ -168,8 +169,15 @@ def test_enumeration_and_step_match_dedupe_oracle():
     for n in range(1, 25):
         for k in range(1, n // 4 + 2):
             expect = transitions_oracle(k, n)
-            assert enumerate_necklaces(k, n) == [src for src, _ in expect], (k, n)
-            assert transitions(k, n) == expect, (k, n)
+            classes = enumerate_necklaces(k, n)
+            assert [place(seq) for seq in classes] == [src for src, _ in expect], (k, n)
+            assert [(place(a), place(b)) for a, b in transitions(k, n)] == expect, (k, n)
+            # output places the stones as the oracle does: from 0, a gap apart
+            assert [format_necklace(seq) for seq in classes] == [
+                format_placed(src) for src, _ in expect], (k, n)
+            assert [necklace_to_json_obj(seq) for seq in classes] == [
+                {"schema": 1, "n": n, "stones": [list(s) for s in src.stones]}
+                for src, _ in expect], (k, n)
 
 
 @st.composite
@@ -181,30 +189,29 @@ def arrangements(draw):
         t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
         seq.append((inward, t_lo + 2 * draw(st.integers(0, 3))))
         seq.append((-outward, 1 + 2 * draw(st.integers(0, 3))))
-    n = sum(gap for _, gap in seq)
-    pos, stones = draw(st.integers(0, n - 1)), []
-    for v, gap in seq:
-        stones.append((pos, v))
-        pos += gap
-    return Necklace(n, tuple(stones))
+    return place(seq, draw(st.integers(0, sum(gap for _, gap in seq) - 1)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(arrangements())
 def test_sequence_step_matches_necklace_step(neck):
-    assert is_valid(neck)
-    assert canonicalize(neck) == canonical_oracle(neck)
-    assert transform(neck) == step_oracle(neck)
-    assert canonicalize(transform(neck)) == canonical_oracle(step_oracle(neck))
+    seq = stone_sequence(neck)
+    assert is_valid(seq)
+    assert place(canonicalize(seq)) == canonical_oracle(neck)
+    p0, v0 = neck.stones[0]  # stone 0 of the image sits where stone 0 jumps
+    assert place(transform(seq), p0 + v0) == step_oracle(neck)
+    assert place(canonicalize(transform(seq))) == canonical_oracle(step_oracle(neck))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(arrangements())
 def test_pattern_of_necklace_matches_placed_oracle(neck):
     assume(neck.n % 2 == 0)  # patterns have even length
-    assert pattern_of_necklace(neck) == pattern_of_necklace_oracle(neck)
-    stepped = transform(neck)
-    assert pattern_of_necklace(stepped) == pattern_of_necklace_oracle(stepped)
+    for placed in (neck, step_oracle(neck)):
+        pat = pattern_of_necklace_oracle(placed)
+        start = placed.stones[0][0]
+        assert rotate_rows(pattern_of_necklace(stone_sequence(placed)), start) == pat
+        assert place(necklace_of_pattern(pat), first_block_start(pat.row2)) == placed
 
 
 def test_leaf_test_matches_canonical_form(monkeypatch):
@@ -212,7 +219,7 @@ def test_leaf_test_matches_canonical_form(monkeypatch):
 
     def checked(cand):
         verdict = leaf(cand)
-        assert verdict == (cand == necklaces._canonical(cand)), cand
+        assert verdict == (cand == canonicalize(cand)), cand
         verdicts.append(verdict)
         return verdict
 
@@ -252,13 +259,13 @@ def test_cycle_length_lcm_values():
 
 def test_pattern_of_necklace_example():
     # facing gap 3 plus away gap 1 on 4 intervals: one 3-block, nothing above
-    tight = Necklace(4, ((0, 1), (3, -1)))
+    tight = ((1, 3), (-1, 1))
     assert pattern_of_necklace(tight) == parse_pattern("0000 / 1110")
     # facing gap 5 with unit vectors: 101 above the middle of the block
-    wide = Necklace(8, ((0, 1), (5, -1)))
+    wide = ((1, 5), (-1, 3))
     assert pattern_of_necklace(wide) == parse_pattern("01010000 / 11111010")
     # long vectors pull the first-row strip inward
-    long_vecs = Necklace(10, ((0, 2), (7, -2)))
+    long_vecs = ((2, 7), (-2, 3))
     assert pattern_of_necklace(long_vecs) == parse_pattern(
         "0010100000 / 1111111010")
 
@@ -271,7 +278,10 @@ def test_round_trip_and_block_counts():
                 assert is_proper(pat)
                 assert is_reducible(pat)
                 assert block_count(pat) == k
-                assert necklace_of_pattern(pat) == cls
+                # read from the first block and placed at its column, the
+                # sequence read back is cls placed from 0
+                back = necklace_of_pattern(pat)
+                assert place(back, first_block_start(pat.row2)) == place(cls)
 
 
 def test_necklace_of_pattern_validation():
@@ -298,14 +308,13 @@ def _peel_without_wipe(p):
     return Pattern(p.row2, (1,) * p.n), (-1) ** sum(p.row1)
 
 
-def _rows_without_strips(seq, start):
-    pat = _real_pattern_of(seq, start)
+def _rows_without_strips(seq):
+    pat = pattern_of_necklace(seq)  # unpatched: the patch rebinds necklaces' name only
     return Pattern((0,) * pat.n, pat.row2)
 
 
 def _sequence_with_unit_vectors(p):
-    seq, start = _real_sequence_of(p)
-    return tuple((1 if v > 0 else -1, gap) for v, gap in seq), start
+    return tuple((1 if v > 0 else -1, gap) for v, gap in _real_sequence_of(p))
 
 
 def _count_single_ones_too(p):
@@ -315,7 +324,7 @@ def _count_single_ones_too(p):
     return None if count is None else count + singles
 
 
-_real_pattern_of, _real_sequence_of = necklaces._pattern_of, necklaces._sequence_of
+_real_sequence_of = necklaces._sequence_of
 
 
 # Each fault, with the identities that catch it on their own; every
@@ -323,7 +332,7 @@ _real_pattern_of, _real_sequence_of = necklaces._pattern_of, necklaces._sequence
 @pytest.mark.parametrize("name, fake", [
     ("peel", _peel_without_wipe),                    # third
     ("collapse_top_blocks", lambda p: p),            # third
-    ("_pattern_of", _rows_without_strips),           # first and third
+    ("pattern_of_necklace", _rows_without_strips),   # first and third
     ("_sequence_of", _sequence_with_unit_vectors),   # second
     ("proper_block_count", _count_single_ones_too),  # first
 ])
@@ -333,16 +342,20 @@ def test_correspondence_catches_a_broken_part(monkeypatch, name, fake):
 
 
 def test_exports():
-    neck = Necklace(8, ((0, 1), (5, -1)))
-    assert necklace_to_json_obj(neck) == {
+    seq = ((1, 5), (-1, 3))
+    assert necklace_to_json_obj(seq) == {
         "schema": 1, "n": 8, "stones": [[0, 1], [5, -1]]}
-    assert format_necklace(neck) == "[8| 0:+1 5:-1]"
+    assert format_necklace(seq) == "[8| 0:+1 5:-1]"
     dot = dot_transition_graph(1, 6)
     assert dot.startswith('digraph "neck_1_6" {')
     assert dot.endswith("}")
     assert dot.count("->") == len(enumerate_necklaces(1, 6)) == 3
     assert dot == dot_transition_graph(1, 6)  # deterministic
+    for k, n in ((1, 6), (2, 11), (3, 14)):
+        edges = dot_transition_graph(k, n).splitlines()[1:-1]
+        assert edges == [f'  "{format_placed(a)}" -> "{format_placed(b)}";'
+                         for a, b in transitions_oracle(k, n)], (k, n)
     pairs = transitions(1, 6)
-    assert len(pairs) == 3
-    assert all(type(a) is type(b) is Necklace for a, b in pairs)
-    assert [a for a, _ in pairs] == enumerate_necklaces(1, 6)
+    classes = enumerate_necklaces(1, 6)
+    assert [a for a, _ in pairs] == classes
+    assert sorted(b for _, b in pairs) == classes  # T permutes the classes

@@ -3,12 +3,12 @@
 Covers every record: its repr and hash equal those of a frozen dataclass
 with the same name and fields (so printed output and set order stay as
 they were), equal records hash equal, and no attribute can be set.  The
-two ordered types, Pattern and Necklace, sort in field-tuple order, so the
-canonical patterns and necklaces that stand for their classes do too.  The
-three validating types (Pattern, GridSpec, Necklace) raise the same
-ValueError messages, and a Necklace still sorts its stones onto the
-circle.  A record is a tuple, so it now also compares equal to the plain
-tuple of its fields; the last test pins that.
+ordered type, Pattern, sorts in field-tuple order, so the canonical
+patterns that stand for their classes do too.  The two validating types
+(Pattern, GridSpec) raise the same ValueError messages.  A record is a
+tuple, so it now also compares equal to the plain tuple of its fields; the
+last test pins that.  A necklace class has no record: it is its canonical
+(vector, gap) sequence, a plain tuple (test_necklaces).
 """
 
 import random
@@ -19,7 +19,6 @@ import pytest
 from hardsquares.cli import CheckResult
 from hardsquares.genfun import PeriodicityReport
 from hardsquares.graphs import Graph, GridSpec, IdentityCheck
-from hardsquares.necklaces import Necklace, enumerate_necklaces
 from hardsquares.patterns import (
     Pattern,
     SignedPatternCombo,
@@ -28,7 +27,6 @@ from hardsquares.patterns import (
 from hardsquares.reduction import Configuration, ReductionState, TraceStep, Verdict
 
 PATTERN = Pattern((0, 1, 0, 0), (1, 1, 0, 1))
-NECKLACE = Necklace(8, ((0, -1), (1, 2), (6, -2), (3, 1)))
 STATE = ReductionState(Graph(range(3), [(0, 1)]), 1, (TraceStep("fold", (0, 2)),))
 
 RECORDS = [
@@ -38,7 +36,6 @@ RECORDS = [
     IdentityCheck("one_row_cylinder_shift3", "cylinder", 1, 7, -1, -1),
     PATTERN,
     SignedPatternCombo(((PATTERN, -2),)),
-    NECKLACE,
     STATE.trace[0],
     STATE,
     Verdict("REDUCED", STATE),
@@ -81,13 +78,11 @@ def test_records_are_immutable(rec):
 
 
 def test_ordered_records_sort_in_field_order():
-    rng = random.Random(5)
-    for items, key in ((enumerate_proper(10), lambda p: (p.row1, p.row2)),
-                       (enumerate_necklaces(2, 14), lambda k: (k.n, k.stones))):
-        assert len(items) > 5
-        shuffled = items[:]
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == sorted(shuffled, key=key)
+    items = enumerate_proper(10)
+    assert len(items) > 5
+    shuffled = items[:]
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=lambda p: (p.row1, p.row2))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -100,20 +95,11 @@ def test_ordered_records_sort_in_field_order():
      "unknown family 'ring'; expected one of ('free', 'cylinder', 'torus')"),
     (lambda: GridSpec("free", 1.0, 2), "grid sizes must be integers"),
     (lambda: GridSpec("torus", 3, -1), "grid sizes must be non-negative"),
-    (lambda: Necklace(0, ((0, 1), (1, -1))), "circle length must be positive"),
-    (lambda: Necklace(6, ((0, 1),)), "an arrangement has a positive even stone count"),
-    (lambda: Necklace(6, ((0, 1), (6, -1))), "stones must sit at distinct points"),
-    (lambda: Necklace(6, ((0, 3), (2, -1))), "stone vectors must be one of -2, -1, 1, 2"),
 ])
 def test_validation_messages_are_unchanged(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
-
-
-def test_necklace_sorts_its_stones_onto_the_circle():
-    assert Necklace(4, ((5, 1), (2, -1))).stones == ((1, 1), (2, -1))
-    assert Necklace(n=4, stones=[(2, -1), (-3, 1)]) == Necklace(4, ((1, 1), (2, -1)))
 
 
 def test_records_compare_equal_to_their_field_tuples():
