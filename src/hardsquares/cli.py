@@ -75,7 +75,7 @@ SCHEMA = 1
 #   width:   row-mask width (witten, table1, genfun's fit, verify identities);
 #            cold: cylinder 20x18 ~0.3 s, free 18x18 ~0.3 s, torus 18x18 ~7 s
 #   pattern: pattern-route circumference (even genfun, verify conjectures);
-#            cold: genfun -n 16 ~0.4 s, -n 18 ~1.5 s
+#            cold: genfun -n 16 ~0.45 s, -n 18 ~1.5 s
 #   circle:  necklace circle length (necklace, verify correspondence)
 BOUNDS = {"width": 18, "pattern": 16, "circle": 28}
 

@@ -42,7 +42,7 @@ from .patterns import (
     is_reducible,
     leftmost_block_middle,
     peel,
-    z_pattern,
+    row_mask,
     z_pattern_series,
 )
 from .polynomials import (
@@ -96,7 +96,9 @@ def pattern_gf(p: Pattern) -> RationalGF:
         position[cur] = len(path)
         if is_reducible(cur):
             peeled, sign = peel(cur)
-            side = RationalGF(IntPoly((0, 0, z_pattern(cur, 2))))
+            # z(P;2) = sign * Z(one ring row masked by row 1 of peel(P))
+            z2 = sign * column_series(cur.n, 1, (row_mask(peeled.row1),))[1]
+            side = RationalGF(IntPoly((0, 0, z2)))
             path.append((cur, side, sign, 1))
             cur = canonicalize(peeled)
         else:
@@ -120,7 +122,8 @@ def pattern_gf(p: Pattern) -> RationalGF:
             raise ConsistencyError(f"successor cycle of {cur} contains no peel step")
         series = accumulated / (ONE - T ** a * sigma)
 
-    # one gcd per step: the signed shift keeps series reduced, only + reduces
+    # the signed shift keeps series reduced, and + divides out only a factor
+    # of its denominators' gcd: none against a peel step's polynomial side
     for cls_j, side, sign, shift in reversed(path):
         series = side + series.times_monomial(sign, shift)
         memo[cls_j] = _validate_pattern_gf(cls_j, series)

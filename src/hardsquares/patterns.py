@@ -2,9 +2,9 @@
 
 A pattern is a 2 x n 0/1 matrix (n even, columns cyclic) with every first-row
 1 sitting on a second-row 1.  Masking the first two rows of P_m x C_n by a
-pattern gives the graph whose Witten index z_pattern computes; the all-ones
-pattern recovers the full cylinder.  Three rewrite operations generate the
-calculus:
+pattern gives a graph with Witten index z(P, m), which z_pattern_series
+computes; the all-ones pattern recovers the full cylinder.  Three rewrite
+operations generate the calculus:
 
   delete_top(P, i)               zero the row-1 entry at i
   delete_top_neighborhood(P, i)  zero row-1 at i-1, i, i+1 and row-2 at i
@@ -17,6 +17,11 @@ with the index identities (m counted as grid rows, m >= 2):
 
   z(P, m) = z(delete_top(P,i), m) - z(delete_top_neighborhood(P,i), m)
   z(P, m) = (-1)^k * z(peel(P), m-1)        (usable once m-1 >= 2)
+  z(P, 2) = (-1)^k * Z(one ring row masked by row 1 of peel(P))
+
+The last is the peel identity at m = 2: each isolated row-1 one is a leaf
+on its row-2 cell, and taking that cell's neighbourhood leaves row 2 wiped
+as peel wipes the new row 1.
 
 Proper patterns are the closed class these operations stay inside.  Read a
 pattern as a cyclic word in the column letters a = (0,0), b = (0,1) and
@@ -40,8 +45,8 @@ Patterns related by rotation or reflection of the cycle give isomorphic
 graphs; a class is its canonical pattern, which canonicalize() returns.
 
 Index series convention: the pattern-level generating function starts at
-m = 2 (z_pattern is undefined below that); the cylinder series prepends its
-m = 0, 1 values separately.
+m = 2 (z_pattern_series sets the entries below that to 0); the cylinder
+series prepends its m = 0, 1 values separately.
 """
 
 from __future__ import annotations
@@ -135,15 +140,13 @@ def masked_graph(p: Pattern, m: int) -> Graph:
 def z_pattern_series(p: Pattern, m_max: int) -> List[int]:
     """[z(P;m) for m = 0..m_max] with the m < 2 entries set to 0: the column
     kernel with rows 1 and 2 masked by the pattern's rows."""
-    masks = tuple(sum(b << i for i, b in enumerate(row)) for row in (p.row1, p.row2))
+    masks = (row_mask(p.row1), row_mask(p.row2))
     return [0, 0][:m_max + 1] + column_series(p.n, m_max, masks)[2:]
 
 
-def z_pattern(p: Pattern, m: int) -> int:
-    """Witten index of the masked cylinder with m rows (m >= 2)."""
-    if m < 2:
-        raise ValueError("z_pattern needs m >= 2")
-    return z_pattern_series(p, m)[m]
+def row_mask(row: Bits) -> int:
+    """The row as a bit mask, column i at bit i."""
+    return sum(b << i for i, b in enumerate(row))
 
 
 # -- rewrite operations ------------------------------------------------------------------

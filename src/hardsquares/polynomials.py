@@ -7,10 +7,16 @@ Berlekamp-Massey elimination is fraction-free.  IntPoly stores ascending
 coefficients with no trailing zeros.  RationalGF keeps a canonical reduced
 form (polynomial gcd divided out, integer content 1, positive leading
 denominator coefficient) so that structural equality compares mathematical
-equality.  fit_recurrence reconstructs the minimal linear recurrence behind
-an integer sequence and refuses to answer when the sequence is too short to
-certify it.  It is the one function that takes a caller's sequence, so it
-checks once that every term is an int; the arithmetic inside trusts that.
+equality.  The constructor reduces a raw pair by one full gcd.  The
+operators start from reduced operands, so they divide out only what can
+cancel (Henrici's method): a sum a/b + c/d only a factor of gcd(b, d), a
+product only gcd(a, d) and gcd(c, b).  A sum with a polynomial and a
+product with an int run no polynomial gcd, and every route ends in the
+constructor's canonical form.  fit_recurrence reconstructs the minimal
+linear recurrence behind an integer sequence and refuses to answer when the
+sequence is too short to certify it.  It is the one function that takes a
+caller's sequence, so it checks once that every term is an int; the
+arithmetic inside trusts that.
 """
 
 from __future__ import annotations
@@ -315,7 +321,11 @@ class RationalGF:
 
     Canonical form: the polynomial gcd is divided out, the integer content of
     numerator and denominator together is 1, and the denominator's leading
-    coefficient is positive.  Equality is structural on that form.
+    coefficient is positive.  Equality is structural on that form.  The
+    constructor reduces a raw pair with one full gcd; the operators reach
+    the same form from reduced operands by the gcds of their denominators
+    and cross factors alone (Henrici, JACM 3 (1956); Knuth, TAOCP 2,
+    4.5.1).
     """
 
     __slots__ = ("num", "den")
@@ -325,31 +335,25 @@ class RationalGF:
         den = as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = ONE
-        else:
-            if num.degree > 0 and den.degree > 0:  # else the gcd is constant
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-            c = gcd(num.content, den.content)
-            if c > 1:
-                num = IntPoly(x // c for x in num.coeffs)
-                den = IntPoly(x // c for x in den.coeffs)
-        if den.leading < 0:
-            num, den = -num, -den
-        if den.coefficient(0) == 0:
-            raise ValueError("denominator vanishes at t = 0; no power series exists")
-        self.num = num
-        self.den = den
+        g = _nonconstant_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
+        self.num, self.den = _normalised(num, den)
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "GFLike") -> "RationalGF":
         other = as_gf(other)
-        return RationalGF(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = b if b == d else _nonconstant_gcd(b, d)
+        if g.degree <= 0:  # coprime denominators: the plain sum is reduced
+            return _coprime_gf(a * d + c * b, b * d)
+        b, d = b.exact_div(g), d.exact_div(g)
+        s = a * d + c * b  # over b d g; only a factor of g can cancel
+        h = _nonconstant_gcd(s, g)
+        if h.degree > 0:
+            s, g = s.exact_div(h), g.exact_div(h)
+        return _coprime_gf(s, b * d * g)
 
     def __sub__(self, other: "GFLike") -> "RationalGF":
         return self + -as_gf(other)
@@ -359,13 +363,13 @@ class RationalGF:
 
     def __mul__(self, other: "GFLike") -> "RationalGF":
         other = as_gf(other)
-        return RationalGF(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "GFLike") -> "RationalGF":
         other = as_gf(other)
         if other.num.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return RationalGF(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -390,6 +394,47 @@ class RationalGF:
         if self.den == ONE:
             return format_poly(self.num)
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
+
+
+def _normalised(num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """The canonical pair of num / den when their polynomial gcd is constant:
+    joint integer content divided out, positive leading denominator
+    coefficient; ValueError when den(0) = 0."""
+    if num.is_zero:
+        den = ONE
+    else:
+        c = gcd(num.content, den.content)
+        if c > 1:
+            num = IntPoly(x // c for x in num.coeffs)
+            den = IntPoly(x // c for x in den.coeffs)
+    if den.leading < 0:
+        num, den = -num, -den
+    if den.coefficient(0) == 0:
+        raise ValueError("denominator vanishes at t = 0; no power series exists")
+    return num, den
+
+
+def _coprime_gf(num: IntPoly, den: IntPoly) -> RationalGF:
+    """num / den for a pair whose polynomial gcd is already constant."""
+    out = object.__new__(RationalGF)
+    out.num, out.den = _normalised(num, den)
+    return out
+
+
+def _nonconstant_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """poly_gcd(a, b), or ONE without a gcd run when either is constant."""
+    return poly_gcd(a, b) if a.degree > 0 and b.degree > 0 else ONE
+
+
+def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalGF:
+    """(a c) / (b d) for coprime pairs (a, b) and (c, d), d nonzero: only
+    gcd(a, d) and gcd(c, b) can cancel."""
+    g, h = _nonconstant_gcd(a, d), _nonconstant_gcd(c, b)
+    if g.degree > 0:
+        a, d = a.exact_div(g), d.exact_div(g)
+    if h.degree > 0:
+        c, b = c.exact_div(h), b.exact_div(h)
+    return _coprime_gf(a * c, b * d)
 
 
 GFLike = Union[RationalGF, IntPoly, int]

@@ -51,6 +51,8 @@ circumference.  labelled_grid_oracle builds a grid from its labelled row
 and column factors, kept as a differential oracle for the row-major ids
 of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
 division, kept as a differential oracle for the Moebius product.
+z_pattern is one entry z(P, m) of z_pattern_series, the pointwise form
+in which the tests state the pattern identities; src reads whole series.
 parse_pattern reads the two-line text fixture form of a pattern
 ("101000 / 111101"), and is_valid is the validity oracle of a (vector,
 gap) sequence (alternating directions and the gap parity rules); no src
@@ -78,7 +80,7 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     random_graph,
     witten_transfer,
 )
-from hardsquares.patterns import Pattern, canonicalize, is_reducible
+from hardsquares.patterns import Pattern, canonicalize, is_reducible, z_pattern_series
 from hardsquares.polynomials import IntPoly, RationalGF, series_expand
 from hardsquares.reduction import (
     CONTRACTIBLE,
@@ -282,6 +284,13 @@ def first_block_start(row):
     return next(j % n for j in range(cut, cut + n)
                 if not row[(j - 1) % n] and row[j % n] and row[(j + 1) % n]
                 and row[(j + 2) % n])
+
+
+def z_pattern(p, m):
+    """Witten index of the masked cylinder with m rows (m >= 2)."""
+    if m < 2:
+        raise ValueError("z_pattern needs m >= 2")
+    return z_pattern_series(p, m)[m]
 
 
 def parse_pattern(text):

@@ -17,7 +17,8 @@ follows, and a companion test pins each:
   disagreed.
 * criterion 5: the conjectured denominator product is checked as the
   genfun module documents it.  It clears every pole for circumferences
-  2, 6, 8, 10 and 12.  At circumference 4 it is the empty product times
+  2, 6, 8, 10 and 12 (and, in the companion test, 14 and 16).  At
+  circumference 4 it is the empty product times
   (1 - t^2) = Phi_1 Phi_2, while f_4 has the denominator Phi_1 Phi_2^2, a
   double pole at t = -1; the product lacks exactly one factor Phi_2.
 
@@ -76,11 +77,16 @@ from hardsquares.patterns import (
     is_reducible,
     leftmost_block_middle,
     peel,
-    z_pattern,
 )
 from hardsquares.polynomials import RationalGF, cyclotomic, series_expand
 from hardsquares.reduction import replay_trace, simplify
-from helpers import EXTENDED, load_golden_cycles, load_reduced_forms, random_graph
+from helpers import (
+    EXTENDED,
+    load_golden_cycles,
+    load_reduced_forms,
+    random_graph,
+    z_pattern,
+)
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -209,8 +215,9 @@ def test_denominator_product_status_by_circumference():
     # pins the checker's split: the product clears every pole except at
     # circumference 4, where the series has a double pole at t = -1 but
     # the product only a simple zero
-    status = {n: check_denominator_form(n, cylinder_gf(n)) for n in range(2, 13, 2)}
-    assert status == {2: True, 4: False, 6: True, 8: True, 10: True, 12: True}
+    status = {n: check_denominator_form(n, cylinder_gf(n)) for n in range(2, 17, 2)}
+    assert status == {2: True, 4: False, 6: True, 8: True, 10: True, 12: True,
+                      14: True, 16: True}
 
 
 def test_criterion_06_reduced_series_periods():

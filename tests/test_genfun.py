@@ -8,13 +8,15 @@ Claims covered:
   -t^2/(1+t^2); the one-block class 101110/111111 gives
   t^2(1 - t - t^3)/((t^2+1)(t^3-1)) with a 12-periodic tail.
 - cylinder_gf matches the golden reduced forms (numerator coefficients and
-  cyclotomic denominators) for n = 2..14, and its series prefix equals the
-  raw column series; at n = 16, where no form is stored, the pattern route
-  and the certified fit still agree.
+  cyclotomic denominators) for n = 2..16, and its series prefix equals the
+  raw column series.
 - every cached pattern series is in the canonical reduced form, although
-  the back-substitution reduces only its sums, and a series that is not
-  integral is a ConsistencyError (exit 1), not a usage error.  The class
-  memo keeps one dict for each of the last four circumferences used.
+  the operators reduce by the gcds of denominators and cross factors
+  only, and a series that is not integral is a ConsistencyError (exit 1),
+  not a usage error.  The class memo keeps one dict for each of the last
+  four circumferences used.  With fresh caches, cylinder_gf(n) stacks
+  2 * (classes walked) + (reducible classes) + 1 ring rows cell by cell:
+  31 at n = 8, 97 at n = 12.
 - cylinder_gf always compares its result with the certified fit: a
   disagreeing fit is a ConsistencyError, and through the CLI one
   `FAIL internal consistency` line with exit status 1.  Invalid
@@ -32,12 +34,14 @@ Claims covered:
 - periodicity reports: periods 4, 12, 56 at n = 2, 6, 10 with squarefree
   denominators; no period and multiplicity exactly 2 at n = 4, 8, 12.
 - the structural denominator bound derived from stone-arrangement cycle
-  lengths covers every proper class of length up to 10.
+  lengths covers every proper class of length up to 10; its degree is
+  2 + sum over levels k = 1..b of 2 * cycle_length_lcm(k, n), and the
+  check fails on a series with a pole outside the bound.
 """
 
 import pytest
 
-from hardsquares import cli, genfun
+from hardsquares import cli, genfun, graphs
 from hardsquares.cli import main
 from hardsquares.errors import ConsistencyError
 from hardsquares.genfun import (
@@ -51,9 +55,11 @@ from hardsquares.genfun import (
     periodicity_report,
 )
 from hardsquares.graphs import _orbits, column_series
+from hardsquares.necklaces import cycle_length_lcm
 from hardsquares.patterns import (
     block_count,
     enumerate_proper,
+    is_reducible,
     z_pattern_series,
 )
 from hardsquares.polynomials import (
@@ -98,7 +104,7 @@ def test_blockless_denominators():
 
 def test_cylinder_gf_matches_golden_reduced_forms():
     table = load_reduced_forms()
-    for n in (2, 4, 6, 8, 10, 12, 14):
+    for n in (2, 4, 6, 8, 10, 12, 14, 16):
         gf = cylinder_gf(n)
         num, factors = table[n]
         assert gf.num == num, n
@@ -107,8 +113,6 @@ def test_cylinder_gf_matches_golden_reduced_forms():
 
 
 def test_cylinder_gf_series_prefix_is_column_series():
-    # n = 16 has no stored form: cylinder_gf raises unless the pattern route
-    # and the certified fit agree
     for n in (2, 4, 6, 8, 16):
         assert series_expand(cylinder_gf(n), 24) == column_series(n, 24)
 
@@ -130,6 +134,23 @@ def test_cached_pattern_series_are_reduced():
     assert len(genfun._PATTERN_GF[14]) >= 64  # the n = 14 classes walked
     for g in genfun._PATTERN_GF[14].values():
         assert g == RationalGF(g.num, g.den)  # equality is structural
+
+
+def test_walk_stacks_each_reducible_class_once_more(monkeypatch):
+    # validation stacks two masked rows per class walked, a reducible class's
+    # side term z(P;2) one, and the ring's orbits one
+    steps = []
+    row_step = graphs._row_step
+    monkeypatch.setattr(graphs, "_row_step",
+                        lambda *a, **kw: steps.append(a) or row_step(*a, **kw))
+    for n, expected in ((8, 31), (12, 97)):
+        monkeypatch.setattr(genfun, "_PATTERN_GF", {})
+        _orbits.cache_clear()
+        steps.clear()
+        cylinder_gf(n)
+        walked = genfun._PATTERN_GF[n]
+        reducible = sum(1 for cls in walked if is_reducible(cls))
+        assert len(steps) == 2 * len(walked) + reducible + 1 == expected, n
 
 
 def test_pattern_memo_keeps_the_last_four_circumferences():
@@ -256,3 +277,19 @@ def test_block_count_denominator_bound():
             assert check_block_count_denominator(cls), str(cls)
     # the bound itself: blockless level only contributes the two-term factor
     assert denominator_bound(6, 0) == ONE + T ** 2
+    assert denominator_bound(8, 1) == (ONE - T ** 2) * (ONE - T ** 10)
+
+
+def test_denominator_bound_degree_counts_every_block_level():
+    for n in (8, 10, 12, 14, 16):
+        for b in range(1, n // 4 + 1):
+            levels = sum(2 * cycle_length_lcm(k, n) for k in range(1, b + 1))
+            assert denominator_bound(n, b).degree == 2 + levels, (n, b)
+
+
+def test_block_count_denominator_rejects_a_pole_outside_the_bound(monkeypatch):
+    cls = parse_pattern("01010111 / 11111111")
+    assert block_count(cls) == 1 and check_block_count_denominator(cls)
+    extra_pole = pattern_gf(cls) * RationalGF(ONE, IntPoly((1, -2)))
+    monkeypatch.setattr(genfun, "pattern_gf", lambda p: extra_pole)
+    assert not check_block_count_denominator(cls)

@@ -39,8 +39,8 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # reads them.
 KEEP = {
     "patterns.masked_graph":
-        "the brute route for pattern series, a paper claim: z_pattern is "
-        "checked against witten_brute on it",
+        "the brute route for pattern series, a paper claim: "
+        "z_pattern_series is checked against witten_brute on it",
     "graphs.Graph.without_edge":
         "the index form of edge removal, Z(G - e) = Z(G) + Z(residue); the "
         "edge rule of ROADMAP item 3 gives it a src caller",

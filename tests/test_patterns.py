@@ -6,9 +6,9 @@ Claims covered:
   entries, no 1 above a 0).
 - masked_graph drops exactly the masked row-1/row-2 vertices; the worked
   six-column example with four rows has 19 vertices.
-- z_pattern equals the brute-force Witten index of masked_graph for every
-  pattern of length 4 and 6 with m in {2,3,4}, and the all-ones pattern
-  reproduces the cylinder index; z_pattern_series equals the
+- z_pattern_series equals the brute-force Witten index of masked_graph
+  for every pattern of length 4 and 6 with m in {2,3,4}, and the all-ones
+  pattern reproduces the cylinder index; it equals the
   compatibility-table oracle on random masked patterns (proper or not)
   of length up to 12.
 - canonicalize identifies all 2n rotations/reflections and nothing else,
@@ -27,7 +27,9 @@ Claims covered:
   has coefficients (1, -3, 3, -1) summing to the cylinder index.
 - delete identity z(P) = z(V) - z(N) for m in [2,8] and peel identity
   z(P;m) = sign * z(peeled;m-1) for m in [3,8] on all proper patterns of
-  length <= 8.
+  length <= 8; at m = 2, z(P;2) = sign * Z(one ring row masked by the
+  peeled row 1) on all 206 reducible proper classes of length <= 16.
+  z_pattern, one entry of z_pattern_series, is a test helper.
 - peel and block-middle deletions stay proper with the expected block_count
   (unchanged for peel and the neighborhood deletion, one less for the plain
   deletion).
@@ -45,7 +47,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardsquares.errors import RuleInapplicableError
-from hardsquares.graphs import GridSpec, witten_brute, witten_transfer
+from hardsquares.graphs import GridSpec, column_series, witten_brute, witten_transfer
 from hardsquares.patterns import (
     Pattern,
     block_count,
@@ -60,8 +62,8 @@ from hardsquares.patterns import (
     leftmost_block_middle,
     masked_graph,
     peel,
+    row_mask,
     same_class,
-    z_pattern,
     z_pattern_series,
 )
 from helpers import (
@@ -72,6 +74,7 @@ from helpers import (
     peel_oracle,
     proper_oracle,
     transfer_oracle,
+    z_pattern,
 )
 
 
@@ -370,6 +373,19 @@ def test_peel_identity_on_reducible_patterns():
             q, sign = peel(p)
             for m in range(3, 9):
                 assert z_pattern(p, m) == sign * z_pattern(q, m - 1)
+
+
+def test_peel_identity_at_two_rows_reads_one_masked_ring_row():
+    reducible = 0
+    for n in range(2, 17, 2):
+        for p in enumerate_proper(n):
+            if not is_reducible(p):
+                continue
+            q, sign = peel(p)
+            one_row = column_series(n, 1, (row_mask(q.row1),))[1]
+            assert z_pattern(p, 2) == sign * one_row, p
+            reducible += 1
+    assert reducible == 206
 
 
 def test_operations_preserve_properness_and_measure():

@@ -9,6 +9,15 @@ with one prime factorisation per order built), RationalGF canonical
 reduction, power-series expansion, and the Berlekamp-Massey fit including
 its refusal on short input and on terms that are not int.
 
+RationalGF's operators reduce from reduced operands by the gcds of the
+denominators and of the cross factors alone; +, -, * and / give the same
+canonical form, or raise the same exception, as the full-gcd constructor
+on the raw pair, for random operands with shared cyclotomic factors, equal
+denominators, polynomial operands and sums that cancel to 0.  A sum with a
+polynomial and a product with an int run no polynomial gcd, a sum over
+coprime denominators only theirs; division by zero and by a series with a
+zero constant term raise as before.
+
 The integer division and expansion agree with the Fraction oracles of
 tests/helpers.py: for divisors that are not monic, on exact products,
 products plus a remainder and random pairs, both give the same
@@ -226,6 +235,88 @@ def test_series_expand():
     assert series_expand(alt, 7) == [1, -1, -1, 1, 1, -1, -1, 1]
     with pytest.raises(ValueError):
         RationalGF(ONE, T)  # 1/t has no power series
+
+
+# -- operators against the full-gcd constructor -----------------------------------
+
+# operands share cyclotomic factors often, so the operators' gcds cancel
+shared_orders = st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3)
+
+
+def _times_cyclotomics(p, orders):
+    for d in orders:
+        p = p * cyclotomic(d)
+    return p
+
+
+raw_numerators = st.builds(_times_cyclotomics,
+                           st.lists(st.integers(-4, 4), max_size=4).map(IntPoly),
+                           shared_orders)
+# den(0) != 0: a nonzero constant term times cyclotomics
+raw_denominators = st.builds(
+    lambda low, high, orders: _times_cyclotomics(IntPoly([low] + high), orders),
+    st.sampled_from([1, -1, 2, -2, 3]), st.lists(st.integers(-3, 3), max_size=3),
+    shared_orders)
+reduced_gfs = st.builds(RationalGF, raw_numerators, raw_denominators)
+polynomial_gfs = raw_numerators.map(RationalGF)
+operand_pairs = st.one_of(
+    st.tuples(reduced_gfs, reduced_gfs),
+    st.tuples(reduced_gfs, polynomial_gfs),
+    st.tuples(polynomial_gfs, reduced_gfs),
+    st.builds(lambda a, c, d: (RationalGF(a, d), RationalGF(c, d)),  # equal dens
+              raw_numerators, raw_numerators, raw_denominators),
+    reduced_gfs.map(lambda x: (x, -x)))  # sums that cancel to 0
+
+
+def _raw_outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(operand_pairs)
+def test_operators_equal_the_full_gcd_constructor_on_raw_pairs(pair):
+    x, y = pair
+    a, b, c, d = x.num, x.den, y.num, y.den
+    raw = {"+": (a * d + c * b, b * d), "-": (a * d - c * b, b * d),
+           "*": (a * c, b * d), "/": (a * d, b * c)}
+    ops = {"+": x.__add__, "-": x.__sub__, "*": x.__mul__, "/": x.__truediv__}
+    for op, (num, den) in raw.items():
+        got = _raw_outcome(ops[op], y)
+        assert got == _raw_outcome(RationalGF, num, den), (op, x, y)
+        if isinstance(got, RationalGF):  # canonical: the constructor keeps it
+            assert RationalGF(got.num, got.den) == got
+
+
+def test_operator_errors_are_unchanged():
+    x = RationalGF(P(1, 1), P(1, -1))
+    with pytest.raises(ZeroDivisionError, match="division by the zero function"):
+        x / RationalGF(0)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ValueError, match="denominator vanishes at t = 0"):
+        x / RationalGF(T * P(1, 1), P(1, 0, 1))  # zero constant term
+    # a zero constant term that the dividend cancels leaves a power series
+    assert RationalGF(T, P(1, -1)) / RationalGF(T) == RationalGF(ONE, P(1, -1))
+
+
+def test_polynomial_sums_and_int_products_run_no_gcd(monkeypatch):
+    x = RationalGF(P(1, 2, 3), P(1, 0, -1) * P(1, 1, 1))
+    y = RationalGF(T, P(1, 0, 0, 0, 1))
+    calls = []
+    monkeypatch.setattr(polynomials, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    x + P(2, 0, 5)
+    x - 3
+    x * -4
+    assert calls == []
+    x + x  # equal denominators: only the gcd of the summed numerator with them
+    assert calls == [(x.num * 2, x.den)]
+    calls.clear()
+    x + y  # coprime denominators: their gcd, and nothing more
+    assert calls == [(x.den, y.den)]
 
 
 # -- integer arithmetic against the Fraction oracles ------------------------------
