@@ -24,12 +24,14 @@ bit masks; a leaf u with neighbour v steps straight to -Z(G - N[v])) and
 ``witten_transfer`` (row transfer); they must always agree.  The transfer
 has two primitives: ``_orbits(n)``, the dihedral orbits of the ring C_n's
 independent states (49 / 99 / 209 for 843 / 2207 / 5778 states at
-n = 14 / 16 / 18), their orbit matrix B and the powers B^k w kept so far,
-at most the 2N + 6 of the fit window; and ``_row_step``, one row stacked
-cell by cell on a sparse {mask: signed count} dict, for free grids, tori
-and masked rows.  ``column_series`` is the one column kernel: it stacks
-any masked top rows (none for cylinders, two for patterns) with
-``_row_step`` and reads every later row from the powers B^k w.
+n = 14 / 16 / 18), their orbit matrix B, held dense (over 90 % of its
+entries are nonzero) and counted from bit sets over the states, and the
+powers B^k w kept so far, at most the 2N + 6 of the fit window; and
+``_row_step``, one row stacked cell by cell on a sparse {mask: signed
+count} dict, for free grids, tori and masked rows.  ``column_series`` is
+the one column kernel: it stacks any masked top rows (none for cylinders,
+two for patterns) with ``_row_step`` and reads every later row from the
+powers B^k w.
 
 Each index is a trace or bilinear form of a transfer power (Stanley, EC I
 4.7) read from two half-height walks, since T = A D (A the symmetric row
@@ -40,9 +42,9 @@ orbit, a free grid floor(m/2) + 1, an m-row column B^0 w .. B^(m // 2) w.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import islice
+from operator import mul, neg
 from random import Random
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -285,6 +287,8 @@ def witten_brute(g: Graph) -> int:
 
 # -- transfer-matrix Witten index ----------------------------------------------
 
+_POPCOUNT = bytes(i.bit_count() for i in range(256))  # translate table: byte -> its bit count
+
 
 def _row_step(vec: Dict[int, int], n: int, allowed: int, cyclic: bool) -> Dict[int, int]:
     """Stack one row of width n, cell by cell, on {previous row mask: count}.
@@ -313,12 +317,13 @@ def _row_step(vec: Dict[int, int], n: int, allowed: int, cyclic: bool) -> Dict[i
 
 class RingOrbits:
     """Dihedral orbits of a ring's independent states: least member, size
-    and sign w = (-1)^|rep| per orbit, the orbit of every state, the sparse
-    rows (b, B[a][b]) of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0},
-    the fit window 2N + 6 for N orbits, and the powers B^k w computed so far
-    below that window, shared by every caller.  size_a w_a B[a][b] counts
-    the compatible state pairs of orbits a and b, so B^T = Q B Q^-1 for
-    Q = diag(size * w)."""
+    and sign w = (-1)^|rep| per orbit, the orbit of every state, the dense
+    rows of B[a][b] = w(rep_a) #{t in orbit b : t & rep_a = 0}, the fit
+    window 2N + 6 for N orbits, and the powers B^k w computed so far below
+    that window, shared by every caller.  size_a w_a B[a][b] counts the
+    compatible state pairs of orbits a and b, so B^T = Q B Q^-1 for
+    Q = diag(size * w).  Row a is read at once from bit sets over the
+    states: the states rep_a leaves free, popcounted orbit by orbit."""
 
     # src keeps no dataclass: importing dataclasses costs about 8 ms and each
     # class 1 ms more; immutable records are NamedTuples, this cache grows
@@ -338,7 +343,7 @@ class RingOrbits:
         yield from kept
         u, k = kept[-1], len(kept)
         while True:
-            u = tuple(sum(c * u[b] for b, c in row) for row in self.matrix)
+            u = tuple(sum(map(mul, row, u)) for row in self.matrix)
             if k == len(kept) < self.window:  # another walk may have kept it
                 kept.append(u)
             yield u
@@ -359,10 +364,32 @@ def _orbits(n: int) -> RingOrbits:
             reps.append(s)
             sizes.append(len(images))
     weights = tuple(-1 if r.bit_count() & 1 else 1 for r in reps)
+    # B from bit sets over the states: orbit b fills bits 8kb .. 8kb + size_b - 1
+    # (k bytes per orbit; an orbit has at most 2n states) and no set holds a
+    # pad bit.  cells[j] holds the states with cell j occupied, live every
+    # state, and row a's compatible states are live less rep_a's cells.
+    # Their popcount per byte, times 1 + 256 + ... + 256^(k-1), sums each
+    # orbit's k bytes into its top byte, with no carry while 8k < 256.
+    k, fmt = -(-max(sizes) // 8), f"0{n}b"
+    order, words, flags = iter(sorted(orbit_of, key=orbit_of.get)), [], []
+    for size in sizes:
+        pad = 8 * k - size
+        words += [format(t, fmt) for t in islice(order, size)] + [format(0, fmt)] * pad
+        flags.append("1" * size + "0" * pad)
+    # character p of a joined string is bit p; character i of a word is cell n - 1 - i
+    cells = [int("".join(column)[::-1], 2) for column in zip(*words)][::-1]
+    live = int("".join(flags)[::-1], 2)
+    width, spread = k * len(reps), int.from_bytes(b"\1" * k, "little")
     matrix = []
     for r, w in zip(reps, weights):
-        counts = Counter(b for t, b in orbit_of.items() if not t & r)
-        matrix.append(tuple((b, w * c) for b, c in sorted(counts.items())))
+        free = live
+        for j in range(r.bit_length()):
+            if r >> j & 1:
+                free &= ~cells[j]
+        pops = free.to_bytes(width, "little").translate(_POPCOUNT)
+        sums = (int.from_bytes(pops, "little") * spread).to_bytes(width + k, "little")
+        row = sums[k - 1:width:k]
+        matrix.append(tuple(row) if w > 0 else tuple(map(neg, row)))
     return RingOrbits(tuple(reps), tuple(sizes), weights, orbit_of, tuple(matrix))
 
 

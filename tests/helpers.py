@@ -9,7 +9,10 @@ plain row transfer over every ring state with a quadratic compatibility
 table, kept as a differential oracle for the orbit and cell-by-cell
 kernels; they walk every row, so they are also the oracles for the half
 walks that read tori, free grids and unmasked cylinder columns from two
-half-height transfer vectors.  The necklace oracles work on a placed
+half-height transfer vectors.  orbits_oracle is the dihedral orbit scan
+of the ring states with the Counter scan of the orbit matrix B over every
+state, stored dense, kept as a differential oracle for the bit-set count
+of the graphs module.  The necklace oracles work on a placed
 form of their own, Placed (circle length and sorted (position, vector)
 stones): place puts a (vector, gap) sequence on the circle from a given
 start, and stone_sequence reads the sequence back from the lowest stone.
@@ -65,6 +68,7 @@ on the slow sweeps.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
@@ -116,6 +120,31 @@ def ring_table(n, cyclic):
               if not s & ((s << 1) | (s >> (n - 1) if cyclic and n else 0))]
     sign = {s: (-1) ** bin(s).count("1") for s in states}
     return states, sign, {s: [t for t in states if not s & t] for s in states}
+
+
+def orbits_oracle(n):
+    """(reps, sizes, weights, orbit_of, matrix) of the ring C_n by plain
+    scans: every independent state in increasing order opens an orbit
+    unless a rotation of it or of its mirror word came first, and row a of B
+    counts, with a Counter over every state, the states of each orbit that
+    rep_a leaves free, times w_a = (-1)^|rep_a|, stored dense."""
+    states = [s for s in range(1 << n)
+              if not s & ((s << 1) | (s >> (n - 1) if n else 0))]
+    orbit_of, reps, sizes = {}, [], []
+    for s in states:
+        if s not in orbit_of:
+            word = format(s, f"0{n}b") if n else ""
+            images = {int(w[i:] + w[:i] or "0", 2)
+                      for w in (word, word[::-1]) for i in range(max(n, 1))}
+            orbit_of.update(dict.fromkeys(images, len(reps)))
+            reps.append(s)
+            sizes.append(len(images))
+    weights = tuple((-1) ** bin(r).count("1") for r in reps)
+    matrix = []
+    for r, w in zip(reps, weights):
+        counts = Counter(orbit_of[t] for t in states if not t & r)
+        matrix.append(tuple(w * counts[b] for b in range(len(reps))))
+    return tuple(reps), tuple(sizes), weights, orbit_of, tuple(matrix)
 
 
 def _stack(table, vec, mask=-1):

@@ -43,6 +43,10 @@
   exactly the circumference-4 denominator form and nothing else, so its
   exit code is 1 and the failure list is machine readable.  verify all
   splits each f_n's denominator into cyclotomic factors once.
+- verify identities fails, exit 1, on a broken input of each of its check
+  kinds: one tampered entry of the circumference-7 orbit matrix fails
+  exactly the index identities with a P_m x C_7 side, and a brute index
+  that is wrong on 10-vertex graphs fails both random rules.
 - repeated invocations produce byte-identical output.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
@@ -67,7 +71,7 @@ from pathlib import Path
 import pytest
 
 import hardsquares
-from hardsquares import cli, errors, genfun, necklaces, polynomials
+from hardsquares import cli, errors, genfun, graphs, necklaces, polynomials
 from hardsquares.cli import main
 from hardsquares.graphs import Graph, GridSpec, witten_transfer
 from hardsquares.patterns import Pattern
@@ -435,6 +439,43 @@ def test_verify_identities_and_correspondence(capsys):
     assert code == 0 and out.endswith("pass\n") and "FAIL" not in out
     code, out, _ = run_cli(capsys, "verify", "correspondence", "--nmax", "10")
     assert code == 0 and out.endswith("pass\n")
+
+
+def test_a_tampered_orbit_matrix_fails_the_index_identities(capsys, monkeypatch):
+    build = graphs._orbits
+
+    def tampered(n):
+        orb = build(n)
+        if n != 7:
+            return orb
+        row = (orb.matrix[0][0] + 1,) + orb.matrix[0][1:]  # moves z_m for m >= 2
+        return graphs.RingOrbits(orb.reps, orb.sizes, orb.weights, orb.orbit_of,
+                                 (row,) + orb.matrix[1:])
+
+    monkeypatch.setattr(graphs, "_orbits", tampered)  # the cache never holds the copy
+    code, out, _ = run_cli(capsys, "verify", "identities", "--nmax", "8")
+    fails = [line.split() for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and out.endswith("fail\n")
+    # every failing row is an index identity whose lhs is a P_m x C_7 cylinder
+    assert {tuple(f[1:4]) + (f[5],) for f in fails} == {
+        ("index_identity", "identity=two_row_cylinder_shift4", "family=cylinder", "n=7:"),
+        ("index_identity", "identity=circumference7_shift4", "family=cylinder", "n=7:")}
+    assert "FAIL index_identity identity=two_row_cylinder_shift4 family=cylinder m=2 n=7" in out
+
+
+def test_a_wrong_brute_index_fails_both_random_rules(capsys, monkeypatch):
+    brute = cli.witten_brute
+
+    def off_by_one(g):
+        # wrong on 10 vertices, the most a random graph draws: the vertex
+        # rule's lhs and a union's factor or union, never a deletion
+        return brute(g) + (len(g.vertices) == 10)
+
+    monkeypatch.setattr(cli, "witten_brute", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "identities", "--nmax", "8")
+    kinds = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert code == 1 and out.endswith("fail\n")
+    assert kinds == {"random_vertex_rule", "random_union_rule"}
 
 
 def test_verify_conjectures_reports_the_one_failure(capsys):

@@ -14,7 +14,11 @@ oracle of tests/helpers, which walks every row, on cylinders (n <= 12,
 m <= 24, and columns of 0..3, 17, 24 rows and three fit windows for
 n <= 9), free grids (n <= 10, m <= 12) and tori (n <= 9, m <= 12, sizes
 0, 1 and 2 included); the dihedral orbit counts 49 / 99 / 209 at
-n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  The half
+n = 14 / 16 / 18 and the torus 12 x 12 value 166 are pinned.  For every
+n <= 18 (0, 1 and 2 included) the ring's orbits and its dense orbit matrix
+B equal the plain scans of tests/helpers field by field, and
+size_a w_a B[a][b] = size_b w_b B[b][a], the identity B^T = Q B Q^-1 that
+the half walks read.  The half
 walks do half the work: a torus walks ceil(m/2) rows per orbit
 representative, a free grid floor(m/2) + 1 rows, an unmasked column reads
 floor(mmax/2) + 1 powers, and a zero-row column builds no ring.  The
@@ -68,6 +72,7 @@ from helpers import (
     identity_instances_oracle,
     labelled_grid_oracle,
     naive_witten,
+    orbits_oracle,
     random_graph,
     ring_table,
     scattered_graphs,
@@ -478,7 +483,7 @@ def test_columns_taller_than_the_window_match_the_unbounded_walk():
         unbounded = [orb.weights]
         for _ in range(rows):
             u = unbounded[-1]
-            unbounded.append(tuple(sum(c * u[b] for b, c in row) for row in orb.matrix))
+            unbounded.append(tuple(sum(c * x for c, x in zip(row, u)) for row in orb.matrix))
         assert column_series(n, rows) == transfer_oracle(n, [-1] * rows)
         assert [u[0] for u in unbounded] == column_series(n, rows)
         # two walks interleaved past the window: the kept prefix stays exact
@@ -503,6 +508,22 @@ def test_ring_orbits_partition_the_ring_states():
         for a, rep in enumerate(orb.reps):
             assert orb.orbit_of[rep] == a
             assert sum(1 for b in orb.orbit_of.values() if b == a) == orb.sizes[a]
+
+
+def test_ring_orbits_equal_the_counter_scan_and_b_is_q_symmetric():
+    # n = 0 formats its one state as a one-character word; the empty
+    # representative's row would count any padding slot first
+    for n in range(19):
+        orb = _orbits(n)
+        reps, sizes, weights, orbit_of, matrix = orbits_oracle(n)
+        assert orb.reps == reps and orb.sizes == sizes, n
+        assert orb.weights == weights and orb.orbit_of == orbit_of, n
+        assert orb.matrix == matrix, n
+        assert orb.matrix[0] == sizes  # the empty representative meets every state
+        # size_a w_a B[a][b] counts compatible state pairs: B^T = Q B Q^-1
+        q = [s * w for s, w in zip(sizes, weights)]
+        for a, row in enumerate(orb.matrix):
+            assert all(q[a] * row[b] == q[b] * orb.matrix[b][a] for b in range(len(row))), (n, a)
 
 
 # -- suspension identities -------------------------------------------------------
