@@ -16,16 +16,18 @@ Subcommands:
 Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
 line per failing instance) or an internal consistency check failed, 2 for
-usage errors, including these, each refused before any work starts: a
-request above its row of BOUNDS, an --nmax or -m too small to check
-anything, and necklace -k pairs that do not fit on the -n circle (4k > n);
-3 for any other error, such as a KeyError or MemoryError, reported as one
-"internal error:" line on stderr; and 141 (128 + SIGPIPE) with nothing on
-stderr when the reader closes stdout before the output ends.
+usage errors: argparse's, which print the misused subcommand's usage line
+(a necklace option its action ignores is one), and these, each refused
+with one "error:" line before any work starts: a request above its row of
+BOUNDS, an --nmax or -m too small to check anything, and necklace -k pairs
+that do not fit on the -n circle (4k > n); 3 for any other error, such as
+a KeyError or MemoryError, reported as one "internal error:" line on
+stderr; and 141 (128 + SIGPIPE) with nothing on stderr when the reader
+closes stdout before the output ends.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
-JSON documents carry a ``"schema": 1`` version field.
+Every JSON document gets ``"schema": 1`` as its first key from _emit_json.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .genfun import (
     periodicity_report,
 )
 from .graphs import (
+    FAMILIES,
     GridSpec,
     column_series,
     disjoint_union,
@@ -70,12 +73,13 @@ from .polynomials import factor_cyclotomic, format_cyclotomic, format_poly
 SCHEMA = 1
 
 # The one size policy: the largest size each command accepts, in the size its
-# work is exponential in (times on a 2-core x86-64, Python 3.11).  --bound-n
-# replaces its command's row; the library computes whatever it is asked.
+# work is exponential in (cold CLI medians of three, 2-core x86-64, Python
+# 3.11).  --bound-n replaces its command's row; the library computes whatever
+# it is asked.
 #   width:   row-mask width (witten, table1, genfun's fit, verify identities);
-#            cold: cylinder 20x18 ~0.3 s, free 18x18 ~0.3 s, torus 18x18 ~7 s
+#            cylinder 20x18 ~0.12 s, free 18x18 ~0.26 s, torus 18x18 ~6.5 s
 #   pattern: pattern-route circumference (even genfun, verify conjectures);
-#            cold: genfun -n 16 ~0.45 s, -n 18 ~1.5 s
+#            genfun -n 16 ~0.30 s, -n 18 ~1.2 s
 #   circle:  necklace circle length (necklace, verify correspondence)
 BOUNDS = {"width": 18, "pattern": 16, "circle": 28}
 
@@ -105,7 +109,7 @@ class CheckResult(NamedTuple):
 def _emit_json(obj: dict) -> None:
     import json  # only JSON output pays for the import
 
-    print(json.dumps(obj, indent=2))
+    print(json.dumps({"schema": SCHEMA, **obj}, indent=2))
 
 
 def _report(suite: str, results: List[CheckResult], infos: List[str],
@@ -113,7 +117,6 @@ def _report(suite: str, results: List[CheckResult], infos: List[str],
     failures = [r for r in results if not r.ok]
     if fmt == "json":
         _emit_json({
-            "schema": SCHEMA,
             "suite": suite,
             "checks": len(results),
             "failures": [
@@ -158,14 +161,12 @@ def _even_range(lo: int, hi: int) -> Iterable[int]:
 
 # -- witten ----------------------------------------------------------------
 
-def cmd_witten(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+def cmd_witten(args: argparse.Namespace) -> int:
     spec = GridSpec(args.family, args.m, args.n)
     _check_bound("row-mask width", transfer_width(spec), "width", override=args.bound_n)
     value = witten_transfer(spec)
     if args.format == "json":
         _emit_json({
-            "schema": SCHEMA,
             "family": args.family,
             "m": args.m,
             "n": args.n,
@@ -178,8 +179,7 @@ def cmd_witten(args: argparse.Namespace,
 
 # -- table1 ------------------------------------------------------------------
 
-def cmd_table1(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     GridSpec("cylinder", args.m, args.nmax)  # rejects negative sizes
     # every height pays one series per column, so --nmax is bounded at m = 0 too
     _check_bound("row-mask width", args.nmax, "width", override=args.bound_n)
@@ -191,7 +191,6 @@ def cmd_table1(args: argparse.Namespace,
     table = {m: [s[m] for s in series] for m in rows}
     if args.format == "json":
         _emit_json({
-            "schema": SCHEMA,
             "family": "cylinder",
             "columns": cols,
             "rows": [{"m": m, "values": table[m]} for m in rows],
@@ -211,8 +210,7 @@ def cmd_table1(args: argparse.Namespace,
 
 # -- genfun ------------------------------------------------------------------
 
-def cmd_genfun(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+def cmd_genfun(args: argparse.Namespace) -> int:
     if args.n >= 2 and args.n % 2 == 0:
         _check_bound("circumference", args.n, "pattern", override=args.bound_n)
         gf = cylinder_gf(args.n)
@@ -225,7 +223,6 @@ def cmd_genfun(args: argparse.Namespace,
     factors, remainder = factor_cyclotomic(gf.den)
     if args.format == "json":
         _emit_json({
-            "schema": SCHEMA,
             "n": args.n,
             "route": route,
             "numerator": list(gf.num.coeffs),
@@ -247,20 +244,19 @@ def _cycle_divisibility(n: int) -> List[CheckResult]:
             for k in range(1, n // 4 + 1)]
 
 
-def cmd_necklace(args: argparse.Namespace,
-                 parser: argparse.ArgumentParser) -> int:
+def cmd_necklace(args: argparse.Namespace) -> int:
     if args.action == "verify":
         if args.k is not None or args.n is not None:
-            parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
+            args.parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
         nmax = args.nmax if args.nmax is not None else _NECKLACE_NMAX
         _check_nmax(nmax, 4, "circle", override=args.bound_n)
         results = [r for n in _even_range(4, nmax) for r in _cycle_divisibility(n)]
         return _report("necklace-verify", results, [], args.format)
 
     if args.k is None or args.n is None:
-        parser.error(f"necklace {args.action} requires both -k and -n")
+        args.parser.error(f"necklace {args.action} requires both -k and -n")
     if args.nmax is not None:
-        parser.error(f"--nmax applies to necklace verify only, not {args.action}")
+        args.parser.error(f"--nmax applies to necklace verify only, not {args.action}")
     _check_bound("circle length", args.n, "circle", override=args.bound_n)
     if 1 <= args.n < 4 * args.k:  # -k 0 and -n 0 keep the library's message
         raise ValueError(f"-k {args.k} needs a circle length of at least {4 * args.k}")
@@ -273,7 +269,6 @@ def cmd_necklace(args: argparse.Namespace,
         structure = cycle_structure(args.k, args.n)
         if args.format == "json":
             _emit_json({
-                "schema": SCHEMA,
                 "k": args.k,
                 "n": args.n,
                 "cycles": sorted(structure.items()),
@@ -284,7 +279,6 @@ def cmd_necklace(args: argparse.Namespace,
     classes = enumerate_necklaces(args.k, args.n)
     if args.format == "json":
         _emit_json({
-            "schema": SCHEMA,
             "k": args.k,
             "n": args.n,
             "count": len(classes),
@@ -357,8 +351,7 @@ def _suite_correspondence(n_max: int) -> List[CheckResult]:
             for n in _even_range(4, n_max)]
 
 
-def cmd_verify(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     chosen = [s for s in _SUITES if args.suite in (s, "all")]
     if args.nmax is not None:
         _check_nmax(args.nmax, max(_SUITES[s][0] for s in chosen),
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "witten", help="print the Witten index of one grid family member")
-    p.add_argument("--family", choices=("free", "cylinder", "torus"),
+    p.add_argument("--family", choices=FAMILIES,
                    default="cylinder", help="grid family (default %(default)s)")
     p.add_argument("-m", type=int, required=True, help="number of rows")
     p.add_argument("-n", type=int, required=True,
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"resource bound on the circle length (default {BOUNDS['circle']})")
     p.add_argument("--format", choices=("text", "json"),
                    default="text")
-    p.set_defaults(handler=cmd_necklace)
+    p.set_defaults(handler=cmd_necklace, parser=p)  # its usage line for misuse
 
     p = sub.add_parser(
         "verify", help="run a verification sweep and exit nonzero on failure")
@@ -456,10 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args, parser)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except BrokenPipeError:

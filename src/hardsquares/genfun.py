@@ -30,7 +30,7 @@ from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError
-from .graphs import GridSpec, column_series, fit_window, witten_transfer
+from .graphs import column_series, fit_window
 from .necklaces import cycle_length_lcm
 from .patterns import (
     Pattern,
@@ -150,8 +150,7 @@ def cylinder_gf(n: int) -> RationalGF:
     if n < 2 or n % 2:
         raise ValueError("pattern assembly needs even n >= 2; "
                          "odd circumferences go through fitted_cylinder_gf")
-    ring = witten_transfer(GridSpec("cylinder", 1, n))
-    total = RationalGF(IntPoly((1, ring)))
+    total = RationalGF(IntPoly(column_series(n, 1)))  # 1 + Z(C_n) t
     for cls, coeff in initial_patterns(n).terms:
         total = total + pattern_gf(cls) * coeff
     fitted = fitted_cylinder_gf(n)

@@ -12,7 +12,8 @@
   and a negative circumference exits 2.
 - necklace supports enumerate, cycles, dot and a divisibility sweep, and
   missing -k/-n is a usage error (exit 2), as are -k or -n with the sweep
-  and --nmax with any other action, which would otherwise be ignored.
+  and --nmax with any other action, which would otherwise be ignored;
+  stderr then starts with the `hardsquares necklace` usage line.
   A request whose k stone pairs do not fit on the circle (4k > n) has no
   class: every action exits 2 with one error line and no output, in text
   and json, before any library call; -k 0 and -n 0 keep the library's
@@ -46,8 +47,15 @@
 - verify identities fails, exit 1, on a broken input of each of its check
   kinds: one tampered entry of the circumference-7 orbit matrix fails
   exactly the index identities with a P_m x C_7 side, and a brute index
-  that is wrong on 10-vertex graphs fails both random rules.
+  that is wrong on 10-vertex graphs fails both random rules.  verify
+  conjectures fails the same way on a wrong denominator split at n = 6
+  (roots_of_unity and periodicity), a wrong cycle divisibility verdict
+  (cycle_divisibility, through necklace verify too) and a wrong block-count
+  bound (block_count_denominator): each shows its FAIL line in text and
+  its check name in the JSON failures.
 - repeated invocations produce byte-identical output.
+- every JSON document (witten, table1, genfun, necklace cycles, enumerate
+  and verify, verify) has "schema" as its first key, with value 1.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
   read only) exists, and importing hardsquares.cli in a fresh interpreter
@@ -282,10 +290,10 @@ def test_every_command_checks_its_bound_row_before_work(capsys, monkeypatch):
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):
-    def key_error(args, parser):
+    def key_error(args):
         raise KeyError("missing")
 
-    def out_of_memory(args, parser):
+    def out_of_memory(args):
         raise MemoryError()
 
     monkeypatch.setattr(cli, "cmd_witten", key_error)
@@ -478,6 +486,55 @@ def test_a_wrong_brute_index_fails_both_random_rules(capsys, monkeypatch):
     assert kinds == {"random_vertex_rule", "random_union_rule"}
 
 
+def failed_checks(capsys, *argv):
+    """Exit code, FAIL lines of the text run and failures[].check of the
+    JSON run of one sweep."""
+    code, out, _ = run_cli(capsys, *argv)
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    json_code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert json_code == code and json.loads(out)["ok"] is (code == 0)
+    return code, fails, [f["check"] for f in json.loads(out)["failures"]]
+
+
+# verify conjectures --nmax 8 fails on the circumference-4 form alone
+FORM_4 = "FAIL denominator_form n=4: reduced denominator must divide the conjectured product"
+
+
+def test_a_wrong_denominator_split_fails_roots_of_unity_and_periodicity(
+        capsys, monkeypatch):
+    report = cli.periodicity_report
+
+    def broken_at_six(n, gf):
+        rep = report(n, gf)
+        return rep._replace(remainder_ok=False, period=None) if n == 6 else rep
+
+    monkeypatch.setattr(cli, "periodicity_report", broken_at_six)
+    assert failed_checks(capsys, "verify", "conjectures", "--nmax", "8") == (
+        1, [FORM_4, "FAIL roots_of_unity n=6", "FAIL periodicity n=6: period=None"],
+        ["denominator_form", "roots_of_unity", "periodicity"])
+
+
+def test_a_wrong_cycle_divisibility_fails_both_sweeps(capsys, monkeypatch):
+    divisible = cli.verify_cycle_divisibility
+    monkeypatch.setattr(cli, "verify_cycle_divisibility",
+                        lambda k, n: (k, n) != (1, 8) and divisible(k, n))
+    assert failed_checks(capsys, "verify", "conjectures", "--nmax", "8") == (
+        1, [FORM_4, "FAIL cycle_divisibility k=1 n=8"],
+        ["denominator_form", "cycle_divisibility"])
+    assert failed_checks(capsys, "necklace", "verify", "--nmax", "8") == (
+        1, ["FAIL cycle_divisibility k=1 n=8"], ["cycle_divisibility"])
+
+
+def test_a_wrong_block_count_bound_fails_its_pattern(capsys, monkeypatch):
+    bounded = cli.check_block_count_denominator
+    target = Pattern((0, 0, 0, 1, 0, 1), (1, 0, 1, 1, 1, 1))
+    monkeypatch.setattr(cli, "check_block_count_denominator",
+                        lambda p: p != target and bounded(p))
+    assert failed_checks(capsys, "verify", "conjectures", "--nmax", "8") == (
+        1, [FORM_4, "FAIL block_count_denominator n=6 pattern=000101 / 101111"],
+        ["denominator_form", "block_count_denominator"])
+
+
 def test_verify_conjectures_reports_the_one_failure(capsys):
     code, out, _ = run_cli(capsys, "verify", "conjectures")
     assert code == 1
@@ -546,6 +603,30 @@ def test_usage_errors_exit_two(capsys):
         main(["necklace", "cycles", "-k", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_necklace_misuse_prints_the_necklace_usage_line(capsys):
+    for argv, message in (
+            (["necklace", "cycles", "-k", "2"],
+             "necklace cycles requires both -k and -n"),
+            (["necklace", "dot", "-k", "2", "-n", "8", "--nmax", "10"],
+             "--nmax applies to necklace verify only, not dot")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", argv
+        assert captured.err.startswith("usage: hardsquares necklace "), argv
+        assert captured.err.endswith(f"hardsquares necklace: error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    "witten -m 2 -n 4", "table1 -m 2 --nmax 4", "genfun -n 4",
+    "necklace cycles -k 1 -n 8", "necklace enumerate -k 1 -n 8",
+    "verify correspondence --nmax 6", "necklace verify --nmax 8"])
+def test_every_json_document_starts_with_its_schema(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and next(iter(doc)) == "schema" and doc["schema"] == 1
 
 
 def test_module_entry_point():
