@@ -19,8 +19,8 @@ C_2 = P_2, C_1 = a single looped vertex, C_0 = P_0 = the empty graph.  A
 looped vertex belongs to no independent set, so Z(C_1) = Z(P_0) = 1.
 
 Two independent evaluation routes are provided: ``witten_brute``
-(recursive deletion on an explicit graph, whose vertex sets it holds as
-bit masks; a leaf u with neighbour v steps straight to -Z(G - N[v])) and
+(recursive deletion on a Graph's own neighbour bit masks; a leaf u with
+neighbour v steps straight to -Z(G - N[v])) and
 ``witten_transfer`` (row transfer); they must always agree.  The transfer
 has two primitives: ``_orbits(n)``, the dihedral orbits of the ring C_n's
 independent states (49 / 99 / 209 for 843 / 2207 / 5778 states at
@@ -46,69 +46,125 @@ from functools import lru_cache
 from itertools import islice
 from operator import mul, neg
 from random import Random
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 FAMILIES = ("free", "cylinder", "torus")
 
 
 class Graph:
     """Undirected graph with integer vertex ids; loops allowed.  It stores
-    its vertex ids and each vertex's neighbour set, nothing else.
+    one neighbour bit mask per vertex and the mask of its live vertices.
 
-    Vertices surviving a deletion keep their ids, so reduction traces can be
-    replayed against the original graph.
+    Bit i stands for the i-th smallest id of the graph the masks were built
+    from, so a lower id has a lower bit, and a looped vertex's mask holds
+    its own bit.  induced and without_vertices share their parent's masks
+    and narrow only the live mask; surviving vertices keep their ids, so
+    reduction traces can be replayed against the original graph.  The mask
+    queries (mask, ids, neighbor_mask, common_neighbors, looped) read the
+    live vertices as masks of these bits.
     """
 
-    __slots__ = ("vertices", "_adj")
+    __slots__ = ("_ids", "_index", "_nbrs", "_live")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
-        self.vertices = frozenset(vertices)
-        adj: Dict[int, set] = {v: set() for v in self.vertices}
+        ids = sorted(set(vertices))
+        index = {v: i for i, v in enumerate(ids)}
+        nbrs = [0] * len(ids)
         for u, v in edges:
-            if u not in adj or v not in adj:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
+            nbrs[index[u]] |= 1 << index[v]
+            nbrs[index[v]] |= 1 << index[u]
+        self._ids, self._index, self._nbrs = tuple(ids), index, tuple(nbrs)
+        self._live = (1 << len(ids)) - 1
+
+    def _sub(self, live: int) -> "Graph":
+        g = Graph.__new__(Graph)
+        g._ids, g._index, g._nbrs, g._live = self._ids, self._index, self._nbrs, live
+        return g
+
+    # -- mask queries ---------------------------------------------------------
+
+    def mask(self, vertices: Optional[Iterable[int]] = None) -> int:
+        """Bits of the live vertices among vertices (other ids add none), or
+        of every live vertex."""
+        if vertices is None:
+            return self._live
+        index = self._index  # a sum of distinct bits is their OR
+        return sum({1 << index[v] for v in vertices if v in index}) & self._live
+
+    def ids(self, mask: int) -> Iterator[int]:
+        """The live vertices of mask, ascending."""
+        ids, mask = self._ids, mask & self._live
+        while mask:
+            low = mask & -mask
+            yield ids[low.bit_length() - 1]
+            mask ^= low
+
+    def neighbor_mask(self, v: int) -> int:
+        """N(v) as a mask; KeyError unless v is a live vertex."""
+        i = self._index[v]
+        if not self._live >> i & 1:
+            raise KeyError(v)
+        return self._nbrs[i] & self._live
+
+    def common_neighbors(self, mask: int) -> int:
+        """Mask of the live vertices adjacent to every vertex of mask."""
+        nbrs, out = self._nbrs, self._live
+        while mask:
+            low = mask & -mask
+            out &= nbrs[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def looped(self) -> int:
+        """Mask of the live looped vertices."""
+        return sum(1 << i for i, nbrs in enumerate(self._nbrs) if nbrs >> i & 1) & self._live
 
     # -- basic queries ------------------------------------------------------
 
+    @property
+    def vertices(self) -> frozenset:
+        """The live vertex ids."""
+        return frozenset(self.ids(self._live))
+
+    def __contains__(self, v: int) -> bool:
+        i = self._index.get(v)
+        return i is not None and self._live >> i & 1 == 1
+
     def neighbors(self, v: int) -> frozenset:
         """Open neighborhood; contains v itself exactly when v has a loop."""
-        return self._adj[v]
+        return frozenset(self.ids(self.neighbor_mask(v)))
 
     def closed_neighborhood(self, v: int) -> frozenset:
-        return self._adj[v] | {v}
+        return self.neighbors(v) | {v}
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.neighbor_mask(v).bit_count()
 
     def has_loop(self, v: int) -> bool:
-        return v in self._adj[v]
+        return self.neighbor_mask(v) >> self._index[v] & 1 == 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        return u in self and v in self and self._nbrs[self._index[u]] >> self._index[v] & 1 == 1
 
     @property
     def edges(self) -> frozenset:
         """Every edge once, as (u, v) with u <= v; (v, v) is a loop."""
-        return frozenset((u, v) for u, nbrs in self._adj.items() for v in nbrs if u <= v)
+        return frozenset((u, v) for u in self.ids(self._live) for v in self.neighbors(u) if u <= v)
 
     # -- derived graphs ------------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> "Graph":
-        """Subgraph on keep; its neighbour sets are this graph's cut to keep,
-        with no edge re-checked."""
+        """Subgraph on keep: this graph's masks under a narrower live mask."""
         keep = frozenset(keep)
-        if not keep <= self.vertices:
+        live = self.mask(keep)
+        if live.bit_count() != len(keep):
             raise ValueError("induced() got vertices not present in the graph")
-        g = Graph.__new__(Graph)
-        g.vertices = keep
-        g._adj = {v: self._adj[v] & keep for v in keep}
-        return g
+        return self._sub(live)
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        return self.induced(self.vertices - frozenset(drop))
+        return self._sub(self._live & ~self.mask(drop))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -116,17 +172,17 @@ class Graph:
         return Graph(self.vertices, self.edges - {(u, v) if u <= v else (v, u)})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self._adj == other._adj
-        )
+        if not isinstance(other, Graph):
+            return False
+        if self._index is other._index:  # one adjacency: the live masks decide
+            return self._live == other._live
+        return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"Graph({self._live.bit_count()} vertices, {len(self.edges)} edges)"
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -207,13 +263,6 @@ def grid_vertex(spec: GridSpec, row: int, col: int) -> int:
 # -- brute-force Witten index --------------------------------------------------
 
 
-def _neighbor_masks(g: Graph, verts: Sequence[int]) -> List[int]:
-    """Bit i stands for verts[i]: the mask of each vertex's neighbours among
-    verts."""
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    return [sum(bit[w] for w in g._adj[v] if w in bit) for v in verts]
-
-
 def _components(nbrs: Sequence[int], active: int) -> List[int]:
     """Connected components of the subgraph induced on the bits of active,
     as masks, in order of least bit."""
@@ -243,11 +292,10 @@ def witten_brute(g: Graph) -> int:
     leaf, connected components multiply, and otherwise a maximum-degree
     vertex v, the lowest id among ties, is pivoted on via
     Z = Z(G-v) - Z(G-N[v]).  So a forest never reaches the component
-    search.  Bit i of a mask stands for the i-th loop-free vertex in id
-    order.
+    search.  It recurses on g's own neighbour masks, from its live mask less
+    the looped vertices, so ascending bits walk the vertices in id order.
     """
-    nbrs = _neighbor_masks(g, sorted(v for v in g.vertices if not g.has_loop(v)))
-    memo: Dict[int, int] = {}
+    nbrs, memo = g._nbrs, {}
 
     def solve(active: int) -> int:
         if not active:
@@ -282,7 +330,7 @@ def witten_brute(g: Graph) -> int:
         memo[active] = result
         return result
 
-    return solve((1 << len(nbrs)) - 1)
+    return solve(g.mask() & ~g.looped())
 
 
 # -- transfer-matrix Witten index ----------------------------------------------
@@ -402,7 +450,13 @@ def column_series(n: int, mmax: int, masks: Sequence[int] = ()) -> List[int]:
     so the column reads u_0 .. u_(mmax // 2)."""
     if n < 0 or mmax < 0:
         raise ValueError("column_series needs n >= 0 and mmax >= 0")
-    vec, out = {0: 1}, [1]
+    vec, out, full = {0: 1}, [1], (1 << n) - 1
+    # Z and the orbit fold are rotation-invariant: start the cyclic walk at
+    # row 1's first one, so no leading forbidden cell doubles the profiles
+    first = masks[0] & full if masks else 0
+    shift = (first & -first).bit_length() - 1
+    if shift > 0:
+        masks = [((m & full) >> shift | m << (n - shift)) & full for m in masks]
     for mask in masks[:mmax]:
         vec = _row_step(vec, n, mask, cyclic=True)
         out.append(sum(vec.values()))

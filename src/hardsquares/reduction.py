@@ -28,11 +28,18 @@ edges: both admit a fold first.  A deletion only shrinks neighbourhoods, so
 only the touched vertices, the surviving neighbours of what a rule deleted,
 can become isolated or gain a fold; simplify skips the settled ones, shown
 to fold nowhere and untouched since, instead of rescanning the graph.
+
+Every state's graph narrows the live mask of the input's one adjacency
+(graphs.Graph), and the rules read it through the Graph mask queries:
+N(u) <= N(v) is an AND-NOT of two neighbour masks, a degree a popcount,
+u's fold partners the common neighbours of N(u), and the settled and
+touched sets are masks.  Vertices are walked in ascending id order, so
+every trace, verdict and sign is the one the id-set form gives.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute
@@ -86,7 +93,7 @@ REDUCED = "REDUCED"
 def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     """Induced subgraph on V minus (N[u] union N[v]); e need not be an edge."""
     u, v = e
-    if u not in g.vertices or v not in g.vertices:
+    if u not in g or v not in g:
         raise ValueError(f"edge {e} has an endpoint outside the graph")
     return g.without_vertices(g.closed_neighborhood(u) | g.closed_neighborhood(v))
 
@@ -111,7 +118,7 @@ def _step(state: ReductionState, graph: Graph, rule: str,
 def drop_loops(state: ReductionState) -> ReductionState:
     """Delete every looped vertex; no independent set can use one."""
     g = state.graph
-    looped = tuple(sorted(v for v in g.vertices if g.has_loop(v)))
+    looped = tuple(g.ids(g.looped()))
     if not looped:
         return state
     return _step(state, g.without_vertices(looped), "drop_loops", looped, False)
@@ -119,20 +126,20 @@ def drop_loops(state: ReductionState) -> ReductionState:
 
 def apply_fold(state: ReductionState, u: int, v: int) -> ReductionState:
     g = state.graph
-    _require(u in g.vertices and v in g.vertices and u != v,
+    _require(u in g and v in g and u != v,
              f"fold needs two distinct vertices, got {u}, {v}")
     _require(not g.has_loop(u) and not g.has_loop(v),
              "fold witnesses must be loop-free")
-    _require(g.neighbors(u) <= g.neighbors(v),
+    _require(not g.neighbor_mask(u) & ~g.neighbor_mask(v),
              f"fold needs N({u}) contained in N({v})")
     return _step(state, g.without_vertices([v]), "fold", (u, v), False)
 
 
 def apply_pendant_suspension(state: ReductionState, u: int, v: int) -> ReductionState:
     g = state.graph
-    _require(u in g.vertices and v in g.vertices and u != v,
+    _require(u in g and v in g and u != v,
              f"pendant needs two distinct vertices, got {u}, {v}")
-    _require(g.degree(u) == 1 and g.neighbors(u) == frozenset([v]),
+    _require(g.neighbor_mask(u) == g.mask((v,)),
              f"pendant needs deg({u}) = 1 with neighbor {v}")
     _require(not g.has_loop(v), "pendant support must be loop-free")
     return _step(state, g.without_vertices(g.closed_neighborhood(v)),
@@ -143,7 +150,7 @@ def apply_square_suspension(state: ReductionState, u: int, v: int,
                             x: int, y: int) -> ReductionState:
     g = state.graph
     four = (u, v, x, y)
-    _require(len(set(four)) == 4 and all(w in g.vertices for w in four),
+    _require(len(set(four)) == 4 and all(w in g for w in four),
              f"square needs four distinct vertices, got {four}")
     _require(all(not g.has_loop(w) for w in four), "square vertices must be loop-free")
     _require(g.has_edge(u, v), f"square needs {u} and {v} adjacent")
@@ -157,7 +164,7 @@ def apply_square_suspension(state: ReductionState, u: int, v: int,
 def _certify_isolated(state: ReductionState, w: int) -> ReductionState:
     """Record an isolated vertex: the complex is a cone, the index 0."""
     g = state.graph
-    _require(w in g.vertices and g.degree(w) == 0, f"vertex {w} is not isolated")
+    _require(w in g and not g.neighbor_mask(w), f"vertex {w} is not isolated")
     return _step(state, g, "isolated", (w,), False)
 
 
@@ -187,11 +194,11 @@ class Configuration(NamedTuple):
 
 
 def _pendant_candidates(g: Graph) -> Iterator[Tuple[int, int]]:
-    for u in sorted(g.vertices):
-        if g.degree(u) == 1 and not g.has_loop(u):
-            (v,) = g.neighbors(u)
-            if not g.has_loop(v):
-                yield u, v
+    looped = g.looped()
+    for u in g.ids(g.mask() & ~looped):
+        nu = g.neighbor_mask(u)
+        if nu.bit_count() == 1 and not nu & looped:
+            yield u, next(g.ids(nu))
 
 
 def _square_candidates(g: Graph) -> Iterator[Tuple[int, int, int, int]]:
@@ -210,13 +217,8 @@ def _square_candidates(g: Graph) -> Iterator[Tuple[int, int, int, int]]:
 
 def _effectively_isolated(h: Graph) -> List[int]:
     """Loop-free vertices of h all of whose neighbors are looped, ascending."""
-    out = []
-    for w in sorted(h.vertices):
-        if h.has_loop(w):
-            continue
-        if all(h.has_loop(z) for z in h.neighbors(w)):
-            out.append(w)
-    return out
+    looped = h.looped()
+    return [w for w in h.ids(h.mask() & ~looped) if not h.neighbor_mask(w) & ~looped]
 
 
 def detect_configuration(g: Graph) -> Optional[Configuration]:
@@ -244,34 +246,32 @@ def detect_configuration(g: Graph) -> Optional[Configuration]:
 # -- the driver -----------------------------------------------------------------
 
 
-def _first_step(g: Graph, settled: Optional[set] = None,
-                touched: Optional[Iterable[int]] = None) -> Optional[TraceStep]:
+def _first_step(g: Graph, settled: int = 0,
+                touched: Optional[int] = None) -> Optional[TraceStep]:
     """simplify's next step on a loop-free graph: an isolated vertex, else
     fold on the lexicographically first (u, v) pair, else pendant at the
     lowest pendant vertex.
 
-    N(u) <= N(v) puts v in N(w) for every w in N(u), so fold only scans
-    the neighbours of the least-degree w in N(u).  No square is searched:
-    a square u-v-x-y always admits fold(u, x), as N(u) = {v, y} <= N(x).
+    N(u) <= N(v) holds exactly when v is a neighbour of every w in N(u),
+    so u's fold partners are the AND of those neighbour masks, less u, and
+    the first is its lowest bit.  No square is searched: a square u-v-x-y
+    always admits fold(u, x), as N(u) = {v, y} <= N(x).
     Nor does a pendant step fire on anything but an isolated edge: a leaf
     u whose neighbour v has another neighbour w admits fold(u, w).
 
-    settled holds vertices known to fold nowhere in g; they are skipped,
-    and each u scanned without a fold is added to it.  touched, when
-    given, holds the only vertices that may be isolated.  With neither,
-    every vertex is scanned.
+    settled is the mask of vertices known to fold nowhere in g, which are
+    skipped; touched, when given, the mask of the only vertices that may
+    be isolated.  Vertices are scanned in ascending id order, so a fold at
+    u shows that every unsettled vertex below u folds nowhere.
     """
-    settled = set() if settled is None else settled
-    for w in sorted(g.vertices if touched is None else touched):
-        if g.degree(w) == 0:
+    live = g.mask()
+    for w in g.ids(live if touched is None else touched):
+        if not g.neighbor_mask(w):
             return TraceStep("isolated", (w,))
-    for u in sorted(g.vertices - settled):
-        nu = g.neighbors(u)
-        w = min(nu, key=g.degree)
-        for v in sorted(g.neighbors(w)):
-            if v != u and nu <= g.neighbors(v):
-                return TraceStep("fold", (u, v))
-        settled.add(u)
+    for u in g.ids(live & ~settled):
+        partners = g.common_neighbors(g.neighbor_mask(u)) & ~g.mask((u,))
+        if partners:
+            return TraceStep("fold", (u, next(g.ids(partners))))
     witnesses = next(_pendant_candidates(g), None)
     return None if witnesses is None else TraceStep("pendant", witnesses)
 
@@ -281,26 +281,32 @@ def simplify(g: Graph) -> Verdict:
 
     Loops go first; then each pass applies _first_step's rule through RULES
     (never a square, and a pendant only on an isolated edge).  Passes carry
-    the settled vertices, shown to fold nowhere, and the touched ones, the
-    surviving neighbours of what the last rule deleted.  An untouched
-    vertex keeps N(u) while every N(v) only shrinks, so it cannot become
-    isolated, and if settled it still folds nowhere: the trace is the one a
-    full rescan at every pass gives.
+    the settled vertices, shown to fold nowhere (those _first_step scanned
+    before its fold, or all of them before a pendant), and the touched
+    ones, the surviving neighbours of what the last rule deleted, both as
+    masks of g's vertices.  An untouched vertex keeps N(u) while every N(v)
+    only shrinks, so it cannot become isolated, and if settled it still
+    folds nowhere: the trace is the one a full rescan at every pass gives.
     """
     state = drop_loops(ReductionState.initial(g))
-    settled: set = set()
-    touched = None
+    settled, touched = 0, None
     while True:
-        step = _first_step(state.graph, settled, touched)
+        before = state.graph
+        step = _first_step(before, settled, touched)
         if step is None:
             return Verdict(REDUCED, state)
-        before = state.graph
         state = RULES[step.rule](state, *step.vertices)
         if step.rule == "isolated":
             return Verdict(CONTRACTIBLE, state)
-        kept = state.graph.vertices
-        touched = {w for x in before.vertices - kept for w in before.neighbors(x)} & kept
-        settled -= touched
+        kept = state.graph.mask()
+        # a lower id has a lower bit, so the bits below u's hold every vertex
+        # scanned before u; a pendant comes after a scan of all of them
+        settled |= before.mask(step.vertices[:1]) - 1 if step.rule == "fold" else kept
+        touched = 0
+        for x in before.ids(before.mask() & ~kept):
+            touched |= before.neighbor_mask(x)
+        touched &= kept
+        settled &= ~touched
 
 
 def replay_trace(g: Graph, steps) -> ReductionState:

@@ -51,8 +51,9 @@
   conjectures fails the same way on a wrong denominator split at n = 6
   (roots_of_unity and periodicity), a wrong cycle divisibility verdict
   (cycle_divisibility, through necklace verify too) and a wrong block-count
-  bound (block_count_denominator): each shows its FAIL line in text and
-  its check name in the JSON failures.
+  bound (block_count_denominator), and verify correspondence on a wrong
+  verdict at n = 6 (pattern_correspondence): each shows its FAIL line in
+  text and its check name in the JSON failures.
 - repeated invocations produce byte-identical output.
 - every JSON document (witten, table1, genfun, necklace cycles, enumerate
   and verify, verify) has "schema" as its first key, with value 1.
@@ -533,6 +534,13 @@ def test_a_wrong_block_count_bound_fails_its_pattern(capsys, monkeypatch):
     assert failed_checks(capsys, "verify", "conjectures", "--nmax", "8") == (
         1, [FORM_4, "FAIL block_count_denominator n=6 pattern=000101 / 101111"],
         ["denominator_form", "block_count_denominator"])
+
+
+def test_a_wrong_correspondence_fails_its_circumference(capsys, monkeypatch):
+    corresponds = cli.check_correspondence
+    monkeypatch.setattr(cli, "check_correspondence", lambda n: n != 6 and corresponds(n))
+    assert failed_checks(capsys, "verify", "correspondence", "--nmax", "8") == (
+        1, ["FAIL pattern_correspondence n=6"], ["pattern_correspondence"])
 
 
 def test_verify_conjectures_reports_the_one_failure(capsys):

@@ -3,8 +3,10 @@
 Covers: degenerate cycle conventions (C_2 = P_2, C_1 = looped vertex,
 C_0 = empty), row-major grid ids that equal those of the labelled-factor
 construction of tests/helpers (every family, m, n <= 5) with grid_vertex
-refusing cells outside the grid, a Graph that stores only its vertex ids
-and neighbour sets (edges derived, equality on neighbour sets), agreement of witten_brute and witten_transfer with the naive
+refusing cells outside the grid, a Graph that stores only its sorted ids,
+one neighbour mask per id and its live mask (edges derived, equality on
+neighbour sets, scattered and negative ids, the mask queries), agreement
+of witten_brute and witten_transfer with the naive
 subset-enumeration oracle, frozen small values, the constant and period-3
 column series, multiplicativity and the two deletion relations on random
 graphs, the ten suspension identities on a development-sized sweep, and the
@@ -23,7 +25,8 @@ walks do half the work: a torus walks ceil(m/2) rows per orbit
 representative, a free grid floor(m/2) + 1 rows, an unmasked column reads
 floor(mmax/2) + 1 powers, and a zero-row column builds no ring.  The
 column kernel with arbitrary masked top rows matches the same oracle
-(n <= 10, up to three masks, m <= 12, also m below the mask count).  The
+(n <= 10, up to three masks, m <= 12, also m below the mask count), and
+its first row step receives row 1's mask rotated to start at a one.  The
 orbit cache is bounded, and the cylinder and the patterns of one ring
 read one kept list of powers B^k w, which stops at the fit window 2N + 6
 (an m-row column reads B^0 w .. B^(m // 2) w, an m-row pattern
@@ -38,9 +41,12 @@ The brute oracle recurses on vertex masks; on derandomized graphs with
 loops, isolated vertices, several components and scattered ids it returns
 the frozenset recursion's value after visiting the same vertex sets in the
 same order, and the value of the recursion without the leaf step.  With
-the leaf step, paths and random forests never reach the component search.
+the leaf step, paths and random forests never reach the component search,
+and the indices of leafless parts (0, 1, 2, -1, -2, -3) multiply over
+unions of two and three.
 Graph.induced equals the graph built from scratch on the kept vertices,
-and the mask component search, read back as vertex ids, matches the
+and so does a second deletion from it, which shares the same masks; the
+mask component search, read back as vertex ids, matches the
 frozenset search, sorted by least member.
 """
 
@@ -145,8 +151,18 @@ def test_row_major_ids_match_the_labelled_grid():
 
 
 def test_graph_stores_its_vertices_and_neighbour_sets_only():
-    assert Graph.__slots__ == ("vertices", "_adj")
+    # the sorted ids, their bits, one neighbour mask per id and the live mask
+    assert Graph.__slots__ == ("_ids", "_index", "_nbrs", "_live")
     g = Graph(range(4), [(1, 0), (0, 1), (2, 2), (3, 1)])
+    assert (g._ids, g._nbrs, g._live) == ((0, 1, 2, 3), (0b0010, 0b1001, 0b0100, 0b0010), 0b1111)
+    h = Graph([7, -3, 40], [(40, -3)]).without_vertices([7])
+    assert (h._ids, h._nbrs, h._live) == ((-3, 7, 40), (0b100, 0, 0b001), 0b101)
+    assert h.mask([40, 7, 99]) == 0b100 and list(h.ids(-1)) == [-3, 40]
+    assert h.neighbor_mask(-3) == 0b100 and g.looped() == 0b0100
+    assert 7 not in h and -3 in h and 99 not in h
+    for absent in (7, 99):
+        with pytest.raises(KeyError):
+            h.neighbor_mask(absent)
     assert g.edges == frozenset({(0, 1), (2, 2), (1, 3)})
     assert g.has_edge(1, 0) and g.has_edge(2, 2) and not g.has_edge(0, 2)
     assert not g.has_edge(0, 9) and not g.has_edge(9, 0)
@@ -218,16 +234,30 @@ def test_vertex_and_edge_deletion_relations():
             assert z == no_edge - no_nbhd
 
 
+def test_components_multiply_their_indices():
+    # leafless connected parts, so the recursion splits a union of two at
+    # once: K_3, K_4, C_4, C_5, C_6 and a five-vertex graph of index 0
+    parts = [Graph(range(k), [(u, v) for u in range(k) for v in range(u + 1, k)])
+             for k in (3, 4)]
+    parts += [build_grid(GridSpec("cylinder", 1, n)) for n in (4, 5, 6)]
+    parts.append(Graph(range(5), [(0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)]))
+    values = [naive_witten(p) for p in parts]
+    assert values == [-2, -3, -1, 1, 2, 0]
+    for a, za in zip(parts, values):
+        for b, zb in zip(parts, values):
+            assert witten_brute(disjoint_union(a, b)) == za * zb
+            assert witten_brute(disjoint_union(disjoint_union(a, b), a)) == za * zb * za
+
+
 def assert_brute_recursion_matches_the_oracle(g):
     """Same value, and the same vertex sets reach the component search in
     the same order, as in the frozenset recursion; the same value as the
     recursion without the leaf step."""
-    verts = sorted(v for v in g.vertices if not g.has_loop(v))
     seen, expected = [], []
     search = graphs._components
 
     def spy(nbrs, active):
-        seen.append(frozenset(v for i, v in enumerate(verts) if active >> i & 1))
+        seen.append(frozenset(g.ids(active)))
         return search(nbrs, active)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -280,25 +310,43 @@ def test_brute_recursion_matches_the_frozenset_oracle_on_grids():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scattered_graphs(), st.data())
 def test_induced_equals_the_graph_built_from_scratch(g, data):
-    keep = data.draw(st.frozensets(st.sampled_from(sorted(g.vertices)))
-                     if g.vertices else st.just(frozenset()))
-    fresh = Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep])
+    def subsets(vertices):
+        return (st.frozensets(st.sampled_from(sorted(vertices)))
+                if vertices else st.just(frozenset()))
+
+    def from_scratch(keep):
+        return Graph(keep, [(u, v) for u, v in g.edges if u in keep and v in keep])
+
+    keep = data.draw(subsets(g.vertices))
+    again = data.draw(subsets(keep))  # a second deletion, on the shared masks
+    fresh, twice = from_scratch(keep), from_scratch(again)
     for h in (g.induced(keep), g.without_vertices(g.vertices - keep)):
-        assert (h.vertices, h.edges) == (fresh.vertices, fresh.edges)
-        assert h == fresh
-        assert all(h.neighbors(v) == fresh.neighbors(v) for v in keep)
+        for sub, want in ((h, fresh), (h.induced(again), twice),
+                          (h.without_vertices(keep - again), twice)):
+            assert (sub.vertices, sub.edges) == (want.vertices, want.edges)
+            assert sub == want and hash(sub) == hash(want)
+            assert all(sub.neighbors(v) == want.neighbors(v) for v in want.vertices)
+            assert all(sub.degree(v) == want.degree(v) for v in want.vertices)
+            assert all(sub.has_loop(v) == want.has_loop(v) for v in want.vertices)
+            assert witten_brute(sub) == witten_brute(want)
+        assert h.induced(again) == h.without_vertices(keep - again)
+        assert (h.induced(again) == h) == (again == keep)
+        for gone in keep - again:
+            assert gone not in h.induced(again)
+            with pytest.raises(KeyError):
+                h.induced(again).neighbors(gone)
     with pytest.raises(ValueError):
         g.induced(keep | {61})
+    if keep != g.vertices:
+        with pytest.raises(ValueError):
+            g.induced(keep).induced(g.vertices)  # a deleted vertex is not back
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scattered_graphs())
 def test_components_keep_the_least_member_order(g):
-    verts = sorted(g.vertices)
-    masks = graphs._components(graphs._neighbor_masks(g, verts),
-                               (1 << len(verts)) - 1)
-    comps = [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
-             for mask in masks]
+    masks = graphs._components(g._nbrs, g.mask())
+    comps = [frozenset(g.ids(mask)) for mask in masks]
     assert comps == sorted(components_oracle(g, g.vertices), key=min)
     assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
@@ -457,6 +505,24 @@ def test_column_kernel_with_masked_rows_matches_compat_oracle(case):
     n, m, masks = case
     expected = transfer_oracle(n, list(masks) + [-1] * (m - len(masks)))[: m + 1]
     assert column_series(n, m, masks) == expected
+
+
+def test_a_masked_column_starts_its_walk_at_row_one_first_one(monkeypatch):
+    allowed, row_step = [], graphs._row_step
+
+    def spy(vec, n, mask, cyclic):
+        allowed.append(mask)
+        return row_step(vec, n, mask, cyclic)
+
+    cases = ((6, (0b000010, 0b110111)), (8, (0b10100000, 0b11111111)),
+             (5, (0b00001, 0b10110)), (7, (0b10000000 | 0b1111000, 0)))
+    for n, _ in cases:
+        _orbits(n)  # built before spying: its ring walk is no masked row
+    monkeypatch.setattr(graphs, "_row_step", spy)
+    for n, masks in cases:
+        allowed.clear()
+        assert column_series(n, 6, masks) == transfer_oracle(n, list(masks) + [-1] * 4)
+        assert allowed[0] & 1 and len(allowed) == 2, (n, masks)
 
 
 def test_orbit_cache_is_bounded_and_rings_share_one_power_list():

@@ -41,6 +41,9 @@ KEEP = {
     "patterns.masked_graph":
         "the brute route for pattern series, a paper claim: "
         "z_pattern_series is checked against witten_brute on it",
+    "graphs.Graph.induced":
+        "the subgraph on the kept vertices, checked against the graph built "
+        "from scratch; src deletes through its complement, without_vertices",
     "graphs.Graph.without_edge":
         "the index form of edge removal, Z(G - e) = Z(G) + Z(residue); the "
         "edge rule of ROADMAP item 3 gives it a src caller",

@@ -1,6 +1,7 @@
 """Rewrite rules, contractibility detection, and certificate soundness.
 
-Covers: edge residue graphs, the zero-residue vertex lemma, the fold /
+Covers: edge residue graphs (refused for an endpoint outside the graph),
+the zero-residue vertex lemma, the fold /
 pendant / square rules with their preconditions, the one-step
 contractibility configurations, simplify's verdicts on the two hard residue
 graphs from the rows-3 cylinder argument, determinism, trace replay
@@ -11,15 +12,18 @@ replays as exactly that one step, so a step that applies nothing (a second
 drop_loops, a drop_loops on a loop-free graph) is rejected; and
 detect_configuration's witness is effectively isolated in the graph that
 its rule, recomputed here, leaves.  A step with too few or too many
-vertices is refused as inapplicable.  simplify's step choice, which scans
-only one neighbourhood for a fold, equals the all-pairs oracle of
-tests/helpers on random loop-free graphs and along their traces, and never
-needs a square: whenever a square exists, an isolated vertex or a fold is
+vertices is refused as inapplicable, and so is a square with a repeated
+or absent vertex or a witness of degree 3, and an isolated step on a
+vertex with a neighbour, a loop, or none at all.  simplify's step choice,
+which reads u's fold partners as the common neighbours of N(u), equals
+the all-pairs oracle of tests/helpers on random loop-free graphs and
+along their traces, and never needs a square: whenever a square exists, an isolated vertex or a fold is
 found first.  simplify, which carries settled and touched vertices between
 passes, gives the same verdict, trace and final graph as the loop that
 rescans every vertex at every pass (tests/helpers.simplify_oracle), on
 derandomized graphs with loops and on edge residues of every cylinder with
-m <= 7 and n <= 10.
+m <= 7 and n <= 10, where it runs under a third of the rescan loop's fold
+scans.
 """
 
 from random import Random
@@ -72,6 +76,15 @@ def test_residue_edge_leaves_isolated_vertex():
     assert 2 in r.vertices
     assert r.degree(2) == 0
     assert r.vertices == frozenset({2}) | frozenset(range(6, 11))
+
+
+def test_residue_edge_refuses_an_endpoint_outside_the_graph():
+    c6 = cycle(6)
+    for e in ((0, 9), (9, 0), (9, 9)):
+        with pytest.raises(ValueError):
+            residue_edge(c6, e)
+    with pytest.raises(ValueError):
+        residue_edge(c6.without_vertices([3]), (0, 3))  # a deleted vertex
 
 
 # -- fold ---------------------------------------------------------------------
@@ -150,6 +163,16 @@ def test_square_preconditions():
     tri = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(RuleInapplicableError):
         apply_square_suspension(ReductionState.initial(tri), 0, 1, 2, 2)
+    # u-v-u-y closes every edge check of the triangle: distinctness refuses it
+    with pytest.raises(RuleInapplicableError):
+        apply_square_suspension(ReductionState.initial(tri), 0, 1, 0, 2)
+    c4 = ReductionState.initial(cycle(4))
+    with pytest.raises(RuleInapplicableError):
+        apply_square_suspension(c4, 0, 1, 2, 9)  # an absent vertex
+    for hung_at in (0, 1):  # deg(u) = 3 or deg(v) = 3
+        hung = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (hung_at, 4)])
+        with pytest.raises(RuleInapplicableError):
+            apply_square_suspension(ReductionState.initial(hung), 0, 1, 2, 3)
 
 
 # -- configurations ---------------------------------------------------------------
@@ -304,6 +327,18 @@ def test_each_simplify_step_replays_as_exactly_one_step():
     assert state.trace == tuple(square) and state.witten() == 0
 
 
+def test_isolated_refuses_a_vertex_with_a_neighbour_or_outside_the_graph():
+    g = Graph(range(4), [(0, 1), (1, 2), (3, 3)])  # 3 has only itself
+    for w in (0, 1, 2, 3, 7):
+        with pytest.raises(RuleInapplicableError):
+            replay_trace(g, [TraceStep("isolated", (w,))])
+    state = replay_trace(g, [TraceStep("fold", (0, 2))])
+    with pytest.raises(RuleInapplicableError):
+        replay_trace(g, state.trace + (TraceStep("isolated", (2,)),))  # deleted
+    lone = g.without_vertices([1])
+    assert replay_trace(lone, [TraceStep("isolated", (0,))]).witten() == 0
+
+
 @pytest.mark.parametrize("rule, arity", [("fold", 2), ("pendant", 2),
                                          ("square", 4), ("isolated", 1)])
 def test_replay_refuses_a_wrong_vertex_count(rule, arity):
@@ -353,12 +388,26 @@ def test_simplify_equals_the_full_rescan_loop(g):
     assert simplify(g) == simplify_oracle(g)
 
 
-def test_simplify_equals_the_full_rescan_loop_on_cylinder_residues():
-    rng = Random(16)
+def test_simplify_equals_the_full_rescan_loop_on_cylinder_residues(monkeypatch):
+    # one common-neighbour query per fold scan of a vertex: the carried
+    # settled and touched masks spare most of the rescan loop's scans
+    scans, common = [0], Graph.common_neighbors
+
+    def counted(self, mask):
+        scans[0] += 1
+        return common(self, mask)
+
+    monkeypatch.setattr(Graph, "common_neighbors", counted)
+    rng, carried, rescanned = Random(16), 0, 0
     for m in range(1, 8):
         for n in range(1, 11):
             g = build_grid(GridSpec("cylinder", m, n))
             verts = sorted(g.vertices)
             for _ in range(4):
                 r = residue_edge(g, (rng.choice(verts), rng.choice(verts)))
-                assert simplify(r) == simplify_oracle(r), (m, n)
+                scans[0] = 0
+                verdict = simplify(r)
+                carried, scans[0] = carried + scans[0], 0
+                assert verdict == simplify_oracle(r), (m, n)
+                rescanned += scans[0]
+    assert 3 * carried < rescanned
