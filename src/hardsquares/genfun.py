@@ -49,7 +49,6 @@ from .polynomials import (
     IntPoly,
     ONE,
     RationalGF,
-    T,
     factor_cyclotomic,
     fit_recurrence,
     series_expand,
@@ -120,7 +119,7 @@ def pattern_gf(p: Pattern) -> RationalGF:
             a += shift
         if a == 0:
             raise ConsistencyError(f"successor cycle of {cur} contains no peel step")
-        series = accumulated / (ONE - T ** a * sigma)
+        series = accumulated / (ONE - ONE.shift(a) * sigma)
 
     # the signed shift keeps series reduced, and + divides out only a factor
     # of its denominators' gcd: none against a peel step's polynomial side
@@ -176,13 +175,13 @@ def conjectured_denominator(n: int) -> IntPoly:
         raise ValueError("even n >= 2 required")
     k, rem = divmod(n, 4)
     if rem == 2:
-        out = ONE + T ** 2
+        out = ONE + ONE.shift(2)
         top, stop = 8 * k - 2, 2 * k + 4
     else:
-        out = ONE - T ** 2
+        out = ONE - ONE.shift(2)
         top, stop = 8 * k - 6, 2 * k + 6
     for e in range(top, stop - 1, -6):
-        out = out * (ONE - T ** e)
+        out = out * (ONE - ONE.shift(e))
     return out
 
 
@@ -216,7 +215,7 @@ def periodicity_report(n: int, gf: RationalGF) -> PeriodicityReport:
     period = None
     if remainder_ok and max_mult <= 1:
         period = lcm(*factors.keys()) if factors else 1
-        if not gf.den.divides(ONE - T ** period):
+        if not gf.den.divides(ONE - ONE.shift(period)):
             raise ConsistencyError(
                 f"squarefree cyclotomic denominator does not divide "
                 f"1 - t^{period} at n={n}"
@@ -233,9 +232,9 @@ def denominator_bound(n: int, blocks: int) -> IntPoly:
     stone arrangements; the product bounds every pole.
     """
     sign = -1 if (n // 2) % 2 else 1
-    out = ONE - T ** 2 * sign
+    out = ONE - ONE.shift(2) * sign
     for k in range(1, blocks + 1):
-        out = out * (ONE - T ** (2 * cycle_length_lcm(k, n)))
+        out = out * (ONE - ONE.shift(2 * cycle_length_lcm(k, n)))
     return out
 
 

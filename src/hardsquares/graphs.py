@@ -57,11 +57,11 @@ class Graph:
 
     Bit i stands for the i-th smallest id of the graph the masks were built
     from, so a lower id has a lower bit, and a looped vertex's mask holds
-    its own bit.  induced and without_vertices share their parent's masks
-    and narrow only the live mask; surviving vertices keep their ids, so
-    reduction traces can be replayed against the original graph.  The mask
-    queries (mask, ids, neighbor_mask, common_neighbors, looped) read the
-    live vertices as masks of these bits.
+    its own bit.  without_vertices, the one way to narrow a graph, shares
+    its parent's masks and narrows only the live mask; surviving vertices
+    keep their ids, so reduction traces can be replayed against the
+    original graph.  The mask queries (mask, ids, neighbor_mask,
+    common_neighbors, looped) read the live vertices as masks of these bits.
     """
 
     __slots__ = ("_ids", "_index", "_nbrs", "_live")
@@ -155,15 +155,8 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        """Subgraph on keep: this graph's masks under a narrower live mask."""
-        keep = frozenset(keep)
-        live = self.mask(keep)
-        if live.bit_count() != len(keep):
-            raise ValueError("induced() got vertices not present in the graph")
-        return self._sub(live)
-
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
+        """Subgraph without drop: these masks under a narrower live mask."""
         return self._sub(self._live & ~self.mask(drop))
 
     def without_edge(self, u: int, v: int) -> "Graph":
@@ -172,6 +165,7 @@ class Graph:
         return Graph(self.vertices, self.edges - {(u, v) if u <= v else (v, u)})
 
     def __eq__(self, other) -> bool:
+        """Same vertices and edges; a shared _index means a shared adjacency."""
         if not isinstance(other, Graph):
             return False
         if self._index is other._index:  # one adjacency: the live masks decide

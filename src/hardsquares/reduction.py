@@ -10,10 +10,11 @@ index invariant up to a tracked sign:
                   u-v-x-y, delete all four; again one suspension.
 
 A state records the accumulated suspension count and an ordered trace, so
-(-1)^suspensions * Z(current) = Z(original) at every step, and the trace can
-be replayed and externally audited.  An isolated loop-free vertex makes the
-independence complex a cone, hence contractible and the index 0; simplify
-uses that as its terminal contractibility test.
+(-1)^suspensions * Z(current) = Z(original) at every step.  The trace, a
+tuple of TraceSteps, is the certificate's one form: replay_trace re-checks
+it step by step from the original graph.  An isolated loop-free vertex
+makes the independence complex a cone, hence contractible and the index 0;
+simplify uses that as its terminal contractibility test.
 
 Looped vertices join no independent set, so dropping them is index-neutral;
 simplify normalizes them away first, and the rule preconditions reject loops
@@ -39,7 +40,7 @@ every trace, verdict and sign is the one the id-set form gives.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, witten_brute
@@ -66,16 +67,6 @@ class ReductionState(NamedTuple):
     def witten(self) -> int:
         """Index of the original graph, via the certificate."""
         return self.sign * witten_brute(self.graph)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "suspensions": self.suspensions,
-            "vertices_left": sorted(self.graph.vertices),
-            "steps": [
-                {"rule": s.rule, "vertices": list(s.vertices)} for s in self.trace
-            ],
-        }
 
 
 class Verdict(NamedTuple):
@@ -309,8 +300,8 @@ def simplify(g: Graph) -> Verdict:
         settled &= ~touched
 
 
-def replay_trace(g: Graph, steps) -> ReductionState:
-    """Re-run a trace (TraceStep sequence or JSON step dicts) from scratch.
+def replay_trace(g: Graph, steps: Iterable[TraceStep]) -> ReductionState:
+    """Re-run a trace, a sequence of TraceSteps, from scratch.
 
     Every step goes through its rule in RULES, which re-checks the
     precondition, and must add exactly that step to the trace, so a
@@ -318,10 +309,7 @@ def replay_trace(g: Graph, steps) -> ReductionState:
     """
     state = ReductionState.initial(g)
     for step in steps:
-        if isinstance(step, TraceStep):
-            rule, verts = step.rule, tuple(step.vertices)
-        else:
-            rule, verts = step["rule"], tuple(step["vertices"])
+        rule, verts = step.rule, tuple(step.vertices)
         if rule not in RULES:
             raise RuleInapplicableError(f"unknown rule {rule!r}")
         if len(verts) != _ARITY.get(rule, len(verts)):

@@ -44,15 +44,17 @@ same order, and the value of the recursion without the leaf step.  With
 the leaf step, paths and random forests never reach the component search,
 and the indices of leafless parts (0, 1, 2, -1, -2, -3) multiply over
 unions of two and three.
-Graph.induced equals the graph built from scratch on the kept vertices,
-and so does a second deletion from it, which shares the same masks; the
-mask component search, read back as vertex ids, matches the
-frozenset search, sorted by least member.
+A deletion (without_vertices) equals the graph built from scratch on the
+kept vertices, and so does a second deletion from it, which shares the
+same masks; deleting ids already gone or never there deletes nothing.  A
+graph never equals a copy with one edge deleted, which equals it again
+once an endpoint is deleted from both.  The mask component search, read
+back as vertex ids, matches the frozenset search, sorted by least member.
 """
 
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hardsquares import graphs
 from hardsquares.graphs import (
@@ -320,26 +322,37 @@ def test_induced_equals_the_graph_built_from_scratch(g, data):
     keep = data.draw(subsets(g.vertices))
     again = data.draw(subsets(keep))  # a second deletion, on the shared masks
     fresh, twice = from_scratch(keep), from_scratch(again)
-    for h in (g.induced(keep), g.without_vertices(g.vertices - keep)):
-        for sub, want in ((h, fresh), (h.induced(again), twice),
-                          (h.without_vertices(keep - again), twice)):
-            assert (sub.vertices, sub.edges) == (want.vertices, want.edges)
-            assert sub == want and hash(sub) == hash(want)
-            assert all(sub.neighbors(v) == want.neighbors(v) for v in want.vertices)
-            assert all(sub.degree(v) == want.degree(v) for v in want.vertices)
-            assert all(sub.has_loop(v) == want.has_loop(v) for v in want.vertices)
-            assert witten_brute(sub) == witten_brute(want)
-        assert h.induced(again) == h.without_vertices(keep - again)
-        assert (h.induced(again) == h) == (again == keep)
-        for gone in keep - again:
-            assert gone not in h.induced(again)
-            with pytest.raises(KeyError):
-                h.induced(again).neighbors(gone)
-    with pytest.raises(ValueError):
-        g.induced(keep | {61})
-    if keep != g.vertices:
-        with pytest.raises(ValueError):
-            g.induced(keep).induced(g.vertices)  # a deleted vertex is not back
+    h = g.without_vertices(g.vertices - keep)
+    narrowed = h.without_vertices(keep - again)
+    for sub, want in ((h, fresh), (narrowed, twice)):
+        assert (sub.vertices, sub.edges) == (want.vertices, want.edges)
+        assert sub == want and hash(sub) == hash(want)
+        assert all(sub.neighbors(v) == want.neighbors(v) for v in want.vertices)
+        assert all(sub.degree(v) == want.degree(v) for v in want.vertices)
+        assert all(sub.has_loop(v) == want.has_loop(v) for v in want.vertices)
+        assert witten_brute(sub) == witten_brute(want)
+    assert (narrowed == h) == (again == keep)
+    for gone in keep - again:
+        assert gone not in narrowed
+        with pytest.raises(KeyError):
+            narrowed.neighbors(gone)
+    # deleting ids that are gone, or were never there, deletes nothing
+    assert h.without_vertices((g.vertices - keep) | {61}) == h
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scattered_graphs(), st.data())
+def test_a_graph_never_equals_its_edge_deleted_copy(g, data):
+    # __eq__ reads only the live masks of graphs that share an _index, so
+    # an edge deletion must not hand its copy the parent's adjacency
+    assume(g.edges)
+    picked = data.draw(st.lists(st.sampled_from(sorted(g.edges)), min_size=1,
+                                max_size=4, unique=True))
+    for u, v in picked:
+        cut = g.without_edge(u, v)
+        assert cut != g and g != cut
+        assert (cut.vertices, cut.edges) == (g.vertices, g.edges - {(u, v)})
+        assert cut.without_vertices([u]) == g.without_vertices([u])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -9,6 +9,10 @@
   no src module imports dataclasses or fractions.  The child still loads
   graphs, patterns, genfun, polynomials and necklaces, which the
   benchmark's tracer reaches through the cli module.
+- the "schema" key of a JSON document has one owner, cli._emit_json: the
+  src modules that spell "schema" as a dict key (in a dict display, a
+  subscript or a dict() keyword) are exactly cli and necklaces, whose
+  per-class key waits on ROADMAP item 6.
 - every behaviour has one public path: each public top-level function or
   class of a src module, and each public method of a src class, is named
   somewhere outside its own body (an identifier, attribute, import alias
@@ -41,18 +45,12 @@ KEEP = {
     "patterns.masked_graph":
         "the brute route for pattern series, a paper claim: "
         "z_pattern_series is checked against witten_brute on it",
-    "graphs.Graph.induced":
-        "the subgraph on the kept vertices, checked against the graph built "
-        "from scratch; src deletes through its complement, without_vertices",
     "graphs.Graph.without_edge":
         "the index form of edge removal, Z(G - e) = Z(G) + Z(residue); the "
         "edge rule of ROADMAP item 3 gives it a src caller",
     "reduction.detect_configuration":
         "the one-step contractibility certificates of the paper's part 1, "
         "which the edge rule builds on",
-    "reduction.ReductionState.to_json_obj":
-        "the export form of a reduction certificate, for the edge rule's "
-        "replayable traces",
 }
 
 
@@ -161,6 +159,41 @@ def test_cold_cli_import_loads_no_heavy_stdlib_module():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0 and proc.stdout == "[] True\n", proc.stderr
+
+
+def spells_schema_key(path: Path) -> bool:
+    """Does the module spell "schema" as a dict key?"""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif isinstance(node, ast.keyword):
+            if node.arg == "schema":
+                return True
+            continue
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "schema" for k in keys):
+            return True
+    return False
+
+
+def test_only_cli_and_necklaces_spell_a_schema_key():
+    spellers = {p.stem for p in sorted(SRC.glob("*.py")) if spells_schema_key(p)}
+    assert spellers == {"cli", "necklaces"}
+
+
+def test_the_schema_guard_sees_every_key_form(tmp_path):
+    forms = {"display": 'doc = {"n": 1, "schema": 1}\n',
+             "subscript": 'doc = {}\ndoc["schema"] = 1\n',
+             "keyword": 'doc = dict(schema=1)\n',
+             "prose": '"""Every document gets "schema": 1 from cli."""\n'
+                      'doc = {"n": "schema"}\n'}
+    for name, text in forms.items():
+        (tmp_path / f"{name}.py").write_text(text)
+    seen = {name for name in forms if spells_schema_key(tmp_path / f"{name}.py")}
+    assert seen == {"display", "subscript", "keyword"}
 
 
 def _definitions(tree: ast.Module):

@@ -5,7 +5,8 @@ the zero-residue vertex lemma, the fold /
 pendant / square rules with their preconditions, the one-step
 contractibility configurations, simplify's verdicts on the two hard residue
 graphs from the rows-3 cylinder argument, determinism, trace replay
-(including tamper rejection), and the sign-tracking invariant
+(a step forged with an absent witness or another rule, or moved, is
+rejected), and the sign-tracking invariant
 (-1)^suspensions * Z(current) = Z(original).  RULES holds exactly the five
 trace rules and simplify's traces use every one; each step of a trace
 replays as exactly that one step, so a step that applies nothing (a second
@@ -232,7 +233,8 @@ def test_simplify_three_row_residues_are_contractible():
 
     e2 = (grid_vertex(s3, 2, 0), grid_vertex(s3, 2, 9))
     r2 = residue_edge(g3, e2)
-    component = r2.induced(max(components_oracle(r2, r2.vertices), key=len))
+    largest = max(components_oracle(r2, r2.vertices), key=len)
+    component = r2.without_vertices(r2.vertices - largest)
     assert simplify(component).kind == CONTRACTIBLE
     assert simplify(r2).kind == CONTRACTIBLE
 
@@ -277,20 +279,24 @@ def test_trace_replay_and_tamper_rejection():
     e = (grid_vertex(s3, 1, 0), grid_vertex(s3, 1, 4))
     r = residue_edge(build_grid(s3), e)
     verdict = simplify(r)
-    state = replay_trace(r, verdict.state.trace)
+    trace = verdict.state.trace
+    state = replay_trace(r, trace)
     assert state.graph == verdict.state.graph
     assert state.suspensions == verdict.state.suspensions
+    assert state.trace == trace
 
-    obj = verdict.state.to_json_obj()
-    assert obj["schema"] == 1
-    state2 = replay_trace(r, obj["steps"])
-    assert state2.suspensions == verdict.state.suspensions
-
-    if verdict.state.trace:
-        bad = list(obj["steps"])
-        bad[0] = {"rule": "pendant", "vertices": [0, 1]}
-        with pytest.raises(RuleInapplicableError):
-            replay_trace(r, bad)
+    assert {step.rule for step in trace} == {"fold", "isolated"}
+    for k, step in enumerate(trace):
+        # a witness outside r (0 is in the deleted edge's neighbourhood), and
+        # a fold's witnesses read as a pendant's, whose leaf they are not
+        forged = [step._replace(vertices=(0,) * len(step.vertices))]
+        if step.rule == "fold":
+            forged.append(step._replace(rule="pendant"))
+        for bad in forged:
+            with pytest.raises(RuleInapplicableError):
+                replay_trace(r, trace[:k] + (bad,) + trace[k + 1:])
+    with pytest.raises(RuleInapplicableError):  # the last step moved first
+        replay_trace(r, trace[-1:] + trace[:-1])
 
 
 def test_replay_rejects_a_step_that_applies_nothing():
@@ -299,13 +305,12 @@ def test_replay_rejects_a_step_that_applies_nothing():
         replay_trace(p3, [TraceStep("fold", (0, 2)), TraceStep("drop_loops", (0, 2))])
     looped = Graph(range(3), [(0, 0), (0, 1), (1, 2)])
     with pytest.raises(RuleInapplicableError):
-        replay_trace(looped, [{"rule": "drop_loops", "vertices": [0]},
-                              {"rule": "drop_loops", "vertices": [0]}])
+        replay_trace(looped, [TraceStep("drop_loops", (0,)), TraceStep("drop_loops", (0,))])
     with pytest.raises(RuleInapplicableError):
-        replay_trace(looped, [{"rule": "drop_loops", "vertices": [0, 1]}])
+        replay_trace(looped, [TraceStep("drop_loops", (0, 1))])
     with pytest.raises(RuleInapplicableError):
-        replay_trace(looped, [{"rule": "unfold", "vertices": [0]}])
-    state = replay_trace(looped, [{"rule": "drop_loops", "vertices": [0]}])
+        replay_trace(looped, [TraceStep("unfold", (0,))])
+    state = replay_trace(looped, [TraceStep("drop_loops", (0,))])
     assert state.graph == path(3).without_vertices([0])
 
 
@@ -344,9 +349,9 @@ def test_isolated_refuses_a_vertex_with_a_neighbour_or_outside_the_graph():
 def test_replay_refuses_a_wrong_vertex_count(rule, arity):
     for count in (arity - 1, arity + 1):
         with pytest.raises(RuleInapplicableError):
-            replay_trace(path(3), [{"rule": rule, "vertices": list(range(count))}])
+            replay_trace(path(3), [TraceStep(rule, tuple(range(count)))])
     with pytest.raises(TypeError):  # raised inside the rule, not a count
-        replay_trace(path(3), [{"rule": rule, "vertices": [[0]] * arity}])
+        replay_trace(path(3), [TraceStep(rule, ([0],) * arity)])
 
 
 def _as_pair(step):
