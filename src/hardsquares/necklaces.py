@@ -15,38 +15,49 @@ so its functional graph is a disjoint union of cycles; cycle_structure
 computes them and cycle_length_lcm feeds the denominator bounds of the
 generating-function module.
 
-An arrangement is its sequence, the clockwise (vector, gap to the next
-stone) pairs; n is the sum of the gaps.  transform steps it in place, as
-jumps never reorder stones.  A class is its canonical sequence, the least
-rotation or reflection (canonicalize), which starts with an away element
-(negative vector).  Classes are generated directly in that form (orderly
+An arrangement is its block word: walking clockwise from an away stone
+(negative vector), each away stone and the facing stone after it make one
+block, an int packing four fixed-width fields, high to low: the away
+vector -o (as 2 - o), the away gap A, the facing vector i (as i - 1) and
+the facing gap F.  n is the sum of the gaps, and int order is the order of
+the (vector, gap) pairs, so the least word is the least sequence.  The
+step and the mirror are sums of per-block lookups into three tables,
+each entry computed on first use: image block j is _STEP_FRONT[b_j] +
+_STEP_BACK[b_{j+1}] (T never reorders stones), and mirror block j is
+_MIRROR_FRONT[b_j] plus the facing gap of b_{j-1}, read back to front.
+A gap field is _GAP_BITS wide, so a circle longer than its largest value
+is refused before any work.
+
+A class is its canonical word, the least rotation or reflection
+(canonicalize).  Classes are generated directly in that form (orderly
 generation, after Sawada, SIAM J. Comput. 31 (2001)), one (facing, away)
-pair at a time.  A branch is pruned as soon as the sequence or its mirror
-gains an away element below the first.  A complete sequence is kept unless
-a rotation starting with its first element, or a mirror rotation starting
-at or below it, is smaller; no other can be, so the leaf test compares only
-those and stops at the first smaller one.  Stones get positions only when a
+stone pair at a time, and a block is packed as soon as its facing gap is
+chosen.  A branch is pruned as soon as an away element, a whole block or
+a whole mirror block falls below the first block.  A complete word is
+kept unless a rotation or mirror rotation starting at or below its first
+block is smaller; no other can be, so the leaf test compares only those
+and stops at the first smaller one.  Stones get positions only when a
 line is printed: format_necklace and necklace_to_json_obj put the first
 stone at 0 and each next one a gap further clockwise.
 
 Arrangements encode the reducible proper patterns with a given block count:
-pattern_of_necklace writes, from the first stone at column 0, a block of 1s
-across each facing gap (with the alternating first row pulled in by the
-vector lengths) and 0101...0 across each away gap; necklace_of_pattern
-inverts it, reading the sequence from the left stone of the first block.
-One T step corresponds to peeling the pattern and collapsing the new
-first-row blocks.  check_correspondence converts each class both ways
-(pattern_of_necklace and _sequence_of, the parse behind
-necklace_of_pattern) and compares the two sides of that identity with
-patterns.same_class.
+pattern_of_necklace writes, from the first stone at column 0, 0101...0
+across each away gap and a block of 1s across each facing gap (with the
+alternating first row pulled in by the vector lengths), one table entry
+per block; necklace_of_pattern inverts it, reading the word from the
+right stone of the first block.  One T step corresponds to peeling the
+pattern and collapsing the new first-row blocks.  check_correspondence
+converts each class both ways (pattern_of_necklace and _sequence_of, the
+parse behind necklace_of_pattern) and compares the two sides of that
+identity with patterns.same_class.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import lcm
-from typing import Dict, List, Tuple
+from operator import add
+from typing import Callable, Dict, List, Tuple
 
 from .errors import ConsistencyError
 from .patterns import (
@@ -59,54 +70,119 @@ from .patterns import (
     same_class,
 )
 
-Seq = Tuple[Tuple[int, int], ...]  # (vector, clockwise gap to the next stone)
+Word = Tuple[int, ...]  # one block per stone pair, read clockwise
 
-_TURN = {-2: 1, -1: 2, 1: -2, 2: -1}
+# A block's fields, high to low: the away vector's code 2 - o, the away gap
+# A, the facing vector's code i - 1 and the facing gap F.
+_GAP_BITS = 14  # a block then fits one 30-bit int digit
+_MASK = (1 << _GAP_BITS) - 1
+_FACING = _GAP_BITS
+_AWAY_GAP = _GAP_BITS + 1
+_AWAY = 2 * _GAP_BITS + 1
+
+
+def _block(o: int, a: int, i: int, f: int) -> int:
+    """The block of away vector -o, away gap a, facing vector i and facing
+    gap f."""
+    return ((2 - o) << _AWAY) | (a << _AWAY_GAP) | ((i - 1) << _FACING) | f
+
+
+def _fields(block: int) -> Tuple[int, int, int, int]:
+    """(o, a, i, f) of a block: the vector lengths and the two gaps."""
+    return (2 - (block >> _AWAY), (block >> _AWAY_GAP) & _MASK,
+            ((block >> _FACING) & 1) + 1, block & _MASK)
+
+
+class _Table(dict):
+    """A function of one block, each entry computed on its first lookup.
+    Entries are immutable, and a circle of length n meets fewer than 2n^2
+    blocks."""
+
+    def __init__(self, entry: Callable[[int], object]) -> None:
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, block: int) -> object:
+        value = self[block] = self.entry(block)
+        return value
+
+
+def _step_front(block: int) -> int:
+    """The image block's part from its own block's facing stone: the away
+    vector -(3 - i), -1 when fixed (A = o = i = 1), and the away gap's
+    F - i."""
+    o, a, i, f = _fields(block)
+    away = 1 if a == o == i == 1 else 3 - i
+    return ((2 - away) << _AWAY) + ((f - i) << _AWAY_GAP)
+
+
+def _step_back(block: int) -> int:
+    """The previous image block's part from this block's away stone: the
+    away gap's -o, the facing vector 3 - o, 1 when fixed, and the facing
+    gap A + o + i, which is 3 exactly when fixed."""
+    o, a, i, _ = _fields(block)
+    facing = 1 if a == o == i == 1 else 3 - o
+    return -(o << _AWAY_GAP) + ((facing - 1) << _FACING) + a + o + i
+
+
+def _mirror_front(block: int) -> int:
+    """The mirror block's part from its own block: the pair read back to
+    front, away vector -i, away gap A, facing vector o."""
+    o, a, i, _ = _fields(block)
+    return _block(i, a, o, 0)
+
+
+_STEP_FRONT = _Table(_step_front).__getitem__
+_STEP_BACK = _Table(_step_back).__getitem__
+_MIRROR_FRONT = _Table(_mirror_front).__getitem__
+_MIRROR_BACK = _MASK.__and__  # the facing gap F
 
 
 # -- the step and the canonical form --------------------------------------------------
 
 
-def transform(seq: Seq) -> Seq:
+def transform(word: Word) -> Word:
     """T: jump every stone, switch every vector, then fix distance-3 pairs.
-    Element i of the result is stone i's image, gap_i - v_i + v_{i+1}."""
-    vecs = [_TURN[v] for v, _ in seq]
-    gaps = [gap - v + w for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1])]
-    for i, gap in enumerate(gaps):
-        if vecs[i] > 0 and gap == 3:  # facing at distance 3: unit vectors
-            vecs[i], vecs[(i + 1) % len(vecs)] = 1, -1
-    return tuple(zip(vecs, gaps))
+
+    Block j of the image starts at the image of block j's facing stone:
+    its away gap is F_j - i_j - o_{j+1} and its facing pair is block j+1's
+    away stone, jumped to facing gap A + o + i.  That gap is 3 exactly when
+    A = o = i = 1, and then the switched vectors are (2, -2), so the fix
+    only ever turns a (2, -2) jump into (1, -1), whatever n is.  Each image
+    block is a table sum, _STEP_FRONT[b_j] + _STEP_BACK[b_{j+1}].
+    """
+    return tuple(map(add, map(_STEP_FRONT, word),
+                     map(_STEP_BACK, word[1:] + word[:1])))
 
 
-def _mirror(seq: Seq) -> Seq:
-    """The reflection: the stones reversed, their vectors negated, each
-    stone with the gap before it.  Element j of the mirror of an
-    away-started sequence is an away element exactly when j is even."""
-    rev = seq[::-1]
-    return tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
+def _mirror(word: Word) -> Word:
+    """The reflection: the stones reversed and their vectors negated.  The
+    block of b_j read back to front is _MIRROR_FRONT[b_j] plus the facing
+    gap F_{j-1}, from the last block on."""
+    rev = word[::-1]
+    return tuple(map(add, map(_MIRROR_FRONT, rev),
+                     map(_MIRROR_BACK, rev[1:] + rev[:1])))
 
 
-def canonicalize(seq: Seq) -> Seq:
-    """The class of seq, as its canonical sequence: the least rotation or
-    reflection, over the offsets of the away elements."""
-    if seq[0][0] > 0:
-        seq = seq[1:] + seq[:1]
-    length = len(seq)
-    return min([d[i:i + length] for d in (seq + seq, _mirror(seq) * 2)
-                for i in range(0, length, 2)])
+def canonicalize(word: Word) -> Word:
+    """The class of word, as its canonical word: the least rotation or
+    reflection, over the rotations that start at the least block."""
+    mirror = _mirror(word)
+    least = min(word + mirror)
+    return min([d[i:] + d[:i] for d in (word, mirror)
+                for i, block in enumerate(d) if block == least])
 
 
-def _is_canonical(cand: Seq) -> bool:
-    """cand == canonicalize(cand), for an away-started cand none of whose away
-    elements is below cand[0]: only a rotation starting with cand[0], or a
-    mirror rotation starting at or below it, can be smaller."""
-    first, length = cand[0], len(cand)
-    for i in range(2, length, 2):
-        if cand[i] == first and cand[i:] + cand[:i] < cand:
+def _is_canonical(word: Word) -> bool:
+    """word == canonicalize(word): only a rotation or mirror rotation that
+    starts at or below word[0] can be smaller."""
+    first = word[0]
+    for i in range(1, len(word)):
+        if word[i] <= first and word[i:] + word[:i] < word:
             return False
-    mirror = _mirror(cand)
-    for i in range(0, length, 2):
-        if mirror[i] <= first and mirror[i:] + mirror[:i] < cand:
+    mirror = _mirror(word)
+    for i, block in enumerate(mirror):
+        if block <= first and mirror[i:] + mirror[:i] < word:
             return False
     return True
 
@@ -114,73 +190,135 @@ def _is_canonical(cand: Seq) -> bool:
 # -- enumeration and cycle structure ----------------------------------------------
 
 
+def _check_circle(n: int) -> None:
+    if n < 1:
+        raise ValueError("circle length must be positive")
+    if n > _MASK:
+        raise ValueError(f"circle length {n} exceeds {_MASK}, the widest gap "
+                         f"a block holds")
+
+
 def _check_size(k: int, n: int) -> None:
     if k < 1:
         raise ValueError("at least one stone pair is required")
-    if n < 1:
-        raise ValueError("circle length must be positive")
+    _check_circle(n)
 
 
-def _canonical_sequences(k: int, n: int) -> List[Seq]:
+def _least_facing_gap(inward: int, outward: int) -> int:
+    """A facing gap is at least 3, with odd gap plus lengths, and 3 only
+    with unit vectors."""
+    return 3 if inward == outward == 1 else 5 if inward == outward else 4
+
+
+def _canonical_words(k: int, n: int) -> List[Word]:
     """The (k, n) classes by orderly generation; see the module docstring.
 
-    Pairs (facing element, away element) are appended in turn; a candidate
-    is rotated to start at its first away element.  From the second pair on,
-    no away element below the first enters the sequence (which _is_canonical
-    relies on) or its mirror.
+    Stone pairs (facing element, away element) are chosen in turn: pair
+    m's away element and pair m+1's facing element make block m-1, packed
+    as soon as that facing gap is chosen, and the last pair's away element
+    closes the word with the first pair's facing element.  From the second
+    pair on, no away element below the first block's, no block below the
+    first and no mirror block below the first enters the word.
     """
-    out: List[Seq] = []
-    seq: List[Tuple[int, int]] = []
+    out: List[Word] = []
+    blocks: List[int] = []
+    # the first pair: its away vector length and gap, its facing half and
+    # the front of the last pair's mirror block
+    o_first = a_first = f_first = closing = opening = 0
 
-    def extend(pairs_left: int, used: int) -> None:
-        floor_rest = 4 * (pairs_left - 1)
+    def extend(pairs_left: int, used: int, head: int, tail: int) -> None:
+        """Choose the next pair after the one whose away element is head
+        (the open block's front) and whose mirror block lacks only its
+        front (tail)."""
+        first = blocks[0] if blocks else -1
+        top = n - used - 4 * (pairs_left - 1)  # facing gaps stay below top
         for inward in (1, 2):
-            # the mirror's away element (-inward, previous away gap)
-            if seq and (-inward, seq[-1][1]) < seq[1]:
-                continue
-            for outward in (1, 2):
-                t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
-                for t_gap in range(t_lo, n - used - floor_rest, 2):
-                    room = n - used - t_gap - floor_rest
-                    if pairs_left > 1:
-                        a_gaps = range(1, room + 1, 2)
-                    else:  # the last pair closes the circle
-                        a_gaps = (room,) if room % 2 else ()
-                    for a_gap in a_gaps:
-                        if seq and (-outward, a_gap) < seq[1]:
-                            continue
-                        seq.extend(((inward, t_gap), (-outward, a_gap)))
-                        if pairs_left > 1:
-                            extend(pairs_left - 1, used + t_gap + a_gap)
-                        else:
-                            cand = tuple(seq[1:] + seq[:1])
-                            if _is_canonical(cand):
-                                out.append(cand)
-                        del seq[-2:]
+            front = head + ((inward - 1) << _FACING)
+            if first < 0:  # this block is the first: the first pair's
+                # mirror block (-inward, A_1, o_1, F_1) must not be smaller
+                if inward > o_first:
+                    continue
+                f_min, f_stop = 0, min(top, f_first + 1) if inward == o_first else top
+            else:
+                if ((2 - inward) << _AWAY) + tail < first:
+                    continue
+                f_min, f_stop = first - front, top
+                if f_min >= top:
+                    continue
+            for outward in range(1, o_first + 1):  # no away vector below o_1's
+                a_min = a_first if outward == o_first else 1
+                away = (2 - outward) << _AWAY
+                f_lo = _least_facing_gap(inward, outward)
+                if f_min > f_lo:
+                    f_lo += (f_min - f_lo + 1) & ~1  # gap parity kept
+                if pairs_left > 1:
+                    for f_gap in range(f_lo, f_stop, 2):
+                        blocks.append(front + f_gap)
+                        back = ((outward - 1) << _FACING) + f_gap
+                        for a_gap in range(a_min, top - f_gap + 1, 2):
+                            extend(pairs_left - 1, used + f_gap + a_gap,
+                                   away + (a_gap << _AWAY_GAP),
+                                   (a_gap << _AWAY_GAP) + back)
+                        blocks.pop()
+                    continue
+                # the last pair closes the circle with an odd away gap of
+                # at least a_min, the room left
+                if (top - f_lo) % 2 == 0:
+                    continue
+                for f_gap in range(f_lo, min(f_stop, top - a_min + 1), 2):
+                    gap = (top - f_gap) << _AWAY_GAP
+                    last = away + gap + closing
+                    # neither the last block nor its pair's mirror block
+                    # (-i_1, A_k, o_k, F_k) is below the first (for k = 2,
+                    # first is -1 and the leaf test alone decides)
+                    if (last >= first and opening + gap
+                            + ((outward - 1) << _FACING) + f_gap >= first):
+                        word = (*blocks, front + f_gap, last)
+                        if _is_canonical(word):
+                            out.append(word)
 
-    if 4 * k <= n:
-        extend(k, 0)
+    if 4 * k > n:
+        return out
+    top = n - 4 * (k - 1)
+    for inward in (1, 2):
+        for outward in (1, 2):
+            for f_gap in range(_least_facing_gap(inward, outward), top, 2):
+                room = top - f_gap
+                if k == 1:
+                    if room % 2:
+                        word = (_block(outward, room, inward, f_gap),)
+                        if _is_canonical(word):
+                            out.append(word)
+                    continue
+                o_first, f_first = outward, f_gap
+                closing = ((inward - 1) << _FACING) + f_gap
+                opening = (2 - inward) << _AWAY
+                for a_gap in range(1, room + 1, 2):
+                    a_first = a_gap
+                    extend(k - 1, f_gap + a_gap,
+                           ((2 - outward) << _AWAY) + (a_gap << _AWAY_GAP),
+                           (a_gap << _AWAY_GAP) + ((outward - 1) << _FACING) + f_gap)
     return out
 
 
-def _successors(seqs: List[Seq]) -> List[int]:
+def _successors(words: List[Word]) -> List[int]:
     """Index of each class's step image; T must permute the classes."""
-    index = {seq: i for i, seq in enumerate(seqs)}
-    succ = [index.get(canonicalize(transform(seq))) for seq in seqs]
+    index = {word: i for i, word in enumerate(words)}
+    succ = [index.get(canonicalize(transform(word))) for word in words]
     if None in succ or len(set(succ)) != len(succ):
         raise ConsistencyError("the step transformation failed to permute classes")
     return succ
 
 
-def enumerate_necklaces(k: int, n: int) -> List[Seq]:
-    """The (k, n) classes as their canonical sequences, sorted."""
+def enumerate_necklaces(k: int, n: int) -> List[Word]:
+    """The (k, n) classes as their canonical words, sorted."""
     _check_size(k, n)
-    return sorted(_canonical_sequences(k, n))
+    return sorted(_canonical_words(k, n))
 
 
 @lru_cache(maxsize=32)
 def _cycles(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
-    succ = _successors(_canonical_sequences(k, n))
+    succ = _successors(_canonical_words(k, n))
     lengths: Dict[int, int] = {}
     seen = [False] * len(succ)
     for start in range(len(succ)):
@@ -215,36 +353,40 @@ def verify_cycle_divisibility(k: int, n: int) -> bool:
     return (n - 3 * k) % cycle_length_lcm(k, n) == 0
 
 
-def transitions(k: int, n: int) -> List[Tuple[Seq, Seq]]:
+def transitions(k: int, n: int) -> List[Tuple[Word, Word]]:
     """Each class of enumerate_necklaces with its step image."""
-    seqs = enumerate_necklaces(k, n)
-    return [(seq, seqs[j]) for seq, j in zip(seqs, _successors(seqs))]
+    words = enumerate_necklaces(k, n)
+    return [(word, words[j]) for word, j in zip(words, _successors(words))]
 
 
 # -- correspondence with patterns ---------------------------------------------------
 
 
-def pattern_of_necklace(seq: Seq) -> Pattern:
-    """Blocks across facing gaps, alternating strips across away gaps, from
-    the first stone at column 0."""
-    row1: List[int] = []
-    row2: List[int] = []
-    for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1]):
-        if v > 0:  # facing pair: a block of length gap, 1010... above it
-            top = [0] * gap
-            if gap > 3:
-                stop = gap - abs(w)
-                top[v:stop:2] = [1] * len(range(v, stop, 2))
-            row1 += top
-            row2 += [1] * gap
-        else:  # away pair: 0101...0 across the gap
-            row1 += [0] * gap
-            row2 += ([0, 1] * gap)[:gap - 1] + [0]
-    return Pattern(tuple(row1), tuple(row2))
+def _pattern_rows(block: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A block's columns of the two rows: 0101...0 under nothing across the
+    away gap, then a block of ones across the facing gap with 1010... above
+    it, pulled in by the vector lengths: from column i on, short of the
+    last column, which by the facing pair's parity rule leaves the next
+    away vector's length of zeros at the right end."""
+    _, a, i, f = _fields(block)
+    top = [0] * f
+    if f > 3:
+        top[i:f - 1:2] = [1] * len(range(i, f - 1, 2))
+    return (0,) * a + tuple(top), (0, 1) * (a // 2) + (0,) + (1,) * f
 
 
-def necklace_of_pattern(p: Pattern) -> Seq:
-    """Stones at block boundaries, read from the left stone of the first
+_PATTERN_ROWS = _Table(_pattern_rows).__getitem__
+
+
+def pattern_of_necklace(word: Word) -> Pattern:
+    """Alternating strips across away gaps, blocks across facing gaps,
+    from the first stone at column 0."""
+    row1, row2 = zip(*map(_PATTERN_ROWS, word))
+    return Pattern(sum(row1, ()), sum(row2, ()))
+
+
+def necklace_of_pattern(p: Pattern) -> Word:
+    """Stones at block boundaries, read from the right stone of the first
     second-row block; vector lengths from the overhang zeros."""
     count = proper_block_count(p)
     if count is None or not is_reducible(p):
@@ -254,21 +396,21 @@ def necklace_of_pattern(p: Pattern) -> Seq:
     return _sequence_of(p)
 
 
-def _sequence_of(p: Pattern) -> Seq:
+def _sequence_of(p: Pattern) -> Word:
     """necklace_of_pattern(p) for a proper reducible p with a second-row
     block."""
-    n, blocks = p.n, row_blocks(p.row2)
-    seq: List[Tuple[int, int]] = []
-    for (start, length), (nxt, _) in zip(blocks, blocks[1:] + blocks[:1]):
+    n, row1, sides = p.n, p.row1 * 2, []
+    for start, length in row_blocks(p.row2):
         if length == 3:
             left, right = 1, 1
         else:
-            above = [p.row1[(start + j) % n] for j in range(length)]
+            above = row1[start:start + length]
             left = above.index(1)
             right = above[::-1].index(1)
-        seq += [(left, length), (-right, (nxt - start - length) % n)]
-    return tuple(seq)
-
+        sides.append((start, length, left, right))
+    return tuple(_block(right, (nxt - start - length) % n, left, nlength)
+                 for (start, length, _, right), (nxt, nlength, left, _)
+                 in zip(sides, sides[1:] + sides[:1]))
 
 def collapse_top_blocks(p: Pattern) -> Pattern:
     """Neighborhood-delete the middle of every first-row block."""
@@ -286,19 +428,20 @@ def check_correspondence(n: int) -> bool:
     and stepping the arrangement matches peeling the pattern and collapsing
     the new first-row blocks, as classes.  The third identity cannot see
     T's unit-vector fix at distance 3: a 3-block carries nothing above it,
-    so a step without the fix gives the same patterns.  The sequence-step
+    so a step without the fix gives the same patterns.  The step-table
     tests and the golden cycle table cover that fix.
     """
+    _check_circle(n)
     for k in range(1, n // 4 + 1):
-        for seq in _canonical_sequences(k, n):
-            pat = pattern_of_necklace(seq)
+        for word in _canonical_words(k, n):
+            pat = pattern_of_necklace(word)
             # the one parse of the class: proper, with k blocks
             if proper_block_count(pat) != k or not is_reducible(pat):
                 return False
-            if canonicalize(_sequence_of(pat)) != seq:
+            if canonicalize(_sequence_of(pat)) != word:
                 return False
             peeled, _ = peel(pat)
-            if not same_class(pattern_of_necklace(transform(seq)),
+            if not same_class(pattern_of_necklace(transform(word)),
                               collapse_top_blocks(peeled)):
                 return False
     return True
@@ -307,21 +450,25 @@ def check_correspondence(n: int) -> bool:
 # -- export helpers ----------------------------------------------------------------
 
 
-def _placed(seq: Seq) -> Tuple[int, List[Tuple[int, int]]]:
+def _placed(word: Word) -> Tuple[int, List[Tuple[int, int]]]:
     """n and the (position, vector) stones: the first at 0, each next one a
     gap further clockwise."""
-    starts = list(accumulate((gap for _, gap in seq), initial=0))
-    return starts[-1], [(p, v) for p, (v, _) in zip(starts, seq)]
+    pos, stones = 0, []
+    for block in word:
+        a = (block >> _AWAY_GAP) & _MASK
+        stones += ((pos, (block >> _AWAY) - 2), (pos + a, ((block >> _FACING) & 1) + 1))
+        pos += a + (block & _MASK)
+    return pos, stones
 
 
-def format_necklace(seq: Seq) -> str:
-    n, stones = _placed(seq)
+def format_necklace(word: Word) -> str:
+    n, stones = _placed(word)
     body = " ".join(f"{p}:{v:+d}" for p, v in stones)
     return f"[{n}| {body}]"
 
 
-def necklace_to_json_obj(seq: Seq) -> dict:
-    n, stones = _placed(seq)
+def necklace_to_json_obj(word: Word) -> dict:
+    n, stones = _placed(word)
     return {"schema": 1, "n": n, "stones": [[p, v] for p, v in stones]}
 
 

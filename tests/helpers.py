@@ -12,19 +12,25 @@ walks that read tori, free grids and unmasked cylinder columns from two
 half-height transfer vectors.  orbits_oracle is the dihedral orbit scan
 of the ring states with the Counter scan of the orbit matrix B over every
 state, stored dense, kept as a differential oracle for the bit-set count
-of the graphs module.  The necklace oracles work on a placed
-form of their own, Placed (circle length and sorted (position, vector)
-stones): place puts a (vector, gap) sequence on the circle from a given
-start, and stone_sequence reads the sequence back from the lowest stone.
+of the graphs module.  The necklace oracles work on (vector, gap)
+sequences and on a placed form of their own, Placed (circle length and
+sorted (position, vector) stones): place puts a sequence on the circle
+from a given start, and stone_sequence reads the sequence back from the
+lowest stone.  word_of and pairs_of turn a sequence into the necklaces
+module's block word and back, so tests keep readable literals.
 necklace_oracle and transitions_oracle are the deduplicating necklace
-enumerator over every (vector, gap) sequence and the step on placed
-stones (step_oracle, canonical_oracle), and pattern_of_necklace_oracle
-writes the pattern cell by cell from the placed stones; they are kept as a
-differential oracle for the sequence kernel and for the positions the
-output prints (format_placed).  rotate_rows turns a pattern to a placed
-arrangement's first stone, and first_block_start finds the column at
-which necklace_of_pattern starts reading, so the sequence round trip is
-checked exactly.  proper_oracle decides properness by scanning the rows
+enumerator over every sequence and the step on placed stones
+(step_oracle, canonical_oracle), and pattern_of_necklace_oracle writes
+the pattern cell by cell from the placed stones; they are kept as a
+differential oracle for the block-word kernel and for the positions the
+output prints (format_placed).  sequence_transform, sequence_mirror,
+sequence_canonicalize and canonical_sequences are the earlier kernel on
+sequences (the step element by element, orderly generation pruned on away
+elements only), kept as a differential oracle for the block tables and
+the whole-block pruning.  rotate_rows turns a pattern to a placed
+arrangement's first stone, and first_block_end finds the column at
+which necklace_of_pattern starts reading, so the round trip is checked
+exactly.  proper_oracle decides properness by scanning the rows
 for runs, and enumerate_proper_oracle tries every row-2 mask with all 2^L
 rows above each long block; both are kept as a differential oracle for the
 column-word grammar of the patterns module.  divrem_oracle and
@@ -84,6 +90,7 @@ from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     random_graph,
     witten_transfer,
 )
+from hardsquares.necklaces import _GAP_BITS
 from hardsquares.patterns import Pattern, canonicalize, is_reducible, z_pattern_series
 from hardsquares.polynomials import IntPoly, RationalGF, series_expand
 from hardsquares.reduction import (
@@ -273,6 +280,106 @@ def transitions_oracle(k, n):
             for neck in necklace_oracle(k, n)]
 
 
+def word_of(seq):
+    """The block word of a (vector, gap) sequence, read from its first away
+    element: per (away, facing) pair one int with the fields 2 + v (the away
+    vector v), the away gap, i - 1 (the facing vector i) and the facing
+    gap, high to low, each gap _GAP_BITS wide."""
+    if seq[0][0] > 0:
+        seq = seq[1:] + seq[:1]
+    return tuple(((2 + v) << (2 * _GAP_BITS + 1)) | (a << (_GAP_BITS + 1))
+                 | ((i - 1) << _GAP_BITS) | f
+                 for (v, a), (i, f) in zip(seq[::2], seq[1::2]))
+
+
+def pairs_of(word):
+    """The (vector, gap) sequence of a block word, from its first stone."""
+    mask = (1 << _GAP_BITS) - 1
+    out = []
+    for b in word:
+        out += [((b >> (2 * _GAP_BITS + 1)) - 2, (b >> (_GAP_BITS + 1)) & mask),
+                (((b >> _GAP_BITS) & 1) + 1, b & mask)]
+    return tuple(out)
+
+
+def sequence_transform(seq):
+    """T on a (vector, gap) sequence: element i of the result is stone i's
+    image, gap_i - v_i + v_{i+1}, then facing pairs at distance 3 get unit
+    vectors."""
+    vecs = [_TURN[v] for v, _ in seq]
+    gaps = [gap - v + w for (v, gap), (w, _) in zip(seq, seq[1:] + seq[:1])]
+    for i, gap in enumerate(gaps):
+        if vecs[i] > 0 and gap == 3:
+            vecs[i], vecs[(i + 1) % len(vecs)] = 1, -1
+    return tuple(zip(vecs, gaps))
+
+
+def sequence_mirror(seq):
+    """The reflection: the stones reversed, their vectors negated, each
+    stone with the gap before it."""
+    rev = seq[::-1]
+    return tuple((-v, gap) for (v, _), (_, gap) in zip(rev, rev[1:] + rev[:1]))
+
+
+def sequence_canonicalize(seq):
+    """The least rotation or reflection over the offsets of the away
+    elements."""
+    if seq[0][0] > 0:
+        seq = seq[1:] + seq[:1]
+    length = len(seq)
+    return min([d[i:i + length] for d in (seq + seq, sequence_mirror(seq) * 2)
+                for i in range(0, length, 2)])
+
+
+def _sequence_is_canonical(cand):
+    """cand == sequence_canonicalize(cand), for an away-started cand none of
+    whose away elements is below cand[0]."""
+    first, length = cand[0], len(cand)
+    for i in range(2, length, 2):
+        if cand[i] == first and cand[i:] + cand[:i] < cand:
+            return False
+    mirror = sequence_mirror(cand)
+    for i in range(0, length, 2):
+        if mirror[i] <= first and mirror[i:] + mirror[:i] < cand:
+            return False
+    return True
+
+
+def canonical_sequences(k, n):
+    """The (k, n) classes as canonical sequences, by orderly generation one
+    (facing, away) pair at a time, pruned on away elements only."""
+    out, seq = [], []
+
+    def extend(pairs_left, used):
+        floor_rest = 4 * (pairs_left - 1)
+        for inward in (1, 2):
+            if seq and (-inward, seq[-1][1]) < seq[1]:
+                continue
+            for outward in (1, 2):
+                t_lo = 3 if inward == outward == 1 else 5 if inward == outward else 4
+                for t_gap in range(t_lo, n - used - floor_rest, 2):
+                    room = n - used - t_gap - floor_rest
+                    if pairs_left > 1:
+                        a_gaps = range(1, room + 1, 2)
+                    else:
+                        a_gaps = (room,) if room % 2 else ()
+                    for a_gap in a_gaps:
+                        if seq and (-outward, a_gap) < seq[1]:
+                            continue
+                        seq.extend(((inward, t_gap), (-outward, a_gap)))
+                        if pairs_left > 1:
+                            extend(pairs_left - 1, used + t_gap + a_gap)
+                        else:
+                            cand = tuple(seq[1:] + seq[:1])
+                            if _sequence_is_canonical(cand):
+                                out.append(cand)
+                        del seq[-2:]
+
+    if 4 * k <= n:
+        extend(k, 0)
+    return out
+
+
 def format_placed(neck):
     """The text line of a placed arrangement, written from its stones."""
     return f"[{neck.n}| " + " ".join(f"{p}:{v:+d}" for p, v in neck.stones) + "]"
@@ -306,13 +413,14 @@ def rotate_rows(p, start):
     return Pattern(p.row1[cut:] + p.row1[:cut], p.row2[cut:] + p.row2[:cut])
 
 
-def first_block_start(row):
-    """The first column, read from just after the first 0, that starts a run
-    of at least three ones."""
+def first_block_end(row):
+    """The column just past the first run of at least three ones, read from
+    just after the first 0."""
     n, cut = len(row), row.index(0) + 1
-    return next(j % n for j in range(cut, cut + n)
-                if not row[(j - 1) % n] and row[j % n] and row[(j + 1) % n]
-                and row[(j + 2) % n])
+    start = next(j for j in range(cut, cut + n)
+                 if not row[(j - 1) % n] and row[j % n] and row[(j + 1) % n]
+                 and row[(j + 2) % n])
+    return next(j for j in range(start, start + n) if not row[j % n]) % n
 
 
 def z_pattern(p, m):

@@ -17,7 +17,9 @@
   A request whose k stone pairs do not fit on the circle (4k > n) has no
   class: every action exits 2 with one error line and no output, in text
   and json, before any library call; -k 0 and -n 0 keep the library's
-  messages.
+  messages.  A circle wider than a block's gap field holds (above the
+  bound, with --bound-n) exits 2 with the library's one error line before
+  any generation starts.
   --format takes text or json only, and json with the dot action exits 2
   with one error line.  A step that fails to permute the classes is a
   one-line internal consistency failure (exit 1).
@@ -383,6 +385,18 @@ def test_necklace_size_errors_keep_the_library_messages(capsys):
                 2, "", f"error: {line}\n"), (action, argv)
 
 
+def test_circle_wider_than_a_gap_field_exits_two(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("necklace work started")
+
+    monkeypatch.setattr(necklaces, "_canonical_words", no_work)
+    wide = str(1 << necklaces._GAP_BITS)
+    line = f"error: circle length {wide} exceeds {int(wide) - 1}, the widest gap a block holds\n"
+    for action in ("enumerate", "cycles", "dot"):
+        assert run_cli(capsys, "necklace", action, "-k", "1", "-n", wide,
+                       "--bound-n", wide) == (2, "", line), action
+
+
 def test_necklace_verify_sweep(capsys):
     code, out, _ = run_cli(capsys, "necklace", "verify", "--nmax", "16")
     assert code == 0
@@ -432,7 +446,7 @@ def test_identity_sweep_with_no_instance_in_range_exits_two(capsys, no_sweeps):
 
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
-    classes = necklaces._canonical_sequences(2, 12)
+    classes = necklaces._canonical_words(2, 12)
     monkeypatch.setattr(necklaces, "transform", lambda seq: classes[0])
     necklaces._cycles.cache_clear()
     code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")

@@ -1,7 +1,9 @@
 """Stone-arrangement tests.
 
-An arrangement is its (vector, gap) sequence; tests/helpers places one
-(place, stone_sequence) to compare it with the positioned oracles.
+The kernel's arrangement is its block word; tests/helpers turns one into
+its (vector, gap) sequence and back (pairs_of, word_of) for readable
+literals, and places a sequence (place, stone_sequence) to compare it with
+the positioned oracles.
 
 Claims covered:
 - is_valid, the validity oracle of tests/helpers, enforces alternation and
@@ -9,20 +11,31 @@ Claims covered:
 - the step transformation keeps every class valid, and stepping a
   one-pair arrangement walks the frozen orbit
   (widest gap -> gap 3 -> shrinking long vectors).
+- every step-table entry of a word with n <= 30 gives the step on placed
+  stones, and the distance-3 fix fires exactly at A = o = i = 1, where it
+  turns the switched vectors (2, -2) into (1, -1).
 - canonicalize maps rotated and reflected arrangements to one canonical
-  sequence, which stands for the class.
-- enumeration is empty exactly when 4k > n, rejects k < 1, and its classes
-  are all valid.  Size bounds belong to the command line (test_cli).
-- the sequence kernel agrees with the deduplicating enumerator and the
+  word, which stands for the class, and the step commutes with both: on
+  random valid words (odd n included), the class of T of any rotation or
+  reflection is the class of T.
+- enumeration is empty exactly when 4k > n, rejects k < 1 and a circle
+  wider than a block's gap field holds (before any generation), and its
+  classes are all valid.  Size bounds belong to the command line
+  (test_cli).
+- the block-word kernel agrees with the sequence kernel of tests/helpers:
+  the same classes in the same sorted order, the same step, mirror and
+  successor index, for every k and every n <= 24 (odd n included).
+- the block-word kernel agrees with the deduplicating enumerator and the
   step on placed stones: the same classes and transitions for every k and
   every n <= 24 (odd n included), printed and exported with the same
   positions, and the same step, image position and class on random valid
   arrangements at a random offset.
-- the generator's early-exit leaf test agrees with the canonical form on
-  every candidate it reaches for n <= 20, and pattern_of_necklace, turned
-  to the first stone's column, with the cell-by-cell builder on random
-  valid arrangements, whose patterns necklace_of_pattern reads back
-  exactly: the sequence from the first block, placed at its column.
+- the generator's early-exit leaf test agrees with the canonical form and
+  with the sequence kernel's on every candidate it reaches for n <= 20,
+  and pattern_of_necklace, turned to the first stone's column, with the
+  cell-by-cell builder on random valid arrangements, whose patterns
+  necklace_of_pattern reads back exactly: the word from the right stone of
+  the first block, placed at that stone's column.
 - cycle structures match the golden table for every cell up to the command
   line's circle bound, n <= 28 (the full file through n = 36 with
   HARDSQUARES_EXTENDED=1), and the closed forms:
@@ -36,7 +49,7 @@ Claims covered:
   its wipe, an identity collapse, a row builder without the row-1 strips, a
   back-conversion (sequence builder) to unit vectors or a block count that
   counts single second-row ones is patched in, so none of the three
-  identities is idle.
+  identities is idle; it refuses a circle wider than a gap field.
 - JSON and DOT exports are deterministic and well formed, each DOT edge
   joins the oracle's placed class to its placed step image, and
   transitions pairs the enumerated classes with their step images.
@@ -75,17 +88,23 @@ from helpers import (
     EXTENDED,
     Placed,
     canonical_oracle,
-    first_block_start,
+    canonical_sequences,
+    first_block_end,
     format_placed,
     is_valid,
     load_golden_cycles,
+    pairs_of,
     parse_pattern,
     pattern_of_necklace_oracle,
     place,
     rotate_rows,
+    sequence_canonicalize,
+    sequence_mirror,
+    sequence_transform,
     step_oracle,
     stone_sequence,
     transitions_oracle,
+    word_of,
 )
 
 
@@ -108,39 +127,84 @@ def test_validity_conditions():
 
 def test_step_on_one_pair_orbit():
     # widest one-pair arrangement on 8 intervals: facing gap 7, unit vectors
-    widest = ((1, 7), (-1, 1))
+    widest = word_of(((1, 7), (-1, 1)))
     orbit = [widest]
     for _ in range(5):
         orbit.append(transform(orbit[-1]))
-        assert is_valid(orbit[-1])
+        assert is_valid(pairs_of(orbit[-1]))
     # the jump lands the pair facing at distance 3 with long vectors, which
     # the fix shrinks; the orbit then widens again and closes after 5 = n-3.
-    # Element i of each image is stone i's image.
-    assert orbit[1] == ((-1, 5), (1, 3))   # facing gap 3
-    assert orbit[2] == ((2, 7), (-2, 1))   # facing gap 7, long
-    assert orbit[3] == ((-1, 3), (1, 5))   # facing gap 5
-    assert orbit[4] == ((2, 5), (-2, 3))   # facing gap 5, long
-    assert orbit[5] == ((-1, 1), (1, 7))   # facing gap 7 again
-    assert canonicalize(orbit[5]) == canonicalize(widest)
+    # Each image word starts at the image of the facing stone.
+    assert pairs_of(orbit[1]) == ((-1, 5), (1, 3))   # facing gap 3
+    assert pairs_of(orbit[2]) == ((-2, 1), (2, 7))   # facing gap 7, long
+    assert pairs_of(orbit[3]) == ((-1, 3), (1, 5))   # facing gap 5
+    assert pairs_of(orbit[4]) == ((-2, 3), (2, 5))   # facing gap 5, long
+    assert pairs_of(orbit[5]) == ((-1, 1), (1, 7))   # facing gap 7 again
+    assert orbit[5] == widest
+
+
+def _two_block_words(nmax):
+    """Every block of a valid word with n <= nmax, in a two-block word
+    closed by the least block the parity rules allow, and alone when it is
+    a valid one-block word: (sequence, the block's two pairs)."""
+    for o, i in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for a in range(1, nmax, 2):
+            for f in range(3 if i == 1 else 4, nmax - a + 1):
+                o_next = 1 + (f + i) % 2  # facing gap + i + o_next is odd
+                seq = ((-o, a), (i, f))
+                if o_next == o:
+                    yield seq, seq
+                f_close = 3 if o == 1 else 4  # 1 + f_close + o is odd
+                if a + f + 1 + f_close <= nmax:
+                    yield seq + ((-o_next, 1), (1, f_close)), seq
+
+
+def test_step_tables_match_the_placed_step():
+    seen = set()
+    for seq, (away, facing) in _two_block_words(30):
+        assert is_valid(seq), seq
+        seen.add((away, facing))
+        neck = place(seq)
+        image = step_oracle(neck)
+        o, a = -away[0], away[1]
+        i = facing[0]
+        # the image word starts where block 0's facing stone jumps to
+        assert place(pairs_of(transform(word_of(seq))), a + i) == image, seq
+        # the fix: block 0's away stone jumps to a facing stone whose
+        # switched vector is 3 - o; the fix makes it 1 exactly when
+        # A = o = i = 1, so the switched pair (3 - o, -(3 - i)) it turns
+        # into (1, -1) is always (2, -2)
+        landed = dict(image.stones)[(-o) % image.n]
+        fixed = landed != 3 - o
+        assert fixed == (a == o == i == 1), seq
+        if fixed:
+            assert (landed, dict(image.stones)[a + i]) == (1, -1)
+    # every block of a class with n <= 20 is among them
+    for n in range(4, 21):
+        for k in range(1, n // 4 + 1):
+            for word in enumerate_necklaces(k, n):
+                seq = pairs_of(word)
+                assert set(zip(seq[::2], seq[1::2])) <= seen, (k, n)
 
 
 def test_step_keeps_classes_valid():
     for k, n in ((1, 8), (2, 12), (2, 14), (3, 16)):
         for cls in enumerate_necklaces(k, n):
-            assert is_valid(cls)
-            assert is_valid(transform(cls))
+            assert is_valid(pairs_of(cls))
+            assert is_valid(pairs_of(transform(cls)))
 
 
 def test_canonicalize_identifies_isometries():
     seq = ((1, 5), (-1, 3), (1, 3), (-1, 1))  # stones at 0, 5, 8 and 11
     assert is_valid(seq)
-    cls = canonicalize(seq)
+    cls = canonicalize(word_of(seq))
     stones = place(seq).stones
     rotated = [((p + 7) % 12, v) for p, v in stones]
     reflected = [(-p % 12, -v) for p, v in stones]
     for image in (rotated, reflected):
-        assert canonicalize(stone_sequence(Placed(12, tuple(sorted(image))))) == cls
-    assert canonicalize(transform(seq)) != cls  # this one moves
+        placed = Placed(12, tuple(sorted(image)))
+        assert canonicalize(word_of(stone_sequence(placed))) == cls
+    assert canonicalize(transform(word_of(seq))) != cls  # this one moves
 
 
 def test_enumeration_counts_and_bounds():
@@ -152,7 +216,23 @@ def test_enumeration_counts_and_bounds():
     with pytest.raises(ValueError):
         enumerate_necklaces(0, 12)
     for cls in enumerate_necklaces(2, 14):
-        assert is_valid(cls)
+        assert is_valid(pairs_of(cls))
+
+
+def test_circle_wider_than_a_gap_field_is_refused(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("necklace work started")
+
+    monkeypatch.setattr(necklaces, "_canonical_words", no_work)
+    widest = (1 << necklaces._GAP_BITS) - 1
+    necklaces._check_size(1, widest)  # the widest circle a gap field holds
+    message = f"circle length {widest + 1} exceeds {widest}"
+    for call in (enumerate_necklaces, cycle_structure, cycle_length_lcm,
+                 transitions, dot_transition_graph):
+        with pytest.raises(ValueError, match=message):
+            call(1, widest + 1)
+    with pytest.raises(ValueError, match=message):
+        check_correspondence(widest + 1)
 
 
 def test_cycle_structures_match_golden_table():
@@ -170,14 +250,34 @@ def test_enumeration_and_step_match_dedupe_oracle():
         for k in range(1, n // 4 + 2):
             expect = transitions_oracle(k, n)
             classes = enumerate_necklaces(k, n)
-            assert [place(seq) for seq in classes] == [src for src, _ in expect], (k, n)
-            assert [(place(a), place(b)) for a, b in transitions(k, n)] == expect, (k, n)
+            assert [place(pairs_of(w)) for w in classes] == [
+                src for src, _ in expect], (k, n)
+            assert [(place(pairs_of(a)), place(pairs_of(b)))
+                    for a, b in transitions(k, n)] == expect, (k, n)
             # output places the stones as the oracle does: from 0, a gap apart
-            assert [format_necklace(seq) for seq in classes] == [
+            assert [format_necklace(w) for w in classes] == [
                 format_placed(src) for src, _ in expect], (k, n)
-            assert [necklace_to_json_obj(seq) for seq in classes] == [
+            assert [necklace_to_json_obj(w) for w in classes] == [
                 {"schema": 1, "n": n, "stones": [list(s) for s in src.stones]}
                 for src, _ in expect], (k, n)
+
+
+def test_block_kernel_matches_sequence_kernel():
+    for n in range(1, 25):
+        for k in range(1, n // 4 + 2):
+            words = enumerate_necklaces(k, n)
+            seqs = sorted(canonical_sequences(k, n))
+            assert [pairs_of(w) for w in words] == seqs, (k, n)
+            index = {seq: j for j, seq in enumerate(seqs)}
+            if words:
+                assert necklaces._successors(words) == [
+                    index[sequence_canonicalize(sequence_transform(seq))]
+                    for seq in seqs], (k, n)
+            for word, seq in zip(words, seqs):
+                # the image word starts at the image of stone 1
+                stepped = sequence_transform(seq)
+                assert pairs_of(transform(word)) == stepped[1:] + stepped[:1]
+                assert pairs_of(necklaces._mirror(word)) == sequence_mirror(seq)
 
 
 @st.composite
@@ -197,10 +297,31 @@ def arrangements(draw):
 def test_sequence_step_matches_necklace_step(neck):
     seq = stone_sequence(neck)
     assert is_valid(seq)
-    assert place(canonicalize(seq)) == canonical_oracle(neck)
-    p0, v0 = neck.stones[0]  # stone 0 of the image sits where stone 0 jumps
-    assert place(transform(seq), p0 + v0) == step_oracle(neck)
-    assert place(canonicalize(transform(seq))) == canonical_oracle(step_oracle(neck))
+    word = word_of(seq)
+    assert place(pairs_of(canonicalize(word))) == canonical_oracle(neck)
+    # the word's first stone is the lowest away stone; block 0's facing
+    # stone jumps to the image word's first stone
+    (_, a), (i, _) = pairs_of(word)[:2]
+    start = neck.stones[seq[0][0] > 0][0]
+    assert place(pairs_of(transform(word)), start + a + i) == step_oracle(neck)
+    assert place(pairs_of(canonicalize(transform(word)))) == canonical_oracle(
+        step_oracle(neck))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrangements(), st.integers(0, 40), st.booleans())
+def test_step_commutes_with_rotation_and_reflection(neck, turn, flip):
+    word = word_of(stone_sequence(neck))
+    cls, stepped = canonicalize(word), canonicalize(transform(word))
+    # the isometry on placed stones, and its block form
+    n = neck.n
+    moved = [(((-p if flip else p) + turn) % n, -v if flip else v)
+             for p, v in neck.stones]
+    other = word_of(stone_sequence(Placed(n, tuple(sorted(moved)))))
+    turned = word[turn % len(word):] + word[:turn % len(word)]
+    for image in (other, turned, necklaces._mirror(word), necklaces._mirror(turned)):
+        assert canonicalize(image) == cls
+        assert canonicalize(transform(image)) == stepped
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -209,9 +330,11 @@ def test_pattern_of_necklace_matches_placed_oracle(neck):
     assume(neck.n % 2 == 0)  # patterns have even length
     for placed in (neck, step_oracle(neck)):
         pat = pattern_of_necklace_oracle(placed)
-        start = placed.stones[0][0]
-        assert rotate_rows(pattern_of_necklace(stone_sequence(placed)), start) == pat
-        assert place(necklace_of_pattern(pat), first_block_start(pat.row2)) == placed
+        seq = stone_sequence(placed)
+        start = placed.stones[seq[0][0] > 0][0]  # the word's first, away stone
+        assert rotate_rows(pattern_of_necklace(word_of(seq)), start) == pat
+        back = pairs_of(necklace_of_pattern(pat))
+        assert place(back, first_block_end(pat.row2)) == placed
 
 
 def test_leaf_test_matches_canonical_form(monkeypatch):
@@ -220,13 +343,15 @@ def test_leaf_test_matches_canonical_form(monkeypatch):
     def checked(cand):
         verdict = leaf(cand)
         assert verdict == (cand == canonicalize(cand)), cand
+        seq = pairs_of(cand)
+        assert verdict == (seq == sequence_canonicalize(seq)), cand
         verdicts.append(verdict)
         return verdict
 
     monkeypatch.setattr(necklaces, "_is_canonical", checked)
     for n in range(1, 21):
         for k in range(1, n // 4 + 1):
-            necklaces._canonical_sequences(k, n)
+            necklaces._canonical_words(k, n)
     assert True in verdicts and False in verdicts
 
 
@@ -258,16 +383,17 @@ def test_cycle_length_lcm_values():
 
 
 def test_pattern_of_necklace_example():
+    # a word starts at an away stone, so each pattern starts with its strip;
     # facing gap 3 plus away gap 1 on 4 intervals: one 3-block, nothing above
-    tight = ((1, 3), (-1, 1))
-    assert pattern_of_necklace(tight) == parse_pattern("0000 / 1110")
+    tight = word_of(((1, 3), (-1, 1)))
+    assert pattern_of_necklace(tight) == parse_pattern("0000 / 0111")
     # facing gap 5 with unit vectors: 101 above the middle of the block
-    wide = ((1, 5), (-1, 3))
-    assert pattern_of_necklace(wide) == parse_pattern("01010000 / 11111010")
+    wide = word_of(((1, 5), (-1, 3)))
+    assert pattern_of_necklace(wide) == parse_pattern("00001010 / 01011111")
     # long vectors pull the first-row strip inward
-    long_vecs = ((2, 7), (-2, 3))
+    long_vecs = word_of(((2, 7), (-2, 3)))
     assert pattern_of_necklace(long_vecs) == parse_pattern(
-        "0010100000 / 1111111010")
+        "0000010100 / 0101111111")
 
 
 def test_round_trip_and_block_counts():
@@ -278,10 +404,11 @@ def test_round_trip_and_block_counts():
                 assert is_proper(pat)
                 assert is_reducible(pat)
                 assert block_count(pat) == k
-                # read from the first block and placed at its column, the
-                # sequence read back is cls placed from 0
+                # read from the right stone of the first block and placed
+                # at its column, the word read back is cls placed from 0
                 back = necklace_of_pattern(pat)
-                assert place(back, first_block_start(pat.row2)) == place(cls)
+                assert (place(pairs_of(back), first_block_end(pat.row2))
+                        == place(pairs_of(cls)))
 
 
 def test_necklace_of_pattern_validation():
@@ -314,7 +441,8 @@ def _rows_without_strips(seq):
 
 
 def _sequence_with_unit_vectors(p):
-    return tuple((1 if v > 0 else -1, gap) for v, gap in _real_sequence_of(p))
+    return word_of(tuple((1 if v > 0 else -1, gap)
+                         for v, gap in pairs_of(_real_sequence_of(p))))
 
 
 def _count_single_ones_too(p):
@@ -342,10 +470,10 @@ def test_correspondence_catches_a_broken_part(monkeypatch, name, fake):
 
 
 def test_exports():
-    seq = ((1, 5), (-1, 3))
-    assert necklace_to_json_obj(seq) == {
-        "schema": 1, "n": 8, "stones": [[0, 1], [5, -1]]}
-    assert format_necklace(seq) == "[8| 0:+1 5:-1]"
+    word = word_of(((-1, 3), (1, 5)))
+    assert necklace_to_json_obj(word) == {
+        "schema": 1, "n": 8, "stones": [[0, -1], [3, 1]]}
+    assert format_necklace(word) == "[8| 0:-1 3:+1]"
     dot = dot_transition_graph(1, 6)
     assert dot.startswith('digraph "neck_1_6" {')
     assert dot.endswith("}")

@@ -8,7 +8,7 @@ patterns that stand for their classes do too.  The two validating types
 (Pattern, GridSpec) raise the same ValueError messages.  A record is a
 tuple, so it now also compares equal to the plain tuple of its fields; the
 last test pins that.  A necklace class has no record: it is its canonical
-(vector, gap) sequence, a plain tuple (test_necklaces).
+block word, a plain tuple of ints (test_necklaces).
 """
 
 import random
