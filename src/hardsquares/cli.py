@@ -67,7 +67,7 @@ from .necklaces import (
     check_correspondence,
     verify_cycle_divisibility,
 )
-from .patterns import enumerate_proper, format_pattern
+from .patterns import enumerate_proper
 from .polynomials import factor_cyclotomic, format_cyclotomic, format_poly
 
 SCHEMA = 1
@@ -341,7 +341,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
         results.extend(_cycle_divisibility(n))
         for p in enumerate_proper(n):
             results.append(CheckResult(
-                "block_count_denominator", {"n": n, "pattern": format_pattern(p)},
+                "block_count_denominator", {"n": n, "pattern": str(p)},
                 check_block_count_denominator(p)))
     return results, infos
 

@@ -42,7 +42,7 @@ from .patterns import (
     is_reducible,
     leftmost_block_middle,
     peel,
-    row_mask,
+    row_masks,
     z_pattern_series,
 )
 from .polynomials import (
@@ -96,7 +96,7 @@ def pattern_gf(p: Pattern) -> RationalGF:
         if is_reducible(cur):
             peeled, sign = peel(cur)
             # z(P;2) = sign * Z(one ring row masked by row 1 of peel(P))
-            z2 = sign * column_series(cur.n, 1, (row_mask(peeled.row1),))[1]
+            z2 = sign * column_series(cur.n, 1, row_masks(peeled)[:1])[1]
             side = RationalGF(IntPoly((0, 0, z2)))
             path.append((cur, side, sign, 1))
             cur = canonicalize(peeled)

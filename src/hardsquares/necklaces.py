@@ -43,8 +43,8 @@ stone at 0 and each next one a gap further clockwise.
 Arrangements encode the reducible proper patterns with a given block count:
 pattern_of_necklace writes, from the first stone at column 0, 0101...0
 across each away gap and a block of 1s across each facing gap (with the
-alternating first row pulled in by the vector lengths), one table entry
-per block; necklace_of_pattern inverts it, reading the word from the
+alternating first row pulled in by the vector lengths), one cached word
+piece per block; necklace_of_pattern inverts it, reading the word from the
 right stone of the first block.  One T step corresponds to peeling the
 pattern and collapsing the new first-row blocks.  check_correspondence
 converts each class both ways (pattern_of_necklace and _sequence_of, the
@@ -362,27 +362,27 @@ def transitions(k: int, n: int) -> List[Tuple[Word, Word]]:
 # -- correspondence with patterns ---------------------------------------------------
 
 
-def _pattern_rows(block: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """A block's columns of the two rows: 0101...0 under nothing across the
-    away gap, then a block of ones across the facing gap with 1010... above
-    it, pulled in by the vector lengths: from column i on, short of the
-    last column, which by the facing pair's parity rule leaves the next
-    away vector's length of zeros at the right end."""
+def _pattern_piece(block: int) -> str:
+    """A block's columns of the pattern word: abab...a (0101...0 under
+    nothing) across the away gap, then a b-block (ones in row 2) across
+    the facing gap with c at every other column, pulled in by the vector
+    lengths: from column i on, short of the last column, which by the
+    facing pair's parity rule leaves the next away vector's length of b's
+    at the right end."""
     _, a, i, f = _fields(block)
-    top = [0] * f
+    top = ["b"] * f
     if f > 3:
-        top[i:f - 1:2] = [1] * len(range(i, f - 1, 2))
-    return (0,) * a + tuple(top), (0, 1) * (a // 2) + (0,) + (1,) * f
+        top[i:f - 1:2] = "c" * len(range(i, f - 1, 2))
+    return "ab" * (a // 2) + "a" + "".join(top)
 
 
-_PATTERN_ROWS = _Table(_pattern_rows).__getitem__
+_PATTERN_PIECE = _Table(_pattern_piece).__getitem__
 
 
 def pattern_of_necklace(word: Word) -> Pattern:
     """Alternating strips across away gaps, blocks across facing gaps,
     from the first stone at column 0."""
-    row1, row2 = zip(*map(_PATTERN_ROWS, word))
-    return Pattern(sum(row1, ()), sum(row2, ()))
+    return Pattern("".join(map(_PATTERN_PIECE, word)))
 
 
 def necklace_of_pattern(p: Pattern) -> Word:
@@ -399,14 +399,14 @@ def necklace_of_pattern(p: Pattern) -> Word:
 def _sequence_of(p: Pattern) -> Word:
     """necklace_of_pattern(p) for a proper reducible p with a second-row
     block."""
-    n, row1, sides = p.n, p.row1 * 2, []
-    for start, length in row_blocks(p.row2):
+    n, doubled, sides = p.n, p + p, []
+    for start, length in row_blocks(p, "bc"):
         if length == 3:
             left, right = 1, 1
         else:
-            above = row1[start:start + length]
-            left = above.index(1)
-            right = above[::-1].index(1)
+            above = doubled[start:start + length]
+            left = above.index("c")
+            right = above[::-1].index("c")
         sides.append((start, length, left, right))
     return tuple(_block(right, (nxt - start - length) % n, left, nlength)
                  for (start, length, _, right), (nxt, nlength, left, _)
@@ -415,7 +415,7 @@ def _sequence_of(p: Pattern) -> Word:
 def collapse_top_blocks(p: Pattern) -> Pattern:
     """Neighborhood-delete the middle of every first-row block."""
     out = p
-    for start, length in row_blocks(p.row1):
+    for start, length in row_blocks(p, "c"):
         out = delete_top_neighborhood(out, (start + length // 2) % p.n)
     return out
 
@@ -429,9 +429,12 @@ def check_correspondence(n: int) -> bool:
     the new first-row blocks, as classes.  The third identity cannot see
     T's unit-vector fix at distance 3: a 3-block carries nothing above it,
     so a step without the fix gives the same patterns.  The step-table
-    tests and the golden cycle table cover that fix.
+    tests and the golden cycle table cover that fix.  Patterns have even
+    length, so an odd n is refused before any class is generated.
     """
     _check_circle(n)
+    if n % 2:
+        raise ValueError(f"circle length {n} is odd; patterns have even length")
     for k in range(1, n // 4 + 1):
         for word in _canonical_words(k, n):
             pat = pattern_of_necklace(word)
@@ -455,9 +458,9 @@ def _placed(word: Word) -> Tuple[int, List[Tuple[int, int]]]:
     gap further clockwise."""
     pos, stones = 0, []
     for block in word:
-        a = (block >> _AWAY_GAP) & _MASK
-        stones += ((pos, (block >> _AWAY) - 2), (pos + a, ((block >> _FACING) & 1) + 1))
-        pos += a + (block & _MASK)
+        o, a, i, f = _fields(block)
+        stones += ((pos, -o), (pos + a, i))
+        pos += a + f
     return pos, stones
 
 

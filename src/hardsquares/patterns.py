@@ -1,12 +1,15 @@
 """Cyclic two-row patterns and their masked-cylinder indices.
 
 A pattern is a 2 x n 0/1 matrix (n even, columns cyclic) with every first-row
-1 sitting on a second-row 1.  Masking the first two rows of P_m x C_n by a
-pattern gives a graph with Witten index z(P, m), which z_pattern_series
-computes; the all-ones pattern recovers the full cylinder.  Three rewrite
-operations generate the calculus:
+1 sitting on a second-row 1.  It is stored as its column word, a str in the
+letters a = (0,0), b = (0,1) and c = (1,1) (row 1 over row 2); no letter
+stands for a 1 above a 0.  str(p) prints the two rows, "row1 / row2".
+Masking the first two rows of P_m x C_n by a pattern gives a graph with
+Witten index z(P, m), which z_pattern_series computes; the all-c pattern
+recovers the full cylinder.  Three rewrite operations generate the
+calculus:
 
-  delete_top(P, i)               zero the row-1 entry at i
+  delete_top(P, i)               zero the row-1 entry at i (c -> b)
   delete_top_neighborhood(P, i)  zero row-1 at i-1, i, i+1 and row-2 at i
   peel(P)                        for patterns whose row-1 ones are all
                                  isolated: drop row 1 against a fresh
@@ -23,9 +26,8 @@ The last is the peel identity at m = 2: each isolated row-1 one is a leaf
 on its row-2 cell, and taking that cell's neighbourhood leaves row 2 wiped
 as peel wipes the new row 1.
 
-Proper patterns are the closed class these operations stay inside.  Read a
-pattern as a cyclic word in the column letters a = (0,0), b = (0,1) and
-c = (1,1) (row 1 over row 2); it is proper when the word obeys this grammar:
+Proper patterns are the closed class these operations stay inside.  A
+pattern is proper when its cyclic word obeys this grammar:
 
   row 2 has a zero   read from just after a row-2 zero, the word is a
                      sequence of row-2 groups, each followed by one a.  A
@@ -42,7 +44,8 @@ block count (row-2 groups of length >= 3 plus the ccc's: the maximal
 induction measure: delete_top at a block middle lowers it by one, the other
 two preserve it.
 Patterns related by rotation or reflection of the cycle give isomorphic
-graphs; a class is its canonical pattern, which canonicalize() returns.
+graphs; a class is its canonical pattern, the least rotation or reflection
+of the word, which canonicalize() returns.
 
 Index series convention: the pattern-level generating function starts at
 m = 2 (z_pattern_series sets the entries below that to 0); the cylinder
@@ -51,77 +54,56 @@ series prepends its m = 0, 1 values separately.
 
 from __future__ import annotations
 
-from itertools import chain, groupby, product
+import re
+from itertools import chain, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
 from .graphs import Graph, GridSpec, build_grid, column_series, grid_vertex
 
 
-Bits = Tuple[int, ...]
+# a column letter's row-1 and row-2 bit, as a digit
+_ROW1 = str.maketrans("abc", "001")
+_ROW2 = str.maketrans("abc", "011")
 
 
-class _PatternFields(NamedTuple):
-    row1: Bits
-    row2: Bits
+class Pattern(str):
+    """A pattern as its column word; str() prints its two rows."""
 
-
-class Pattern(_PatternFields):
     __slots__ = ()
 
-    def __new__(cls, row1: Bits, row2: Bits) -> "Pattern":
-        n = len(row1)
-        if n != len(row2):
-            raise ValueError("rows differ in length")
-        if n < 2 or n % 2:
+    def __new__(cls, word: str) -> "Pattern":
+        if len(word) < 2 or len(word) % 2:
             raise ValueError("pattern length must be even and at least 2")
-        if not {*row1, *row2} <= {0, 1}:
-            raise ValueError("pattern entries must be 0 or 1")
-        for i in range(n):
-            if row1[i] == 1 and row2[i] == 0:
-                raise ValueError(f"column {i} has a 1 above a 0")
-        return super().__new__(cls, row1, row2)
+        if word.strip("abc"):
+            raise ValueError("pattern letters must be a, b or c")
+        return super().__new__(cls, word)
 
-    @property
-    def n(self) -> int:
-        return len(self.row1)
+    n = property(str.__len__)  # the number of columns
 
     def __str__(self) -> str:
-        return format_pattern(self)
+        return self.translate(_ROW1) + " / " + self.translate(_ROW2)
 
-
-def format_pattern(p: Pattern) -> str:
-    return "".join(map(str, p.row1)) + " / " + "".join(map(str, p.row2))
+    def __format__(self, spec: str) -> str:  # str's own would print the word
+        return format(str(self), spec)
 
 
 # -- symmetry ---------------------------------------------------------------------
 
 
-def _column_word(p: Pattern) -> str:
-    """p as a word in the column letters a = (0,0), b = (0,1), c = (1,1)."""
-    return "".join("abc"[x + y] for x, y in zip(p.row1, p.row2))
-
-
 def canonicalize(p: Pattern) -> Pattern:
     """The class of p under the 2n cycle symmetries, as its representative:
-    the lexicographic minimum of (row1 + row2)."""
-    n = p.n
-    best = min(  # a symmetry is a slice of the doubled rows, read either way
-        d1[k:k + n] + d2[k:k + n]
-        for d1, d2 in ((p.row1 * 2, p.row2 * 2),
-                       (p.row1[::-1] * 2, p.row2[::-1] * 2))
-        for k in range(n))
-    return Pattern(best[:n], best[n:])
+    the least rotation or reflection of the word."""
+    n, doubled = p.n, p + p
+    return Pattern(min(d[k:k + n] for d in (doubled, doubled[::-1])
+                       for k in range(n)))
 
 
 def same_class(p: Pattern, q: Pattern) -> bool:
     """canonicalize(p) == canonicalize(q) by one substring search each way:
-    p's column word is a factor of q's doubled word, read forwards or
-    backwards."""
-    if p.n != q.n:
-        return False
-    word, doubled = _column_word(p), _column_word(q) * 2
-    return word in doubled or word[::-1] in doubled
+    p is a factor of q's doubled word, read forwards or backwards."""
+    doubled = q + q
+    return len(p) == len(q) and (p in doubled or p[::-1] in doubled)
 
 
 # -- masked graphs and indices ----------------------------------------------------------
@@ -132,21 +114,21 @@ def masked_graph(p: Pattern, m: int) -> Graph:
     if m < 2:
         raise ValueError("masked graphs need at least 2 rows")
     spec = GridSpec("cylinder", m, p.n)
-    drop = [grid_vertex(spec, 1, i) for i in range(p.n) if p.row1[i] == 0]
-    drop += [grid_vertex(spec, 2, i) for i in range(p.n) if p.row2[i] == 0]
+    drop = [grid_vertex(spec, 1, i) for i, x in enumerate(p) if x != "c"]
+    drop += [grid_vertex(spec, 2, i) for i, x in enumerate(p) if x == "a"]
     return build_grid(spec).without_vertices(drop)
+
+
+def row_masks(p: Pattern) -> Tuple[int, int]:
+    """The two rows as bit masks, column i at bit i."""
+    reverse = p[::-1]
+    return int(reverse.translate(_ROW1), 2), int(reverse.translate(_ROW2), 2)
 
 
 def z_pattern_series(p: Pattern, m_max: int) -> List[int]:
     """[z(P;m) for m = 0..m_max] with the m < 2 entries set to 0: the column
     kernel with rows 1 and 2 masked by the pattern's rows."""
-    masks = (row_mask(p.row1), row_mask(p.row2))
-    return [0, 0][:m_max + 1] + column_series(p.n, m_max, masks)[2:]
-
-
-def row_mask(row: Bits) -> int:
-    """The row as a bit mask, column i at bit i."""
-    return sum(b << i for i, b in enumerate(row))
+    return [0, 0][:m_max + 1] + column_series(p.n, m_max, row_masks(p))[2:]
 
 
 # -- rewrite operations ------------------------------------------------------------------
@@ -155,35 +137,33 @@ def row_mask(row: Bits) -> int:
 def delete_top(p: Pattern, i: int) -> Pattern:
     """Zero the row-1 entry at column i (which must be 1)."""
     i %= p.n
-    if p.row1[i] != 1:
+    if p[i] != "c":
         raise RuleInapplicableError(f"row 1 has no 1 at column {i}")
-    row1 = list(p.row1)
-    row1[i] = 0
-    return Pattern(tuple(row1), p.row2)
+    return Pattern(p[:i] + "b" + p[i + 1:])
 
 
-def _wipe(row1: List[int], row2: List[int], i: int) -> None:
-    """Zero row1 at columns i-1, i, i+1 and row2 at column i, in place."""
-    n = len(row1)
-    for j in (i - 1, i, i + 1):
-        row1[j % n] = 0
-    row2[i] = 0
+def _wipe(cols: List[str], i: int) -> None:
+    """Zero row 1 at columns i-1, i, i+1 and row 2 at column i, in place:
+    a c beside i becomes b, and column i becomes a."""
+    n = len(cols)
+    for j in ((i - 1) % n, (i + 1) % n):
+        cols[j] = min(cols[j], "b")
+    cols[i] = "a"
 
 
 def delete_top_neighborhood(p: Pattern, i: int) -> Pattern:
     """Zero row-1 at columns i-1, i, i+1 and row-2 at column i."""
     i %= p.n
-    if p.row1[i] != 1:
+    if p[i] != "c":
         raise RuleInapplicableError(f"row 1 has no 1 at column {i}")
-    row1 = list(p.row1)
-    row2 = list(p.row2)
-    _wipe(row1, row2, i)
-    return Pattern(tuple(row1), tuple(row2))
+    cols = list(p)
+    _wipe(cols, i)
+    return Pattern("".join(cols))
 
 
 def is_reducible(p: Pattern) -> bool:
     """True when every row-1 one is isolated (no two adjacent, cyclically)."""
-    return not any(a and b for a, b in zip(p.row1, p.row1[1:] + p.row1[:1]))
+    return "cc" not in p + p[:1]
 
 
 def peel(p: Pattern) -> Tuple[Pattern, int]:
@@ -195,30 +175,26 @@ def peel(p: Pattern) -> Tuple[Pattern, int]:
     """
     if not is_reducible(p):
         raise RuleInapplicableError("peel needs all row-1 ones isolated")
-    new1 = list(p.row2)
-    new2 = [1] * p.n
-    for i, one in enumerate(p.row1):
-        if one:
-            _wipe(new1, new2, i)
-    return Pattern(tuple(new1), tuple(new2)), (-1 if sum(p.row1) % 2 else 1)
+    cols = ["b" if x == "a" else "c" for x in p]  # row 2 over all ones
+    for i, x in enumerate(p):
+        if x == "c":
+            _wipe(cols, i)
+    return Pattern("".join(cols)), (-1 if p.count("c") % 2 else 1)
 
 
 # -- row structure ---------------------------------------------------------------
 
 
-def row_blocks(row: Bits) -> List[Tuple[int, int]]:
-    """The maximal cyclic runs of at least three ones, as (start, length);
+def row_blocks(p: Pattern, letters: str) -> List[Tuple[int, int]]:
+    """The maximal cyclic runs of at least three ones in the row whose ones
+    are these letters ("c" for row 1, "bc" for row 2), as (start, length);
     none in a row of all ones, whose one run has no start."""
-    if all(row):
+    zero = re.search(f"[^{letters}]", p)
+    if zero is None:
         return []
-    n, cut = len(row), row.index(0) + 1  # read from just after a zero
-    out, j = [], cut
-    for one, run in groupby(row[cut:] + row[:cut]):
-        length = len(tuple(run))
-        if one and length >= 3:
-            out.append((j % n, length))
-        j += length
-    return out
+    cut = zero.end()  # read from just after a zero, so no run wraps
+    return [((cut + run.start()) % p.n, len(run[0]))
+            for run in re.finditer(f"[{letters}]{{3,}}", p[cut:] + p[:cut])]
 
 
 # -- the proper grammar -------------------------------------------------------------
@@ -252,12 +228,11 @@ def _derive(state: str, length: int) -> Iterator[str]:
 
 
 def proper_block_count(p: Pattern) -> Optional[int]:
-    """Parse p's column word once: its block count (row-2 groups of length
+    """Parse p's word once: its block count (row-2 groups of length
     >= 3 plus the ccc groups), or None when p is not proper."""
-    word = _column_word(p)
-    state = "part" if "a" in word else "ones"
-    cut = word.rfind("a" if state == "part" else "b") + 1
-    word = word[cut:] + word[:cut]
+    state = "part" if "a" in p else "ones"
+    cut = p.rfind("a" if state == "part" else "b") + 1
+    word = p[cut:] + p[:cut]
     i = 0
     while i < len(word):
         for token, nxt in _GRAMMAR[state]:
@@ -287,9 +262,9 @@ def block_count(p: Pattern) -> int:
 
 def leftmost_block_middle(p: Pattern) -> int:
     """Column of the middle of the lowest-starting row-1 block (length 3)."""
-    if all(p.row1):
+    if not p.strip("c"):
         raise RuleInapplicableError("row 1 is all ones")
-    blocks = row_blocks(p.row1)
+    blocks = row_blocks(p, "c")
     if not blocks:
         raise RuleInapplicableError("row 1 has no block")
     start, length = min(blocks)
@@ -307,10 +282,8 @@ def enumerate_proper(n: int) -> List[Pattern]:
     """
     if n < 2 or n % 2:
         raise ValueError("pattern length must be even and at least 2")
-    return sorted({
-        canonicalize(Pattern(tuple(int(x == "c") for x in word),
-                             tuple(int(x != "a") for x in word)))
-        for word in chain(_derive("part", n), _derive("ones", n))})
+    return sorted({canonicalize(Pattern(word)) for word in
+                   chain(_derive("part", n), _derive("ones", n))})
 
 
 # -- initial decomposition ----------------------------------------------------------
@@ -336,16 +309,15 @@ def initial_patterns(n: int) -> SignedPatternCombo:
     combo: Dict[Pattern, int] = {}
     evens = range(0, n, 2)
     for picks in product("VN", repeat=len(evens)):
-        row1 = [1] * n
-        row2 = [1] * n
+        cols = ["c"] * n
         sign = 1
         for i, op in zip(evens, picks):
             if op == "V":
-                row1[i] = 0
+                cols[i] = "b"
             else:
                 sign = -sign
-                _wipe(row1, row2, i)
-        cls = canonicalize(Pattern(tuple(row1), tuple(row2)))
+                _wipe(cols, i)
+        cls = canonicalize(Pattern("".join(cols)))
         combo[cls] = combo.get(cls, 0) + sign
     terms = tuple(
         (cls, coeff) for cls, coeff in sorted(combo.items()) if coeff != 0

@@ -38,10 +38,10 @@ series_expand_oracle are polynomial division and power-series expansion
 over Fraction with the integrality checked at the end, and
 fit_recurrence_oracle is Berlekamp-Massey over Fraction, all kept as a
 differential oracle for the integer arithmetic of the polynomials module.
-peel_oracle, initial_patterns_oracle and pseudo_rem_oracle are the column
-wipes of peel and initial_patterns and the pseudo-remainder loop written
-out in place, kept as a differential oracle for the shared wipe helper and
-for the pseudo-remainder by divrem.  witten_brute_oracle and
+peel_oracle and initial_patterns_oracle give each column's letter of peel
+and initial_patterns from its neighbours, and pseudo_rem_oracle is the
+pseudo-remainder loop written out in place, kept as a differential oracle
+for the shared wipe helper and for the pseudo-remainder by divrem.  witten_brute_oracle and
 components_oracle are the deletion recursion and the component search on
 frozensets of vertex ids; with leaf=False the recursion has no leaf step,
 a value oracle for the step itself.  first_step_oracle is simplify's step
@@ -62,10 +62,12 @@ of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
 division, kept as a differential oracle for the Moebius product.
 z_pattern is one entry z(P, m) of z_pattern_series, the pointwise form
 in which the tests state the pattern identities; src reads whole series.
-parse_pattern reads the two-line text fixture form of a pattern
-("101000 / 111101"), and is_valid is the validity oracle of a (vector,
-gap) sequence (alternating directions and the gap parity rules); no src
-code needs either.  load_reduced_forms and
+parse_pattern reads the two-row text that str(Pattern) prints
+("101000 / 111101"), the one reader of that form; pattern_of_rows builds
+the column word of two 0/1 rows, refusing unequal rows and a 1 above a 0,
+and rows_of gives the rows back for the row-scanning oracles.  is_valid is
+the validity oracle of a (vector, gap) sequence (alternating directions
+and the gap parity rules).  No src code needs any of these.  load_reduced_forms and
 load_golden_cycles parse the reference data files shared by the feature
 tests and the acceptance module.  EXTENDED (HARDSQUARES_EXTENDED=1) turns
 on the slow sweeps.
@@ -387,30 +389,29 @@ def format_placed(neck):
 
 def pattern_of_necklace_oracle(neck):
     """Blocks across facing gaps, alternating strips across away gaps,
-    written cell by cell from each placed stone."""
+    written letter by letter from each placed stone."""
     n, stones = neck.n, neck.stones
-    row1 = [0] * n
-    row2 = [0] * n
+    cols = ["a"] * n
     for i, (p, v) in enumerate(stones):
         q, w = stones[(i + 1) % len(stones)]
         gap = (q - p) % n
         if v > 0:  # facing pair: a block of length gap starting at p
             for c in range(gap):
-                row2[(p + c) % n] = 1
+                cols[(p + c) % n] = "b"
             if gap > 3:
                 for off in range(v, gap - abs(w), 2):
-                    row1[(p + off) % n] = 1
-        else:  # away pair: 0101...0 across the gap
+                    cols[(p + off) % n] = "c"
+        else:  # away pair: abab...a across the gap
             for off in range(1, gap - 1, 2):
-                row2[(p + off) % n] = 1
-    return Pattern(tuple(row1), tuple(row2))
+                cols[(p + off) % n] = "b"
+    return Pattern("".join(cols))
 
 
 def rotate_rows(p, start):
     """p with both rows turned clockwise by start columns: column 0 moves to
     column start."""
     cut = -start % p.n
-    return Pattern(p.row1[cut:] + p.row1[:cut], p.row2[cut:] + p.row2[:cut])
+    return Pattern(p[cut:] + p[:cut])
 
 
 def first_block_end(row):
@@ -431,16 +432,29 @@ def z_pattern(p, m):
 
 
 def parse_pattern(text):
-    """Parse the two-line text form, e.g. ``"101000 / 111101"``."""
+    """Parse the two-row text form that str(Pattern) prints, e.g.
+    ``"101000 / 111101"``."""
     parts = text.replace("/", " ").split()
     if len(parts) != 2:
         raise ValueError(f"expected 'ROW1 / ROW2', got {text!r}")
-    rows = []
-    for part in parts:
-        if set(part) - {"0", "1"}:
-            raise ValueError(f"rows must be 0/1 strings, got {part!r}")
-        rows.append(tuple(int(c) for c in part))
-    return Pattern(rows[0], rows[1])
+    if set("".join(parts)) - {"0", "1"}:
+        raise ValueError("pattern entries must be 0 or 1")
+    return pattern_of_rows(*(tuple(map(int, part)) for part in parts))
+
+
+def pattern_of_rows(row1, row2):
+    """The pattern of two 0/1 rows: column i is row1[i] over row2[i]."""
+    if len(row1) != len(row2):
+        raise ValueError("rows differ in length")
+    for i, (top, bottom) in enumerate(zip(row1, row2)):
+        if top > bottom:
+            raise ValueError(f"column {i} has a 1 above a 0")
+    return Pattern("".join("abc"[top + bottom] for top, bottom in zip(row1, row2)))
+
+
+def rows_of(p):
+    """p's two rows as 0/1 tuples, column i at index i."""
+    return tuple(int(x == "c") for x in p), tuple(int(x != "a") for x in p)
 
 
 def _cyclic_groups(row):
@@ -487,24 +501,25 @@ def _is_aligned_nice_run(seg):
 
 def proper_oracle(p):
     """Block count of p by row scanning, or None when p is not proper."""
-    groups2 = _cyclic_groups(p.row2)
+    row1, row2 = rows_of(p)
+    groups2 = _cyclic_groups(row2)
     if groups2 is None:
-        ok = _is_cyclic_run(p.row1, nice=True)
+        ok = _is_cyclic_run(row1, nice=True)
     else:
-        ok = _is_cyclic_run(p.row2) and all(
+        ok = _is_cyclic_run(row2) and all(
             not any(seg) if l in (1, 3) else _is_aligned_nice_run(seg)
             for s, l in groups2
-            for seg in [[p.row1[(s + j) % p.n] for j in range(l)]])
+            for seg in [[row1[(s + j) % p.n] for j in range(l)]])
     if not ok:
         return None
-    return sum(l >= 3 for row in (p.row1, p.row2)
+    return sum(l >= 3 for row in (row1, row2)
                for _, l in _cyclic_groups(row) or ())
 
 
 def enumerate_proper_oracle(n):
     """Proper classes of length n from every row-2 mask and all 2^L rows
     above each long block, deduplicated by canonicalize."""
-    seen = {canonicalize(Pattern(bits, (1,) * n))
+    seen = {canonicalize(pattern_of_rows(bits, (1,) * n))
             for bits in product((0, 1), repeat=n) if _is_cyclic_run(bits, nice=True)}
     for row2 in product((0, 1), repeat=n):
         if not _is_cyclic_run(row2):
@@ -517,7 +532,7 @@ def enumerate_proper_oracle(n):
             for (s, l), seg in zip(blocks, combo):
                 for j, b in enumerate(seg):
                     row1[(s + j) % n] = b
-            seen.add(canonicalize(Pattern(tuple(row1), row2)))
+            seen.add(canonicalize(pattern_of_rows(row1, row2)))
     return sorted(seen)
 
 
@@ -608,40 +623,33 @@ def fit_recurrence_oracle(seq):
 
 def peel_oracle(p):
     """(peeled pattern, sign) of a reducible pattern, each row-1 one wiping
-    the old row 2 at i-1, i, i+1 and the fresh row at i."""
+    the old row 2 at i-1, i, i+1 and the fresh row at i, written column by
+    column: column j keeps its row-2 one on top unless a c stands within
+    one column, and has a bottom one unless it is a c itself."""
     assert is_reducible(p)
     n = p.n
-    new1 = list(p.row2)
-    new2 = [1] * n
-    k = 0
-    for i in range(n):
-        if p.row1[i]:
-            k += 1
-            for j in (i - 1, i, i + 1):
-                new1[j % n] = 0
-            new2[i] = 0
-    return Pattern(tuple(new1), tuple(new2)), (-1 if k % 2 else 1)
+    cols = []
+    for j in range(n):
+        top = p[j] != "a" and "c" not in (p[j - 1], p[j], p[(j + 1) % n])
+        bottom = p[j] != "c"
+        cols.append("abc"[top + bottom])
+    return Pattern("".join(cols)), (-1) ** p.count("c")
 
 
 def initial_patterns_oracle(n):
     """{class: nonzero coefficient} of the delete_top / neighbourhood
-    expansion of the all-ones pattern at every even column."""
+    expansion of the all-ones pattern at every even column, written column
+    by column: an even column is b after delete_top and a after the
+    neighbourhood deletion, and an odd one is b beside a neighbourhood
+    deletion, else c."""
     combo = {}
-    evens = range(0, n, 2)
-    for picks in product("VN", repeat=len(evens)):
-        row1 = [1] * n
-        row2 = [1] * n
-        sign = 1
-        for i, op in zip(evens, picks):
-            if op == "V":
-                row1[i] = 0
-            else:
-                sign = -sign
-                for j in (i - 1, i, i + 1):
-                    row1[j % n] = 0
-                row2[i] = 0
-        cls = canonicalize(Pattern(tuple(row1), tuple(row2)))
-        combo[cls] = combo.get(cls, 0) + sign
+    for picks in product("VN", repeat=n // 2):
+        op = dict(zip(range(0, n, 2), picks))
+        cols = ["ba"[op[j] == "N"] if j % 2 == 0
+                else "b" if "N" in (op[j - 1], op[(j + 1) % n]) else "c"
+                for j in range(n)]
+        cls = canonicalize(Pattern("".join(cols)))
+        combo[cls] = combo.get(cls, 0) + (-1) ** picks.count("N")
     return {cls: c for cls, c in combo.items() if c != 0}
 
 

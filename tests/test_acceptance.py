@@ -287,7 +287,7 @@ def _pattern_calculus_properties() -> bool:
     for n in (2, 4, 6, 8):
         for p in enumerate_proper(n):
             mu = block_count(p)
-            tops = [i for i in range(n) if p.row1[i] == 1]
+            tops = [i for i in range(n) if p[i] == "c"]
             for m in range(2, 9):
                 z = z_pattern(p, m)
                 for i in tops:

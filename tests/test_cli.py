@@ -542,11 +542,11 @@ def test_a_wrong_cycle_divisibility_fails_both_sweeps(capsys, monkeypatch):
 
 def test_a_wrong_block_count_bound_fails_its_pattern(capsys, monkeypatch):
     bounded = cli.check_block_count_denominator
-    target = Pattern((0, 0, 0, 1, 0, 1), (1, 0, 1, 1, 1, 1))
+    target = Pattern("abcbcb")
     monkeypatch.setattr(cli, "check_block_count_denominator",
                         lambda p: p != target and bounded(p))
     assert failed_checks(capsys, "verify", "conjectures", "--nmax", "8") == (
-        1, [FORM_4, "FAIL block_count_denominator n=6 pattern=000101 / 101111"],
+        1, [FORM_4, "FAIL block_count_denominator n=6 pattern=001010 / 011111"],
         ["denominator_form", "block_count_denominator"])
 
 
@@ -714,7 +714,7 @@ def test_benchmark_counters_read_what_src_provides():
     path = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     calls = {  # small arguments for every function that has a counter
         "graphs.column_series": (4, 6),
-        "patterns.z_pattern_series": (Pattern((0, 1, 0, 0), (1, 1, 0, 1)), 6),
+        "patterns.z_pattern_series": (Pattern("bcab"), 6),
         "patterns.initial_patterns": (6,),
         "patterns.enumerate_proper": (6,),
         "polynomials.fit_recurrence": ([1, 1, 2, 3, 5, 8, 13, 21, 34, 55],),

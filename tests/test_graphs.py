@@ -541,7 +541,7 @@ def test_a_masked_column_starts_its_walk_at_row_one_first_one(monkeypatch):
 def test_orbit_cache_is_bounded_and_rings_share_one_power_list():
     assert _orbits.cache_info().maxsize == 32
     _orbits.cache_clear()
-    p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
+    p = Pattern("bcbabb")
     orb = _orbits(6)
     assert orb.window == fit_window(6) == 2 * len(orb.reps) + 6 == 16
     column_series(6, 8)  # rows 1..8 read u_0 .. u_4, u_k = B^k w
@@ -570,7 +570,7 @@ def test_columns_taller_than_the_window_match_the_unbounded_walk():
         for k, u in enumerate(unbounded):
             assert next(first) == u == next(second), (n, k)
         assert orb.kept == unbounded[:orb.window]
-    p = Pattern((0, 1, 0, 0, 0, 0), (1, 1, 1, 0, 1, 1))
+    p = Pattern("bcbabb")  # 010000 / 111011
     masks = [0b000010, 0b110111]  # bit i is column i
     assert z_pattern_series(p, 50)[2:] == transfer_oracle(6, masks + [-1] * 48)[2:]
 

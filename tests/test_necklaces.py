@@ -98,6 +98,7 @@ from helpers import (
     pattern_of_necklace_oracle,
     place,
     rotate_rows,
+    rows_of,
     sequence_canonicalize,
     sequence_mirror,
     sequence_transform,
@@ -334,7 +335,7 @@ def test_pattern_of_necklace_matches_placed_oracle(neck):
         start = placed.stones[seq[0][0] > 0][0]  # the word's first, away stone
         assert rotate_rows(pattern_of_necklace(word_of(seq)), start) == pat
         back = pairs_of(necklace_of_pattern(pat))
-        assert place(back, first_block_end(pat.row2)) == placed
+        assert place(back, first_block_end(rows_of(pat)[1])) == placed
 
 
 def test_leaf_test_matches_canonical_form(monkeypatch):
@@ -407,7 +408,7 @@ def test_round_trip_and_block_counts():
                 # read from the right stone of the first block and placed
                 # at its column, the word read back is cls placed from 0
                 back = necklace_of_pattern(pat)
-                assert (place(pairs_of(back), first_block_end(pat.row2))
+                assert (place(pairs_of(back), first_block_end(rows_of(pat)[1]))
                         == place(pairs_of(cls)))
 
 
@@ -431,13 +432,21 @@ def test_correspondence_identities():
         assert check_correspondence(n)
 
 
+def test_correspondence_refuses_odd_circles():
+    # patterns have even length, so an odd circle is refused before any
+    # class is generated
+    for n in (1, 3, 5, 7, 9):
+        with pytest.raises(ValueError, match=f"^circle length {n} is odd"):
+            check_correspondence(n)
+
+
 def _peel_without_wipe(p):
-    return Pattern(p.row2, (1,) * p.n), (-1) ** sum(p.row1)
+    return Pattern(p.replace("b", "c").replace("a", "b")), (-1) ** p.count("c")
 
 
 def _rows_without_strips(seq):
     pat = pattern_of_necklace(seq)  # unpatched: the patch rebinds necklaces' name only
-    return Pattern((0,) * pat.n, pat.row2)
+    return Pattern(pat.replace("c", "b"))
 
 
 def _sequence_with_unit_vectors(p):
@@ -447,7 +456,8 @@ def _sequence_with_unit_vectors(p):
 
 def _count_single_ones_too(p):
     count = proper_block_count(p)
-    singles = sum(p.row2[i] and not p.row2[i - 1] and not p.row2[(i + 1) % p.n]
+    row2 = rows_of(p)[1]
+    singles = sum(row2[i] and not row2[i - 1] and not row2[(i + 1) % p.n]
                   for i in range(p.n))
     return None if count is None else count + singles
 

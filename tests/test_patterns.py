@@ -1,9 +1,13 @@
 """Pattern calculus tests.
 
 Claims covered:
-- the text fixture form (parse_pattern, a test helper) round-trips through
-  format_pattern, and the constructor validates (even length, 0/1
-  entries, no 1 above a 0).
+- a pattern is its column word: on every word of even length 2..16 in
+  a, b and c, str(p) is the two-row text that parse_pattern (a test
+  helper) reads back to p, f"{p}" prints that text too, row_masks are the
+  masks of those rows, and canonicalize is constant over the 2n
+  symmetries and equals their least word.  The constructor refuses an odd
+  length, a length below 2 and a foreign letter; parse_pattern refuses
+  unequal rows, an entry other than 0/1 and a 1 above a 0.
 - masked_graph drops exactly the masked row-1/row-2 vertices; the worked
   six-column example with four rows has 19 vertices.
 - z_pattern_series equals the brute-force Witten index of masked_graph
@@ -12,7 +16,8 @@ Claims covered:
   compatibility-table oracle on random masked patterns (proper or not)
   of length up to 12.
 - canonicalize identifies all 2n rotations/reflections and nothing else,
-  and equals the least of the 2n images on random masked patterns;
+  and equals the least of the 2n images in word order (a < b < c, column
+  by column) on random masked patterns;
   z_pattern is constant on a class.  same_class agrees with equal
   canonical forms on rotations and reflections of random masked patterns
   and on pairs that differ in one cell of row 1 only or of row 2 only.
@@ -35,10 +40,11 @@ Claims covered:
   deletion).
 - enumeration rejects odd lengths; the n = 18 classes are distinct and
   proper, and their block counts take every value 0..4.
-- the one column wipe: peel equals the written-out loop of tests/helpers on
-  every reducible proper class of even n <= 12, delete_top_neighborhood
-  zeroes exactly its four cells there, and initial_patterns equals the
-  written-out expansion for even n <= 16.
+- the one column wipe: peel equals the column-by-column oracle of
+  tests/helpers on every reducible proper class of even n <= 12,
+  delete_top_neighborhood zeroes exactly its four cells there and on
+  every word of length <= 6, and
+  initial_patterns equals the column-by-column expansion for even n <= 16.
 """
 
 import itertools
@@ -55,14 +61,13 @@ from hardsquares.patterns import (
     delete_top,
     delete_top_neighborhood,
     enumerate_proper,
-    format_pattern,
     initial_patterns,
     is_proper,
     is_reducible,
     leftmost_block_middle,
     masked_graph,
     peel,
-    row_mask,
+    row_masks,
     same_class,
     z_pattern_series,
 )
@@ -71,42 +76,63 @@ from helpers import (
     enumerate_proper_oracle,
     initial_patterns_oracle,
     parse_pattern,
+    pattern_of_rows,
     peel_oracle,
     proper_oracle,
+    rows_of,
     transfer_oracle,
     z_pattern,
 )
 
 
 def all_patterns(n):
-    for row2 in itertools.product((0, 1), repeat=n):
-        for row1 in itertools.product((0, 1), repeat=n):
-            if all(b or not a for a, b in zip(row1, row2)):
-                yield Pattern(row1, row2)
+    for letters in itertools.product("abc", repeat=n):
+        yield Pattern("".join(letters))
 
 
 def test_parse_format_round_trip():
     text = "101000 / 111101"
     p = parse_pattern(text)
-    assert p.row1 == (1, 0, 1, 0, 0, 0)
-    assert p.row2 == (1, 1, 1, 1, 0, 1)
-    assert format_pattern(p) == text
-    assert str(p) == text
+    assert p == "cbcbab" and type(p) is Pattern
+    assert rows_of(p) == ((1, 0, 1, 0, 0, 0), (1, 1, 1, 1, 0, 1))
+    assert str(p) == f"{p}" == text
+    assert f"[{p:>16}]" == f"[ {text}]"
+
+
+@st.composite
+def words(draw):
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    return Pattern(draw(st.text("abc", min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words())
+def test_the_word_is_the_one_form(p):
+    text = str(p)
+    assert parse_pattern(text) == p
+    assert f"{p}" == text  # str's own format would print the word
+    row1, row2 = text.split(" / ")
+    assert row_masks(p) == (int(row1[::-1], 2), int(row2[::-1], 2))
+    images = [d[k:k + p.n] for d in (p + p, (p + p)[::-1]) for k in range(p.n)]
+    assert {canonicalize(Pattern(q)) for q in images} == {min(images)}
+    assert canonicalize(p) == min(images)
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        Pattern((1, 0, 1), (1, 1, 1))  # odd length
-    with pytest.raises(ValueError):
-        Pattern((1, 0), (0, 1))  # 1 above a 0
-    with pytest.raises(ValueError):
-        Pattern((2, 0), (1, 1))  # not 0/1
+    for word in ("cbc", "c", "", "abcabc" * 3 + "a"):  # odd or below 2
+        with pytest.raises(ValueError, match="even and at least 2"):
+            Pattern(word)
+    for word in ("ad", "ab c", "aB", "0101", "abcd"):
+        with pytest.raises(ValueError, match="letters must be a, b or c"):
+            Pattern(word)
+    with pytest.raises(ValueError, match="column 1 has a 1 above a 0"):
+        parse_pattern("01 / 10")
     with pytest.raises(ValueError):
         parse_pattern("1010")
     with pytest.raises(ValueError):
         parse_pattern("10a0 / 1111")
     with pytest.raises(ValueError):
-        Pattern((1, 0), (1, 1, 0, 1))  # row lengths differ
+        parse_pattern("10 / 1101")  # row lengths differ
 
 
 def test_masked_graph_vertex_count_example():
@@ -130,13 +156,13 @@ def masked_patterns(draw):
     n = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
     row2 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     row1 = [b & draw(st.integers(0, 1)) for b in row2]
-    return Pattern(tuple(row1), tuple(row2))
+    return pattern_of_rows(tuple(row1), tuple(row2))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(masked_patterns(), st.integers(0, 12))
 def test_z_pattern_series_matches_compat_oracle(p, m_max):
-    masks = [sum(b << i for i, b in enumerate(row)) for row in (p.row1, p.row2)]
+    masks = [sum(b << i for i, b in enumerate(row)) for row in rows_of(p)]
     rows = masks + [(1 << p.n) - 1] * (m_max - 2)
     expected = transfer_oracle(p.n, rows)[: m_max + 1]
     assert z_pattern_series(p, m_max) == [0, 0][: m_max + 1] + expected[2:]
@@ -145,15 +171,15 @@ def test_z_pattern_series_matches_compat_oracle(p, m_max):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(masked_patterns())
 def test_canonicalize_is_the_least_symmetry(p):
+    # the least image in word order: column by column, a < b < c
     n = p.n
     images = []
     for sign in (1, -1):
         for shift in range(n):
             cols = [(sign * i + shift) % n for i in range(n)]
-            images.append((tuple(p.row1[c] for c in cols),
-                           tuple(p.row2[c] for c in cols)))
+            images.append(["abc".index(p[c]) for c in cols])
     best = min(images)
-    assert canonicalize(p) == Pattern(*best)
+    assert canonicalize(p) == "".join("abc"[x] for x in best)
 
 
 @st.composite
@@ -161,7 +187,7 @@ def pattern_pairs(draw):
     """(p, q, kind): q is a rotation or reflection of p, after one cell of
     row 1 only or of row 2 only flipped when kind names that row."""
     p = draw(masked_patterns())
-    n, row1, row2 = p.n, list(p.row1), list(p.row2)
+    n, (row1, row2) = p.n, map(list, rows_of(p))
     kind = draw(st.sampled_from(("same", "row1", "row2")))
     if kind == "row1":  # a row-1 cell may flip above a row-2 one
         cells = [i for i in range(n) if row2[i]]
@@ -174,7 +200,7 @@ def pattern_pairs(draw):
         kind = "same"
     shift, flip = draw(st.integers(0, n - 1)), draw(st.booleans())
     cols = [((-i if flip else i) + shift) % n for i in range(n)]
-    q = Pattern(tuple(row1[c] for c in cols), tuple(row2[c] for c in cols))
+    q = pattern_of_rows(tuple(row1[c] for c in cols), tuple(row2[c] for c in cols))
     return p, q, kind
 
 
@@ -194,11 +220,11 @@ def test_same_class_needs_equal_lengths():
 
 def test_pattern_index_requires_two_rows():
     with pytest.raises(ValueError):
-        z_pattern(Pattern((1,) * 4, (1,) * 4), 1)
+        z_pattern(Pattern("cccc"), 1)
 
 
 def test_series_convention_zero_below_two_rows():
-    series = z_pattern_series(Pattern((1,) * 6, (1,) * 6), 5)
+    series = z_pattern_series(Pattern("cccccc"), 5)
     assert series[0] == series[1] == 0
     assert series[4] == 4
 
@@ -207,8 +233,8 @@ def test_all_ones_pattern_recovers_cylinder():
     for n in (4, 6, 8):
         for m in (2, 3, 5):
             expected = witten_transfer(GridSpec("cylinder", m, n))
-            assert z_pattern(Pattern((1,) * n, (1,) * n), m) == expected
-    assert z_pattern(Pattern((1,) * 6, (1,) * 6), 4) == 4
+            assert z_pattern(Pattern("c" * n), m) == expected
+    assert z_pattern(Pattern("cccccc"), 4) == 4
 
 
 def test_canonicalize_identifies_symmetries():
@@ -217,10 +243,9 @@ def test_canonicalize_identifies_symmetries():
     n = p.n
     variants = set()
     for k in range(n):
-        r1 = p.row1[k:] + p.row1[:k]
-        r2 = p.row2[k:] + p.row2[:k]
-        variants.add(Pattern(r1, r2))
-        variants.add(Pattern(tuple(reversed(r1)), tuple(reversed(r2))))
+        turned = p[k:] + p[:k]
+        variants.add(Pattern(turned))
+        variants.add(Pattern(turned[::-1]))
     # this pattern is mirror symmetric, so its orbit has n elements, not 2n
     assert len(variants) == n
     assert {canonicalize(q) for q in variants} == {cls}
@@ -231,8 +256,8 @@ def test_canonicalize_identifies_symmetries():
 def test_index_constant_on_class():
     p = parse_pattern("0011100000 / 1111111010")
     cls = canonicalize(p)
-    shifted = Pattern(p.row1[3:] + p.row1[:3], p.row2[3:] + p.row2[:3])
-    reflected = Pattern(tuple(reversed(p.row1)), tuple(reversed(p.row2)))
+    shifted = Pattern(p[3:] + p[:3])
+    reflected = Pattern(p[::-1])
     for m in (2, 3, 4, 5):
         z = z_pattern(cls, m)
         assert z_pattern(shifted, m) == z
@@ -259,7 +284,7 @@ def test_improper_examples():
     # the all-zero row is not a run
     assert not is_proper(parse_pattern("000000 / 000000"))
     # all ones above all ones is not a run either
-    assert not is_proper(Pattern((1,) * 6, (1,) * 6))
+    assert not is_proper(Pattern("cccccc"))
     # a 1 above a second-row singleton
     assert not is_proper(parse_pattern("1000 / 1010"))
     # a long second-row block must carry a nonempty aligned run
@@ -268,16 +293,15 @@ def test_improper_examples():
     assert not is_proper(parse_pattern("10000000 / 11111010"))
     # block_count rejects improper patterns
     with pytest.raises(ValueError):
-        block_count(Pattern((1,) * 6, (1,) * 6))
+        block_count(Pattern("cccccc"))
 
 
 def test_exactly_two_blockless_classes():
     for n in (2, 4, 6, 8, 10):
         zero = [c for c in enumerate_proper(n) if block_count(c) == 0]
-        alt = tuple(i % 2 for i in range(n))
         expected = {
-            canonicalize(Pattern(alt, (1,) * n)),
-            canonicalize(Pattern((0,) * n, alt)),
+            canonicalize(Pattern("bc" * (n // 2))),  # 0101... / 1111...
+            canonicalize(Pattern("ab" * (n // 2))),  # 0000... / 0101...
         }
         assert set(zero) == expected, n
 
@@ -286,7 +310,7 @@ def test_block_count_bound_and_forbidden_words():
     for n in (4, 6, 8, 10, 12):
         for p in enumerate_proper(n):
             assert block_count(p) <= n // 4
-            for row in (p.row1, p.row2):
+            for row in rows_of(p):
                 doubled = "".join(map(str, row + row))
                 assert "0110" not in doubled
                 assert "1001" not in doubled
@@ -340,15 +364,20 @@ def test_initial_patterns_reducible_proper_and_exact():
 
 
 def test_column_wipes_match_the_written_out_loops():
-    for n in range(2, 13, 2):
-        for p in enumerate_proper(n):
-            if is_reducible(p):
-                assert peel(p) == peel_oracle(p), p
-            for i in (i for i in range(n) if p.row1[i]):
-                wiped = {(i - 1) % n, i, (i + 1) % n}
-                assert delete_top_neighborhood(p, i) == Pattern(
-                    tuple(0 if j in wiped else x for j, x in enumerate(p.row1)),
-                    tuple(0 if j == i else x for j, x in enumerate(p.row2))), (p, i)
+    # the neighbourhood deletion also on every word of length <= 6, where a
+    # row-2 zero may sit beside the deleted one
+    every_word = [p for n in (2, 4, 6) for p in all_patterns(n)]
+    proper = [p for n in range(2, 13, 2) for p in enumerate_proper(n)]
+    for p in every_word + proper:
+        n = p.n
+        if is_proper(p) and is_reducible(p):
+            assert peel(p) == peel_oracle(p), p
+        row1, row2 = rows_of(p)
+        for i in (i for i in range(n) if row1[i]):
+            wiped = {(i - 1) % n, i, (i + 1) % n}
+            assert delete_top_neighborhood(p, i) == pattern_of_rows(
+                tuple(0 if j in wiped else x for j, x in enumerate(row1)),
+                tuple(0 if j == i else x for j, x in enumerate(row2))), (p, i)
     for n in range(2, 17, 2):
         assert dict(initial_patterns(n).terms) == initial_patterns_oracle(n), n
 
@@ -357,7 +386,7 @@ def test_delete_identity_on_proper_patterns():
     for n in (2, 4, 6, 8):
         for p in enumerate_proper(n):
             for i in range(n):
-                if not p.row1[i]:
+                if p[i] != "c":
                     continue
                 v = delete_top(p, i)
                 w = delete_top_neighborhood(p, i)
@@ -382,7 +411,7 @@ def test_peel_identity_at_two_rows_reads_one_masked_ring_row():
             if not is_reducible(p):
                 continue
             q, sign = peel(p)
-            one_row = column_series(n, 1, (row_mask(q.row1),))[1]
+            one_row = column_series(n, 1, (row_masks(q)[0],))[1]
             assert z_pattern(p, 2) == sign * one_row, p
             reducible += 1
     assert reducible == 206
@@ -430,8 +459,8 @@ def test_enumeration_bound_and_filter():
 
 def test_grammar_matches_the_row_scanners():
     for n in (2, 4, 6, 8, 10):
-        for cols in itertools.product((0, 1, 2), repeat=n):  # a, b, c
-            p = Pattern(tuple(int(x == 2) for x in cols), tuple(int(x > 0) for x in cols))
+        for letters in itertools.product("abc", repeat=n):
+            p = Pattern("".join(letters))
             want = proper_oracle(p)
             assert is_proper(p) == (want is not None), str(p)
             if want is not None:
