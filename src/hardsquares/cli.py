@@ -15,15 +15,16 @@ Subcommands:
 
 Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
-line per failing instance) or an internal consistency check failed, 2 for
-usage errors: argparse's, which print the misused subcommand's usage line
-(a necklace option its action ignores is one), and these, each refused
-with one "error:" line before any work starts: a request above its row of
-BOUNDS, an --nmax or -m too small to check anything, and necklace -k pairs
-that do not fit on the -n circle (4k > n); 3 for any other error, such as
-a KeyError or MemoryError, reported as one "internal error:" line on
-stderr; and 141 (128 + SIGPIPE) with nothing on stderr when the reader
-closes stdout before the output ends.
+line per failing instance) or an internal consistency check failed (one
+"FAIL internal consistency:" line on stderr; a rewrite rule refused in a
+derivation is one), 2 for usage errors: argparse's, which print the misused
+subcommand's usage line (a necklace option its action ignores is one), and
+these, each refused with one "error:" line before any work starts: a request
+above its row of BOUNDS, an --nmax or -m too small to check anything, and
+necklace -k pairs that do not fit on the -n circle (4k > n); 3 for any other
+error, such as a KeyError or MemoryError, reported as one "internal error:"
+line on stderr; and 141 (128 + SIGPIPE) with nothing on stderr when the
+reader closes stdout before the output ends.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -37,7 +38,7 @@ import sys
 from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import ConsistencyError, FitInconclusiveError
+from .errors import ConsistencyError, FitInconclusiveError, RuleInapplicableError
 from .genfun import (
     check_block_count_denominator,
     check_denominator_form,
@@ -294,10 +295,9 @@ def cmd_necklace(args: argparse.Namespace) -> int:
 
 def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
     results = [CheckResult(
-        "index_identity",
-        {"identity": c.identity, "family": c.family, "m": c.m, "n": c.n},
-        c.ok, f"lhs={c.lhs} rhs={c.rhs}")
-        for c in verify_index_identities(m_max, n_max)]
+        "index_identity", {"identity": name, "family": family, "m": m, "n": n},
+        lhs == rhs, f"lhs={lhs} rhs={rhs}")
+        for name, family, m, n, lhs, rhs in verify_index_identities(m_max, n_max)]
     rng = Random(seed)
     for case in range(40):
         g = random_graph(rng, 10)
@@ -461,12 +461,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a killed writer
+    except (ConsistencyError, FitInconclusiveError, RuleInapplicableError) as exc:
+        print(f"FAIL internal consistency: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, FitInconclusiveError) as exc:
-        print(f"FAIL internal consistency: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -14,10 +14,11 @@ For even n this module derives it exactly through the pattern calculus:
     walk back-substitutes the rest;
   - side classes recurse on the block count, which is finite.
 
-Every computed series is re-validated coefficient by coefficient against
-the direct transfer evaluation, and the assembled cylinder series must equal
-the certified fit of the raw column series; any mismatch raises
-ConsistencyError rather than returning a wrong answer.
+Every computed series num/den is re-validated against the direct transfer
+evaluation, den * direct = num through t^(deg num + deg den + 6), and the
+assembled cylinder series must equal the certified fit of the raw column
+series; any mismatch raises ConsistencyError rather than returning a wrong
+answer.  Class series are memoised for the last four circumferences used.
 
 The certified fit (fitted_cylinder_gf) works for any circumference and is
 the only route for odd n.  Its window follows from the ring's dihedral-orbit
@@ -26,6 +27,7 @@ count, so the fit is a proof, not a guess.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -51,26 +53,24 @@ from .polynomials import (
     RationalGF,
     factor_cyclotomic,
     fit_recurrence,
-    series_expand,
 )
 
-# the series of every class walked, keyed by its canonical pattern, one dict
-# per circumference (a successor walk never leaves its n); only the last four
-# circumferences used are kept
-_PATTERN_GF: Dict[int, Dict[Pattern, RationalGF]] = {}
+
+@lru_cache(maxsize=4)
+def _class_series(n: int) -> Dict[Pattern, RationalGF]:
+    """The series of every class walked at circumference n, keyed by its
+    canonical pattern (a successor walk never leaves its n)."""
+    return {}
 
 
 def _validate_pattern_gf(q: Pattern, gf: RationalGF) -> RationalGF:
-    """Check the claimed series against direct transfer evaluation."""
+    """Check gf against the direct terms: den * direct = num mod t^(upto+1)
+    (den(0) != 0) holds exactly when gf expands to those integers."""
     upto = gf.num.degree + gf.den.degree + 6
-    try:
-        claimed = series_expand(gf, upto)
-    except ValueError as exc:  # a non-integral series is a broken derivation
-        raise ConsistencyError(f"series for pattern {q}: {exc}") from exc
     direct = z_pattern_series(q, upto)
-    if claimed != direct:
-        raise ConsistencyError(f"series for pattern {q} disagrees with "
-                               f"transfer evaluation: {claimed} vs {direct}")
+    if IntPoly((gf.den * IntPoly(direct)).coeffs[:upto + 1]) != gf.num:
+        raise ConsistencyError(f"series for pattern {q} disagrees with transfer "
+                               f"evaluation through t^{upto}: {gf} vs {direct}")
     return gf
 
 
@@ -80,9 +80,7 @@ def pattern_gf(p: Pattern) -> RationalGF:
     Proper patterns only; the computation walks the successor chain,
     solves its terminal cycle, and back-substitutes (see module docstring).
     """
-    memo = _PATTERN_GF[p.n] = _PATTERN_GF.pop(p.n, {})  # the most recent
-    if len(_PATTERN_GF) > 4:
-        del _PATTERN_GF[next(iter(_PATTERN_GF))]
+    memo = _class_series(p.n)
     if p in memo:  # a key is canonical, so a hit needs no canonicalize
         return memo[p]
 

@@ -529,19 +529,6 @@ def witten_transfer(spec: GridSpec) -> int:
 # -- suspension identities -----------------------------------------------------
 
 
-class IdentityCheck(NamedTuple):
-    identity: str
-    family: str
-    m: int
-    n: int
-    lhs: int
-    rhs: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
 # name -> (family, fixed side, its value, shift, sign, first size of the
 # other side).  Each row encodes Z(family, m, n) == sign * Z(family, m', n')
 # for the fixed side ("m" or "n") at its value and the other side at the
@@ -576,8 +563,9 @@ def _rhs(name: str, m: int, n: int) -> Tuple[str, int, int, int]:
     return (family, sign, m, n - shift) if side == "m" else (family, sign, m - shift, n)
 
 
-def verify_index_identities(m_max: int, n_max: int) -> List[IdentityCheck]:
-    """Evaluate every in-range instance of the ten suspension identities.
+def verify_index_identities(m_max: int, n_max: int) -> List[Tuple[str, str, int, int, int, int]]:
+    """(identity, family, m, n, lhs, rhs) of every in-range instance of the
+    ten suspension identities; an instance holds when lhs == rhs.
 
     Each identity relates Z on one family to Z at a shifted size with a fixed
     sign; the ranges exclude the degenerate instances where the underlying
@@ -597,5 +585,5 @@ def verify_index_identities(m_max: int, n_max: int) -> List[IdentityCheck]:
             return columns[n][m]
         return witten_transfer(GridSpec(family, m, n))
 
-    return [IdentityCheck(name, family, m, n, z(family, m, n), sign * z(family, mr, nr))
+    return [(name, family, m, n, z(family, m, n), sign * z(family, mr, nr))
             for name, m, n, (family, sign, mr, nr) in instances]

@@ -241,8 +241,8 @@ def proper_block_count(p: Pattern) -> Optional[int]:
         else:
             return None
         state, i = nxt, i + len(token)
-    if state not in _ACCEPT:
-        return None
+    # a full parse ends accepted: a "part" word ends in a, and every token
+    # holding an a ends in it and moves to "part"; "ones" moves stay there
     groups = word.split("a") if "a" in word else ()
     return word.count("ccc") + sum(len(g) >= 3 for g in groups)
 

@@ -4,7 +4,8 @@ Everything here is exact and runs on int: division and power-series
 expansion check divisibility with divmod at each step and raise ValueError
 on the first coefficient that is not an integer, and fit_recurrence's
 Berlekamp-Massey elimination is fraction-free.  IntPoly stores ascending
-coefficients with no trailing zeros.  RationalGF keeps a canonical reduced
+coefficients with no trailing zeros; t^e is ONE.shift(e), and a power is a
+product.  RationalGF keeps a canonical reduced
 form (polynomial gcd divided out, integer content 1, positive leading
 denominator coefficient) so that structural equality compares mathematical
 equality.  The constructor reduces a raw pair by one full gcd.  The
@@ -104,18 +105,6 @@ class IntPoly:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by t^k."""
         if self.is_zero:
@@ -185,7 +174,6 @@ def as_poly(p: PolyLike) -> IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly([1])
-T = IntPoly([0, 1])
 
 
 def format_poly(p: IntPoly) -> str:

@@ -88,7 +88,6 @@ from hardsquares.errors import FitInconclusiveError
 from hardsquares.graphs import (  # noqa: F401  (random_graph is re-exported)
     Graph,
     GridSpec,
-    IdentityCheck,
     random_graph,
     witten_transfer,
 )
@@ -810,13 +809,14 @@ def identity_instances_oracle(m_max, n_max):
 
 
 def identity_checks_oracle(m_max, n_max):
-    """Every in-range identity instance, each side by its own witten_transfer."""
+    """(identity, family, m, n, lhs, rhs) of every in-range identity
+    instance, each side by its own witten_transfer."""
     checks = []
     for name, m, n in identity_instances_oracle(m_max, n_max):
         family, shift, sign, _ = IDENTITIES_ORACLE[name]
         lhs = witten_transfer(GridSpec(family, m, n))
         rhs = sign * witten_transfer(GridSpec(family, *shift(m, n)))
-        checks.append(IdentityCheck(name, family, m, n, lhs, rhs))
+        checks.append((name, family, m, n, lhs, rhs))
     return checks
 
 

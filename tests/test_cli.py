@@ -3,7 +3,9 @@
 - witten prints single frozen index values, as plain text and as JSON
   carrying the schema version.
 - table1 emits the reference CSV layout and matches the stored reference
-  table line for line, and the JSON form round-trips.
+  table line for line, the JSON form round-trips, and the default text is
+  the CSV cells, each right-justified to its column's widest cell and
+  joined by two spaces.
 - negative sizes (table1 -m or --nmax, a necklace circle length below 1)
   exit 2 with one error line and no output.
 - genfun prints the factored generating function; even circumferences
@@ -144,6 +146,19 @@ def test_table1_json_round_trip(capsys):
     for row in doc["rows"]:
         for n, value in zip(doc["columns"], row["values"]):
             assert value == witten_transfer(GridSpec("cylinder", row["m"], n))
+
+
+def test_table1_text_right_justifies_the_csv_cells(capsys):
+    code, csv, _ = run_cli(capsys, "table1", "-m", "4", "--nmax", "6",
+                           "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in csv.splitlines()]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    code, out, err = run_cli(capsys, "table1", "-m", "4", "--nmax", "6")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["  ".join(c.rjust(w) for c, w in zip(row, widths))
+                                for row in rows]
+    assert out.splitlines()[1] == "  0   1   1   1  1   1"
 
 
 def test_negative_sizes_exit_two(capsys):

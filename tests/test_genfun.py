@@ -12,11 +12,17 @@ Claims covered:
   raw column series.
 - every cached pattern series is in the canonical reduced form, although
   the operators reduce by the gcds of denominators and cross factors
-  only, and a series that is not integral is a ConsistencyError (exit 1),
-  not a usage error.  The class memo keeps one dict for each of the last
-  four circumferences used.  With fresh caches, cylinder_gf(n) stacks
-  2 * (classes walked) + (reducible classes) + 1 ring rows cell by cell:
-  31 at n = 8, 97 at n = 12.
+  only, and a class series that is not integral, or integral but wrong,
+  is a ConsistencyError naming the pattern (exit 1), not a usage error.
+  The check (den * direct = num through the window) agrees with an
+  expansion of the series for every class walked at n <= 12, for each
+  +-t^j change of the series or of its direct terms (one past the window
+  passes) and for a non-integral denominator.  A rewrite rule
+  refused inside a derivation also exits 1.  The class memo keeps one
+  dict for each of the last four circumferences used (an lru_cache).
+  With fresh caches, cylinder_gf(n) stacks 2 * (classes walked) +
+  (reducible classes) + 1 ring rows cell by cell: 31 at n = 8, 97 at
+  n = 12.
 - cylinder_gf always compares its result with the certified fit: a
   disagreeing fit is a ConsistencyError, and through the CLI one
   `FAIL internal consistency` line with exit status 1.  Invalid
@@ -39,6 +45,9 @@ Claims covered:
   check fails on a series with a pole outside the bound.
 """
 
+import re
+from functools import lru_cache
+
 import pytest
 
 from hardsquares import cli, genfun, graphs
@@ -60,13 +69,13 @@ from hardsquares.patterns import (
     block_count,
     enumerate_proper,
     is_reducible,
+    peel,
     z_pattern_series,
 )
 from hardsquares.polynomials import (
     IntPoly,
     ONE,
     RationalGF,
-    T,
     factor_cyclotomic,
     series_expand,
 )
@@ -91,12 +100,12 @@ def test_pattern_gf_frozen_forms():
     assert gf == RationalGF(IntPoly((0, 0, 1, -1, 0, -1)),
                             IntPoly((-1, 0, -1, 1, 0, 1)))
     # denominator (t^2+1)(t^3-1) divides 1 - t^12: the tail is 12-periodic
-    assert gf.den.divides(ONE - T ** 12)
+    assert gf.den.divides(ONE - ONE.shift(12))
 
 
 def test_blockless_denominators():
     for n in (2, 4, 6, 8, 10):
-        two_term = ONE - T ** 2 if (n // 2) % 2 == 0 else ONE + T ** 2
+        two_term = ONE - ONE.shift(2) if (n // 2) % 2 == 0 else ONE + ONE.shift(2)
         for cls in enumerate_proper(n):
             if block_count(cls) == 0:
                 assert pattern_gf(cls).den.divides(two_term)
@@ -118,7 +127,7 @@ def test_cylinder_gf_series_prefix_is_column_series():
 
 
 def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
-    wrong = RationalGF(ONE, ONE - T)
+    wrong = RationalGF(ONE, ONE - ONE.shift(1))
     monkeypatch.setattr(genfun, "fitted_cylinder_gf", lambda n: wrong)
     with pytest.raises(ConsistencyError):
         cylinder_gf(6)
@@ -131,8 +140,9 @@ def test_cylinder_gf_fails_on_a_disagreeing_fit(monkeypatch, capsys):
 
 def test_cached_pattern_series_are_reduced():
     cylinder_gf(14)
-    assert len(genfun._PATTERN_GF[14]) >= 64  # the n = 14 classes walked
-    for g in genfun._PATTERN_GF[14].values():
+    walked = genfun._class_series(14)
+    assert len(walked) >= 64  # the n = 14 classes walked
+    for g in walked.values():
         assert g == RationalGF(g.num, g.den)  # equality is structural
 
 
@@ -144,28 +154,35 @@ def test_walk_stacks_each_reducible_class_once_more(monkeypatch):
     monkeypatch.setattr(graphs, "_row_step",
                         lambda *a, **kw: steps.append(a) or row_step(*a, **kw))
     for n, expected in ((8, 31), (12, 97)):
-        monkeypatch.setattr(genfun, "_PATTERN_GF", {})
+        genfun._class_series.cache_clear()
         _orbits.cache_clear()
         steps.clear()
         cylinder_gf(n)
-        walked = genfun._PATTERN_GF[n]
+        walked = genfun._class_series(n)
         reducible = sum(1 for cls in walked if is_reducible(cls))
         assert len(steps) == 2 * len(walked) + reducible + 1 == expected, n
 
 
 def test_pattern_memo_keeps_the_last_four_circumferences():
+    memo = genfun._class_series
+    memo.cache_clear()
     for n in (2, 4, 6, 8, 10):
         cylinder_gf(n)
-    assert list(genfun._PATTERN_GF) == [4, 6, 8, 10]
+    assert memo.cache_info()[1:] == (5, 4, 4)  # misses, maxsize, currsize
     cylinder_gf(4)  # a hit makes n = 4 the most recent again
-    cylinder_gf(12)
-    assert list(genfun._PATTERN_GF) == [8, 10, 4, 12]
+    assert memo.cache_info().misses == 5
+    cylinder_gf(12)  # evicts n = 6, now the least recent
+    for n in (8, 10, 4, 12):
+        memo(n)
+    assert memo.cache_info().misses == 6
+    memo(6)
+    assert memo.cache_info().misses == 7
 
 
 def test_non_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys):
     cls = enumerate_proper(6)[0]
     bad = RationalGF(ONE, IntPoly([2, 1]))  # 1/(2 + t) = 1/2 - t/4 + ...
-    with pytest.raises(ConsistencyError, match="not an integer"):
+    with pytest.raises(ConsistencyError, match="disagrees with transfer evaluation"):
         genfun._validate_pattern_gf(cls, bad)
     monkeypatch.setattr(cli, "cylinder_gf",
                         lambda n: genfun._validate_pattern_gf(cls, bad))
@@ -173,6 +190,74 @@ def test_non_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("FAIL internal consistency:")
     assert len(err.splitlines()) == 1
+
+
+def test_wrong_integral_pattern_series_is_a_consistency_error(monkeypatch, capsys):
+    cls = parse_pattern("010101 / 111111")
+    wrong = pattern_gf(cls) + RationalGF(ONE.shift(5))  # integral, off at t^5
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"series for pattern {cls} disagrees with transfer evaluation")):
+        genfun._validate_pattern_gf(cls, wrong)
+    # a peel step of the wrong sign derives integral but wrong series
+    monkeypatch.setattr(genfun, "_class_series", lru_cache(maxsize=4)(lambda n: {}))
+    monkeypatch.setattr(genfun, "peel", lambda p: (lambda q, s: (q, -s))(*peel(p)))
+    assert main(["genfun", "-n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"FAIL internal consistency: series for pattern {cls} "
+                          f"disagrees with transfer evaluation")
+
+
+def _expansion_check(gf, terms):
+    """The check as an expansion: gf's series through t^(deg num + deg den
+    + 6) is integral and equals the direct terms."""
+    upto = gf.num.degree + gf.den.degree + 6
+    try:
+        return series_expand(gf, upto) == terms[:upto + 1]
+    except ValueError:  # a coefficient that is not an integer
+        return False
+
+
+def _product_check(monkeypatch, q, gf, terms):
+    with monkeypatch.context() as patch:
+        patch.setattr(genfun, "z_pattern_series", lambda p, upto: terms[:upto + 1])
+        try:
+            genfun._validate_pattern_gf(q, gf)
+        except ConsistencyError:
+            return False
+    return True
+
+
+def test_series_product_check_agrees_with_the_expansion_oracle(monkeypatch):
+    for n in range(2, 13, 2):
+        cylinder_gf(n)
+        for q, gf in genfun._class_series(n).items():
+            upto = gf.num.degree + gf.den.degree + 6
+            true = z_pattern_series(q, 2 * upto)  # covers every window below
+            cases = [(gf, true, True),
+                     (RationalGF(gf.num, gf.den * IntPoly([2, 1])), true, False)]
+            for j in range(upto + 2):
+                for sign in (1, -1):
+                    if j <= upto:
+                        cases.append((gf + RationalGF(ONE.shift(j) * sign), true, False))
+                    off = true[:]
+                    off[j] += sign  # read through t^upto, not past it
+                    cases.append((gf, off, j > upto))
+            for g, terms, holds in cases:
+                assert (_product_check(monkeypatch, q, g, terms)
+                        == _expansion_check(g, terms) == holds), (q, g, terms)
+
+
+def test_a_rule_refused_inside_a_derivation_is_a_consistency_failure(monkeypatch,
+                                                                     capsys):
+    # no command hands its input to a rewrite rule, so a refused rule is a
+    # broken derivation (exit 1), not a usage error (exit 2)
+    monkeypatch.setattr(genfun, "_class_series", lru_cache(maxsize=4)(lambda n: {}))
+    monkeypatch.setattr(genfun, "leftmost_block_middle", lambda p: p.index("b"))
+    assert main(["genfun", "-n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("FAIL internal consistency: row 1 has no 1 at column ")
 
 
 def test_cylinder_gf_validation():
@@ -187,7 +272,7 @@ def test_fitted_route_odd_circumference():
     assert three == RationalGF(IntPoly((1, -2, 1)), IntPoly((1, 0, 0, -1)))
     assert fitted_cylinder_gf(9) == three
     assert fitted_cylinder_gf(15) == three
-    constant = RationalGF(ONE, ONE - T)
+    constant = RationalGF(ONE, ONE - ONE.shift(1))
     for n in (5, 7, 11, 13):
         assert fitted_cylinder_gf(n) == constant, n
     # the fitted and exact routes agree where both apply
@@ -224,18 +309,18 @@ def test_fitted_route_reads_one_certified_window(monkeypatch):
 def test_roots_of_unity_checker():
     for n in (2, 4, 6, 8, 10, 12):
         assert periodicity_report(n, cylinder_gf(n)).remainder_ok
-    assert not periodicity_report(0, RationalGF(ONE, ONE - T * 2)).remainder_ok
+    assert not periodicity_report(0, RationalGF(ONE, ONE - ONE.shift(1) * 2)).remainder_ok
 
 
 def test_conjectured_denominator_frozen_products():
-    assert conjectured_denominator(2) == ONE + T ** 2
-    assert conjectured_denominator(4) == ONE - T ** 2
-    assert conjectured_denominator(6) == (ONE + T ** 2) * (ONE - T ** 6)
-    assert conjectured_denominator(8) == (ONE - T ** 2) * (ONE - T ** 10)
+    assert conjectured_denominator(2) == ONE + ONE.shift(2)
+    assert conjectured_denominator(4) == ONE - ONE.shift(2)
+    assert conjectured_denominator(6) == (ONE + ONE.shift(2)) * (ONE - ONE.shift(6))
+    assert conjectured_denominator(8) == (ONE - ONE.shift(2)) * (ONE - ONE.shift(10))
     assert conjectured_denominator(10) == (
-        (ONE + T ** 2) * (ONE - T ** 14) * (ONE - T ** 8))
+        (ONE + ONE.shift(2)) * (ONE - ONE.shift(14)) * (ONE - ONE.shift(8)))
     assert conjectured_denominator(12) == (
-        (ONE - T ** 2) * (ONE - T ** 18) * (ONE - T ** 12))
+        (ONE - ONE.shift(2)) * (ONE - ONE.shift(18)) * (ONE - ONE.shift(12)))
     with pytest.raises(ValueError):
         conjectured_denominator(5)
 
@@ -276,8 +361,8 @@ def test_block_count_denominator_bound():
         for cls in enumerate_proper(n):
             assert check_block_count_denominator(cls), str(cls)
     # the bound itself: blockless level only contributes the two-term factor
-    assert denominator_bound(6, 0) == ONE + T ** 2
-    assert denominator_bound(8, 1) == (ONE - T ** 2) * (ONE - T ** 10)
+    assert denominator_bound(6, 0) == ONE + ONE.shift(2)
+    assert denominator_bound(8, 1) == (ONE - ONE.shift(2)) * (ONE - ONE.shift(10))
 
 
 def test_denominator_bound_degree_counts_every_block_level():

@@ -13,14 +13,14 @@
   src modules that spell "schema" as a dict key (in a dict display, a
   subscript or a dict() keyword) are exactly cli and necklaces, whose
   per-class key waits on ROADMAP item 6.
-- every behaviour has one public path: each public top-level function or
-  class of a src module, and each public method of a src class, is named
-  somewhere outside its own body (an identifier, attribute, import alias
-  or string constant that is a dotted name, in src or in perfbench/*.py;
-  docstrings and comments do not count), or it is on KEEP with its
-  reason.  KEEP holds
-  exactly the names the scan would flag, so an entry that gains a caller
-  leaves it.  Test-only fixtures and oracles live in tests/helpers.
+- every behaviour has one public path: each public top-level function,
+  class or assignment (a constant) of a src module, and each public method
+  of a src class, is named somewhere outside its own body or statement (an
+  identifier, attribute, import alias or string constant that is a dotted
+  name, in src or in perfbench/*.py; docstrings and comments do not
+  count), or it is on KEEP with its reason.  KEEP holds exactly the names
+  the scan would flag, so an entry that gains a caller leaves it.
+  Test-only fixtures and oracles live in tests/helpers.
 """
 
 import ast
@@ -197,9 +197,16 @@ def test_the_schema_guard_sees_every_key_form(tmp_path):
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function or class
-    and each public method of a top-level class."""
+    """(qualified name, node) of each public top-level function, class and
+    assignment, and each public method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
@@ -269,6 +276,9 @@ def test_the_use_guard_sees_every_reference_form(tmp_path):
         'def dotted(): pass\n'
         'def commented(): pass\n'
         'def _private(): pass\n'
+        'LIMIT = 3\n'
+        'SPARE: int = LIMIT\n'
+        'PAIR, _HIDDEN = SELF = (SELF, 0)\n'
         'class Box:\n'
         '    def read(self): return self.write()\n'
         '    def write(self): return Box()\n'
@@ -280,12 +290,15 @@ def test_the_use_guard_sees_every_reference_form(tmp_path):
         'from .shape import imported, aliased as other\n'
         'from . import shape\n'
         'def main():\n'
-        '    return shape.called(), shape.Box().read()\n')
+        '    return shape.called(), shape.Box().read(), shape.LIMIT\n')
     bench = tmp_path / "bench" / "tracer.py"
     bench.write_text('TRACED = {"shape": {"traced": {}}}  # commented\n'
                      'DISTINCT = ("shape.dotted",)\n')
     assert unreferenced([shape, user], [bench]) == [
         "shape.Box.spare",
+        "shape.PAIR",
+        "shape.SELF",
+        "shape.SPARE",
         "shape.commented",
         "shape.only_in_a_docstring",
         "shape.recursive",

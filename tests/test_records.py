@@ -25,7 +25,7 @@ import pytest
 
 from hardsquares.cli import CheckResult
 from hardsquares.genfun import PeriodicityReport
-from hardsquares.graphs import Graph, GridSpec, IdentityCheck
+from hardsquares.graphs import Graph, GridSpec
 from hardsquares.patterns import (
     Pattern,
     SignedPatternCombo,
@@ -41,7 +41,6 @@ RECORDS = [
     CheckResult("identity", {"n": 3, "m": 4}, True),
     PeriodicityReport(6, {1: 1, 2: 1}, True, 1, 2),
     GridSpec("cylinder", 20, 16),
-    IdentityCheck("one_row_cylinder_shift3", "cylinder", 1, 7, -1, -1),
     SignedPatternCombo(((PATTERN, -2),)),
     STATE.trace[0],
     STATE,
