@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -92,6 +93,10 @@ _SUITES = {"identities": (0, "width", 14),
            "conjectures": (2, "pattern", 12),
            "correspondence": (4, "circle", 14)}
 
+# Encoder chunks per write of a JSON document.  No chunk is empty, so an
+# empty slab is the end.
+_SLAB = 4096
+
 
 class CheckResult(NamedTuple):
     """Outcome of one verification instance."""
@@ -108,9 +113,19 @@ class CheckResult(NamedTuple):
 
 
 def _emit_json(obj: dict) -> None:
+    """Write obj as one indented JSON document, "schema" first.
+
+    The encoder's chunks go out in slabs of _SLAB, so neither the chunk
+    list nor the whole document is ever held at once; the bytes are those
+    of json.dumps(..., indent=2), which joins the same encoder's chunks.
+    """
     import json  # only JSON output pays for the import
 
-    print(json.dumps({"schema": SCHEMA, **obj}, indent=2))
+    chunks = json.JSONEncoder(indent=2).iterencode({"schema": SCHEMA, **obj})
+    write = sys.stdout.write
+    while slab := "".join(islice(chunks, _SLAB)):
+        write(slab)
+    write("\n")
 
 
 def _report(suite: str, results: List[CheckResult], infos: List[str],

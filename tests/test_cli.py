@@ -23,8 +23,9 @@
   bound, with --bound-n) exits 2 with the library's one error line before
   any generation starts.
   --format takes text or json only, and json with the dot action exits 2
-  with one error line.  A step that fails to permute the classes is a
-  one-line internal consistency failure (exit 1).
+  with one error line.  A step that fails to permute the classes, by an
+  image that is no class or by two classes with one image, is a one-line
+  internal consistency failure (exit 1).
 - cli.BOUNDS is the one size policy: width 18 (witten, table1, genfun's
   fit, verify identities), pattern 16 (even genfun, verify conjectures) and
   circle 28 (necklace, verify correspondence; verify all takes the least).
@@ -60,7 +61,11 @@
   text and its check name in the JSON failures.
 - repeated invocations produce byte-identical output.
 - every JSON document (witten, table1, genfun, necklace cycles, enumerate
-  and verify, verify) has "schema" as its first key, with value 1.
+  and verify, verify) has "schema" as its first key, with value 1, and is
+  byte for byte json.dumps(doc, indent=2) and a newline, also a 386 KB
+  necklace document written in many slabs.  On Linux that document's cold
+  peak RSS, each child started through the benchmark's launcher, stays
+  less than 2.5 MB above a tiny document's.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
   read only) exists, and importing hardsquares.cli in a fresh interpreter
@@ -471,6 +476,23 @@ def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_a_step_image_outside_the_classes_is_an_internal_consistency_failure(
+        capsys, monkeypatch):
+    # one class steps to a (2, 14) class, which no (2, 12) index holds;
+    # every other image is right, so no class is hit twice
+    stray = necklaces._canonical_words(2, 14)[0]
+    first = necklaces._canonical_words(2, 12)[0]
+    step = necklaces.transform
+    monkeypatch.setattr(necklaces, "transform",
+                        lambda word: stray if word == first else step(word))
+    necklaces._cycles.cache_clear()
+    code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")
+    necklaces._cycles.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("FAIL internal consistency:")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_verify_identities_and_correspondence(capsys):
     code, out, _ = run_cli(capsys, "verify", "identities", "-m", "10",
                            "--nmax", "8")
@@ -659,11 +681,15 @@ def test_necklace_misuse_prints_the_necklace_usage_line(capsys):
 @pytest.mark.parametrize("argv", [
     "witten -m 2 -n 4", "table1 -m 2 --nmax 4", "genfun -n 4",
     "necklace cycles -k 1 -n 8", "necklace enumerate -k 1 -n 8",
-    "verify correspondence --nmax 6", "necklace verify --nmax 8"])
+    "verify correspondence --nmax 6", "necklace verify --nmax 8",
+    # 386 KB, about 150k encoder chunks: many slabs
+    "necklace enumerate -k 4 -n 24"])
 def test_every_json_document_starts_with_its_schema(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
     doc = json.loads(out)
     assert code == 0 and next(iter(doc)) == "schema" and doc["schema"] == 1
+    # the streamed slabs join to exactly the one-shot document
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_module_entry_point():
@@ -694,6 +720,45 @@ def test_a_reader_that_closes_early_gets_exit_141_and_no_stderr():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+
+
+def _peak_rss_kib(*argv):
+    """Median peak RSS (KiB) of three cold CLI children, each started
+    through the benchmark's launcher (perfbench/launch.py, read only)."""
+    src = str(Path(hardsquares.__file__).resolve().parents[1])
+    peaks = []
+    for _ in range(3):
+        report_r, report_w = os.pipe()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-I", "-S", str(LAUNCHER), str(report_w), "60",
+                 sys.executable, "-m", "hardsquares.cli", *argv],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                pass_fds=(report_w,), env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(report_w)
+        with os.fdopen(report_r, "rb") as report:
+            fields = report.read().split()
+        assert proc.returncode == 0 and len(fields) == 5, proc.stderr
+        assert fields[0] == b"0", argv
+        peaks.append(int(fields[3]))
+    return sorted(peaks)[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the launcher reads /proc and ru_maxrss in KiB")
+def test_a_large_json_document_costs_little_memory_beyond_a_tiny_one():
+    # 386 KB of JSON against a few hundred bytes: streamed in slabs, the
+    # large document adds about 1 MB; held whole (the chunk list, the
+    # joined str and its encoded copy), it adds about 3.5 MB
+    large = _peak_rss_kib("necklace", "-k", "4", "-n", "24", "enumerate",
+                          "--format", "json")
+    tiny = _peak_rss_kib("necklace", "-k", "1", "-n", "4", "enumerate",
+                         "--format", "json")
+    assert large - tiny < 2.5 * 1024, (large, tiny)
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
