@@ -17,14 +17,17 @@ Exit status is 0 when every requested computation and check succeeded, 1
 when a verification check failed (failures are listed in the output, one
 line per failing instance) or an internal consistency check failed (one
 "FAIL internal consistency:" line on stderr; a rewrite rule refused in a
-derivation is one), 2 for usage errors: argparse's, which print the misused
-subcommand's usage line (a necklace option its action ignores is one), and
-these, each refused with one "error:" line before any work starts: a request
-above its row of BOUNDS, an --nmax or -m too small to check anything, and
-necklace -k pairs that do not fit on the -n circle (4k > n); 3 for any other
-error, such as a KeyError or MemoryError, reported as one "internal error:"
-line on stderr; and 141 (128 + SIGPIPE) with nothing on stderr when the
-reader closes stdout before the output ends.
+derivation is one, and so is any ValueError that is no refusal), 2 for
+usage errors: argparse's, which print the misused subcommand's usage line (a
+necklace option its action ignores is one), and the refusals
+(errors.RequestRefusedError), each one "error:" line before any work
+starts: a request above its row of BOUNDS, an --nmax or -m too small to
+check anything, necklace -k pairs that do not fit on the -n circle
+(4k > n), --format json for necklace dot, and the library's checks of a
+grid size and of a necklace's stone pairs and circle length; 3 for any
+other error, such as a KeyError or MemoryError, reported as one "internal
+error:" line on stderr; and 141 (128 + SIGPIPE) with nothing on stderr when
+the reader closes stdout before the output ends.
 
 All output is deterministic: given the same arguments (and seed, for the
 randomized spot checks) the bytes printed are identical between runs.
@@ -39,7 +42,7 @@ from itertools import islice
 from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import ConsistencyError, FitInconclusiveError, RuleInapplicableError
+from .errors import ConsistencyError, FitInconclusiveError, RequestRefusedError
 from .genfun import (
     check_block_count_denominator,
     check_denominator_form,
@@ -158,7 +161,7 @@ def _check_bound(what: str, value: int, *rows: str,
     """Refuse a value above the least of its BOUNDS rows, or above override."""
     bound = override if override is not None else min(BOUNDS[r] for r in rows)
     if value > bound:
-        raise ValueError(f"{what} {value} exceeds the bound {bound}")
+        raise RequestRefusedError(f"{what} {value} exceeds the bound {bound}")
 
 
 def _check_nmax(nmax: int, floor: int, *rows: str,
@@ -166,8 +169,8 @@ def _check_nmax(nmax: int, floor: int, *rows: str,
     """Refuse a sweep that is too large, or that would check nothing."""
     _check_bound("--nmax", nmax, *rows, override=override)
     if nmax < floor:
-        raise ValueError(f"--nmax {nmax} is below {floor}, where a sweep "
-                         f"would check no circumference")
+        raise RequestRefusedError(f"--nmax {nmax} is below {floor}, where a sweep "
+                                  f"would check no circumference")
 
 
 def _even_range(lo: int, hi: int) -> Iterable[int]:
@@ -200,7 +203,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     # every height pays one series per column, so --nmax is bounded at m = 0 too
     _check_bound("row-mask width", args.nmax, "width", override=args.bound_n)
     if args.nmax < 2:
-        raise ValueError(f"--nmax {args.nmax} is below 2, where the table has no column")
+        raise RequestRefusedError(f"--nmax {args.nmax} is below 2, where the table has no column")
     cols = list(range(2, args.nmax + 1))
     rows = list(range(0, args.m + 1))
     series = [column_series(n, args.m) for n in cols]
@@ -275,10 +278,10 @@ def cmd_necklace(args: argparse.Namespace) -> int:
         args.parser.error(f"--nmax applies to necklace verify only, not {args.action}")
     _check_bound("circle length", args.n, "circle", override=args.bound_n)
     if 1 <= args.n < 4 * args.k:  # -k 0 and -n 0 keep the library's message
-        raise ValueError(f"-k {args.k} needs a circle length of at least {4 * args.k}")
+        raise RequestRefusedError(f"-k {args.k} needs a circle length of at least {4 * args.k}")
     if args.action == "dot":
         if args.format == "json":
-            raise ValueError("necklace dot prints DOT; --format json does not apply")
+            raise RequestRefusedError("necklace dot prints DOT; --format json does not apply")
         sys.stdout.write(dot_transition_graph(args.k, args.n) + "\n")
         return 0
     if args.action == "cycles":
@@ -318,11 +321,9 @@ def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
         g = random_graph(rng, 10)
         v = rng.choice(sorted(g.vertices))
         zg = witten_brute(g)  # the vertex rule's lhs and a union factor
-        if g.has_loop(v):
-            rhs = witten_brute(g.without_vertices([v]))
-        else:
-            rhs = (witten_brute(g.without_vertices([v]))
-                   - witten_brute(g.without_vertices(g.closed_neighborhood(v))))
+        nv, rhs = g.neighbor_mask(v), witten_brute(g.without_vertices([v]))
+        if not nv >> v & 1:  # a looped v joins no independent set
+            rhs -= witten_brute(g.without_vertices(g.ids(nv | 1 << v)))
         results.append(CheckResult("random_vertex_rule", {"case": case},
                                    zg == rhs, f"lhs={zg} rhs={rhs}"))
         h = random_graph(rng, 6)
@@ -373,8 +374,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     *(_SUITES[s][1] for s in chosen))
     nmax = {s: _SUITES[s][2] if args.nmax is None else args.nmax for s in chosen}
     if "identities" in nmax and not any(identity_instances(args.m, nmax["identities"])):
-        raise ValueError(f"-m {args.m} and --nmax {nmax['identities']} leave no "
-                         f"identity instance to check")
+        raise RequestRefusedError(f"-m {args.m} and --nmax {nmax['identities']} leave "
+                                  f"no identity instance to check")
     results, infos = [], []
     if "identities" in nmax:
         results.extend(_suite_identities(args.m, nmax["identities"], args.seed))
@@ -476,12 +477,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a killed writer
-    except (ConsistencyError, FitInconclusiveError, RuleInapplicableError) as exc:
-        print(f"FAIL internal consistency: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except RequestRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConsistencyError, FitInconclusiveError, ValueError) as exc:
+        print(f"FAIL internal consistency: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

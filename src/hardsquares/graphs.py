@@ -48,65 +48,65 @@ from operator import mul, neg
 from random import Random
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import RequestRefusedError
+
 FAMILIES = ("free", "cylinder", "torus")
 
 
 class Graph:
-    """Undirected graph with integer vertex ids; loops allowed.  It stores
-    one neighbour bit mask per vertex and the mask of its live vertices.
+    """Undirected graph on non-negative integer vertex ids; loops allowed.
 
-    Bit i stands for the i-th smallest id of the graph the masks were built
-    from, so a lower id has a lower bit, and a looped vertex's mask holds
+    Vertex v is bit v.  The graph is one neighbour bit mask per id up to its
+    largest and the mask of its live vertices; a looped vertex's mask holds
     its own bit.  without_vertices, the one way to narrow a graph, shares
     its parent's masks and narrows only the live mask; surviving vertices
     keep their ids, so reduction traces can be replayed against the
-    original graph.  The mask queries (mask, ids, neighbor_mask,
-    common_neighbors, looped) read the live vertices as masks of these bits.
+    original graph.  The masks are the one query form (mask, ids,
+    neighbor_mask, common_neighbors, looped and v in g); vertices and edges
+    read them out as ids.
     """
 
-    __slots__ = ("_ids", "_index", "_nbrs", "_live")
+    __slots__ = ("_nbrs", "_live")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
-        ids = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(ids)}
-        nbrs = [0] * len(ids)
+        ids = set(vertices)
+        if min(ids, default=0) < 0:
+            raise ValueError("vertex ids must be non-negative")
+        live = sum(1 << v for v in ids)
+        nbrs = [0] * live.bit_length()
         for u, v in edges:
-            if u not in index or v not in index:
+            if u not in ids or v not in ids:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            nbrs[index[u]] |= 1 << index[v]
-            nbrs[index[v]] |= 1 << index[u]
-        self._ids, self._index, self._nbrs = tuple(ids), index, tuple(nbrs)
-        self._live = (1 << len(ids)) - 1
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        self._nbrs, self._live = tuple(nbrs), live
 
-    def _sub(self, live: int) -> "Graph":
+    @staticmethod
+    def _of(nbrs: Tuple[int, ...], live: int) -> "Graph":
         g = Graph.__new__(Graph)
-        g._ids, g._index, g._nbrs, g._live = self._ids, self._index, self._nbrs, live
+        g._nbrs, g._live = nbrs, live
         return g
-
-    # -- mask queries ---------------------------------------------------------
 
     def mask(self, vertices: Optional[Iterable[int]] = None) -> int:
         """Bits of the live vertices among vertices (other ids add none), or
         of every live vertex."""
         if vertices is None:
             return self._live
-        index = self._index  # a sum of distinct bits is their OR
-        return sum({1 << index[v] for v in vertices if v in index}) & self._live
+        return sum({1 << v for v in vertices if v in self})  # distinct bits: sum is OR
 
     def ids(self, mask: int) -> Iterator[int]:
         """The live vertices of mask, ascending."""
-        ids, mask = self._ids, mask & self._live
+        mask &= self._live
         while mask:
             low = mask & -mask
-            yield ids[low.bit_length() - 1]
+            yield low.bit_length() - 1
             mask ^= low
 
     def neighbor_mask(self, v: int) -> int:
         """N(v) as a mask; KeyError unless v is a live vertex."""
-        i = self._index[v]
-        if not self._live >> i & 1:
+        if v not in self:
             raise KeyError(v)
-        return self._nbrs[i] & self._live
+        return self._nbrs[v] & self._live
 
     def common_neighbors(self, mask: int) -> int:
         """Mask of the live vertices adjacent to every vertex of mask."""
@@ -119,72 +119,54 @@ class Graph:
 
     def looped(self) -> int:
         """Mask of the live looped vertices."""
-        return sum(1 << i for i, nbrs in enumerate(self._nbrs) if nbrs >> i & 1) & self._live
+        return sum(1 << v for v, nbrs in enumerate(self._nbrs) if nbrs >> v & 1) & self._live
 
-    # -- basic queries ------------------------------------------------------
+    def __contains__(self, v: int) -> bool:
+        return v >= 0 and self._live >> v & 1 == 1
 
     @property
     def vertices(self) -> frozenset:
         """The live vertex ids."""
         return frozenset(self.ids(self._live))
 
-    def __contains__(self, v: int) -> bool:
-        i = self._index.get(v)
-        return i is not None and self._live >> i & 1 == 1
-
-    def neighbors(self, v: int) -> frozenset:
-        """Open neighborhood; contains v itself exactly when v has a loop."""
-        return frozenset(self.ids(self.neighbor_mask(v)))
-
-    def closed_neighborhood(self, v: int) -> frozenset:
-        return self.neighbors(v) | {v}
-
-    def degree(self, v: int) -> int:
-        return self.neighbor_mask(v).bit_count()
-
-    def has_loop(self, v: int) -> bool:
-        return self.neighbor_mask(v) >> self._index[v] & 1 == 1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self and v in self and self._nbrs[self._index[u]] >> self._index[v] & 1 == 1
-
     @property
     def edges(self) -> frozenset:
         """Every edge once, as (u, v) with u <= v; (v, v) is a loop."""
-        return frozenset((u, v) for u in self.ids(self._live) for v in self.neighbors(u) if u <= v)
-
-    # -- derived graphs ------------------------------------------------------
+        return frozenset((u, v) for u in self.ids(self._live)
+                         for v in self.ids(self._nbrs[u]) if u <= v)
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         """Subgraph without drop: these masks under a narrower live mask."""
-        return self._sub(self._live & ~self.mask(drop))
+        return self._of(self._nbrs, self._live & ~self.mask(drop))
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
+        """The graph less edge (u, v): its masks with two bits cleared."""
+        if not (u in self and v in self and self._nbrs[u] >> v & 1):
             raise ValueError(f"edge ({u}, {v}) not present")
-        return Graph(self.vertices, self.edges - {(u, v) if u <= v else (v, u)})
+        nbrs = list(self._nbrs)
+        nbrs[u] &= ~(1 << v)
+        nbrs[v] &= ~(1 << u)
+        return self._of(tuple(nbrs), self._live)
+
+    def _key(self) -> Tuple[int, Tuple[int, ...]]:
+        """The live mask and the live neighbour masks of the live vertices."""
+        return self._live, tuple(self._nbrs[v] & self._live for v in self.ids(self._live))
 
     def __eq__(self, other) -> bool:
-        """Same vertices and edges; a shared _index means a shared adjacency."""
-        if not isinstance(other, Graph):
-            return False
-        if self._index is other._index:  # one adjacency: the live masks decide
-            return self._live == other._live
-        return self.vertices == other.vertices and self.edges == other.edges
+        return isinstance(other, Graph) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Graph({self._live.bit_count()} vertices, {len(self.edges)} edges)"
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; h's vertex ids are shifted above g's."""
-    offset = max(g.vertices, default=-1) + 1
-    verts = set(g.vertices) | {v + offset for v in h.vertices}
-    edges = list(g.edges) + [(u + offset, v + offset) for u, v in h.edges]
-    return Graph(verts, edges)
+    """Disjoint union; h's vertex ids, and its masks, are shifted above g's."""
+    offset = g.mask().bit_length()
+    nbrs = [m & g.mask() for m in g._nbrs[:offset]] + [m << offset for m in h._nbrs]
+    return Graph._of(tuple(nbrs), g.mask() | h.mask() << offset)
 
 
 def random_graph(rng: Random, max_vertices: int, edge_prob: float = 0.3,
@@ -217,11 +199,11 @@ class GridSpec(_GridFields):
 
     def __new__(cls, family: str, m: int, n: int) -> "GridSpec":
         if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+            raise RequestRefusedError(f"unknown family {family!r}; expected one of {FAMILIES}")
         if not (isinstance(m, int) and isinstance(n, int)):
-            raise ValueError("grid sizes must be integers")
+            raise RequestRefusedError("grid sizes must be integers")
         if m < 0 or n < 0:
-            raise ValueError("grid sizes must be non-negative")
+            raise RequestRefusedError("grid sizes must be non-negative")
         return super().__new__(cls, family, m, n)
 
 
@@ -287,7 +269,7 @@ def witten_brute(g: Graph) -> int:
     vertex v, the lowest id among ties, is pivoted on via
     Z = Z(G-v) - Z(G-N[v]).  So a forest never reaches the component
     search.  It recurses on g's own neighbour masks, from its live mask less
-    the looped vertices, so ascending bits walk the vertices in id order.
+    the looped vertices; bit v is vertex v, so ascending bits walk the ids.
     """
     nbrs, memo = g._nbrs, {}
 

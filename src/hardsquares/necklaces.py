@@ -63,7 +63,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Dict, List, Tuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, RequestRefusedError
 from .patterns import (
     Pattern,
     delete_top_neighborhood,
@@ -196,15 +196,15 @@ def _is_canonical(word: Word) -> bool:
 
 def _check_circle(n: int) -> None:
     if n < 1:
-        raise ValueError("circle length must be positive")
+        raise RequestRefusedError("circle length must be positive")
     if n > _MASK:
-        raise ValueError(f"circle length {n} exceeds {_MASK}, the widest gap "
+        raise RequestRefusedError(f"circle length {n} exceeds {_MASK}, the widest gap "
                          f"a block holds")
 
 
 def _check_size(k: int, n: int) -> None:
     if k < 1:
-        raise ValueError("at least one stone pair is required")
+        raise RequestRefusedError("at least one stone pair is required")
     _check_circle(n)
 
 

@@ -31,11 +31,11 @@ can become isolated or gain a fold; simplify skips the settled ones, shown
 to fold nowhere and untouched since, instead of rescanning the graph.
 
 Every state's graph narrows the live mask of the input's one adjacency
-(graphs.Graph), and the rules read it through the Graph mask queries:
-N(u) <= N(v) is an AND-NOT of two neighbour masks, a degree a popcount,
-u's fold partners the common neighbours of N(u), and the settled and
-touched sets are masks.  Vertices are walked in ascending id order, so
-every trace, verdict and sign is the one the id-set form gives.
+(graphs.Graph: vertex v is bit v), read through its mask queries: N(u) <=
+N(v) is an AND-NOT of two neighbour masks, a degree a popcount, a loop
+bit u of N(u), u's fold partners the common neighbours of N(u), and the
+settled and touched sets are masks.  Vertices are walked in id order and
+squares in edge order, so every trace, verdict and sign is the id-set one.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     u, v = e
     if u not in g or v not in g:
         raise ValueError(f"edge {e} has an endpoint outside the graph")
-    return g.without_vertices(g.closed_neighborhood(u) | g.closed_neighborhood(v))
+    return g.without_vertices(g.ids(g.neighbor_mask(u) | g.neighbor_mask(v) | g.mask(e)))
 
 
 # -- the rules -------------------------------------------------------------------------
@@ -95,6 +95,11 @@ def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
 def _require(cond: bool, msg: str):
     if not cond:
         raise RuleInapplicableError(msg)
+
+
+def _looped(g: Graph, *ws: int) -> bool:
+    """Whether any of the live vertices ws has a loop: its own bit in N(w)."""
+    return any(g.neighbor_mask(w) >> w & 1 for w in ws)
 
 
 def _step(state: ReductionState, graph: Graph, rule: str,
@@ -119,8 +124,7 @@ def apply_fold(state: ReductionState, u: int, v: int) -> ReductionState:
     g = state.graph
     _require(u in g and v in g and u != v,
              f"fold needs two distinct vertices, got {u}, {v}")
-    _require(not g.has_loop(u) and not g.has_loop(v),
-             "fold witnesses must be loop-free")
+    _require(not _looped(g, u, v), "fold witnesses must be loop-free")
     _require(not g.neighbor_mask(u) & ~g.neighbor_mask(v),
              f"fold needs N({u}) contained in N({v})")
     return _step(state, g.without_vertices([v]), "fold", (u, v), False)
@@ -130,10 +134,10 @@ def apply_pendant_suspension(state: ReductionState, u: int, v: int) -> Reduction
     g = state.graph
     _require(u in g and v in g and u != v,
              f"pendant needs two distinct vertices, got {u}, {v}")
-    _require(g.neighbor_mask(u) == g.mask((v,)),
+    _require(g.neighbor_mask(u) == 1 << v,
              f"pendant needs deg({u}) = 1 with neighbor {v}")
-    _require(not g.has_loop(v), "pendant support must be loop-free")
-    return _step(state, g.without_vertices(g.closed_neighborhood(v)),
+    _require(not _looped(g, v), "pendant support must be loop-free")
+    return _step(state, g.without_vertices(g.ids(g.neighbor_mask(v) | 1 << v)),
                  "pendant", (u, v), True)
 
 
@@ -143,12 +147,12 @@ def apply_square_suspension(state: ReductionState, u: int, v: int,
     four = (u, v, x, y)
     _require(len(set(four)) == 4 and all(w in g for w in four),
              f"square needs four distinct vertices, got {four}")
-    _require(all(not g.has_loop(w) for w in four), "square vertices must be loop-free")
-    _require(g.has_edge(u, v), f"square needs {u} and {v} adjacent")
-    _require(g.degree(u) == 2 and g.degree(v) == 2,
+    _require(not _looped(g, *four), "square vertices must be loop-free")
+    nu, nv, nx = g.neighbor_mask(u), g.neighbor_mask(v), g.neighbor_mask(x)
+    _require(nu >> v & 1, f"square needs {u} and {v} adjacent")
+    _require(nu.bit_count() == nv.bit_count() == 2,
              f"square needs deg({u}) = deg({v}) = 2")
-    _require(g.has_edge(v, x) and g.has_edge(x, y) and g.has_edge(y, u),
-             f"{four} is not a 4-cycle")
+    _require(nv >> x & nx >> y & nu >> y & 1, f"{four} is not a 4-cycle")
     return _step(state, g.without_vertices(four), "square", four, True)
 
 
@@ -193,17 +197,17 @@ def _pendant_candidates(g: Graph) -> Iterator[Tuple[int, int]]:
 
 
 def _square_candidates(g: Graph) -> Iterator[Tuple[int, int, int, int]]:
-    for u, v in sorted(g.edges):
-        if u == v or g.degree(u) != 2 or g.degree(v) != 2:
-            continue
-        if g.has_loop(u) or g.has_loop(v):
-            continue
-        (y,) = g.neighbors(u) - {v}
-        (x,) = g.neighbors(v) - {u}
-        if x == y or g.has_loop(x) or g.has_loop(y):
-            continue
-        if g.has_edge(x, y):
-            yield u, v, x, y
+    """4-cycles u-v-x-y on an edge u < v of loop-free degree-2 vertices
+    with x, y loop-free, in the order of their edges (u, v)."""
+    free = g.mask() & ~g.looped()
+    two = g.mask(w for w in g.ids(free) if g.neighbor_mask(w).bit_count() == 2)
+    for u in g.ids(two):
+        nu = g.neighbor_mask(u)
+        for v in g.ids(nu & two & -(2 << u)):  # the bits above u's
+            (y,) = g.ids(nu & ~(1 << v))
+            (x,) = g.ids(g.neighbor_mask(v) & ~(1 << u))
+            if x != y and free >> x & free >> y & g.neighbor_mask(x) >> y & 1:
+                yield u, v, x, y
 
 
 def _effectively_isolated(h: Graph) -> List[int]:
@@ -228,9 +232,9 @@ def detect_configuration(g: Graph) -> Optional[Configuration]:
         for witnesses in candidates:
             ws = _effectively_isolated(RULES[rule](fresh, *witnesses).graph)
             if ws:
-                w = next((w for w in ws if g.degree(w) == 1), ws[0])
-                kind = kinds[0] if g.degree(w) == 1 else kinds[1]
-                return Configuration(kind, rule, witnesses, w)
+                leaves = [w for w in ws if g.neighbor_mask(w).bit_count() == 1]
+                return Configuration(kinds[0] if leaves else kinds[1], rule,
+                                     witnesses, (leaves or ws)[0])
     return None
 
 
@@ -260,7 +264,7 @@ def _first_step(g: Graph, settled: int = 0,
         if not g.neighbor_mask(w):
             return TraceStep("isolated", (w,))
     for u in g.ids(live & ~settled):
-        partners = g.common_neighbors(g.neighbor_mask(u)) & ~g.mask((u,))
+        partners = g.common_neighbors(g.neighbor_mask(u)) & ~(1 << u)
         if partners:
             return TraceStep("fold", (u, next(g.ids(partners))))
     witnesses = next(_pendant_candidates(g), None)
@@ -290,9 +294,9 @@ def simplify(g: Graph) -> Verdict:
         if step.rule == "isolated":
             return Verdict(CONTRACTIBLE, state)
         kept = state.graph.mask()
-        # a lower id has a lower bit, so the bits below u's hold every vertex
-        # scanned before u; a pendant comes after a scan of all of them
-        settled |= before.mask(step.vertices[:1]) - 1 if step.rule == "fold" else kept
+        # bit v is vertex v, so the bits below u's hold every vertex scanned
+        # before u; a pendant comes after a scan of all of them
+        settled |= (1 << step.vertices[0]) - 1 if step.rule == "fold" else kept
         touched = 0
         for x in before.ids(before.mask() & ~kept):
             touched |= before.neighbor_mask(x)

@@ -41,7 +41,10 @@ differential oracle for the integer arithmetic of the polynomials module.
 peel_oracle and initial_patterns_oracle give each column's letter of peel
 and initial_patterns from its neighbours, and pseudo_rem_oracle is the
 pseudo-remainder loop written out in place, kept as a differential oracle
-for the shared wipe helper and for the pseudo-remainder by divrem.  witten_brute_oracle and
+for the shared wipe helper and for the pseudo-remainder by divrem.
+adjacency reads a graph's neighbour sets from its vertices and edges
+alone, so the graph oracles built on it share no query with the masks they
+check.  witten_brute_oracle and
 components_oracle are the deletion recursion and the component search on
 frozensets of vertex ids; with leaf=False the recursion has no leaf step,
 a value oracle for the step itself.  first_step_oracle is simplify's step
@@ -50,8 +53,11 @@ kept as a differential oracle for the vertex-mask recursion of the graphs
 module and the neighbourhood-local fold search, and simplify_oracle is the
 simplify loop that rescans the whole graph at every pass, kept as a
 differential oracle for the vertices simplify carries between passes.
-scattered_graphs draws small graphs with scattered ids, loops, isolated
-vertices and several components.  IDENTITIES_ORACLE is the
+square_candidates_oracle and configuration_oracle are the square search
+over sorted edges and detect_configuration on sets, kept as a differential
+oracle for the mask forms of the reduction module.  scattered_graphs draws
+small graphs with scattered non-negative ids, loops, isolated vertices and
+several components.  IDENTITIES_ORACLE is the
 identity table as a shift function and a validity predicate per identity,
 and identity_checks_oracle is the identity sweep over it with one
 witten_transfer per side of every instance, kept as a differential oracle
@@ -110,13 +116,23 @@ DATA = Path(__file__).parent / "data"
 EXTENDED = os.environ.get("HARDSQUARES_EXTENDED") == "1"
 
 
+def adjacency(g: Graph) -> dict:
+    """{vertex: frozenset of its neighbours}, read from g.vertices and
+    g.edges only; a looped vertex neighbours itself."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+
+
 def naive_witten(g: Graph) -> int:
-    total = 0
-    verts = sorted(g.vertices)
+    total, adj = 0, adjacency(g)
+    verts = sorted(adj)
     for r in range(len(verts) + 1):
         for sub in combinations(verts, r):
             chosen = set(sub)
-            if all(not (g.neighbors(v) & chosen) for v in sub):
+            if all(not (adj[v] & chosen) for v in sub):
                 total += (-1) ** r
     return total
 
@@ -670,13 +686,13 @@ def pseudo_rem_oracle(a, b):
 
 def components_oracle(g, active):
     """Components of g's subgraph on the vertex set active, in search order."""
-    comps, seen = [], set()
+    comps, seen, adj = [], set(), adjacency(g)
     for start in active:
         if start in seen:
             continue
         comp, stack = {start}, [start]
         while stack:
-            for y in g.neighbors(stack.pop()) & active:
+            for y in adj[stack.pop()] & active:
                 if y not in comp:
                     comp.add(y)
                     stack.append(y)
@@ -693,21 +709,21 @@ def witten_brute_oracle(g, visit=None, leaf=True):
     visit(active) sees every unmemoized active set that reaches the
     component search, in order.  leaf=False is the recursion without the
     leaf step."""
-    memo = {}
+    memo, adj = {}, adjacency(g)
 
     def solve(active):
         if not active:
             return 1
         if active in memo:
             return memo[active]
-        degs = {v: len(g.neighbors(v) & active) for v in active}
+        degs = {v: len(adj[v] & active) for v in active}
         if 0 in degs.values():
             memo[active] = 0
             return 0
         leaves = [v for v in active if degs[v] == 1]
         if leaf and leaves:
-            (v,) = g.neighbors(min(leaves)) & active
-            result = -solve(active - g.neighbors(v) - {v})
+            (v,) = adj[min(leaves)] & active
+            result = -solve(active - adj[v] - {v})
             memo[active] = result
             return result
         if visit is not None:
@@ -721,36 +737,69 @@ def witten_brute_oracle(g, visit=None, leaf=True):
                     break
         else:
             pivot = max(active, key=lambda v: (degs[v], -v))
-            closed = (g.neighbors(pivot) & active) | {pivot}
+            closed = (adj[pivot] & active) | {pivot}
             result = solve(active - {pivot}) - solve(active - closed)
         memo[active] = result
         return result
 
-    return solve(frozenset(v for v in g.vertices if not g.has_loop(v)))
+    return solve(frozenset(v for v in adj if v not in adj[v]))
+
+
+def square_candidates_oracle(g):
+    """[(u, v, x, y)] for every edge u < v, in sorted edge order, whose ends
+    are loop-free of degree 2 and whose other neighbours y of u and x of v
+    are distinct, loop-free and adjacent."""
+    adj, out = adjacency(g), []
+    looped = {v for v in adj if v in adj[v]}
+    for u, v in sorted(g.edges):
+        if u == v or len(adj[u]) != 2 or len(adj[v]) != 2 or {u, v} & looped:
+            continue
+        (y,) = adj[u] - {v}
+        (x,) = adj[v] - {u}
+        if x != y and not {x, y} & looped and y in adj[x]:
+            out.append((u, v, x, y))
+    return out
+
+
+def configuration_oracle(g):
+    """detect_configuration on sets: the first pendant (u, v), lowest u, and
+    then the first square whose deletion (N[v], or the four vertices)
+    leaves a loop-free vertex w with every surviving neighbour looped, as
+    (kind, rule, witnesses, w); a degree-1 w first, then the lowest."""
+    adj = adjacency(g)
+    looped = {v for v in adj if v in adj[v]}
+    pendants = [(u, *adj[u]) for u in sorted(adj)
+                if u not in looped and len(adj[u]) == 1 and not adj[u] & looped]
+    for rule, kinds, found in (("pendant", "AB", pendants),
+                               ("square", "CD", square_candidates_oracle(g))):
+        for witnesses in found:
+            gone = adj[witnesses[1]] | {witnesses[1]} if rule == "pendant" else set(witnesses)
+            rest = set(adj) - gone
+            ws = sorted(w for w in rest - looped if adj[w] & rest <= looped)
+            if ws:
+                w = min(ws, key=lambda w: (len(adj[w]) != 1, w))
+                return kinds[len(adj[w]) != 1], rule, witnesses, w
+    return None
 
 
 def first_step_oracle(g):
     """(rule, vertices) of simplify's next step on a loop-free graph: an
     isolated vertex, else the first fold (u, v) over all pairs, else the
     lowest pendant, else the lowest square edge; None when nothing applies."""
-    verts = sorted(g.vertices)
+    adj = adjacency(g)
+    verts = sorted(adj)
     for w in verts:
-        if g.degree(w) == 0:
+        if not adj[w]:
             return "isolated", (w,)
     for u in verts:
         for v in verts:
-            if v != u and g.neighbors(u) <= g.neighbors(v):
+            if v != u and adj[u] <= adj[v]:
                 return "fold", (u, v)
     for u in verts:
-        if g.degree(u) == 1:
-            return "pendant", (u, *g.neighbors(u))
-    for u, v in sorted(g.edges):
-        if g.degree(u) == g.degree(v) == 2:
-            (y,) = g.neighbors(u) - {v}
-            (x,) = g.neighbors(v) - {u}
-            if x != y and g.has_edge(x, y):
-                return "square", (u, v, x, y)
-    return None
+        if len(adj[u]) == 1:
+            return "pendant", (u, *adj[u])
+    squares = square_candidates_oracle(g)
+    return ("square", squares[0]) if squares else None
 
 
 def simplify_oracle(g):
@@ -768,9 +817,9 @@ def simplify_oracle(g):
 
 @st.composite
 def scattered_graphs(draw):
-    """Up to 14 vertices with scattered ids, loops, isolated vertices and
-    several components."""
-    ids = draw(st.lists(st.integers(-5, 60), unique=True, max_size=14))
+    """Up to 14 vertices with scattered ids in 0..60, loops, isolated
+    vertices and several components."""
+    ids = draw(st.lists(st.integers(0, 60), unique=True, max_size=14))
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                           max_size=30)) if ids else []
     return Graph(ids, edges)

@@ -32,8 +32,12 @@
   For every command the size at its row's bound reaches the library, and
   one above it exits 2 with the one line `error: <subject> <size> exceeds
   the bound <B>` and no output before any library work starts; --bound-n
-  raises and lowers the bound.  The refusal is a ValueError: errors.py has
-  no exception type of its own for it.  Mask widths follow the enumerated
+  raises and lowers the bound.  The refusal is errors.RequestRefusedError,
+  a ValueError, and it is the only exception that exits 2: a ValueError
+  raised once work has started (a failing exact division in genfun -n 8)
+  exits 1 with one `FAIL internal consistency:` line, while a negative
+  grid size, -k 0 and a size above its bound still exit 2 with one
+  `error:` line.  Mask widths follow the enumerated
   width, not the raw sizes, but table1 bounds --nmax at every height, m = 0
   too.
 - an --nmax below a selected sweep's floor (identities 0, conjectures 2,
@@ -227,11 +231,36 @@ def test_genfun_zero_takes_the_fit(capsys):
 
 
 def test_bound_refusal_is_a_value_error(capsys):
-    assert not hasattr(errors, "ResourceLimitError")
+    assert issubclass(errors.RequestRefusedError, ValueError)
     assert run_cli(capsys, "witten", "-m", "2", "-n", "19") == (
         2, "", "error: row-mask width 19 exceeds the bound 18\n")
-    with pytest.raises(ValueError, match="exceeds the bound 18"):
+    with pytest.raises(errors.RequestRefusedError, match="exceeds the bound 18"):
         cli._check_bound("row-mask width", 19, "width")
+
+
+def test_only_a_refusal_exits_two(capsys, monkeypatch):
+    # a ValueError raised once work has started is no usage error: it is an
+    # internal consistency failure, however the library spells it
+    calls, exact_div = [0], IntPoly.exact_div
+
+    def fails_on_the_second_call(self, div):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise ValueError("polynomial division left a remainder")
+        return exact_div(self, div)
+
+    monkeypatch.setattr(IntPoly, "exact_div", fails_on_the_second_call)
+    assert run_cli(capsys, "genfun", "-n", "8") == (
+        1, "", "FAIL internal consistency: polynomial division left a remainder\n")
+    assert calls[0] == 2
+    monkeypatch.undo()
+    # the refusals, a grid size, a stone count and a bound, still exit 2
+    for argv in (["witten", "-m", "-1", "-n", "4"],
+                 ["necklace", "cycles", "-k", "0", "-n", "8"],
+                 ["genfun", "-n", "18"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_witten_and_table_refuse_wide_rings(capsys):

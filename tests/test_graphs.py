@@ -3,9 +3,11 @@
 Covers: degenerate cycle conventions (C_2 = P_2, C_1 = looped vertex,
 C_0 = empty), row-major grid ids that equal those of the labelled-factor
 construction of tests/helpers (every family, m, n <= 5) with grid_vertex
-refusing cells outside the grid, a Graph that stores only its sorted ids,
-one neighbour mask per id and its live mask (edges derived, equality on
-neighbour sets, scattered and negative ids, the mask queries), agreement
+refusing cells outside the grid, a Graph that stores only one neighbour
+mask per id and its live mask, vertex v being bit v (edges derived,
+equality on the live neighbour masks, scattered ids, a negative id
+refused, the mask queries, an edge deletion that clears two bits of a
+copy of the masks), agreement
 of witten_brute and witten_transfer with the naive
 subset-enumeration oracle, frozen small values, the constant and period-3
 column series, multiplicativity and the two deletion relations on random
@@ -48,7 +50,9 @@ A deletion (without_vertices) equals the graph built from scratch on the
 kept vertices, and so does a second deletion from it, which shares the
 same masks; deleting ids already gone or never there deletes nothing.  A
 graph never equals a copy with one edge deleted, which equals it again
-once an endpoint is deleted from both.  The mask component search, read
+once an endpoint is deleted from both.  A disjoint union, of a narrowed
+graph too, equals the union built from the two graphs' vertices and
+edges.  The mask component search, read
 back as vertex ids, matches the frozenset search, sorted by least member.
 """
 
@@ -75,6 +79,7 @@ from hardsquares.graphs import (
 )
 from hardsquares.patterns import Pattern, z_pattern_series
 from helpers import (
+    adjacency,
     components_oracle,
     identity_checks_oracle,
     identity_instances_oracle,
@@ -99,7 +104,7 @@ def test_cylinder_one_row_is_a_cycle():
     g = build_grid(GridSpec("cylinder", 1, 4))
     assert len(g.vertices) == 4
     assert len(g.edges) == 4
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(len(nbrs) == 2 for nbrs in adjacency(g).values())
 
 
 def test_cylinder_of_circumference_two_equals_free_two_columns():
@@ -112,15 +117,14 @@ def test_cylinder_of_circumference_two_equals_free_two_columns():
 def test_degenerate_cycles():
     looped = build_grid(GridSpec("cylinder", 1, 1))
     assert len(looped.vertices) == 1
-    (v,) = looped.vertices
-    assert looped.has_loop(v)
+    assert looped.looped() == looped.mask() == 1
 
     assert len(build_grid(GridSpec("cylinder", 3, 0)).vertices) == 0
     assert len(build_grid(GridSpec("torus", 0, 5)).vertices) == 0
 
     # C_1 x C_5: a loop on every vertex, so only the empty set is independent
     ring = build_grid(GridSpec("torus", 1, 5))
-    assert all(ring.has_loop(v) for v in ring.vertices)
+    assert ring.looped() == ring.mask() == 0b11111
     assert naive_witten(ring) == 1
 
 
@@ -131,7 +135,7 @@ def test_grid_labels_and_lookup():
     assert grid_vertex(spec, 2, 2) == 5
     sub = g.without_vertices([grid_vertex(spec, 1, 0)])
     assert grid_vertex(spec, 2, 2) in sub.vertices
-    assert sub.neighbors(5) == g.neighbors(5)
+    assert sub.neighbor_mask(5) == g.neighbor_mask(5)
     with pytest.raises(KeyError):
         grid_vertex(spec, 3, 0)
 
@@ -153,30 +157,35 @@ def test_row_major_ids_match_the_labelled_grid():
 
 
 def test_graph_stores_its_vertices_and_neighbour_sets_only():
-    # the sorted ids, their bits, one neighbour mask per id and the live mask
-    assert Graph.__slots__ == ("_ids", "_index", "_nbrs", "_live")
+    # vertex v is bit v: one neighbour mask per id up to the largest, and
+    # the live mask
+    assert Graph.__slots__ == ("_nbrs", "_live")
     g = Graph(range(4), [(1, 0), (0, 1), (2, 2), (3, 1)])
-    assert (g._ids, g._nbrs, g._live) == ((0, 1, 2, 3), (0b0010, 0b1001, 0b0100, 0b0010), 0b1111)
-    h = Graph([7, -3, 40], [(40, -3)]).without_vertices([7])
-    assert (h._ids, h._nbrs, h._live) == ((-3, 7, 40), (0b100, 0, 0b001), 0b101)
-    assert h.mask([40, 7, 99]) == 0b100 and list(h.ids(-1)) == [-3, 40]
-    assert h.neighbor_mask(-3) == 0b100 and g.looped() == 0b0100
-    assert 7 not in h and -3 in h and 99 not in h
-    for absent in (7, 99):
+    assert (g._nbrs, g._live) == ((0b0010, 0b1001, 0b0100, 0b0010), 0b1111)
+    h = Graph([7, 3, 5], [(5, 3)]).without_vertices([7])
+    assert (h._nbrs, h._live) == ((0, 0, 0, 0b100000, 0, 0b1000, 0, 0), 0b101000)
+    assert h.mask([5, 7, 99, -1]) == 0b100000 and list(h.ids(-1)) == [3, 5]
+    assert h.neighbor_mask(3) == 0b100000 and g.looped() == 0b0100
+    assert 7 not in h and 3 in h and 99 not in h and -1 not in h
+    for absent in (7, 99, -1):
         with pytest.raises(KeyError):
             h.neighbor_mask(absent)
     assert g.edges == frozenset({(0, 1), (2, 2), (1, 3)})
-    assert g.has_edge(1, 0) and g.has_edge(2, 2) and not g.has_edge(0, 2)
-    assert not g.has_edge(0, 9) and not g.has_edge(9, 0)
     same = Graph([3, 2, 1, 0], [(0, 1), (2, 2), (1, 3)])
     assert g == same and hash(g) == hash(same)
     assert g != Graph(range(4), [(0, 1), (1, 3)])
     assert g != Graph(range(5), [(0, 1), (2, 2), (1, 3)])
-    assert g.without_edge(3, 1) == Graph(range(4), [(0, 1), (2, 2)])
-    with pytest.raises(ValueError):
-        g.without_edge(0, 2)
+    # an edge deletion clears two bits of a copy of the masks
+    cut = g.without_edge(3, 1)
+    assert cut == Graph(range(4), [(0, 1), (2, 2)])
+    assert cut._nbrs == (0b0010, 0b0001, 0b0100, 0) and g._nbrs[3] == 0b0010
+    for u, v in ((0, 2), (0, 9), (9, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            g.without_edge(u, v)
     with pytest.raises(ValueError):
         Graph(range(2), [(0, 2)])
+    with pytest.raises(ValueError):  # vertex v is bit v: no negative id
+        Graph([-1])
 
 
 def test_grid_spec_validation():
@@ -221,17 +230,18 @@ def test_vertex_and_edge_deletion_relations():
     for _ in range(100):
         g = random_graph(rng, 8)
         z = witten_brute(g)
+        adj = adjacency(g)
         for v in g.vertices:
-            if g.has_loop(v):
+            if v in adj[v]:
                 continue
             rest = witten_brute(g.without_vertices([v]))
-            core = witten_brute(g.without_vertices(g.closed_neighborhood(v)))
+            core = witten_brute(g.without_vertices(adj[v] | {v}))
             assert z == rest - core
         for u, v in g.edges:
-            if u == v or g.has_loop(u) or g.has_loop(v):
+            if u == v or u in adj[u] or v in adj[v]:
                 continue
             no_edge = witten_brute(g.without_edge(u, v))
-            closed = g.closed_neighborhood(u) | g.closed_neighborhood(v)
+            closed = adj[u] | adj[v] | {u, v}
             no_nbhd = witten_brute(g.without_vertices(closed))
             assert z == no_edge - no_nbhd
 
@@ -273,7 +283,7 @@ def assert_brute_recursion_matches_the_oracle(g):
 def random_forest(rng, n):
     """A forest on n vertices with scattered ids: each vertex but the first
     joins an earlier one with probability 0.8."""
-    ids = rng.sample(range(-20, 80), n)
+    ids = rng.sample(range(100), n)
     return Graph(ids, [(ids[i], ids[rng.randrange(i)])
                        for i in range(1, n) if rng.random() < 0.8])
 
@@ -327,15 +337,14 @@ def test_induced_equals_the_graph_built_from_scratch(g, data):
     for sub, want in ((h, fresh), (narrowed, twice)):
         assert (sub.vertices, sub.edges) == (want.vertices, want.edges)
         assert sub == want and hash(sub) == hash(want)
-        assert all(sub.neighbors(v) == want.neighbors(v) for v in want.vertices)
-        assert all(sub.degree(v) == want.degree(v) for v in want.vertices)
-        assert all(sub.has_loop(v) == want.has_loop(v) for v in want.vertices)
+        assert all(sub.neighbor_mask(v) == want.neighbor_mask(v) for v in want.vertices)
+        assert sub.looped() == want.looped()
         assert witten_brute(sub) == witten_brute(want)
     assert (narrowed == h) == (again == keep)
     for gone in keep - again:
         assert gone not in narrowed
         with pytest.raises(KeyError):
-            narrowed.neighbors(gone)
+            narrowed.neighbor_mask(gone)
     # deleting ids that are gone, or were never there, deletes nothing
     assert h.without_vertices((g.vertices - keep) | {61}) == h
 
@@ -343,8 +352,8 @@ def test_induced_equals_the_graph_built_from_scratch(g, data):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(scattered_graphs(), st.data())
 def test_a_graph_never_equals_its_edge_deleted_copy(g, data):
-    # __eq__ reads only the live masks of graphs that share an _index, so
-    # an edge deletion must not hand its copy the parent's adjacency
+    # __eq__ reads the live neighbour masks of the live vertices, so a copy
+    # with one edge fewer differs until an endpoint is deleted from both
     assume(g.edges)
     picked = data.draw(st.lists(st.sampled_from(sorted(g.edges)), min_size=1,
                                 max_size=4, unique=True))
@@ -353,6 +362,23 @@ def test_a_graph_never_equals_its_edge_deleted_copy(g, data):
         assert cut != g and g != cut
         assert (cut.vertices, cut.edges) == (g.vertices, g.edges - {(u, v)})
         assert cut.without_vertices([u]) == g.without_vertices([u])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scattered_graphs(), scattered_graphs(), st.data())
+def test_disjoint_union_shifts_the_second_graph_above_the_first(g, h, data):
+    # g less its top ids keeps their bits in its masks, above its largest
+    # live id, where h's vertices go; 61 isolated vertices put one of h's
+    # on each such bit
+    top = sorted(g.vertices)
+    g = g.without_vertices(top[data.draw(st.integers(0, len(top))):])
+    offset = max(g.vertices, default=-1) + 1
+    for h in (h, Graph(range(61))):
+        want = Graph(g.vertices | {v + offset for v in h.vertices},
+                     list(g.edges) + [(u + offset, v + offset) for u, v in h.edges])
+        union = disjoint_union(g, h)
+        assert (union.vertices, union.edges) == (want.vertices, want.edges)
+        assert union == want and hash(union) == hash(want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

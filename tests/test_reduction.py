@@ -15,7 +15,11 @@ detect_configuration's witness is effectively isolated in the graph that
 its rule, recomputed here, leaves.  A step with too few or too many
 vertices is refused as inapplicable, and so is a square with a repeated
 or absent vertex or a witness of degree 3, and an isolated step on a
-vertex with a neighbour, a loop, or none at all.  simplify's step choice,
+vertex with a neighbour, a loop, or none at all.  On scattered graphs,
+with and without a 4-cycle planted on four drawn ids, the mask square
+search gives the candidates of the sorted-edge set oracle of
+tests/helpers in the same order, the square rule accepts each, and
+detect_configuration equals the set-form oracle.  simplify's step choice,
 which reads u's fold partners as the common neighbours of N(u), equals
 the all-pairs oracle of tests/helpers on random loop-free graphs and
 along their traces, and never needs a square: whenever a square exists, an isolated vertex or a fold is
@@ -48,14 +52,17 @@ from hardsquares.reduction import (
     simplify,
 )
 from helpers import (
+    adjacency,
     components_oracle,
+    configuration_oracle,
     first_step_oracle,
     naive_witten,
     random_graph,
     scattered_graphs,
     simplify_oracle,
+    square_candidates_oracle,
 )
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -75,7 +82,7 @@ def test_residue_edge_leaves_isolated_vertex():
     c12 = cycle(12)
     r = residue_edge(c12, (0, 4))
     assert 2 in r.vertices
-    assert r.degree(2) == 0
+    assert r.neighbor_mask(2) == 0
     assert r.vertices == frozenset({2}) | frozenset(range(6, 11))
 
 
@@ -186,7 +193,7 @@ def test_configuration_in_two_row_residue():
     cfg = detect_configuration(r)
     assert cfg is not None
     assert cfg.kind == "A"
-    assert r.degree(cfg.isolated_vertex) == 1
+    assert r.neighbor_mask(cfg.isolated_vertex).bit_count() == 1
     assert witten_brute(r) == 0
 
 
@@ -198,20 +205,39 @@ def test_configuration_witness_is_isolated_by_its_rule():
         cfg = detect_configuration(g)
         if cfg is None:
             continue
+        adj = adjacency(g)
         if cfg.rule == "pendant":
             _, v = cfg.rule_vertices
-            h = g.without_vertices(g.closed_neighborhood(v))
+            h = g.without_vertices(adj[v] | {v})
         else:
             h = g.without_vertices(cfg.rule_vertices)
-        w = cfg.isolated_vertex
-        assert w in h.vertices and not h.has_loop(w)
-        assert all(h.has_loop(z) for z in h.neighbors(w))
+        w, looped = cfg.isolated_vertex, {z for z in adj if z in adj[z]}
+        assert w in h.vertices and w not in looped
+        assert adj[w] & h.vertices <= looped
         assert cfg.kind == {("pendant", True): "A", ("pendant", False): "B",
                             ("square", True): "C", ("square", False): "D"}[
-            cfg.rule, g.degree(w) == 1]
+            cfg.rule, len(adj[w]) == 1]
         assert naive_witten(g) == 0
         found.add(cfg.kind)
     assert found == {"A", "B", "C", "D"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scattered_graphs(), st.lists(st.integers(0, 60), min_size=4, max_size=4, unique=True))
+def test_mask_square_search_and_configuration_match_the_set_oracles(g, cycle4):
+    # the square path reads masks: candidates in sorted edge order, each
+    # accepted by the square rule, and the first certificate they give.  A
+    # scattered graph seldom has a square, so a 4-cycle planted on four
+    # drawn ids gives almost every draw several, and all four kinds occur
+    u, v, x, y = cycle4
+    planted = Graph(g.vertices | set(cycle4), g.edges | {(u, v), (v, x), (x, y), (y, u)})
+    for h in (g, planted):
+        squares = list(_square_candidates(h))
+        assert squares == square_candidates_oracle(h)
+        fresh = ReductionState.initial(h)
+        for four in squares:
+            assert apply_square_suspension(fresh, *four).trace == (TraceStep("square", four),)
+        assert detect_configuration(h) == configuration_oracle(h)
 
 
 def test_no_configuration_when_index_nonzero():
@@ -267,10 +293,11 @@ def test_zero_residue_lets_vertex_deletion_preserve_index():
     rng = Random(77)
     for _ in range(60):
         g = random_graph(rng, 9)
+        adj = adjacency(g)
         for v in sorted(g.vertices):
-            if g.has_loop(v):
+            if v in adj[v]:
                 continue
-            if naive_witten(g.without_vertices(g.closed_neighborhood(v))) == 0:
+            if naive_witten(g.without_vertices(adj[v] | {v})) == 0:
                 assert naive_witten(g) == naive_witten(g.without_vertices([v]))
 
 
@@ -367,7 +394,7 @@ def test_first_step_matches_the_all_pairs_oracle_along_traces():
         trace = simplify(looped).state.trace
         for k in range(len(trace) + 1):
             h = replay_trace(looped, trace[:k]).graph
-            if not any(h.has_loop(v) for v in h.vertices):
+            if not h.looped():
                 assert _as_pair(_first_step(h)) == first_step_oracle(h), trace[:k]
 
 
