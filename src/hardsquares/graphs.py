@@ -58,12 +58,12 @@ class Graph:
 
     Vertex v is bit v.  The graph is one neighbour bit mask per id up to its
     largest and the mask of its live vertices; a looped vertex's mask holds
-    its own bit.  without_vertices, the one way to narrow a graph, shares
-    its parent's masks and narrows only the live mask; surviving vertices
-    keep their ids, so reduction traces can be replayed against the
-    original graph.  The masks are the one query form (mask, ids,
-    neighbor_mask, common_neighbors, looped and v in g); vertices and edges
-    read them out as ids.
+    its own bit.  without_vertices, the one way to narrow a graph, takes a
+    mask of the vertices to drop, shares its parent's masks and narrows
+    only the live mask; surviving vertices keep their ids, so reduction
+    traces can be replayed against the original graph.  The masks are the
+    one query form (mask, ids, neighbor_mask, common_neighbors, looped and
+    v in g); vertices and edges read them out as ids.
     """
 
     __slots__ = ("_nbrs", "_live")
@@ -135,9 +135,10 @@ class Graph:
         return frozenset((u, v) for u in self.ids(self._live)
                          for v in self.ids(self._nbrs[u]) if u <= v)
 
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        """Subgraph without drop: these masks under a narrower live mask."""
-        return self._of(self._nbrs, self._live & ~self.mask(drop))
+    def without_vertices(self, drop: int) -> "Graph":
+        """Subgraph without the vertices of mask drop (bits that are not live
+        vertices drop nothing): these masks under a narrower live mask."""
+        return self._of(self._nbrs, self._live & ~drop)
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """The graph less edge (u, v): its masks with two bits cleared."""

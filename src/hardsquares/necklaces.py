@@ -22,9 +22,10 @@ vector -o (as 2 - o), the away gap A, the facing vector i (as i - 1) and
 the facing gap F.  n is the sum of the gaps, and int order is the order of
 the (vector, gap) pairs, so the least word is the least sequence.  The
 step and the mirror are sums of per-block lookups into three tables,
-each entry computed on first use: image block j is _STEP_FRONT[b_j] +
-_STEP_BACK[b_{j+1}] (T never reorders stones), and mirror block j is
-_MIRROR_FRONT[b_j] plus the facing gap of b_{j-1}, read back to front.
+unbounded lru_caches (a circle of length n meets fewer than 2n^2 blocks):
+image block j is _step_front(b_j) + _step_back(b_{j+1}) (T never reorders
+stones), and mirror block j is _mirror_front(b_j) plus the facing gap of
+b_{j-1}, read back to front.
 A gap field is _GAP_BITS wide, so a circle longer than its largest value
 is refused before any work.
 
@@ -51,9 +52,9 @@ alternating first row pulled in by the vector lengths), one cached word
 piece per block; necklace_of_pattern inverts it, reading the word from the
 right stone of the first block.  One T step corresponds to peeling the
 pattern and collapsing the new first-row blocks.  check_correspondence
-converts each class both ways (pattern_of_necklace and _sequence_of, the
-parse behind necklace_of_pattern) and compares the two sides of that
-identity with patterns.same_class.
+converts each class both ways (pattern_of_necklace and necklace_of_pattern,
+one parse of each pattern) and compares the two sides of that identity
+with patterns.same_class.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConsistencyError, RequestRefusedError
 from .patterns import (
@@ -97,20 +98,7 @@ def _fields(block: int) -> Tuple[int, int, int, int]:
             ((block >> _FACING) & 1) + 1, block & _MASK)
 
 
-class _Table(dict):
-    """A function of one block, each entry computed on its first lookup.
-    Entries are immutable, and a circle of length n meets fewer than 2n^2
-    blocks."""
-
-    def __init__(self, entry: Callable[[int], object]) -> None:
-        super().__init__()
-        self.entry = entry
-
-    def __missing__(self, block: int) -> object:
-        value = self[block] = self.entry(block)
-        return value
-
-
+@lru_cache(maxsize=None)
 def _step_front(block: int) -> int:
     """The image block's part from its own block's facing stone: the away
     vector -(3 - i), -1 when fixed (A = o = i = 1), and the away gap's
@@ -120,6 +108,7 @@ def _step_front(block: int) -> int:
     return ((2 - away) << _AWAY) + ((f - i) << _AWAY_GAP)
 
 
+@lru_cache(maxsize=None)
 def _step_back(block: int) -> int:
     """The previous image block's part from this block's away stone: the
     away gap's -o, the facing vector 3 - o, 1 when fixed, and the facing
@@ -129,6 +118,7 @@ def _step_back(block: int) -> int:
     return -(o << _AWAY_GAP) + ((facing - 1) << _FACING) + a + o + i
 
 
+@lru_cache(maxsize=None)
 def _mirror_front(block: int) -> int:
     """The mirror block's part from its own block: the pair read back to
     front, away vector -i, away gap A, facing vector o."""
@@ -136,9 +126,6 @@ def _mirror_front(block: int) -> int:
     return _block(i, a, o, 0)
 
 
-_STEP_FRONT = _Table(_step_front).__getitem__
-_STEP_BACK = _Table(_step_back).__getitem__
-_MIRROR_FRONT = _Table(_mirror_front).__getitem__
 _MIRROR_BACK = _MASK.__and__  # the facing gap F
 
 
@@ -153,18 +140,18 @@ def transform(word: Word) -> Word:
     away stone, jumped to facing gap A + o + i.  That gap is 3 exactly when
     A = o = i = 1, and then the switched vectors are (2, -2), so the fix
     only ever turns a (2, -2) jump into (1, -1), whatever n is.  Each image
-    block is a table sum, _STEP_FRONT[b_j] + _STEP_BACK[b_{j+1}].
+    block is a table sum, _step_front(b_j) + _step_back(b_{j+1}).
     """
-    return tuple(map(add, map(_STEP_FRONT, word),
-                     map(_STEP_BACK, word[1:] + word[:1])))
+    return tuple(map(add, map(_step_front, word),
+                     map(_step_back, word[1:] + word[:1])))
 
 
 def _mirror(word: Word) -> Word:
     """The reflection: the stones reversed and their vectors negated.  The
-    block of b_j read back to front is _MIRROR_FRONT[b_j] plus the facing
+    block of b_j read back to front is _mirror_front(b_j) plus the facing
     gap F_{j-1}, from the last block on."""
     rev = word[::-1]
-    return tuple(map(add, map(_MIRROR_FRONT, rev),
+    return tuple(map(add, map(_mirror_front, rev),
                      map(_MIRROR_BACK, rev[1:] + rev[:1])))
 
 
@@ -373,6 +360,7 @@ def transitions(k: int, n: int) -> List[Tuple[Word, Word]]:
 # -- correspondence with patterns ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pattern_piece(block: int) -> str:
     """A block's columns of the pattern word: abab...a (0101...0 under
     nothing) across the away gap, then a b-block (ones in row 2) across
@@ -387,29 +375,21 @@ def _pattern_piece(block: int) -> str:
     return "ab" * (a // 2) + "a" + "".join(top)
 
 
-_PATTERN_PIECE = _Table(_pattern_piece).__getitem__
-
-
 def pattern_of_necklace(word: Word) -> Pattern:
     """Alternating strips across away gaps, blocks across facing gaps,
     from the first stone at column 0."""
-    return Pattern("".join(map(_PATTERN_PIECE, word)))
+    return Pattern("".join(map(_pattern_piece, word)))
 
 
 def necklace_of_pattern(p: Pattern) -> Word:
     """Stones at block boundaries, read from the right stone of the first
-    second-row block; vector lengths from the overhang zeros."""
+    second-row block; vector lengths from the overhang zeros.  Refused
+    unless p is proper and reducible with its grammar's number of blocks."""
     count = proper_block_count(p)
     if count is None or not is_reducible(p):
         raise ValueError("only proper patterns without first-row blocks convert")
     if not count:
         raise ValueError("the pattern has no second-row block")
-    return _sequence_of(p)
-
-
-def _sequence_of(p: Pattern) -> Word:
-    """necklace_of_pattern(p) for a proper reducible p with a second-row
-    block."""
     n, doubled, sides = p.n, p + p, []
     for start, length in row_blocks(p, "bc"):
         if length == 3:
@@ -419,6 +399,8 @@ def _sequence_of(p: Pattern) -> Word:
             left = above.index("c")
             right = above[::-1].index("c")
         sides.append((start, length, left, right))
+    if len(sides) != count:
+        raise ValueError(f"{len(sides)} second-row blocks read, {count} by the grammar")
     return tuple(_block(right, (nxt - start - length) % n, left, nlength)
                  for (start, length, _, right), (nxt, nlength, left, _)
                  in zip(sides, sides[1:] + sides[:1]))
@@ -435,9 +417,11 @@ def check_correspondence(n: int) -> bool:
     """The three structural identities tying arrangements to patterns.
 
     For every (k, n) class: converting to a pattern gives a proper reducible
-    pattern with block count k; converting back returns the same arrangement;
-    and stepping the arrangement matches peeling the pattern and collapsing
-    the new first-row blocks, as classes.  The third identity cannot see
+    pattern with block count k, and converting back returns the same
+    arrangement (one read-back, necklace_of_pattern, which refuses any
+    other pattern, checks both); and stepping the arrangement matches
+    peeling the pattern and collapsing the new first-row blocks, as
+    classes.  The third identity cannot see
     T's unit-vector fix at distance 3: a 3-block carries nothing above it,
     so a step without the fix gives the same patterns.  The step-table
     tests and the golden cycle table cover that fix.  Patterns have even
@@ -449,10 +433,11 @@ def check_correspondence(n: int) -> bool:
     for k in range(1, n // 4 + 1):
         for word in _canonical_words(k, n):
             pat = pattern_of_necklace(word)
-            # the one parse of the class: proper, with k blocks
-            if proper_block_count(pat) != k or not is_reducible(pat):
+            try:
+                back = necklace_of_pattern(pat)
+            except ValueError:  # not proper, reducible and with k blocks
                 return False
-            if canonicalize(_sequence_of(pat)) != word:
+            if canonicalize(back) != word:
                 return False
             peeled, _ = peel(pat)
             if not same_class(pattern_of_necklace(transform(word)),

@@ -116,7 +116,8 @@ def masked_graph(p: Pattern, m: int) -> Graph:
     spec = GridSpec("cylinder", m, p.n)
     drop = [grid_vertex(spec, 1, i) for i, x in enumerate(p) if x != "c"]
     drop += [grid_vertex(spec, 2, i) for i, x in enumerate(p) if x == "a"]
-    return build_grid(spec).without_vertices(drop)
+    g = build_grid(spec)
+    return g.without_vertices(g.mask(drop))
 
 
 def row_masks(p: Pattern) -> Tuple[int, int]:
@@ -262,8 +263,6 @@ def block_count(p: Pattern) -> int:
 
 def leftmost_block_middle(p: Pattern) -> int:
     """Column of the middle of the lowest-starting row-1 block (length 3)."""
-    if not p.strip("c"):
-        raise RuleInapplicableError("row 1 is all ones")
     blocks = row_blocks(p, "c")
     if not blocks:
         raise RuleInapplicableError("row 1 has no block")

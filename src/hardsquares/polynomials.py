@@ -64,10 +64,7 @@ class IntPoly:
     @property
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPoly":
         c = self.content

@@ -86,7 +86,7 @@ def residue_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     u, v = e
     if u not in g or v not in g:
         raise ValueError(f"edge {e} has an endpoint outside the graph")
-    return g.without_vertices(g.ids(g.neighbor_mask(u) | g.neighbor_mask(v) | g.mask(e)))
+    return g.without_vertices(g.neighbor_mask(u) | g.neighbor_mask(v) | g.mask(e))
 
 
 # -- the rules -------------------------------------------------------------------------
@@ -114,10 +114,11 @@ def _step(state: ReductionState, graph: Graph, rule: str,
 def drop_loops(state: ReductionState) -> ReductionState:
     """Delete every looped vertex; no independent set can use one."""
     g = state.graph
-    looped = tuple(g.ids(g.looped()))
+    looped = g.looped()
     if not looped:
         return state
-    return _step(state, g.without_vertices(looped), "drop_loops", looped, False)
+    return _step(state, g.without_vertices(looped), "drop_loops",
+                 tuple(g.ids(looped)), False)
 
 
 def apply_fold(state: ReductionState, u: int, v: int) -> ReductionState:
@@ -127,7 +128,7 @@ def apply_fold(state: ReductionState, u: int, v: int) -> ReductionState:
     _require(not _looped(g, u, v), "fold witnesses must be loop-free")
     _require(not g.neighbor_mask(u) & ~g.neighbor_mask(v),
              f"fold needs N({u}) contained in N({v})")
-    return _step(state, g.without_vertices([v]), "fold", (u, v), False)
+    return _step(state, g.without_vertices(1 << v), "fold", (u, v), False)
 
 
 def apply_pendant_suspension(state: ReductionState, u: int, v: int) -> ReductionState:
@@ -137,7 +138,7 @@ def apply_pendant_suspension(state: ReductionState, u: int, v: int) -> Reduction
     _require(g.neighbor_mask(u) == 1 << v,
              f"pendant needs deg({u}) = 1 with neighbor {v}")
     _require(not _looped(g, v), "pendant support must be loop-free")
-    return _step(state, g.without_vertices(g.ids(g.neighbor_mask(v) | 1 << v)),
+    return _step(state, g.without_vertices(g.neighbor_mask(v) | 1 << v),
                  "pendant", (u, v), True)
 
 
@@ -153,7 +154,7 @@ def apply_square_suspension(state: ReductionState, u: int, v: int,
     _require(nu.bit_count() == nv.bit_count() == 2,
              f"square needs deg({u}) = deg({v}) = 2")
     _require(nv >> x & nx >> y & nu >> y & 1, f"{four} is not a 4-cycle")
-    return _step(state, g.without_vertices(four), "square", four, True)
+    return _step(state, g.without_vertices(g.mask(four)), "square", four, True)
 
 
 def _certify_isolated(state: ReductionState, w: int) -> ReductionState:

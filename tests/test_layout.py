@@ -36,11 +36,10 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Public names that nothing names outside their own body, kept for a reason
 # the code does not show.  Names that only perfbench names need no entry:
-# the tracer wraps patterns.is_proper and necklaces.necklace_of_pattern by
-# name, though no src code calls them (test_cli pins that every traced name
-# resolves), and perfbench/sweep.py drives residue_edge, simplify,
-# replay_trace and ReductionState.witten; they stay while the benchmark
-# reads them.
+# the tracer wraps patterns.is_proper by name, though no src code calls it
+# (test_cli pins that every traced name resolves), and perfbench/sweep.py
+# drives residue_edge, simplify, replay_trace and ReductionState.witten;
+# they stay while the benchmark reads them.
 KEEP = {
     "patterns.masked_graph":
         "the brute route for pattern series, a paper claim: "

@@ -41,15 +41,20 @@ Claims covered:
   HARDSQUARES_EXTENDED=1), and the closed forms:
   one pair gives one (n-3)-cycle, 2k stones on 4k intervals give one fixed
   point, and on 4k+2 intervals one (k+2)-cycle plus floor(k/2) fixed points.
-- every cycle length divides n - 3k for even n <= 24.
+- every cycle length divides n - 3k for even n <= 24, and n - 3k steps
+  take every class with n <= 24 to a rotation of its word.
+- at even n <= 20 the ring C_n has two more dihedral orbits of
+  independent states than there are classes over all k.
 - the pattern correspondence: arrangements map to proper reducible patterns
   with block count k, back-conversion is the exact inverse, and one step of the
   arrangement equals peel-then-collapse on the pattern, for all n <= 14;
   and check_correspondence fails for some even n <= 14 once a peel without
   its wipe, an identity collapse, a row builder without the row-1 strips, a
-  back-conversion (sequence builder) to unit vectors or a block count that
-  counts single second-row ones is patched in, so none of the three
-  identities is idle; it refuses a circle wider than a gap field.
+  back-conversion (necklace_of_pattern) to unit vectors or a block count
+  that counts single second-row ones is patched in, so none of the three
+  identities is idle (the read-back refuses a pattern whose grammar count
+  differs from the second-row blocks it reads); it refuses a circle wider
+  than a gap field.
 - JSON and DOT exports are deterministic and well formed, each DOT edge
   joins the oracle's placed class to its placed step image, and
   transitions pairs the enumerated classes with their step images.
@@ -58,7 +63,7 @@ Claims covered:
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hardsquares import necklaces
+from hardsquares import graphs, necklaces
 from hardsquares.cli import BOUNDS
 from hardsquares.necklaces import (
     canonicalize,
@@ -373,6 +378,28 @@ def test_cycle_lengths_divide_slack():
             assert verify_cycle_divisibility(k, n), (k, n)
 
 
+def test_n_minus_3k_steps_rotate_every_class():
+    # the sharpened cycle conjecture, with no canonical form and no cycle
+    # walk: n - 3k steps take each canonical word to a rotation of its
+    # blocks, odd n included
+    for n in range(4, 25):
+        for k in range(1, n // 4 + 1):
+            for word in enumerate_necklaces(k, n):
+                image = word
+                for _ in range(n - 3 * k):
+                    image = transform(image)
+                assert image in {word[i:] + word[:i] for i in range(k)}, (k, n, word)
+
+
+def test_ring_orbits_are_the_classes_plus_two_at_even_n():
+    # an observed count, not a proven one: at even n the dihedral orbits of
+    # the ring's independent states outnumber the arrangement classes over
+    # all k by two; odd n agrees only at 3 and 5
+    for n in range(2, 21, 2):
+        classes = sum(len(enumerate_necklaces(k, n)) for k in range(1, n // 4 + 1))
+        assert len(graphs._orbits(n).reps) == classes + 2, n
+
+
 def test_cycle_length_lcm_values():
     assert cycle_length_lcm(1, 6) == 3
     assert cycle_length_lcm(1, 30) == 27  # above the command line's circle bound
@@ -449,9 +476,9 @@ def _rows_without_strips(seq):
     return Pattern(pat.replace("c", "b"))
 
 
-def _sequence_with_unit_vectors(p):
+def _read_back_with_unit_vectors(p):
     return word_of(tuple((1 if v > 0 else -1, gap)
-                         for v, gap in pairs_of(_real_sequence_of(p))))
+                         for v, gap in pairs_of(necklace_of_pattern(p))))
 
 
 def _count_single_ones_too(p):
@@ -462,17 +489,14 @@ def _count_single_ones_too(p):
     return None if count is None else count + singles
 
 
-_real_sequence_of = necklaces._sequence_of
-
-
 # Each fault, with the identities that catch it on their own; every
 # identity is the only catch of at least one fault.
 @pytest.mark.parametrize("name, fake", [
-    ("peel", _peel_without_wipe),                    # third
-    ("collapse_top_blocks", lambda p: p),            # third
-    ("pattern_of_necklace", _rows_without_strips),   # first and third
-    ("_sequence_of", _sequence_with_unit_vectors),   # second
-    ("proper_block_count", _count_single_ones_too),  # first
+    ("peel", _peel_without_wipe),                            # third
+    ("collapse_top_blocks", lambda p: p),                    # third
+    ("pattern_of_necklace", _rows_without_strips),           # first and third
+    ("necklace_of_pattern", _read_back_with_unit_vectors),   # second
+    ("proper_block_count", _count_single_ones_too),          # first
 ])
 def test_correspondence_catches_a_broken_part(monkeypatch, name, fake):
     monkeypatch.setattr(necklaces, name, fake)
