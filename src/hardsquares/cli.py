@@ -40,7 +40,7 @@ import argparse
 import sys
 from itertools import islice
 from random import Random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError, FitInconclusiveError, RequestRefusedError
 from .genfun import (
@@ -173,11 +173,6 @@ def _check_nmax(nmax: int, floor: int, *rows: str,
                                   f"would check no circumference")
 
 
-def _even_range(lo: int, hi: int) -> Iterable[int]:
-    start = lo if lo % 2 == 0 else lo + 1
-    return range(start, hi + 1, 2)
-
-
 # -- witten ----------------------------------------------------------------
 
 def cmd_witten(args: argparse.Namespace) -> int:
@@ -269,7 +264,7 @@ def cmd_necklace(args: argparse.Namespace) -> int:
             args.parser.error("necklace verify sweeps up to --nmax; -k and -n do not apply")
         nmax = args.nmax if args.nmax is not None else _NECKLACE_NMAX
         _check_nmax(nmax, 4, "circle", override=args.bound_n)
-        results = [r for n in _even_range(4, nmax) for r in _cycle_divisibility(n)]
+        results = [r for n in range(4, nmax + 1, 2) for r in _cycle_divisibility(n)]
         return _report("necklace-verify", results, [], args.format)
 
     if args.k is None or args.n is None:
@@ -336,7 +331,7 @@ def _suite_identities(m_max: int, n_max: int, seed: int) -> List[CheckResult]:
 
 def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
     results, infos = [], []
-    for n in _even_range(2, n_max):
+    for n in range(2, n_max + 1, 2):
         gf = cylinder_gf(n)
         rep = periodicity_report(n, gf)  # the one cyclotomic split of f_n
         results.append(CheckResult("roots_of_unity", {"n": n}, rep.remainder_ok))
@@ -364,7 +359,7 @@ def _suite_conjectures(n_max: int) -> Tuple[List[CheckResult], List[str]]:
 
 def _suite_correspondence(n_max: int) -> List[CheckResult]:
     return [CheckResult("pattern_correspondence", {"n": n}, check_correspondence(n))
-            for n in _even_range(4, n_max)]
+            for n in range(4, n_max + 1, 2)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError
 from .graphs import column_series, fit_window
@@ -157,30 +157,22 @@ def cylinder_gf(n: int) -> RationalGF:
     return total
 
 
-def _is_unit(remainder: IntPoly) -> bool:
-    """Is the non-cyclotomic part of a denominator ±1?"""
-    return remainder.degree == 0 and abs(remainder.coefficient(0)) == 1
+def _levels(n: int, periods: Iterable[int]) -> IntPoly:
+    """(1 - (-1)^(n/2) t^2) times (1 - t^(2L)) over the given periods L."""
+    out = ONE - ONE.shift(2) * (-1) ** (n // 2)
+    for period in periods:
+        out = out * (ONE - ONE.shift(2 * period))
+    return out
 
 
 def conjectured_denominator(n: int) -> IntPoly:
-    """The proposed universal denominator for even circumference n.
-
-    For n = 4k+2 it is (1 + t^2) times (1 - t^e) over e = 8k-2, 8k-8, ...
-    down to 2k+4; for n = 4k it is (1 - t^2) times (1 - t^e) over
-    e = 8k-6, 8k-12, ... down to 2k+6.
+    """The proposed universal denominator for even circumference n:
+    (1 - (-1)^(n/2) t^2) times (1 - t^(2L)) over the periods
+    L = n - 3j, j = 1 .. floor((n - 1)/4).
     """
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
-    k, rem = divmod(n, 4)
-    if rem == 2:
-        out = ONE + ONE.shift(2)
-        top, stop = 8 * k - 2, 2 * k + 4
-    else:
-        out = ONE - ONE.shift(2)
-        top, stop = 8 * k - 6, 2 * k + 6
-    for e in range(top, stop - 1, -6):
-        out = out * (ONE - ONE.shift(e))
-    return out
+    return _levels(n, (n - 3 * j for j in range(1, (n - 1) // 4 + 1)))
 
 
 def check_denominator_form(n: int, gf: RationalGF) -> bool:
@@ -208,7 +200,7 @@ class PeriodicityReport(NamedTuple):
 def periodicity_report(n: int, gf: RationalGF) -> PeriodicityReport:
     """The denominator structure of f_n = gf, from one cyclotomic split."""
     factors, remainder = factor_cyclotomic(gf.den)
-    remainder_ok = _is_unit(remainder)
+    remainder_ok = remainder in (ONE, -ONE)
     max_mult = max(factors.values(), default=0)
     period = None
     if remainder_ok and max_mult <= 1:
@@ -225,15 +217,11 @@ def denominator_bound(n: int, blocks: int) -> IntPoly:
     """Denominator guaranteed by the successor-cycle structure.
 
     A class with the given block count peels around cycles whose solved
-    denominators are (1 - (-1)^{n/2} t^2) at block count zero and
-    (1 - t^{2g}) at each level, g the cycle-length lcm of the matching
-    stone arrangements; the product bounds every pole.
+    denominators are (1 - (-1)^(n/2) t^2) at block count zero and
+    (1 - t^(2L)) at each level k = 1 .. blocks, L the cycle-length lcm of
+    the matching stone arrangements; the product bounds every pole.
     """
-    sign = -1 if (n // 2) % 2 else 1
-    out = ONE - ONE.shift(2) * sign
-    for k in range(1, blocks + 1):
-        out = out * (ONE - ONE.shift(2 * cycle_length_lcm(k, n)))
-    return out
+    return _levels(n, (cycle_length_lcm(k, n) for k in range(1, blocks + 1)))
 
 
 def check_block_count_denominator(p: Pattern) -> bool:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, product
+from math import prod
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RuleInapplicableError
@@ -298,26 +299,22 @@ class SignedPatternCombo(NamedTuple):
 def initial_patterns(n: int) -> SignedPatternCombo:
     """Expansion of the full cylinder over masked patterns.
 
-    At every even column the all-ones pattern takes either a delete_top or a
-    delete_top_neighborhood; the 2^{n/2} outcomes, signed by (-1)^{#
-    neighborhood deletions}, sum to the cylinder index for every m >= 2.
-    All writes set entries to 0, so simultaneous application is well defined.
+    From the all-c pattern, every even column takes either delete_top (+1)
+    or delete_top_neighborhood (-1); the 2^{n/2} outcomes, each signed by
+    the product of its signs, sum to the cylinder index for every m >= 2.
+    Every write zeroes entries and leaves the other even columns c, so
+    applying the deletions one after another equals applying them at once.
     """
     if n < 2 or n % 2:
         raise ValueError("initial patterns need even n >= 2")
     combo: Dict[Pattern, int] = {}
     evens = range(0, n, 2)
-    for picks in product("VN", repeat=len(evens)):
-        cols = ["c"] * n
-        sign = 1
-        for i, op in zip(evens, picks):
-            if op == "V":
-                cols[i] = "b"
-            else:
-                sign = -sign
-                _wipe(cols, i)
-        cls = canonicalize(Pattern("".join(cols)))
-        combo[cls] = combo.get(cls, 0) + sign
+    for signs in product((1, -1), repeat=len(evens)):
+        p = Pattern("c" * n)
+        for i, sign in zip(evens, signs):
+            p = delete_top(p, i) if sign > 0 else delete_top_neighborhood(p, i)
+        cls = canonicalize(p)
+        combo[cls] = combo.get(cls, 0) + prod(signs)
     terms = tuple(
         (cls, coeff) for cls, coeff in sorted(combo.items()) if coeff != 0
     )

@@ -23,8 +23,7 @@ arithmetic inside trusts that.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import gcd, prod
+from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import FitInconclusiveError
@@ -107,6 +106,12 @@ class IntPoly:
         if self.is_zero:
             return self
         return IntPoly((0,) * k + self.coeffs)
+
+    def spread(self, k: int) -> "IntPoly":
+        """Substitute t^k for t (k >= 1)."""
+        out = [0] * (k * len(self.coeffs))
+        out[::k] = self.coeffs
+        return IntPoly(out)
 
     def divrem(self, div: "IntPoly") -> Tuple["IntPoly", "IntPoly"]:
         """Long division in integers; ValueError at the first quotient
@@ -221,25 +226,16 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 @lru_cache(maxsize=32)
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, the product over e | d of
-    (t^e - 1)^μ(d/e): the factors with μ = +1 multiplied, then those with
-    μ = -1 divided out.  μ(d/e) is nonzero only for squarefree d/e, so e
-    runs over d divided by products of d's distinct primes."""
+    """The d-th cyclotomic polynomial in prime steps: from Φ_1 = t - 1, each
+    distinct prime q of d takes Φ_m to Φ_mq(t) = Φ_m(t^q) / Φ_m(t), one
+    exact division, which reaches Φ_r for the radical r of d; then
+    Φ_d(t) = Φ_r(t^(d/r))."""
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    primes = _prime_divisors(d)
-    p, denominators = ONE, []
-    for k in range(len(primes) + 1):
-        for chosen in combinations(primes, k):
-            e = d // prod(chosen)
-            factor = IntPoly([-1] + [0] * (e - 1) + [1])
-            if k % 2:
-                denominators.append(factor)
-            else:
-                p = p * factor
-    for factor in denominators:
-        p = p.exact_div(factor)
-    return p
+    p, radical = IntPoly([-1, 1]), 1
+    for q in _prime_divisors(d):
+        p, radical = p.spread(q).exact_div(p), radical * q
+    return p.spread(d // radical)
 
 
 def _prime_divisors(d: int) -> List[int]:
@@ -487,10 +483,7 @@ def fit_recurrence(seq: Sequence[int]) -> RationalGF:
             f"recurrence of order {order} needs at least {2 * order + 4} terms, got {len(seq)}"
         )
     den = IntPoly(conn)
-    num = IntPoly(
-        sum(den.coefficient(j) * seq[i - j] for j in range(0, min(i, den.degree) + 1))
-        for i in range(order if order > 0 else 1)
-    )
+    num = IntPoly((den * IntPoly(seq)).coeffs[:max(order, 1)])
     result = RationalGF(num, den)
     if series_expand(result, len(seq) - 1) != seq:
         raise FitInconclusiveError("fitted recurrence fails to reproduce the input")

@@ -65,7 +65,7 @@ for the data rows of the identity table and the sweep's one column per
 circumference.  labelled_grid_oracle builds a grid from its labelled row
 and column factors, kept as a differential oracle for the row-major ids
 of build_grid and grid_vertex.  cyclotomic_oracle is Phi_d by recursive
-division, kept as a differential oracle for the Moebius product.
+division, kept as a differential oracle for the prime-step builder.
 z_pattern is one entry z(P, m) of z_pattern_series, the pointwise form
 in which the tests state the pattern identities; src reads whole series.
 parse_pattern reads the two-row text that str(Pattern) prints

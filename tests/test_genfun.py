@@ -43,6 +43,9 @@ Claims covered:
   lengths covers every proper class of length up to 10; its degree is
   2 + sum over levels k = 1..b of 2 * cycle_length_lcm(k, n), and the
   check fails on a series with a pole outside the bound.
+- at every even n <= 28 the bound at floor((n-1)/4) levels divides the
+  conjectured product, and stops dividing it once the level-one cycle
+  length is one longer.
 """
 
 import re
@@ -378,3 +381,21 @@ def test_block_count_denominator_rejects_a_pole_outside_the_bound(monkeypatch):
     extra_pole = pattern_gf(cls) * RationalGF(ONE, IntPoly((1, -2)))
     monkeypatch.setattr(genfun, "pattern_gf", lambda p: extra_pole)
     assert not check_block_count_denominator(cls)
+
+
+def _bound_divides_the_conjecture(n):
+    return denominator_bound(n, (n - 1) // 4).divides(conjectured_denominator(n))
+
+
+def test_structural_bound_divides_the_conjectured_product():
+    # the two products share their per-level form, so this reads the cycle
+    # divisibility at level k = j: cycle_length_lcm(j, n) divides n - 3j
+    assert all(_bound_divides_the_conjecture(n) for n in range(2, 29, 2))
+
+
+def test_bound_check_fails_on_a_longer_level_one_cycle(monkeypatch):
+    # 1 - t^(2(n-2)) has a root of order 2(n-2), above every conjectured 2L
+    monkeypatch.setattr(genfun, "cycle_length_lcm",
+                        lambda k, n: cycle_length_lcm(k, n) + (k == 1))
+    failing = [n for n in range(2, 29, 2) if not _bound_divides_the_conjecture(n)]
+    assert failing == list(range(6, 29, 2))

@@ -43,8 +43,10 @@ Claims covered:
   point, and on 4k+2 intervals one (k+2)-cycle plus floor(k/2) fixed points.
 - every cycle length divides n - 3k for even n <= 24, and n - 3k steps
   take every class with n <= 24 to a rotation of its word.
-- at even n <= 20 the ring C_n has two more dihedral orbits of
-  independent states than there are classes over all k.
+- at even n the ring C_n has two more dihedral orbits of independent
+  states than there are classes over all k: Burnside's count of the
+  orbits equals the ring's orbit count for n <= 20, and the classes plus
+  two for n <= 28 (n <= 36 with HARDSQUARES_EXTENDED=1).
 - the pattern correspondence: arrangements map to proper reducible patterns
   with block count k, back-conversion is the exact inverse, and one step of the
   arrangement equals peel-then-collapse on the pattern, for all n <= 14;
@@ -59,6 +61,8 @@ Claims covered:
   joins the oracle's placed class to its placed step image, and
   transitions pairs the enumerated classes with their step images.
 """
+
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -391,13 +395,32 @@ def test_n_minus_3k_steps_rotate_every_class():
                 assert image in {word[i:] + word[:i] for i in range(k)}, (k, n, word)
 
 
+def _dihedral_orbits(n):
+    # Burnside over the 2n symmetries of C_n, n even: a rotation by k fixes
+    # the independent sets of a cycle of gcd(n, k) vertices, Lucas L_gcd
+    # (L_1 = 1, L_2 = 3); a reflection through two vertices fixes those of
+    # a path of n/2 + 1 vertices, F_{n/2+3}, and one through two edges
+    # those of a path of n/2 - 2, F_{n/2} (F_1 = F_2 = 1)
+    lucas, fib = [2, 1], [0, 1]
+    while len(lucas) <= n + 3:
+        lucas.append(lucas[-1] + lucas[-2])
+        fib.append(fib[-1] + fib[-2])
+    fixed = (sum(lucas[gcd(n, k)] for k in range(n))
+             + n // 2 * (fib[n // 2 + 3] + fib[n // 2]))
+    assert fixed % (2 * n) == 0, n
+    return fixed // (2 * n)
+
+
 def test_ring_orbits_are_the_classes_plus_two_at_even_n():
     # an observed count, not a proven one: at even n the dihedral orbits of
     # the ring's independent states outnumber the arrangement classes over
-    # all k by two; odd n agrees only at 3 and 5
+    # all k by two; odd n agrees only at 3 and 5.  Burnside counts the
+    # orbits without the transfer kernel, so the count reaches past it
     for n in range(2, 21, 2):
+        assert len(graphs._orbits(n).reps) == _dihedral_orbits(n), n
+    for n in range(2, (36 if EXTENDED else 28) + 1, 2):
         classes = sum(len(enumerate_necklaces(k, n)) for k in range(1, n // 4 + 1))
-        assert len(graphs._orbits(n).reps) == classes + 2, n
+        assert _dihedral_orbits(n) == classes + 2, n
 
 
 def test_cycle_length_lcm_values():

@@ -3,9 +3,10 @@
 Covers: IntPoly ring operations and exact division, primitive gcd
 normalization, cyclotomic polynomials and the factor-splitting routine
 (which builds Φ_d only when φ(d), read from one totient sieve, is at most
-the degree left to split, and builds each order once, as a Möbius product of
-t^e - 1 equal to the recursive division of tests/helpers.py for d < 400,
-with one prime factorisation per order built), RationalGF canonical
+the degree left to split, and builds each order once, in prime steps
+Φ_mq(t) = Φ_m(t^q) / Φ_m(t), equal to the recursive division of
+tests/helpers.py for d < 400, with one prime factorisation per order
+built), substitution of t^k for t (IntPoly.spread), RationalGF canonical
 reduction, power-series expansion, and the Berlekamp-Massey fit including
 its refusal on short input and on terms that are not int.
 
@@ -78,6 +79,8 @@ def test_poly_basic_arithmetic():
     assert -P(1, -2) == P(-1, 2)
     assert P(1, 1) * P(1, 1) == P(1, 2, 1)
     assert P(2, 1).shift(2) == P(0, 0, 2, 1)
+    assert P(2, 0, -1).spread(3) == P(2, 0, 0, 0, 0, 0, -1)
+    assert P(2, 1).spread(1) == P(2, 1) and P().spread(2).is_zero
 
 
 def test_poly_trims_trailing_zeros():
