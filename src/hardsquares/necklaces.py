@@ -23,9 +23,9 @@ the facing gap F.  n is the sum of the gaps, and int order is the order of
 the (vector, gap) pairs, so the least word is the least sequence.  The
 step and the mirror are sums of per-block lookups into three tables,
 unbounded lru_caches (a circle of length n meets fewer than 2n^2 blocks):
-image block j is _step_front(b_j) + _step_back(b_{j+1}) (T never reorders
-stones), and mirror block j is _mirror_front(b_j) plus the facing gap of
-b_{j-1}, read back to front.
+image block j is _step_front(b_j) + _step_back(b_{j+1}) (_step_sum; T
+never reorders stones), and mirror block j is _mirror_front(b_j) plus the
+facing gap of b_{j-1}, read back to front (_mirror_sum).
 A gap field is _GAP_BITS wide, so a circle longer than its largest value
 is refused before any work.
 
@@ -40,6 +40,11 @@ block is smaller; no other can be, so the leaf test compares only those
 and stops at the first smaller one.  A kept word shares its block ints:
 the stack's with its siblings, and its last two through a per-call map
 (a circle of 28 has 163 distinct blocks for 6,478 (4, 28) words).  The
+step's class images are canonicalised a slab of _SLAB words at a time on
+block columns (_step_images): the step sum and the mirror sum that
+transform and _mirror apply to one word run over whole columns, and each
+image's class is the least of the 2k rotations of its image and mirror,
+so the table lookups and comparisons run inside map, zip and min.  The
 step must permute the classes; _successors checks that with one byte of
 hits per class, not a set of images.  Stones get positions only when a
 line is printed: format_necklace and necklace_to_json_obj put the first
@@ -62,7 +67,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import ConsistencyError, RequestRefusedError
 from .patterns import (
@@ -132,6 +137,18 @@ _MIRROR_BACK = _MASK.__and__  # the facing gap F
 # -- the step and the canonical form --------------------------------------------------
 
 
+def _step_sum(blocks: Iterable[int], nexts: Iterable[int]) -> Iterator[int]:
+    """Image blocks: _step_front(b_j) + _step_back(b_{j+1}), each b_{j+1}
+    read from nexts."""
+    return map(add, map(_step_front, blocks), map(_step_back, nexts))
+
+
+def _mirror_sum(blocks: Iterable[int], previous: Iterable[int]) -> Iterator[int]:
+    """Mirror blocks: _mirror_front(b_j) plus the facing gap F_{j-1}, each
+    b_{j-1} read from previous."""
+    return map(add, map(_mirror_front, blocks), map(_MIRROR_BACK, previous))
+
+
 def transform(word: Word) -> Word:
     """T: jump every stone, switch every vector, then fix distance-3 pairs.
 
@@ -142,8 +159,7 @@ def transform(word: Word) -> Word:
     only ever turns a (2, -2) jump into (1, -1), whatever n is.  Each image
     block is a table sum, _step_front(b_j) + _step_back(b_{j+1}).
     """
-    return tuple(map(add, map(_step_front, word),
-                     map(_step_back, word[1:] + word[:1])))
+    return tuple(_step_sum(word, word[1:] + word[:1]))
 
 
 def _mirror(word: Word) -> Word:
@@ -151,8 +167,7 @@ def _mirror(word: Word) -> Word:
     block of b_j read back to front is _mirror_front(b_j) plus the facing
     gap F_{j-1}, from the last block on."""
     rev = word[::-1]
-    return tuple(map(add, map(_mirror_front, rev),
-                     map(_MIRROR_BACK, rev[1:] + rev[:1])))
+    return tuple(_mirror_sum(rev, rev[1:] + rev[:1]))
 
 
 def canonicalize(word: Word) -> Word:
@@ -294,12 +309,33 @@ def _canonical_words(k: int, n: int) -> List[Word]:
     return out
 
 
+# Words per slab of the column kernel.  A slab holds its image and mirror
+# columns; the whole class list at once would hold every image.
+_SLAB = 256
+
+
+def _step_images(words: List[Word]) -> Iterator[Word]:
+    """canonicalize(transform(word)) for each word, all of one length k,
+    computed a slab of _SLAB words at a time on block columns: image column
+    j is the step sum of columns j and j + 1, mirror column j the mirror
+    sum of reversed image columns j and j + 1, and each image's class is
+    the least of the 2k rotations of its image and mirror, each a zip of
+    columns."""
+    for start in range(0, len(words), _SLAB):
+        cols = list(zip(*words[start:start + _SLAB]))
+        image = [tuple(_step_sum(*pair)) for pair in zip(cols, cols[1:] + cols[:1])]
+        rev = image[::-1]
+        mirror = [tuple(_mirror_sum(*pair)) for pair in zip(rev, rev[1:] + rev[:1])]
+        yield from map(min, *(zip(*d[i:], *d[:i])
+                              for d in (image, mirror) for i in range(len(d))))
+
+
 def _successors(words: List[Word]) -> List[int]:
     """Index of each class's step image; T must permute the classes, so
     every image is a class and no class is hit twice (one byte per class
     marks the hits)."""
     index = {word: i for i, word in enumerate(words)}
-    succ = [index.get(canonicalize(transform(word))) for word in words]
+    succ = list(map(index.get, _step_images(words)))
     hit = bytearray(len(succ))
     for j in succ:
         if j is None or hit[j]:

@@ -55,6 +55,7 @@ series prepends its m = 0, 1 values separately.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import chain, product
 from math import prod
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -187,16 +188,24 @@ def peel(p: Pattern) -> Tuple[Pattern, int]:
 # -- row structure ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _row_scans(letters: str) -> Tuple[re.Pattern, re.Pattern]:
+    """The zero scan and the run scan of the row whose ones are these
+    letters, compiled on first use."""
+    return re.compile(f"[^{letters}]"), re.compile(f"[{letters}]{{3,}}")
+
+
 def row_blocks(p: Pattern, letters: str) -> List[Tuple[int, int]]:
     """The maximal cyclic runs of at least three ones in the row whose ones
     are these letters ("c" for row 1, "bc" for row 2), as (start, length);
     none in a row of all ones, whose one run has no start."""
-    zero = re.search(f"[^{letters}]", p)
+    zeros, runs = _row_scans(letters)
+    zero = zeros.search(p)
     if zero is None:
         return []
     cut = zero.end()  # read from just after a zero, so no run wraps
-    return [((cut + run.start()) % p.n, len(run[0]))
-            for run in re.finditer(f"[{letters}]{{3,}}", p[cut:] + p[:cut])]
+    return [((cut + run.start()) % p.n, run.end() - run.start())
+            for run in runs.finditer(p[cut:] + p[:cut])]
 
 
 # -- the proper grammar -------------------------------------------------------------

@@ -70,6 +70,9 @@
   necklace document written in many slabs.  On Linux that document's cold
   peak RSS, each child started through the benchmark's launcher, stays
   less than 2.5 MB above a tiny document's.
+- on Linux the cold peak RSS of necklace cycles -n 28 -k 4 stays less
+  than 2 MB above that of necklace cycles -n 8 -k 1: the step's class
+  images are streamed a slab at a time, never held as one list.
 - usage errors (unknown suite, bad format, missing arguments) exit 2.
 - every module.function the benchmark tracer wraps (perfbench/tracer.py,
   read only) exists, and importing hardsquares.cli in a fresh interpreter
@@ -78,7 +81,8 @@
   distinct-argument key reads pattern_gf's p, exits 0.  Traced necklace
   cycles and verify correspondence runs call necklaces.transform,
   canonicalize and pattern_of_necklace, the names the tracer books the
-  necklace kernel under.
+  necklace kernel under (since cycles steps its classes a slab at a time,
+  the correspondence check makes the transform and canonicalize calls).
 """
 
 import importlib
@@ -495,8 +499,11 @@ def test_identity_sweep_with_no_instance_in_range_exits_two(capsys, no_sweeps):
 
 
 def test_broken_step_is_an_internal_consistency_failure(capsys, monkeypatch):
-    classes = necklaces._canonical_words(2, 12)
-    monkeypatch.setattr(necklaces, "transform", lambda seq: classes[0])
+    # the step sum the slab kernel runs sends every block to one block b,
+    # so every class steps to the class (b, b), which is hit many times
+    twin = next(w for w in necklaces._canonical_words(2, 12) if w[0] == w[1])
+    monkeypatch.setattr(necklaces, "_step_sum",
+                        lambda blocks, nexts: [twin[0]] * len(blocks))
     necklaces._cycles.cache_clear()
     code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")
     necklaces._cycles.cache_clear()
@@ -511,9 +518,10 @@ def test_a_step_image_outside_the_classes_is_an_internal_consistency_failure(
     # every other image is right, so no class is hit twice
     stray = necklaces._canonical_words(2, 14)[0]
     first = necklaces._canonical_words(2, 12)[0]
-    step = necklaces.transform
-    monkeypatch.setattr(necklaces, "transform",
-                        lambda word: stray if word == first else step(word))
+    images = necklaces._step_images
+    monkeypatch.setattr(necklaces, "_step_images", lambda words: (
+        stray if word == first else image
+        for word, image in zip(words, images(words))))
     necklaces._cycles.cache_clear()
     code, out, err = run_cli(capsys, "necklace", "cycles", "-k", "2", "-n", "12")
     necklaces._cycles.cache_clear()
@@ -788,6 +796,17 @@ def test_a_large_json_document_costs_little_memory_beyond_a_tiny_one():
     tiny = _peak_rss_kib("necklace", "-k", "1", "-n", "4", "enumerate",
                          "--format", "json")
     assert large - tiny < 2.5 * 1024, (large, tiny)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the launcher reads /proc and ru_maxrss in KiB")
+def test_the_largest_cycle_table_costs_little_memory_beyond_a_tiny_one():
+    # 6,478 classes against one: streamed a slab of images at a time, the
+    # large table adds about 1.1 MB; a list of every image adds about
+    # 2.3 MB, and one slab of every class about 3.1 MB
+    large = _peak_rss_kib("necklace", "cycles", "-n", "28", "-k", "4")
+    tiny = _peak_rss_kib("necklace", "cycles", "-n", "8", "-k", "1")
+    assert large - tiny < 2 * 1024, (large, tiny)
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -8,7 +8,9 @@
   site loads none of dataclasses, inspect, fractions, decimal or json, and
   no src module imports dataclasses or fractions.  The child still loads
   graphs, patterns, genfun, polynomials and necklaces, which the
-  benchmark's tracer reaches through the cli module.
+  benchmark's tracer reaches through the cli module.  Once the stdlib
+  modules that src imports are loaded, importing hardsquares.cli compiles
+  no regex: a src scan compiles on first use.
 - the "schema" key of a JSON document has one owner, cli._emit_json: the
   src modules that spell "schema" as a dict key (in a dict display, a
   subscript or a dict() keyword) are exactly cli and necklaces, whose
@@ -158,6 +160,38 @@ def test_cold_cli_import_loads_no_heavy_stdlib_module():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0 and proc.stdout == "[] True\n", proc.stderr
+
+
+def outside_imports():
+    """The modules from outside the package that src modules import."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    return sorted(n for n in names
+                  if n.partition(".")[0] not in ("hardsquares", "__future__"))
+
+
+def test_cold_cli_import_compiles_no_src_regex():
+    # the stdlib modules come first, since some compile at import time
+    # (argparse through gettext); every re entry point compiles through
+    # re._compile.  A first row scan compiles its two patterns, so the
+    # counter is live.
+    outside = outside_imports()
+    assert "argparse" in outside and "re" in outside
+    probe = (f"import {', '.join(outside)}\n"
+             "calls, compile = [], re._compile\n"
+             "re._compile = lambda *a: calls.append(a) or compile(*a)\n"
+             "import hardsquares.cli\n"
+             "before = len(calls)\n"
+             "hardsquares.patterns.row_blocks(hardsquares.patterns.Pattern('abbb'), 'bc')\n"
+             "print(before, len(calls))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0 and proc.stdout == "0 2\n", (proc.stdout, proc.stderr)
 
 
 def spells_schema_key(path: Path) -> bool:

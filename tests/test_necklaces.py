@@ -24,7 +24,11 @@ Claims covered:
   (test_cli).
 - the block-word kernel agrees with the sequence kernel of tests/helpers:
   the same classes in the same sorted order, the same step, mirror and
-  successor index, for every k and every n <= 24 (odd n included).
+  successor index, for every k and every n <= 24 (odd n included).  The
+  successor index, stepped and canonicalised a slab of words at a time on
+  block columns, equals the word forms' canonicalize(transform(word)) at
+  slabs of 1, 2, 3 and the default _SLAB words, for every k and every
+  n <= 20 (odd n included).
 - the block-word kernel agrees with the deduplicating enumerator and the
   step on placed stones: the same classes and transitions for every k and
   every n <= 24 (odd n included), printed and exported with the same
@@ -288,6 +292,20 @@ def test_block_kernel_matches_sequence_kernel():
                 stepped = sequence_transform(seq)
                 assert pairs_of(transform(word)) == stepped[1:] + stepped[:1]
                 assert pairs_of(necklaces._mirror(word)) == sequence_mirror(seq)
+
+
+def test_slab_kernel_matches_the_word_forms_at_every_slab_size(monkeypatch):
+    # slabs of 1, 2 and 3 words cut the class lists at every offset; the
+    # default slab holds each list here whole, and the sequence-kernel test
+    # above covers lists of several default slabs (1,103 classes at (3, 24))
+    for n in range(1, 21):
+        for k in range(1, n // 4 + 2):
+            words = necklaces._canonical_words(k, n)
+            index = {word: j for j, word in enumerate(words)}
+            expect = [index[canonicalize(transform(word))] for word in words]
+            for slab in (1, 2, 3, necklaces._SLAB):
+                monkeypatch.setattr(necklaces, "_SLAB", slab)
+                assert necklaces._successors(words) == expect, (k, n, slab)
 
 
 @st.composite
